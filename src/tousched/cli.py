@@ -48,12 +48,12 @@ def _resolve_preset(name: str) -> datagen.MachinePreset:
                            f"machine JSON file)")
 
 
-def _table_for(inst: model.Instance, phi_path: str | None, parallel: int = 1,
+def _table_for(inst: model.Instance, phi_path: str | None,
                prune: bool = True) -> spaces.SpacesTable:
     g = isg.build_graph(inst)
     if phi_path:
         return spaces.load_table(phi_path, inst, graph=g)
-    table = spaces.compute_spaces(inst, g, parallelism=parallel)
+    table = spaces.compute_spaces(inst, g)
     if prune:
         table = spaces.apply_pruning(table, inst)
     return table

@@ -14,7 +14,6 @@ multiples, so shorter members' costs are prefixes of longer ones.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -139,25 +138,15 @@ def switch_durations(preset: MachinePreset) -> tuple[int, int]:
     states = preset.state_set.states
 
     def shortest(src: str, dst: str) -> int:
+        # |states| - 1 rounds of relaxation settle every simple chain
         best = {src: 0}
-        heap = [(0, src)]
-        while heap:
-            d, s = heapq.heappop(heap)
-            if s == dst:
-                return d
-            if d > best.get(s, 0):
-                continue
-            for sp in states:
-                if sp == s:
-                    continue
-                t = preset.transitions.time(s, sp)
-                if t is None:
-                    continue
-                nd = d + t
-                if nd < best.get(sp, nd + 1):
-                    best[sp] = nd
-                    heapq.heappush(heap, (nd, sp))
-        raise InputError(f"preset {preset.name}: no {src}->{dst} transition chain")
+        for _ in range(len(states) - 1):
+            for (s, sp), (t, _pw) in preset.transitions.entries.items():
+                if s in best and best[s] + t < best.get(sp, best[s] + t + 1):
+                    best[sp] = best[s] + t
+        if dst not in best:
+            raise InputError(f"preset {preset.name}: no {src}->{dst} transition chain")
+        return best[dst]
 
     off = preset.state_set.off_state
     proc = preset.state_set.proc_state

@@ -1,4 +1,4 @@
-"""The interval-state graph and its shortest path primitives.
+"""The interval-state graph and its shortest path sweep.
 
 Vertices are (interval, state) pairs: v(1, off), v(i, s) for every interval
 i in 2..h and state s, and v(h+1, off). An edge v(i, s) -> v(i+t, sp)
@@ -8,12 +8,16 @@ times its power. Two boundary (off, off) edges tie the off runs to the
 horizon ends. Time-0 transitions give weight-0 edges that stay at the same
 interval index, so all weights are non-negative and paths never move
 backwards in time.
+
+So every shortest path is a sweep in interval order, closing the zero-time
+edges at each interval: `sssp` sweeps from one source, and
+`spaces.compute_spaces` from every gap start at once.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +31,9 @@ _APSP_INF = np.int64(2) ** 61  # halved so sentinel + sentinel cannot overflow
 
 @dataclass
 class IntervalStateGraph:
-    """Immutable after build_graph; shareable across threads."""
+    """The matrices every shortest path query reads. The explicit vertex
+    and edge lists are derived from them on first read and then cached;
+    only oracles and drawings need them."""
 
     inst: Instance
     states: tuple[str, ...]
@@ -36,16 +42,31 @@ class IntervalStateGraph:
     duration: np.ndarray  # (nS, nS) transition times, -1 where forbidden
     power: np.ndarray  # (nS, nS) transition powers, 0 where forbidden
     cost_prefix: np.ndarray  # (h+1,) prefix sums, [0] = 0
-    vertices: list[Vertex]
-    edges: list[tuple[Vertex, Vertex, int]]
-    adj: dict[Vertex, list[tuple[Vertex, int, StatePair]]] = field(repr=False, default_factory=dict)
 
     @property
     def horizon(self) -> int:
         return self.inst.horizon
 
-    def off_vertex_first(self) -> Vertex:
-        return (1, self.states[self.off_index])
+    def steps(self) -> list[tuple[int, int, int, int]]:
+        """Allowed transitions as (s, sp, time, power) state indices."""
+        power = self.power.tolist()
+        return [(s, sp, t, power[s][sp])
+                for s, row in enumerate(self.duration.tolist()) for sp, t in enumerate(row) if t >= 0]
+
+    @cached_property
+    def vertices(self) -> list[Vertex]:
+        h = self.horizon
+        off_name = self.states[self.off_index]
+        return [(1, off_name), *((i, s) for i in range(2, h + 1) for s in self.states),
+                (h + 1, off_name)]
+
+    @cached_property
+    def edges(self) -> list[tuple[Vertex, Vertex, int]]:
+        h, C, names, off = self.horizon, self.cost_prefix.tolist(), self.states, self.off_index
+        steps = self.steps()
+        return [((i, names[s]), (i + t, names[sp]), (C[i + t - 1] - C[i - 1]) * pw)
+                for i in range(1, h + 1) for s, sp, t, pw in steps
+                if 2 <= i and i + t <= h or s == sp == off and i in (1, h)]
 
     def source_vertex(self, i: int) -> Vertex:
         """Start vertex of the gap after interval i: on the off boundary for
@@ -67,50 +88,21 @@ def build_graph(inst: Instance) -> IntervalStateGraph:
     if problems:
         raise InputError("invalid instance: " + "; ".join(str(v) for v in problems[:3]))
 
-    h = inst.horizon
     states = inst.state_set.states
     n_s = len(states)
-    off = inst.state_set.index(inst.state_set.off_state)
-    proc = inst.state_set.index(inst.state_set.proc_state)
-
     duration = np.full((n_s, n_s), -1, dtype=np.int64)
     power = np.zeros((n_s, n_s), dtype=np.int64)
     for (s, sp), (t, pw) in inst.transitions.entries.items():
         duration[inst.state_set.index(s), inst.state_set.index(sp)] = t
         power[inst.state_set.index(s), inst.state_set.index(sp)] = pw
 
-    C = np.zeros(h + 1, dtype=np.int64)
+    C = np.zeros(inst.horizon + 1, dtype=np.int64)
     np.cumsum(np.asarray(inst.costs, dtype=np.int64), out=C[1:])
 
-    off_name = states[off]
-    vertices: list[Vertex] = [(1, off_name)]
-    vertices.extend((i, s) for i in range(2, h + 1) for s in states)
-    vertices.append((h + 1, off_name))
-
-    edges: list[tuple[Vertex, Vertex, int]] = []
-    adj: dict[Vertex, list[tuple[Vertex, int, StatePair]]] = {v: [] for v in vertices}
-
-    def add(u: Vertex, v: Vertex, w: int, step: StatePair) -> None:
-        edges.append((u, v, w))
-        adj[u].append((v, w, step))
-
-    for i in range(2, h + 1):
-        for (s, sp), (t, pw) in inst.transitions.entries.items():
-            if (i - 1) + t > h - 1:
-                continue
-            ip = i + t
-            w = int(C[ip - 1] - C[i - 1]) * pw
-            add((i, s), (ip, sp), w, (s, sp))
-
-    off_pw = inst.transitions.power(off_name, off_name)
-    add((1, off_name), (2, off_name), int(inst.costs[0]) * off_pw, (off_name, off_name))
-    if h >= 2:
-        add((h, off_name), (h + 1, off_name), int(inst.costs[h - 1]) * off_pw,
-            (off_name, off_name))
-
-    return IntervalStateGraph(inst=inst, states=states, off_index=off, proc_index=proc,
-                              duration=duration, power=power, cost_prefix=C,
-                              vertices=vertices, edges=edges, adj=adj)
+    return IntervalStateGraph(inst=inst, states=states,
+                              off_index=inst.state_set.index(inst.state_set.off_state),
+                              proc_index=inst.state_set.index(inst.state_set.proc_state),
+                              duration=duration, power=power, cost_prefix=C)
 
 
 @dataclass
@@ -118,8 +110,9 @@ class DistanceMap:
     """Shortest distances from one source; unreachable vertices are absent.
 
     pred holds the shortest path tree: pred[v] = (previous vertex, step),
-    with ties broken toward fewer edges and then smaller vertices so path
-    reconstruction is deterministic.
+    with ties broken toward fewer edges and then smaller vertices, which
+    compare as (interval, state name), so path reconstruction is
+    deterministic.
     """
 
     source: Vertex
@@ -130,32 +123,65 @@ class DistanceMap:
         return self.dist.get(v)
 
 
-def sssp(g: IntervalStateGraph, source: Vertex) -> DistanceMap:
-    """Label-setting shortest paths from source (all weights >= 0)."""
-    if source not in g.adj:
+def _relax(labels: list, u: int, v: int, w: int) -> None:
+    """Offer v the label of u extended by an edge of weight w; a label is
+    (distance, edges, predecessor) and the smaller one is kept."""
+    lab = labels[u]
+    if lab is not None:
+        offer = (lab[0] + w, lab[1] + 1, u)
+        if labels[v] is None or offer < labels[v]:
+            labels[v] = offer
+
+
+def sssp(g: IntervalStateGraph, source: Vertex, last: int | None = None) -> DistanceMap:
+    """Shortest paths from source by one sweep in interval order; with
+    last, only vertices of intervals up to last are settled.
+
+    Labels live in one flat list indexed by (k - k_source) * nS + r, where
+    r numbers the states in name order, so comparing two indices compares
+    the vertices as (interval, state name).
+    """
+    h = g.horizon
+    off_name = g.states[g.off_index]
+    if source not in ((1, off_name), (h + 1, off_name)) and not (
+            isinstance(source, tuple) and len(source) == 2 and source[1] in g.states
+            and isinstance(source[0], (int, np.integer)) and 2 <= source[0] <= h):
         raise InputError(f"unknown vertex {source!r}")
-    dist: dict[Vertex, int] = {source: 0}
-    hops: dict[Vertex, int] = {source: 0}
-    pred: dict[Vertex, tuple[Vertex, StatePair]] = {}
-    done: set[Vertex] = set()
-    heap: list[tuple[int, int, Vertex]] = [(0, 0, source)]
-    while heap:
-        d, hp, u = heapq.heappop(heap)
-        if u in done or d != dist.get(u) or hp != hops.get(u):
-            continue
-        done.add(u)
-        for v, w, step in g.adj[u]:
-            if v in done:
-                continue
-            nd = d + w
-            nh = hp + 1
-            cur = dist.get(v)
-            if cur is None or nd < cur or (nd == cur and (nh, u) < (hops[v], pred[v][0])):
-                dist[v] = nd
-                hops[v] = nh
-                pred[v] = (u, step)
-                heapq.heappush(heap, (nd, nh, v))
-    return DistanceMap(source=source, dist=dist, pred=pred)
+
+    n_s = len(g.states)
+    names = sorted(g.states)
+    rank = [names.index(s) for s in g.states]
+    steps = [(t, rank[s], rank[sp], pw) for s, sp, t, pw in g.steps()]
+    zero = [(r, rp) for t, r, rp, _pw in steps if t == 0]
+    inner = [step for step in steps if step[0] >= 1]
+    off = rank[g.off_index]
+    boundary = [(1, off, off, int(g.power[g.off_index, g.off_index]))]
+
+    k0 = int(source[0])
+    end = h + 1 if last is None else min(h + 1, last)
+    # C[j + t] - C[j] is the cost of the t intervals that start at k0 + j
+    C = g.cost_prefix[k0 - 1:end + 1].tolist()
+    labels: list[tuple[int, int, int] | None] = [None] * (max(0, end - k0 + 1) * n_s)
+    if labels:
+        labels[rank[g.states.index(source[1])]] = (0, 0, -1)
+    for k in range(k0, min(h, end) + 1):
+        j = k - k0
+        # zero-time edges stay on the interval; an optimal chain of them
+        # visits each state at most once, so nS - 1 rounds settle it
+        for _ in range(n_s - 1 if k > 1 and zero else 0):
+            for r, rp in zero:
+                _relax(labels, j * n_s + r, j * n_s + rp, 0)
+        # from the first and the last interval only the (off, off) stay moves on
+        moves, reach = (inner, min(h, end) - k) if 1 < k < h else (boundary, end - k)
+        for t, r, rp, pw in moves:
+            if t <= reach:
+                _relax(labels, j * n_s + r, (j + t) * n_s + rp, (C[j + t] - C[j]) * pw)
+
+    verts = [(k0 + x // n_s, name) for x in range(0, len(labels), n_s) for name in names]
+    reached = [(verts[x], lab) for x, lab in enumerate(labels) if lab is not None]
+    return DistanceMap(source=source, dist={v: lab[0] for v, lab in reached},
+                       pred={v: (verts[lab[2]], (verts[lab[2]][1], v[1]))
+                             for v, lab in reached if lab[2] >= 0})
 
 
 def tree_path(dm: DistanceMap, target: Vertex) -> list[StatePair] | None:
@@ -180,30 +206,18 @@ def proc_window(g: IntervalStateGraph) -> tuple[int, int]:
     if h < 2:
         raise InfeasibleError("no feasible processing window")
 
-    dm = sssp(g, (2, off_name))
-    t_on = next((i for i in range(2, h + 1) if (i, proc_name) in dm.dist), None)
+    on = sssp(g, (2, off_name)).dist
+    t_on = next((i for i in range(2, h + 1) if (i, proc_name) in on), None)
 
-    rev: dict[Vertex, list[Vertex]] = {}
-    for u, v, _w in g.edges:
-        rev.setdefault(v, []).append(u)
-    reaches_end: set[Vertex] = set()
-    stack = [(h, off_name)]
-    while stack:
-        v = stack.pop()
-        if v in reaches_end:
-            continue
-        reaches_end.add(v)
-        stack.extend(rev.get(v, ()))
-
-    t_off = None
-    for i in range(h - 1, 0, -1):
-        # occupying proc during interval i needs the unit (proc, proc) edge
-        # or some longer proc exit starting there
-        exit_ok = any(t >= 1 and (i - 1) + t <= h - 1
-                      for t in g.duration[g.proc_index] if t >= 0)
-        if exit_ok and (i + 1, proc_name) in reaches_end:
-            t_off = i
-            break
+    # Processing in interval i needs (i + 1, proc) to reach (h, off); the
+    # time-1 (proc, proc) self entry that validate_instance requires always
+    # provides the exit from interval i itself. Below the horizon an edge
+    # exists depending only on interval differences, so (i + 1, proc)
+    # reaches (h, off) exactly when (2, proc) reaches (h + 1 - i, off): the
+    # latest such i comes from the earliest off arrival.
+    off_run = sssp(g, (2, proc_name)).dist
+    k = next((k for k in range(2, h) if (k, off_name) in off_run), None)
+    t_off = None if k is None else h + 1 - k
 
     if t_on is None or t_off is None or t_off < t_on:
         raise InfeasibleError("no feasible processing window")

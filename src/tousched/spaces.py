@@ -2,28 +2,27 @@
 
 phi(i, ip) is the cheapest energy cost of bridging the gap after interval i
 up to interval ip: leaving proc after I_i and being back in proc at I_ip,
-with the off boundary taking the place of proc when i = 1 or ip = h. The
-table is filled by one shortest path sweep per gap start.
+with the off boundary taking the place of proc when i = 1 or ip = h.
 
-The sweep is implemented as a forward dynamic program over the interval
-axis that advances every start simultaneously: a (starts x states) distance
+The table is a forward dynamic program over the interval axis that
+advances every gap start simultaneously: a (starts x states) distance
 block is relaxed interval by interval, with an instantaneous-transition
 closure at each index. Edge weights depend only on the interval and the
 state pair, never on the start, so each relaxation is one vectorized add
-and minimum. Starts occupy disjoint rows, which is what makes the
-parallel contract trivial: any row split computes identical values.
+and minimum. `isg.sssp` is the same sweep from a single start; a
+switching path is read off it, stopped at the gap's end.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import zipfile
+from dataclasses import dataclass
 
 import numpy as np
 
-from .isg import INF, DistanceMap, IntervalStateGraph, build_graph, proc_window, sssp, tree_path
+from .isg import INF, IntervalStateGraph, build_graph, proc_window, sssp, tree_path
 from .model import InfeasibleError, InputError, Instance, StatePair, instance_to_dict
 
 _UNREACHABLE = np.int64(INF) // 2  # values at or above this mean "no path"
@@ -31,7 +30,7 @@ _UNREACHABLE = np.int64(INF) // 2  # values at or above this mean "no path"
 
 @dataclass
 class SpacesTable:
-    """phi values, pruning flags and lazily materialized switching paths.
+    """phi values and pruning flags over the graph they were computed on.
 
     phi_matrix[i, ip] holds phi(i, ip) for 1 <= i < ip <= h, with INF as
     the absent sentinel; row 0 and column 0 are padding so indices match
@@ -43,7 +42,6 @@ class SpacesTable:
     phi_matrix: np.ndarray
     pruned_mask: np.ndarray
     graph: IntervalStateGraph
-    _sources: dict[int, DistanceMap] = field(default_factory=dict, repr=False)
 
     def phi(self, i: int, ip: int) -> int | None:
         """Switching cost for the pair, or None when no switching exists."""
@@ -58,14 +56,6 @@ class SpacesTable:
     def pruned_pairs(self) -> list[tuple[int, int]]:
         return [(int(i), int(ip)) for i, ip in np.argwhere(self.pruned_mask)]
 
-    def source_distances(self, i: int) -> DistanceMap:
-        """Single-source run for gap start i, cached for path extraction."""
-        dm = self._sources.get(i)
-        if dm is None:
-            dm = sssp(self.graph, self.graph.source_vertex(i))
-            self._sources[i] = dm
-        return dm
-
 
 def _sweep_rows(g: IntervalStateGraph, starts: np.ndarray, phi: np.ndarray) -> None:
     """Fill phi rows for the given gap starts (ascending 1-based indices)."""
@@ -75,10 +65,9 @@ def _sweep_rows(g: IntervalStateGraph, starts: np.ndarray, phi: np.ndarray) -> N
     C = g.cost_prefix
     off, proc = g.off_index, g.proc_index
 
-    zero_steps = [(s, sp) for s in range(n_s) for sp in range(n_s)
-                  if s != sp and g.duration[s, sp] == 0]
-    pos_steps = [(s, sp, int(g.duration[s, sp]), int(g.power[s, sp]))
-                 for s in range(n_s) for sp in range(n_s) if g.duration[s, sp] >= 1]
+    steps = g.steps()
+    zero_steps = [(s, sp) for s, sp, t, _pw in steps if t == 0]
+    pos_steps = [step for step in steps if step[2] >= 1]
     t_max = max(t for _s, _sp, t, _pw in pos_steps)
 
     n_rows = len(starts)
@@ -113,21 +102,15 @@ def _sweep_rows(g: IntervalStateGraph, starts: np.ndarray, phi: np.ndarray) -> N
 
 
 def compute_spaces(inst: Instance, g: IntervalStateGraph, parallelism: int = 1) -> SpacesTable:
-    """Build the full phi table; the result is identical for any
-    parallelism because gap starts occupy disjoint rows."""
+    """Build the full phi table. parallelism (>= 1) is accepted for
+    compatibility; the sweep always runs serially, since worker threads
+    only slowed it down."""
     if parallelism < 1:
         raise InputError("parallelism must be >= 1")
     window = proc_window(g)
     h = inst.horizon
     phi = np.full((h + 1, h + 1), INF, dtype=np.int64)
-    starts = np.arange(1, h, dtype=np.int64)
-    if len(starts):
-        chunks = [c for c in np.array_split(starts, parallelism) if len(c)]
-        if len(chunks) == 1:
-            _sweep_rows(g, chunks[0], phi)
-        else:
-            with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-                list(pool.map(lambda c: _sweep_rows(g, c, phi), chunks))
+    _sweep_rows(g, np.arange(1, h, dtype=np.int64), phi)
     phi[phi >= _UNREACHABLE] = INF
     pruned = np.zeros((h + 1, h + 1), dtype=bool)
     return SpacesTable(horizon=h, window=window, phi_matrix=phi,
@@ -144,7 +127,7 @@ def switching_path(table: SpacesTable, i: int, ip: int) -> list[StatePair]:
     if cost is None:
         raise InfeasibleError(f"no switching exists for ({i}, {ip})")
     g = table.graph
-    dm = table.source_distances(i)
+    dm = sssp(g, g.source_vertex(i), last=ip)
     target = g.target_vertex(ip)
     steps = tree_path(dm, target)
     if steps is None or dm.dist[target] != cost:
@@ -196,7 +179,7 @@ def apply_pruning(table: SpacesTable, inst: Instance) -> SpacesTable:
     pruned = (pc1 | pc2) & valid
 
     return SpacesTable(horizon=h, window=table.window, phi_matrix=table.phi_matrix,
-                       pruned_mask=pruned, graph=table.graph, _sources=table._sources)
+                       pruned_mask=pruned, graph=table.graph)
 
 
 def write_phi_csv(table: SpacesTable, path) -> None:
@@ -226,13 +209,17 @@ def save_table(table: SpacesTable, path) -> str:
 
 
 def load_table(path, inst: Instance, graph: IntervalStateGraph | None = None) -> SpacesTable:
-    with np.load(path, allow_pickle=False) as doc:
-        if str(doc["fingerprint"]) != _fingerprint(inst):
-            raise InputError(f"{path}: phi table was computed for a different instance")
-        phi = doc["phi"].astype(np.int64)
-        pruned = doc["pruned"].astype(bool)
-        window = (int(doc["window"][0]), int(doc["window"][1]))
-        horizon = int(doc["horizon"])
+    try:
+        with np.load(path, allow_pickle=False) as doc:
+            fingerprint = str(doc["fingerprint"])
+            phi = doc["phi"].astype(np.int64)
+            pruned = doc["pruned"].astype(bool)
+            window = (int(doc["window"][0]), int(doc["window"][1]))
+            horizon = int(doc["horizon"])
+    except (zipfile.BadZipFile, KeyError, ValueError, EOFError) as exc:
+        raise InputError(f"{path}: not a readable phi table ({exc})") from exc
+    if fingerprint != _fingerprint(inst):
+        raise InputError(f"{path}: phi table was computed for a different instance")
     if graph is None:
         graph = build_graph(inst)
     return SpacesTable(horizon=horizon, window=window, phi_matrix=phi,

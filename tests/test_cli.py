@@ -184,6 +184,27 @@ def test_missing_file_is_exit_2(capsys):
     assert stderr.strip()
 
 
+def test_truncated_phi_table_is_exit_2(tmp_path, capsys, worked_file):
+    tab = tmp_path / "tab.npz"
+    run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))
+    tab.write_bytes(tab.read_bytes()[:200])
+    code, _, stderr = run(capsys, "solve", "--instance", worked_file, "--phi", str(tab))
+    assert code == 2
+    assert str(tab) in stderr
+
+
+def test_phi_table_missing_key_is_exit_2(tmp_path, capsys, worked_file):
+    import numpy as np
+    tab = tmp_path / "tab.npz"
+    run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))
+    with np.load(tab) as doc:
+        kept = {k: doc[k] for k in doc.files if k != "fingerprint"}
+    np.savez(tab, **kept)
+    code, _, stderr = run(capsys, "solve", "--instance", worked_file, "--phi", str(tab))
+    assert code == 2
+    assert str(tab) in stderr and "fingerprint" in stderr
+
+
 def test_bad_json_is_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

@@ -6,36 +6,70 @@ import pytest
 from tousched import (
     Instance,
     InputError,
+    MachineStateSet,
+    TransitionSpec,
     apsp_oracle,
     build_graph,
     proc_window,
     sssp,
     to_dot,
 )
+from tousched.datagen import MachinePreset, switch_durations
 from tousched.isg import tree_path
 from tousched.model import InfeasibleError
 
-from conftest import WORKED_WINDOW, nosby_instance, random_instance
+from conftest import (WORKED_WINDOW, nosby_instance, preset_nosby, preset_twosby,
+                      random_instance, random_machine)
 
 
-def dijkstra_oracle(edges, source):
-    """Plain-dict shortest path over an explicit edge list, written
-    independently of the package graph structures."""
+def lex_dijkstra_oracle(edges, source):
+    """Plain-dict shortest paths over an explicit edge list, written
+    independently of the package graph structures. Labels are
+    (distance, edges) pairs compared lexicographically."""
     adj = {}
     for u, v, w in edges:
         adj.setdefault(u, []).append((v, w))
-    dist = {source: 0}
-    heap = [(0, repr(source), source)]
+    best = {source: (0, 0)}
+    heap = [(0, 0, repr(source), source)]
     while heap:
-        d, _, u = heapq.heappop(heap)
-        if d > dist.get(u, float("inf")):
+        d, hops, _, u = heapq.heappop(heap)
+        if (d, hops) > best[u]:
             continue
         for v, w in adj.get(u, ()):
-            nd = d + w
-            if nd < dist.get(v, float("inf")):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, repr(v), v))
-    return dist
+            label = (d + w, hops + 1)
+            if v not in best or label < best[v]:
+                best[v] = label
+                heapq.heappush(heap, (*label, repr(v), v))
+    return best
+
+
+def dijkstra_oracle(edges, source):
+    return {v: d for v, (d, _hops) in lex_dijkstra_oracle(edges, source).items()}
+
+
+def oracle_pred(edges, labels, source):
+    """The documented tie-break: among the edges that realize a vertex's
+    (distance, edges) label, the one from the smallest vertex, compared
+    as (interval, state name)."""
+    pred = {}
+    for u, v, w in edges:
+        if v == source or u not in labels or v not in labels:
+            continue
+        if labels[v] == (labels[u][0] + w, labels[u][1] + 1):
+            if v not in pred or u < pred[v][0]:
+                pred[v] = (u, (u[1], v[1]))
+    return pred
+
+
+def tie_heavy_instance(rng, inst):
+    """The same machine with its states listed in a random order, so index
+    order and name order disagree, over zero and unit prices, so many
+    paths tie on cost and the tie-break decides."""
+    states = list(inst.state_set.states)
+    rng.shuffle(states)
+    costs = tuple(rng.choice((0, 0, 1)) for _ in range(inst.horizon))
+    return Instance(inst.horizon, costs, inst.jobs, MachineStateSet(tuple(states)),
+                    inst.transitions)
 
 
 def test_worked_graph_shape(worked):
@@ -144,6 +178,41 @@ def test_apsp_matches_sssp():
                 assert oracle.get(src, v) == (int(dm.dist[v]) if v in dm.dist else None)
 
 
+def test_sssp_predecessors_follow_tie_break():
+    rng = random.Random(11)
+    for k in range(60):
+        if k % 3 == 0:
+            inst = nosby_instance(rng, n_max=2, h_max=14)  # idle < off < proc by name
+        else:
+            inst = random_instance(rng, n_max=3, h_max=14, max_extra=3, require_room=False)
+        g = build_graph(tie_heavy_instance(rng, inst))
+        for src in rng.sample(g.vertices, 3):
+            labels = lex_dijkstra_oracle(g.edges, src)
+            dm = sssp(g, src)
+            assert dm.dist == {v: d for v, (d, _hops) in labels.items()}
+            assert dm.pred == oracle_pred(g.edges, labels, src)
+
+
+def test_sssp_last_restricts_unbounded_run():
+    rng = random.Random(12)
+    for _ in range(30):
+        inst = random_instance(rng, n_max=3, h_max=16, max_extra=3, require_room=False)
+        g = build_graph(inst)
+        src = g.vertices[rng.randrange(len(g.vertices))]
+        full = sssp(g, src)
+        for last in range(src[0], inst.horizon + 2):
+            part = sssp(g, src, last=last)
+            assert part.dist == {v: d for v, d in full.dist.items() if v[0] <= last}
+            assert part.pred == {v: p for v, p in full.pred.items() if v[0] <= last}
+
+
+def test_sssp_rejects_unknown_source(worked):
+    g = build_graph(worked)
+    for bad in [(1, "proc"), (17, "idle"), (18, "off"), (5, "standby"), "x"]:
+        with pytest.raises(InputError):
+            sssp(g, bad)
+
+
 def test_apsp_guard():
     rng = random.Random(1)
     inst = nosby_instance(rng, n_max=2, h_max=12)
@@ -184,6 +253,41 @@ def test_proc_window_infeasible():
     inst = Instance(6, (1,) * 6, (1,), states, trans)
     with pytest.raises(InfeasibleError):
         proc_window(build_graph(inst))
+
+
+def test_proc_window_crossing_is_infeasible():
+    # switching on reaches proc at interval 5 at the earliest, but the
+    # three-interval switch-off must start by interval 4 to be off by h = 7,
+    # so processing has to end by interval 3
+    states = MachineStateSet(("off", "proc"))
+    trans = TransitionSpec({
+        ("off", "off"): (1, 0),
+        ("proc", "proc"): (1, 5),
+        ("off", "proc"): (3, 4),
+        ("proc", "off"): (3, 1),
+    })
+    inst = Instance(7, (1,) * 7, (1,), states, trans)
+    g = build_graph(inst)
+    assert min(i for i, s in sssp(g, (2, "off")).dist if s == "proc") == 5
+    assert (7, "off") in sssp(g, (4, "proc")).dist
+    assert (7, "off") not in sssp(g, (5, "proc")).dist
+    with pytest.raises(InfeasibleError):
+        proc_window(g)
+
+
+def test_proc_window_on_flat_costs_is_switch_durations():
+    rng = random.Random(13)
+    machines = [(p.state_set, p.transitions) for p in (preset_nosby(), preset_twosby())]
+    machines += [random_machine(rng, max_extra=3) for _ in range(40)]
+    machines.append((MachineStateSet(("off", "proc")), TransitionSpec({
+        ("off", "off"): (1, 0), ("proc", "proc"): (1, 5),
+        ("off", "proc"): (2, 4), ("proc", "off"): (0, 0),  # instantaneous stop
+    })))
+    for states, trans in machines:
+        d_on, d_off = switch_durations(MachinePreset("m", states, trans))
+        h = 30
+        inst = Instance(h, (1,) * h, (1,), states, trans)
+        assert proc_window(build_graph(inst)) == (2 + d_on, h - 1 - d_off)
 
 
 def test_to_dot_lists_vertices_and_edges(worked):

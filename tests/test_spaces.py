@@ -202,9 +202,31 @@ def test_phi_csv_dump(tmp_path, worked):
     assert len(rows) == defined
 
 
-def test_source_distance_cache(worked):
-    tab = make_table(worked)
-    dm1 = tab.source_distances(4)
-    dm2 = tab.source_distances(4)
-    assert dm1 is dm2
-    assert dm1.dist[(10, "proc")] == 48
+def test_window_follows_phi_rule():
+    """t_on is the first ip with phi(1, ip) finite and t_off the last i in
+    2..h-1 with phi(i, h) finite. phi comes from the all-pairs oracle, so
+    machines without a window are covered too."""
+    rng = random.Random(37)
+    infeasible = 0
+    for _ in range(150):
+        inst = random_instance(rng, n_max=3, h_max=rng.randint(3, 16), max_extra=3,
+                               require_room=False)
+        g = build_graph(inst)
+        oracle = apsp_oracle(g)
+        h = inst.horizon
+
+        def phi(i, ip):
+            return oracle.get(g.source_vertex(i), g.target_vertex(ip))
+
+        t_on = next((ip for ip in range(2, h + 1) if phi(1, ip) is not None), None)
+        t_off = next((i for i in range(h - 1, 1, -1) if phi(i, h) is not None), None)
+        if t_on is None or t_off is None or t_off < t_on:
+            infeasible += 1
+            with pytest.raises(InfeasibleError):
+                proc_window(g)
+            continue
+        assert proc_window(g) == (t_on, t_off)
+        tab = compute_spaces(inst, g)
+        assert t_on == min(ip for ip in range(2, h + 1) if tab.phi(1, ip) is not None)
+        assert t_off == max(i for i in range(2, h) if tab.phi(i, h) is not None)
+    assert infeasible > 0
