@@ -20,6 +20,10 @@ from typing import Mapping
 
 StatePair = tuple[str, str]
 
+# Every energy total must stay below this: the switching cost table reads
+# values at or above it as "no path", and its sums must fit in int64.
+COST_LIMIT = 2 ** 61
+
 
 class InputError(ValueError):
     """Malformed input data or a violated operation precondition."""
@@ -177,6 +181,11 @@ def validate_instance(inst: Instance) -> list[Violation]:
             out.append(Violation("instance", f"state {s}", "missing self entry (s, s)"))
         elif t != 1:
             out.append(Violation("instance", f"state {s}", "self entry must have time 1"))
+
+    max_power = max((pw for _t, pw in inst.transitions.entries.values()), default=0)
+    if sum(inst.costs) * max_power >= COST_LIMIT:
+        out.append(Violation("instance", "costs", "total interval cost times the largest "
+                             f"transition power must stay below {COST_LIMIT}"))
 
     if ss.off_state in ss.states and ss.proc_state in ss.states:
         if ss.proc_state not in _state_reach(inst.transitions, ss.states, ss.off_state):

@@ -5,11 +5,13 @@ one contiguous processing block the job order never changes the cost (the
 same intervals are covered either way), so only the multiset of remaining
 processing times matters, not which job is which. Blocks either continue
 back to back or are separated by a gap whose cost comes from the phi
-table. Candidate gap targets are visited best-bound first with an
-admissible bound (remaining work times processing power times the cheapest
+table. Candidate gap ends are visited best-bound first with an admissible
+bound (remaining work times processing power times the cheapest
 still-reachable interval cost), which prunes without ever cutting the
 optimum; memoized values are always fully resolved, so the search stays
-exact.
+exact. Each memo entry records the choice that reached its value, so the
+schedule is read back from the entries without searching again; ties go
+to the lexicographically smallest sequence of (start, length) pieces.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .isg import build_graph
 from .model import (InfeasibleError, InputError, Instance, Schedule, StatePair,
-                    compute_tec, job_cost, validate_schedule)
+                    compute_tec, validate_schedule)
 from .spaces import SpacesTable, _UNREACHABLE, compute_spaces, expand_space
 
 _HUGE = int(_UNREACHABLE)
@@ -158,6 +160,13 @@ def _job_assignment(inst: Instance, block_jobs: list[tuple[int, int]]) -> list[t
 def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = None) -> SolveResult:
     """Provably optimal schedule for the instance, or infeasible.
 
+    Every memo entry stores its cost with the choice that reached it: f
+    the job length placed next (negated when the next block follows
+    without a gap), g the end of the gap. The root is the gap after
+    interval 1, and the schedule is read back by walking these choices.
+    Among equal-cost schedules the one whose (start, length) pieces,
+    sorted by start, form the lexicographically smallest sequence wins.
+
     With a time limit, expiry yields the greedy incumbent plus an
     admissible lower bound under status "timeout".
     """
@@ -200,17 +209,27 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     def block_cost(i: int, p: int) -> int:
         return int(C[i + p - 1] - C[i - 1]) * p_proc
 
-    f_memo: dict[tuple[int, tuple], int] = {}
-    g_memo: dict[tuple[int, tuple], int] = {}
+    def gap_ends(e: int, rem: JobMultiset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Reachable, unpruned ends of the gap after e that leave room for
+        rem, with phi and an admissible completion bound; only the gap
+        after interval 1 may have an empty body."""
+        lo, hi = (2 if e == 1 else e + 2), t_off - rem.total + 1
+        seg = phi[e, lo:hi + 1]
+        ok = np.nonzero((seg < _UNREACHABLE) & ~pruned[e, lo:hi + 1])[0]
+        return lo + ok, seg[ok], seg[ok] + rem.total * p_proc * suf_min[lo + ok]
+
+    f_memo: dict[tuple[int, tuple], tuple[int, int]] = {}
+    g_memo: dict[tuple[int, tuple], tuple[int, int]] = {}
 
     def f(i: int, rem: JobMultiset) -> int:
-        """Cheapest completion given a block begins at interval i."""
+        """Cheapest completion given a block begins at interval i; shorter
+        jobs first and a merged block before a gap on equal cost."""
         key = (i, rem.counts)
         hit = f_memo.get(key)
         if hit is not None:
-            return hit
+            return hit[0]
         check_time()
-        best = _HUGE
+        best, choice = _HUGE, 0
         for p in rem.distinct():
             e = i + p - 1
             if e > t_off:
@@ -221,70 +240,45 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
                 continue
             if rest.empty:
                 tail = phi[e, h]
-                if tail < _UNREACHABLE and not pruned[e, h]:
-                    best = min(best, bc + int(tail))
-            else:
-                if e + rest.total <= t_off:  # merged continuation
-                    best = min(best, bc + f(i + p, rest))
-                best = min(best, bc + g(e, rest))
-        f_memo[key] = best
+                if tail < _UNREACHABLE and not pruned[e, h] and bc + int(tail) < best:
+                    best, choice = bc + int(tail), p
+                continue
+            if e + rest.total <= t_off:
+                val = bc + f(i + p, rest)
+                if val < best:
+                    best, choice = val, -p
+            val = bc + g(e, rest)
+            if val < best:
+                best, choice = val, p
+        f_memo[key] = (best, choice)
         return best
 
     def g(e: int, rem: JobMultiset) -> int:
-        """Cheapest completion given a block just ended at interval e and a
-        real gap (non-empty body) comes next."""
+        """Cheapest completion given a real gap (non-empty body, except at
+        the root) follows interval e; the nearer end on equal cost."""
         key = (e, rem.counts)
         hit = g_memo.get(key)
         if hit is not None:
-            return hit
+            return hit[0]
         check_time()
-        best = _HUGE
-        lo, hi = e + 2, t_off - rem.total + 1
-        if lo <= hi:
-            seg = phi[e, lo:hi + 1]
-            ok = np.nonzero((seg < _UNREACHABLE) & ~pruned[e, lo:hi + 1])[0]
-            if len(ok):
-                bound = seg[ok] + rem.total * p_proc * suf_min[lo + ok]
-                order = np.argsort(bound, kind="stable")
-                for r in order:
-                    if int(bound[ok[r]]) >= best:
-                        break
-                    i2 = lo + int(ok[r])
-                    val = int(seg[ok[r]]) + f(i2, rem)
-                    if val < best:
-                        best = val
-        g_memo[key] = best
+        best, target = _HUGE, 0
+        ends, gap_phi, bound = gap_ends(e, rem)
+        for r in np.argsort(bound, kind="stable"):
+            if int(bound[r]) > best:
+                break
+            end = int(ends[r])
+            val = int(gap_phi[r]) + f(end, rem)
+            if val < best or val == best and end < target:
+                best, target = val, end
+        g_memo[key] = (best, target)
         return best
 
-    def root_candidates() -> list[int]:
-        lo, hi = 2, t_off - sum_p + 1
-        if lo > hi:
-            return []
-        seg = phi[1, lo:hi + 1]
-        ok = np.nonzero((seg < _UNREACHABLE) & ~pruned[1, lo:hi + 1])[0]
-        return [lo + int(k) for k in ok]
-
-    status = "optimal"
-    best_core = _HUGE
     try:
-        for i in root_candidates():
-            lb = int(phi[1, i]) + sum_p * p_proc * int(suf_min[i])
-            if lb >= best_core:
-                continue
-            val = int(phi[1, i]) + f(i, full)
-            if val < best_core:
-                best_core = val
+        best_core = g(1, full)
     except _Deadline:
-        status = "timeout"
-    deadline = None  # reconstruction below must finish once a value is proved
-
-    states = len(f_memo) + len(g_memo)
-
-    if status == "timeout":
         e = t_on + sum_p - 1
         ub_core = int(phi[1, t_on]) + block_cost(t_on, sum_p) + int(phi[e, h])
-        lb_core = min((int(phi[1, i]) + sum_p * p_proc * int(suf_min[i])
-                       for i in root_candidates()), default=_HUGE)
+        lb_core = int(min(gap_ends(1, full)[2], default=_HUGE))
         pieces = []
         at = t_on
         for p in sorted(full.distinct()):
@@ -294,60 +288,25 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
         sched = assemble_schedule(inst, _job_assignment(inst, pieces), table)
         tec = compute_tec(inst, sched)
         assert tec == ub_core + const
-        return done("timeout", tec=tec, sched=sched, states=states, lb=lb_core + const)
+        return done("timeout", tec=tec, sched=sched, states=len(f_memo) + len(g_memo),
+                    lb=lb_core + const)
 
+    states = len(f_memo) + len(g_memo)
     if best_core >= _HUGE:
         return done("infeasible", states=states)
 
-    # reconstruct one optimum: smallest start first, then shortest job,
-    # then merged continuation before a gap, then nearest gap target
     pieces: list[tuple[int, int]] = []
-    gaps: list[tuple[int, int]] = []
-    start = min(i for i in root_candidates()
-                if int(phi[1, i]) + f(i, full) == best_core)
-    gaps.append((1, start))
-    i, rem = start, full
+    i, rem = g_memo[(1, full.counts)][1], full
     while True:
-        target = f(i, rem)
-        chosen = None
-        for p in rem.distinct():
-            e = i + p - 1
-            if e > t_off:
-                continue
-            rest = rem.remove(p)
-            bc = block_cost(i, p)
-            if rest.empty:
-                tail = phi[e, h]
-                if tail < _UNREACHABLE and not pruned[e, h] and bc + int(tail) == target:
-                    chosen = (p, "tail", None)
-                    break
-            else:
-                if e + rest.total <= t_off and bc + f(i + p, rest) == target:
-                    chosen = (p, "merge", None)
-                    break
-                g_val = g(e, rest)
-                if bc + g_val == target:
-                    i2 = min(k for k in range(e + 2, t_off - rest.total + 2)
-                             if phi[e, k] < _UNREACHABLE and not pruned[e, k]
-                             and int(phi[e, k]) + f(k, rest) == g_val)
-                    chosen = (p, "gap", i2)
-                    break
-        if chosen is None:
-            raise RuntimeError("reconstruction lost the optimal value")
-        p, kind, i2 = chosen
+        choice = f_memo[(i, rem.counts)][1]
+        p = abs(choice)
         pieces.append((i, p))
-        e = i + p - 1
         rem = rem.remove(p)
-        if kind == "tail":
-            gaps.append((e, h))
+        if rem.empty:
             break
-        if kind == "merge":
-            i = i + p
-        else:
-            gaps.append((e, i2))
-            i = i2
+        i = i + p if choice < 0 else g_memo[(i + p - 1, rem.counts)][1]
 
-    sched = assemble_schedule(inst, _job_assignment(inst, pieces), table, spaces=gaps)
+    sched = assemble_schedule(inst, _job_assignment(inst, pieces), table)
     tec = best_core + const
     check = compute_tec(inst, sched)
     if check != tec:

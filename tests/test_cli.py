@@ -205,6 +205,29 @@ def test_phi_table_missing_key_is_exit_2(tmp_path, capsys, worked_file):
     assert str(tab) in stderr and "fingerprint" in stderr
 
 
+def test_phi_table_with_extra_pruned_gap_solves(tmp_path, capsys, worked_file):
+    import numpy as np
+    tab = tmp_path / "tab.npz"
+    run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))
+    with np.load(tab) as doc:
+        kept = {k: doc[k] for k in doc.files}
+    kept["pruned"][4, 6] = True  # a gap the optimum does not use
+    np.savez(tab, **kept)
+    code, stdout, _ = run(capsys, "solve", "--instance", worked_file, "--phi", str(tab))
+    assert code == 0
+    assert "TEC 177" in stdout
+
+
+def test_overflowing_costs_are_exit_2(tmp_path, capsys):
+    import dataclasses
+    inst = worked_instance()
+    path = tmp_path / "huge.json"
+    save_instance(dataclasses.replace(inst, costs=tuple(c << 54 for c in inst.costs)), path)
+    code, _, stderr = run(capsys, "solve", "--instance", str(path))
+    assert code == 2
+    assert "costs" in stderr
+
+
 def test_bad_json_is_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

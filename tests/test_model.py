@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -10,6 +11,9 @@ from tousched import (
     Schedule,
     TransitionSpec,
     Violation,
+    apply_pruning,
+    build_graph,
+    compute_spaces,
     compute_tec,
     instance_from_dict,
     instance_to_dict,
@@ -20,10 +24,12 @@ from tousched import (
     save_schedule,
     schedule_from_dict,
     schedule_to_dict,
+    solve_exact,
     validate_instance,
     validate_schedule,
 )
-from tousched.model import zero_time_closure
+from tousched import spaces
+from tousched.model import COST_LIMIT, zero_time_closure
 
 from conftest import (
     WORKED_OMEGA,
@@ -148,6 +154,24 @@ def test_validate_instance_catches_bad_machine(worked):
     del entries[("idle", "proc")]
     bad = Instance(16, worked.costs, worked.jobs, worked.state_set, TransitionSpec(entries))
     assert any("proc unreachable from off" in v.message for v in validate_instance(bad))
+
+
+def test_cost_limit_is_the_phi_sentinel():
+    assert COST_LIMIT == int(spaces._UNREACHABLE)
+
+
+def test_costs_near_the_int64_limit(worked):
+    # sum(costs) = 75 and the largest power is 8: x2^54 reaches 2^61
+    huge = dataclasses.replace(worked, costs=tuple(c << 54 for c in worked.costs))
+    assert any(v.where == "costs" for v in validate_instance(huge))
+    with pytest.raises(InputError, match="costs"):
+        build_graph(huge)
+
+    big = dataclasses.replace(worked, costs=tuple(c << 51 for c in worked.costs))
+    assert validate_instance(big) == []
+    tab = apply_pruning(compute_spaces(big, build_graph(big)), big)
+    res = solve_exact(big, tab)
+    assert (res.status, res.tec, res.schedule.sigma) == ("optimal", WORKED_TEC << 51, WORKED_SIGMA)
 
 
 def test_validate_schedule_shape_short_circuits(worked, worked_schedule):

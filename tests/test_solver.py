@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from tousched import (
     Instance,
     InputError,
+    MachineStateSet,
+    TransitionSpec,
     apply_pruning,
     assemble_schedule,
     brute_force_schedule,
@@ -24,7 +27,10 @@ from conftest import (
     WORKED_SIGMA,
     WORKED_TEC,
     nosby_instance,
+    preset_nosby,
+    preset_twosby,
     random_instance,
+    random_machine,
 )
 
 
@@ -194,3 +200,96 @@ def test_pruning_never_changes_the_optimum():
         assert with_p.status == without.status
         if with_p.status == "optimal":
             assert with_p.tec == without.tec
+
+
+def test_extra_pruned_gap_off_the_optimum_keeps_177(worked):
+    # Flagging one more interior gap that the optimum does not use leaves
+    # holes in that row's unpruned ends, so they are no longer a prefix
+    # of the row; the gap search must still read the right bounds.
+    tab = make_table(worked)
+    used = {(4, 10), (11, 13)}
+    pairs = [(i, ip) for i in range(tab.window[0], 16) for ip in range(i + 2, 16)
+             if tab.phi(i, ip) is not None and not tab.is_pruned(i, ip) and (i, ip) not in used]
+    assert len(pairs) == 43
+    for i, ip in pairs:
+        mask = tab.pruned_mask.copy()
+        mask[i, ip] = True
+        res = solve_exact(worked, dataclasses.replace(tab, pruned_mask=mask))
+        assert (res.status, res.tec, res.schedule.sigma) == ("optimal", WORKED_TEC, WORKED_SIGMA)
+
+
+def optimal_piece_sequences(inst, tab):
+    """Every cheapest placement as its (start, length) pieces in start
+    order, found by enumerating all placements inside the window and
+    pricing each gap with phi (back-to-back blocks pay no gap)."""
+    h = inst.horizon
+    t_on, t_off = tab.window
+    p_proc = inst.transitions.power("proc", "proc")
+    C = inst.cost_prefix
+    found: list[tuple[int, list[tuple[int, int]]]] = []
+
+    def go(last_end, rem, pieces, cost):
+        if not rem:
+            tail = tab.phi(last_end, h)
+            if tail is not None:
+                found.append((cost + tail, list(pieces)))
+            return
+        for start in range(max(t_on, last_end + 1), t_off + 1):
+            gap = 0 if pieces and start == last_end + 1 else tab.phi(last_end, start)
+            if gap is None:
+                continue
+            for p in sorted(set(rem)):
+                end = start + p - 1
+                if end > t_off:
+                    continue
+                rest = list(rem)
+                rest.remove(p)
+                pieces.append((start, p))
+                go(end, rest, pieces, cost + gap + (C[end] - C[start - 1]) * p_proc)
+                pieces.pop()
+
+    go(1, list(inst.jobs), [], 0)
+    if not found:
+        return []
+    best = min(cost for cost, _pieces in found)
+    return [pieces for cost, pieces in found if cost == best]
+
+
+def test_tight_bound_tie_takes_the_nearest_gap_end():
+    # Stopping draws no power, so a start's bound is exact from the cheap
+    # stretch on. Starts 4, 5 and 6 all cost 30; 6 has the lowest bound
+    # and is tried first, and 4, whose bound only equals the best so far,
+    # must still be tried to win the tie.
+    states = MachineStateSet(("off", "proc"))
+    trans = TransitionSpec({("off", "off"): (1, 0), ("proc", "proc"): (1, 6),
+                            ("off", "proc"): (2, 6), ("proc", "off"): (2, 0)})
+    inst = Instance(10, (1, 1, 2, 1, 1, 1, 2, 2, 1, 1), (2,), states, trans)
+    tab = make_table(inst)
+    assert optimal_piece_sequences(inst, tab) == [[(4, 2)], [(5, 2)], [(6, 2)]]
+    res = solve_exact(inst, tab)
+    assert (res.tec, res.schedule.sigma) == (30, (3,))
+
+
+def test_ties_go_to_the_lexicographically_smallest_pieces():
+    rng = random.Random(53)
+    machines = [(pre.state_set, pre.transitions) for pre in (preset_nosby(), preset_twosby())]
+    solved = tied = 0
+    for k in range(600):
+        states, trans = machines[k % 3] if k % 3 < 2 else random_machine(rng, max_extra=3)
+        jobs = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+        h = rng.randint(min(14, sum(jobs) + 4), 14)
+        inst = Instance(h, tuple(rng.choice((1, 2)) for _ in range(h)), jobs, states, trans)
+        try:
+            tab = make_table(inst)
+        except InfeasibleError:
+            continue
+        optima = optimal_piece_sequences(inst, tab)
+        res = solve_exact(inst, tab)
+        if not optima:
+            assert res.status == "infeasible"
+            continue
+        pieces = sorted((a + 1, p) for a, p in zip(res.schedule.sigma, inst.jobs))
+        assert pieces == min(optima)
+        solved += 1
+        tied += len(optima) > 1
+    assert solved >= 350 and tied >= 200
