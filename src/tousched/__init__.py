@@ -13,8 +13,8 @@ from .model import (InfeasibleError, InputError, Instance, MachineStateSet, Sche
                     validate_instance, validate_schedule)
 from .modelgen import (IlpModelArtifact, emit_ilp_spaces, import_solution, load_varmap,
                        parse_solution_text, write_artifact)
-from .solver import (JobMultiset, SolveResult, SolveStats, assemble_schedule,
-                     brute_force_schedule, brute_force_switching, solve_exact)
+from .solver import (SolveResult, SolveStats, assemble_schedule, brute_force_schedule,
+                     brute_force_switching, solve_exact)
 from .spaces import (SpacesTable, apply_pruning, compute_spaces, expand_space, load_table,
                      save_table, switching_path, write_phi_csv)
 

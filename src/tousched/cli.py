@@ -109,9 +109,11 @@ def cmd_solve(args) -> int:
         return 1
     print(f"TEC {result.tec}")
     if result.status == "timeout":
-        print(f"time limit reached; best bound {result.stats.lower_bound}", file=sys.stderr)
+        limit = result.stats.stop_reason.replace("_", " ")
+        print(f"{limit} reached; best bound {result.stats.lower_bound}", file=sys.stderr)
     if args.out:
-        stats = {"status": result.status, "states": result.stats.states,
+        stats = {"status": result.status, "stop_reason": result.stats.stop_reason,
+                 "states": result.stats.states,
                  "wall_time": round(result.stats.wall_time, 6),
                  "lower_bound": result.stats.lower_bound}
         model.save_schedule(result.schedule, result.tec, args.out, stats=stats)

@@ -1,17 +1,34 @@
 """Exact schedule search over the switching cost table.
 
-The search is a memoized recursion over (interval, remaining jobs). Within
-one contiguous processing block the job order never changes the cost (the
-same intervals are covered either way), so only the multiset of remaining
-processing times matters, not which job is which. Blocks either continue
-back to back or are separated by a gap whose cost comes from the phi
-table. Candidate gap ends are visited best-bound first with an admissible
-bound (remaining work times processing power times the cheapest
-still-reachable interval cost), which prunes without ever cutting the
-optimum; memoized values are always fully resolved, so the search stays
-exact. Each memo entry records the choice that reached its value, so the
-schedule is read back from the entries without searching again; ties go
-to the lexicographically smallest sequence of (start, length) pieces.
+Within one contiguous processing block the job order never changes the
+cost (the same intervals are covered either way), so only the multiset of
+remaining processing times matters, not which job is which. Blocks either
+continue back to back or are separated by a gap whose cost comes from the
+phi table.
+
+The search is a bottom-up DP over remaining multisets, encoded in mixed
+radix over the distinct processing times and filled in increasing
+remaining work W. Let the window be (t_on, t_off) and its slack
+s = t_off - t_on + 1 - sum(p). A block that begins with W work left
+starts at interval t_on + sum(p) - W + d for a band offset d in 0..s, so
+every table is indexed by (multiset m, offset d):
+
+- F_W[m, d], a block starts there: the first minimum over job lengths p
+  ascending of the block cost plus the merged next block F_{W-p}[m-p, d],
+  then plus the gap G_{W-p}[m-p, d]; the last block pays the trailing gap
+  to the horizon instead. Both successors sit at the same (m-p, d), so a
+  layer only keeps H_W = min(F_W, G_W), merged on ties.
+- G_W[m, d], a gap follows the block that ended just before offset d: a
+  min-plus product of F_W[m, .] with the band's block of phi, pruned and
+  unreachable gaps left out; the nearer end wins ties.
+
+The root is the gap after interval 1 against F of all jobs. Every cell
+stores its choice, so the schedule is a walk over the choices, and ties
+go to the lexicographically smallest sequence of (start, length) pieces.
+Values are kept only for the last max(p) layers, and the min-plus runs in
+fixed-size chunks. The band holds prod(count_p + 1) * (s + 1) cells; above
+_DP_CELL_LIMIT, or once the time limit expires, the solver answers with a
+one-block incumbent and an admissible lower bound instead.
 """
 
 from __future__ import annotations
@@ -27,40 +44,17 @@ from .model import (InfeasibleError, InputError, Instance, Schedule, StatePair,
 from .spaces import SpacesTable, _UNREACHABLE, compute_spaces, expand_space
 
 _HUGE = int(_UNREACHABLE)
-
-
-@dataclass(frozen=True)
-class JobMultiset:
-    """Remaining jobs as (processing time, count) pairs, sorted by time."""
-
-    counts: tuple[tuple[int, int], ...]
-    total: int
-
-    @classmethod
-    def from_jobs(cls, jobs) -> "JobMultiset":
-        acc: dict[int, int] = {}
-        for p in jobs:
-            acc[p] = acc.get(p, 0) + 1
-        counts = tuple(sorted(acc.items()))
-        return cls(counts=counts, total=sum(p * c for p, c in counts))
-
-    def remove(self, p: int) -> "JobMultiset":
-        counts = tuple((q, c - 1 if q == p else c) for q, c in self.counts if not (q == p and c == 1))
-        return JobMultiset(counts=counts, total=self.total - p)
-
-    def distinct(self) -> list[int]:
-        return [p for p, _c in self.counts]
-
-    @property
-    def empty(self) -> bool:
-        return not self.counts
+_DP_CELL_LIMIT = 2 ** 23  # band cells the DP may fill, prod(count_p + 1) * (slack + 1)
+_CHUNK = 2 ** 16  # int64 elements per min-plus chunk
+_BAND_ROWS = 16  # gap starts per min-plus strip; strips skip most ends before their starts
 
 
 @dataclass
 class SolveStats:
-    states: int = 0
+    states: int = 0  # DP cells filled (solve_exact), placements tried (brute force)
     wall_time: float = 0.0
     lower_bound: int | None = None
+    stop_reason: str | None = None  # optimal | infeasible | time_limit | cell_limit
 
 
 @dataclass
@@ -69,10 +63,6 @@ class SolveResult:
     schedule: Schedule | None
     status: str  # optimal | infeasible | timeout | imported
     stats: SolveStats = field(default_factory=SolveStats)
-
-
-class _Deadline(Exception):
-    pass
 
 
 def _boundary_constant(inst: Instance) -> int:
@@ -160,17 +150,19 @@ def _job_assignment(inst: Instance, block_jobs: list[tuple[int, int]]) -> list[t
 def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = None) -> SolveResult:
     """Provably optimal schedule for the instance, or infeasible.
 
-    Every memo entry stores its cost with the choice that reached it: f
-    the job length placed next (negated when the next block follows
-    without a gap), g the end of the gap. The root is the gap after
-    interval 1, and the schedule is read back by walking these choices.
-    Among equal-cost schedules the one whose (start, length) pieces,
-    sorted by start, form the lexicographically smallest sequence wins.
+    Fills the band DP of the module docstring layer by layer, storing the
+    argmin of every cell, then walks those choices from the root, the gap
+    after interval 1. Among equal-cost schedules the one whose (start,
+    length) pieces, sorted by start, form the lexicographically smallest
+    sequence wins. stats.states counts the DP cells filled.
 
-    With a time limit, expiry yields the greedy incumbent plus an
-    admissible lower bound under status "timeout".
+    When the band holds more than _DP_CELL_LIMIT cells, or the time limit
+    expires before the fill completes, the answer is the one-block
+    incumbent at t_on with an admissible lower bound under status
+    "timeout"; stats.stop_reason says which limit stopped the solve.
     """
     t0 = time.monotonic()
+    deadline = None if time_limit is None else t0 + time_limit
     h = inst.horizon
     t_on, t_off = table.window
     phi = table.phi_matrix
@@ -179,132 +171,132 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     p_proc = inst.transitions.power(proc, proc)
     C = np.asarray(inst.cost_prefix, dtype=np.int64)
     const = _boundary_constant(inst)
+    ps, counts = np.unique(inst.jobs, return_counts=True)
+    sum_p = sum(inst.jobs)
+    R = t_off - t_on + 2 - sum_p  # band width: window slack + 1
 
-    full = JobMultiset.from_jobs(inst.jobs)
-    sum_p = full.total
-
-    def done(status: str, tec=None, sched=None, states=0, lb=None) -> SolveResult:
+    def done(status: str, tec=None, sched=None, states=0, lb=None, reason=None) -> SolveResult:
         return SolveResult(tec=tec, schedule=sched, status=status,
                            stats=SolveStats(states=states, wall_time=time.monotonic() - t0,
-                                            lower_bound=lb))
+                                            lower_bound=lb, stop_reason=reason or status))
 
-    if t_off - t_on + 1 < sum_p:
+    if R < 1:
         return done("infeasible")
 
-    # cheapest interval cost from i through t_off, admissible for any
-    # remaining processing placed at or after i
-    suf_min = np.full(h + 2, _HUGE, dtype=np.int64)
-    costs = np.asarray(inst.costs, dtype=np.int64)
-    suf_min[1:t_off + 1] = np.minimum.accumulate(costs[:t_off][::-1])[::-1]
+    def gaps(starts, ends) -> np.ndarray:
+        """phi of the gaps starts -> ends, _HUGE where unreachable or pruned."""
+        cost = phi[starts, ends]
+        return np.where((cost < _UNREACHABLE) & ~pruned[starts, ends], cost, _HUGE)
 
-    deadline = None if time_limit is None else t0 + time_limit
-    tick = 0
-
-    def check_time() -> None:
-        nonlocal tick
-        tick += 1
-        if deadline is not None and tick % 2048 == 0 and time.monotonic() > deadline:
-            raise _Deadline
-
-    def block_cost(i: int, p: int) -> int:
-        return int(C[i + p - 1] - C[i - 1]) * p_proc
-
-    def gap_ends(e: int, rem: JobMultiset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Reachable, unpruned ends of the gap after e that leave room for
-        rem, with phi and an admissible completion bound; only the gap
-        after interval 1 may have an empty body."""
-        lo, hi = (2 if e == 1 else e + 2), t_off - rem.total + 1
-        seg = phi[e, lo:hi + 1]
-        ok = np.nonzero((seg < _UNREACHABLE) & ~pruned[e, lo:hi + 1])[0]
-        return lo + ok, seg[ok], seg[ok] + rem.total * p_proc * suf_min[lo + ok]
-
-    f_memo: dict[tuple[int, tuple], tuple[int, int]] = {}
-    g_memo: dict[tuple[int, tuple], tuple[int, int]] = {}
-
-    def f(i: int, rem: JobMultiset) -> int:
-        """Cheapest completion given a block begins at interval i; shorter
-        jobs first and a merged block before a gap on equal cost."""
-        key = (i, rem.counts)
-        hit = f_memo.get(key)
-        if hit is not None:
-            return hit[0]
-        check_time()
-        best, choice = _HUGE, 0
-        for p in rem.distinct():
-            e = i + p - 1
-            if e > t_off:
-                continue
-            rest = rem.remove(p)
-            bc = block_cost(i, p)
-            if bc >= best:
-                continue
-            if rest.empty:
-                tail = phi[e, h]
-                if tail < _UNREACHABLE and not pruned[e, h] and bc + int(tail) < best:
-                    best, choice = bc + int(tail), p
-                continue
-            if e + rest.total <= t_off:
-                val = bc + f(i + p, rest)
-                if val < best:
-                    best, choice = val, -p
-            val = bc + g(e, rest)
-            if val < best:
-                best, choice = val, p
-        f_memo[key] = (best, choice)
-        return best
-
-    def g(e: int, rem: JobMultiset) -> int:
-        """Cheapest completion given a real gap (non-empty body, except at
-        the root) follows interval e; the nearer end on equal cost."""
-        key = (e, rem.counts)
-        hit = g_memo.get(key)
-        if hit is not None:
-            return hit[0]
-        check_time()
-        best, target = _HUGE, 0
-        ends, gap_phi, bound = gap_ends(e, rem)
-        for r in np.argsort(bound, kind="stable"):
-            if int(bound[r]) > best:
-                break
-            end = int(ends[r])
-            val = int(gap_phi[r]) + f(end, rem)
-            if val < best or val == best and end < target:
-                best, target = val, end
-        g_memo[key] = (best, target)
-        return best
-
-    try:
-        best_core = g(1, full)
-    except _Deadline:
-        e = t_on + sum_p - 1
-        ub_core = int(phi[1, t_on]) + block_cost(t_on, sum_p) + int(phi[e, h])
-        lb_core = int(min(gap_ends(1, full)[2], default=_HUGE))
-        pieces = []
-        at = t_on
-        for p in sorted(full.distinct()):
-            for _ in range(dict(full.counts)[p]):
-                pieces.append((at, p))
-                at += p
+    def incumbent(reason: str, states: int) -> SolveResult:
+        """All jobs in one block at t_on, shorter first, with the cheapest
+        root gap plus all work at the cheapest later price as the bound."""
+        ends = np.arange(2, t_on + R)
+        costs = np.asarray(inst.costs[:t_off], dtype=np.int64)
+        suf_min = np.minimum.accumulate(costs[::-1])[::-1]  # cheapest price from i on
+        lb = int(np.min(gaps(1, ends) + sum_p * p_proc * suf_min[ends - 1], initial=_HUGE))
+        pieces, at = [], t_on
+        for p in sorted(inst.jobs):
+            pieces.append((at, p))
+            at += p
         sched = assemble_schedule(inst, _job_assignment(inst, pieces), table)
         tec = compute_tec(inst, sched)
-        assert tec == ub_core + const
-        return done("timeout", tec=tec, sched=sched, states=len(f_memo) + len(g_memo),
-                    lb=lb_core + const)
+        e = t_on + sum_p - 1
+        assert tec == const + int(phi[1, t_on] + phi[e, h] + (C[e] - C[t_on - 1]) * p_proc)
+        return done("timeout", tec=tec, sched=sched, states=states, lb=lb + const, reason=reason)
 
-    states = len(f_memo) + len(g_memo)
+    def expired() -> bool:
+        return deadline is not None and time.monotonic() >= deadline
+
+    radix = counts + 1
+    if int(np.prod(radix, dtype=object)) * R > _DP_CELL_LIMIT:
+        return incumbent("cell_limit", 0)
+
+    # Multiset codes in mixed radix, the shortest length varying fastest.
+    # Layer W, the codes with W work left in ascending order, is
+    # order[first[W]:first[W + 1]].
+    stride = np.cumprod(radix) // radix
+    work = np.zeros(1, dtype=np.int32)
+    for p, c in zip(ps[::-1].tolist(), counts[::-1].tolist()):
+        work = np.add.outer(work, np.arange(0, p * c + 1, p, dtype=np.int32)).ravel()
+    order = np.argsort(work, kind="stable").astype(np.int32)
+    first = np.concatenate(([0], np.cumsum(np.bincount(work, minlength=sum_p + 1))))
+
+    def row_of(W: int, codes):
+        return np.searchsorted(order[first[W]:first[W + 1]], codes)
+
+    d = np.arange(R)
+    upper = d[None, :] > d[:, None]  # a real gap ends at least two past its start
+    # H keeps the last max(p) layers; the choices of every layer are the
+    # job length index of F, whether a gap beats merging, and the band
+    # offset of the gap end.
+    H: dict[int, np.ndarray] = {}
+    f_arg: dict[int, np.ndarray] = {}
+    gap_arg: dict[int, np.ndarray] = {}
+    g_arg: dict[int, np.ndarray] = {}
+    g_type = np.min_scalar_type(R - 1)
+    buf = np.empty(max(_CHUNK, _BAND_ROWS * R), dtype=np.int64)
+    states, top = 0, int(ps[-1])
+    for W in range(1, sum_p + 1):
+        H.pop(W - top - 1, None)
+        if expired():
+            return incumbent("time_limit", states)
+        rows = order[first[W]:first[W + 1]]
+        if rows.size == 0:
+            continue
+        start = t_on + sum_p - W + d
+        cand = np.full((len(ps), rows.size, R), _HUGE, dtype=np.int64)
+        for j, p in enumerate(ps.tolist()):
+            has = np.nonzero(rows // stride[j] % radix[j])[0]
+            if has.size == 0:
+                continue
+            if W == p:
+                rest = gaps(start + p - 1, h)  # the last block pays the trailing gap
+            else:
+                rest = H[W - p][row_of(W - p, rows[has] - stride[j])]
+            cand[j, has] = (C[start + p - 1] - C[start - 1]) * p_proc + rest
+        F = np.minimum(cand.min(axis=0), _HUGE)
+        f_arg[W] = np.zeros(F.shape, dtype=np.uint8)  # the cell limit allows at most 23 lengths
+        for j in range(len(ps) - 1, -1, -1):  # the shortest length wins ties
+            np.copyto(f_arg[W], j, where=cand[j] == F)
+        states += F.size
+        if W == sum_p:
+            break
+        e0 = start[0] - 1  # gap starts e0 + d, ends e0 + 1 + d''
+        phi_blk = np.where(upper, gaps(np.s_[e0:e0 + R], np.s_[e0 + 1:e0 + 1 + R]), _HUGE)
+        G = np.full(F.shape, _HUGE, dtype=np.int64)
+        g_arg[W] = np.zeros(F.shape, dtype=g_type)
+        for lo in range(0, R - 1, _BAND_ROWS):  # one strip's ends all lie past lo
+            hi = min(lo + _BAND_ROWS, R - 1)
+            blk = phi_blk[lo:hi, lo + 1:]
+            step = max(1, _CHUNK // blk.size)
+            for a in range(0, rows.size, step):
+                if expired():
+                    return incumbent("time_limit", states)
+                part = F[a:a + step, None, lo + 1:]
+                out = buf[:len(part) * blk.size].reshape(len(part), *blk.shape)
+                tot = np.add(part, blk, out=out)
+                end = tot.argmin(axis=2)
+                g_arg[W][a:a + step, lo:hi] = end + lo + 1
+                G[a:a + step, lo:hi] = np.take_along_axis(tot, end[..., None], 2)[..., 0]
+        gap_arg[W] = G < F
+        H[W] = np.minimum(F, G)
+        states += G.size
+
+    root = gaps(1, t_on + d) + F[0]  # the last layer holds only the full multiset
+    slot = int(root.argmin())
+    best_core = int(root[slot])
     if best_core >= _HUGE:
         return done("infeasible", states=states)
 
     pieces: list[tuple[int, int]] = []
-    i, rem = g_memo[(1, full.counts)][1], full
-    while True:
-        choice = f_memo[(i, rem.counts)][1]
-        p = abs(choice)
-        pieces.append((i, p))
-        rem = rem.remove(p)
-        if rem.empty:
-            break
-        i = i + p if choice < 0 else g_memo[(i + p - 1, rem.counts)][1]
+    W, m = sum_p, order.size - 1
+    while W:
+        j = int(f_arg[W][row_of(W, m), slot])
+        pieces.append((t_on + sum_p - W + slot, int(ps[j])))
+        m, W = m - int(stride[j]), W - int(ps[j])
+        if W and gap_arg[W][row_of(W, m), slot]:
+            slot = int(g_arg[W][row_of(W, m), slot])
 
     sched = assemble_schedule(inst, _job_assignment(inst, pieces), table)
     tec = best_core + const
@@ -376,7 +368,7 @@ def brute_force_schedule(inst: Instance, table: SpacesTable | None = None,
     def done(status, tec=None, sched=None, states=0) -> SolveResult:
         return SolveResult(tec=tec, schedule=sched, status=status,
                            stats=SolveStats(states=states, wall_time=time.monotonic() - t0,
-                                            lower_bound=tec))
+                                            lower_bound=tec, stop_reason=status))
 
     if table is None:
         try:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from tousched import load_schedule, save_instance, save_schedule, validate_schedule
+from tousched import load_schedule, save_instance, save_schedule, solver, validate_schedule
 from tousched.cli import BenchRecord, main
 
 from conftest import WORKED_SIGMA, WORKED_TEC, worked_instance
@@ -283,3 +283,27 @@ def test_solve_time_limit_note(tmp_path, capsys):
     assert code == 0
     assert stdout.startswith("TEC ")
     assert "time limit" in stderr
+
+
+def test_solve_out_records_the_stop_reason(tmp_path, capsys, worked_file):
+    out = tmp_path / "sched.json"
+    code, _, stderr = run(capsys, "solve", "--instance", worked_file, "--out", str(out))
+    assert code == 0 and stderr == ""
+    stats = json.loads(out.read_text(encoding="utf-8"))["stats"]
+    assert (stats["status"], stats["stop_reason"]) == ("optimal", "optimal")
+    code, _, stderr = run(capsys, "solve", "--instance", worked_file, "--time-limit", "0.0",
+                          "--out", str(out))
+    assert code == 0 and "time limit reached" in stderr
+    stats = json.loads(out.read_text(encoding="utf-8"))["stats"]
+    assert (stats["status"], stats["stop_reason"]) == ("timeout", "time_limit")
+
+
+def test_solve_names_the_cell_limit(tmp_path, capsys, worked_file, monkeypatch):
+    monkeypatch.setattr(solver, "_DP_CELL_LIMIT", 1)
+    out = tmp_path / "sched.json"
+    code, stdout, stderr = run(capsys, "solve", "--instance", worked_file, "--out", str(out))
+    assert code == 0 and stdout.startswith("TEC ")
+    assert "cell limit reached" in stderr and "time limit" not in stderr
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert (doc["stats"]["status"], doc["stats"]["stop_reason"]) == ("timeout", "cell_limit")
+    assert doc["stats"]["lower_bound"] <= doc["tec"]

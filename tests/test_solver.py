@@ -1,7 +1,9 @@
 import dataclasses
 import random
+import types
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tousched import (
     Instance,
@@ -19,8 +21,8 @@ from tousched import (
     solve_exact,
     validate_schedule,
 )
+from tousched import solver
 from tousched.model import InfeasibleError
-from tousched.solver import JobMultiset
 
 from conftest import (
     WORKED_OMEGA,
@@ -47,6 +49,7 @@ def test_worked_optimum(worked):
     assert tuple(res.schedule.omega) == WORKED_OMEGA
     assert validate_schedule(worked, res.schedule) == []
     assert res.stats.lower_bound == WORKED_TEC
+    assert res.stats.stop_reason == "optimal"
     assert res.stats.states > 0 and res.stats.wall_time >= 0
 
 
@@ -102,6 +105,7 @@ def test_infeasible_overload(worked):
     tab = make_table(inst)
     res = solve_exact(inst, tab)
     assert res.status == "infeasible" and res.tec is None and res.schedule is None
+    assert res.stats.stop_reason == "infeasible"
     assert brute_force_schedule(inst, tab).status == "infeasible"
 
 
@@ -180,15 +184,67 @@ def test_generous_time_limit_still_optimal(worked):
     assert res.status == "optimal" and res.tec == WORKED_TEC
 
 
-def test_job_multiset():
-    ms = JobMultiset.from_jobs((2, 1, 2, 3))
-    assert ms.total == 8
-    assert sorted(ms.distinct()) == [1, 2, 3]
-    less = ms.remove(2)
-    assert less.total == 6 and ms.total == 8
-    assert not ms.empty
-    drained = less.remove(1).remove(2).remove(3)
-    assert drained.empty
+def fourteen_jobs_h120():
+    rng = random.Random(4)
+    pre = preset_nosby()
+    jobs = tuple(rng.randint(1, 4) for _ in range(14))
+    costs = tuple(rng.randint(1, 12) for _ in range(120))
+    return Instance(120, costs, jobs, pre.state_set, pre.transitions)
+
+
+def test_cell_limit_answers_like_an_expired_time_limit(monkeypatch):
+    inst = fourteen_jobs_h120()
+    tab = make_table(inst)
+    expired = solve_exact(inst, tab, time_limit=0.0)
+    assert (expired.status, expired.stats.stop_reason) == ("timeout", "time_limit")
+    monkeypatch.setattr(solver, "_DP_CELL_LIMIT", 1000)
+    for limit in (None, 60.0):
+        res = solve_exact(inst, tab, time_limit=limit)
+        assert (res.status, res.stats.stop_reason) == ("timeout", "cell_limit")
+        assert res.stats.states == 0
+        assert validate_schedule(inst, res.schedule) == []
+        assert res.stats.lower_bound <= res.tec
+        assert (res.tec, res.stats.lower_bound) == (expired.tec, expired.stats.lower_bound)
+
+
+def test_cell_limit_counts_multisets_times_band_width(worked, monkeypatch):
+    # jobs (2, 1, 2): (1 + 1) * (2 + 1) multisets, band width slack + 1
+    tab = make_table(worked)
+    t_on, t_off = tab.window
+    cells = 6 * (t_off - t_on + 2 - 5)
+    monkeypatch.setattr(solver, "_DP_CELL_LIMIT", cells)
+    assert solve_exact(worked, tab).tec == WORKED_TEC
+    monkeypatch.setattr(solver, "_DP_CELL_LIMIT", cells - 1)
+    assert solve_exact(worked, tab).stats.stop_reason == "cell_limit"
+
+
+def test_deadline_mid_fill_gives_the_same_answer(monkeypatch):
+    # A fake clock that ticks once per reading makes the deadline fall
+    # after a fixed number of checks: before, between and inside layers.
+    inst = fourteen_jobs_h120()
+    tab = make_table(inst)
+    full = solve_exact(inst, tab)
+    expired = solve_exact(inst, tab, time_limit=0.0)
+    ticks = iter(range(10 ** 6))
+    monkeypatch.setattr(solver, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+    filled = []
+    for checks in (1, 2, 5, 40, 200):
+        res = solve_exact(inst, tab, time_limit=checks - 0.5)
+        assert (res.status, res.stats.stop_reason) == ("timeout", "time_limit")
+        assert (res.tec, res.stats.lower_bound) == (expired.tec, expired.stats.lower_bound)
+        filled.append(res.stats.states)
+    assert filled[0] == 0 and 0 < filled[-1] < full.stats.states
+    assert filled == sorted(filled)
+
+
+def test_fifteen_hundred_unit_jobs():
+    pre = preset_nosby()
+    h = 1520
+    inst = Instance(h, tuple(1 + 7 * i % 5 for i in range(h)), (1,) * 1500,
+                    pre.state_set, pre.transitions)
+    res = solve_exact(inst, make_table(inst))
+    assert res.status == "optimal"
+    assert validate_schedule(inst, res.schedule) == []
 
 
 def test_pruning_never_changes_the_optimum():
@@ -293,3 +349,27 @@ def test_ties_go_to_the_lexicographically_smallest_pieces():
         solved += 1
         tied += len(optima) > 1
     assert solved >= 350 and tied >= 200
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(machine_seed=st.integers(0, 2 ** 32 - 1),
+       jobs=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+       data=st.data())
+def test_solver_matches_brute_force_on_random_machines(machine_seed, jobs, data):
+    # zero-time transitions and up to three standby states come from
+    # random_machine; prices may be zero
+    states, trans = random_machine(random.Random(machine_seed), max_extra=3)
+    h = data.draw(st.integers(min(20, sum(jobs) + 2), 20))
+    costs = data.draw(st.lists(st.integers(0, 6), min_size=h, max_size=h))
+    inst = Instance(h, tuple(costs), tuple(jobs), states, trans)
+    try:
+        tab = make_table(inst)
+    except InfeasibleError:
+        return
+    got = solve_exact(inst, tab)
+    want = brute_force_schedule(inst, tab)
+    assert got.status == want.status
+    if want.status == "optimal":
+        assert got.tec == want.tec
+        pieces = sorted((a + 1, p) for a, p in zip(got.schedule.sigma, inst.jobs))
+        assert pieces == min(optimal_piece_sequences(inst, tab))
