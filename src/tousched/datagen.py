@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Instance, InputError, MachineStateSet, TransitionSpec, instance_from_dict
+from .model import (Instance, InputError, MachineStateSet, TransitionSpec, instance_from_dict,
+                    switch_times)
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -134,19 +135,14 @@ def load_custom_preset(path) -> MachinePreset:
 
 
 def switch_durations(preset: MachinePreset) -> tuple[int, int]:
-    """Shortest off->proc and proc->off durations, through any state chain."""
-    states = preset.state_set.states
+    """Shortest off->proc and proc->off durations, through any chain of
+    the preset's states."""
 
     def shortest(src: str, dst: str) -> int:
-        # |states| - 1 rounds of relaxation settle every simple chain
-        best = {src: 0}
-        for _ in range(len(states) - 1):
-            for (s, sp), (t, _pw) in preset.transitions.entries.items():
-                if s in best and best[s] + t < best.get(sp, best[s] + t + 1):
-                    best[sp] = best[s] + t
-        if dst not in best:
+        times = switch_times(preset.transitions, preset.state_set.states, src)
+        if dst not in times:
             raise InputError(f"preset {preset.name}: no {src}->{dst} transition chain")
-        return best[dst]
+        return times[dst]
 
     off = preset.state_set.off_state
     proc = preset.state_set.proc_state

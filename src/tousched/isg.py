@@ -12,6 +12,12 @@ backwards in time.
 So every shortest path is a sweep in interval order, closing the zero-time
 edges at each interval: `sssp` sweeps from one source, and
 `spaces.compute_spaces` from every gap start at once.
+
+Which vertices a path reaches depends only on transition times, never on
+prices: inside the horizon, v(k, s) reaches v(k+d, sp) exactly when some
+chain of transitions takes s to sp in at most d intervals, since a stay of
+time 1 pads any chain. `proc_window` therefore needs no sweep, only the
+shortest switch-on and switch-off times from `model.switch_times`.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import InfeasibleError, InputError, Instance, StatePair, validate_instance
+from .model import (InfeasibleError, InputError, Instance, StatePair, switch_times,
+                    validate_instance)
 
 Vertex = tuple[int, str]
 
@@ -199,29 +206,17 @@ def tree_path(dm: DistanceMap, target: Vertex) -> list[StatePair] | None:
 
 def proc_window(g: IntervalStateGraph) -> tuple[int, int]:
     """(t_on, t_off): the earliest and latest interval in which the machine
-    can be processing, given it starts and ends the horizon in off."""
+    can be processing, given it starts and ends the horizon in off.
+
+    Which vertices a path reaches does not depend on prices, so the window
+    is the horizon less the shortest switch-on and switch-off times."""
     h = g.horizon
-    proc_name = g.states[g.proc_index]
-    off_name = g.states[g.off_index]
-    if h < 2:
+    off, proc = g.states[g.off_index], g.states[g.proc_index]
+    d_on = switch_times(g.inst.transitions, g.states, off).get(proc)
+    d_off = switch_times(g.inst.transitions, g.states, proc).get(off)
+    if h < 2 or d_on is None or d_off is None or h - 1 - d_off < 2 + d_on:
         raise InfeasibleError("no feasible processing window")
-
-    on = sssp(g, (2, off_name)).dist
-    t_on = next((i for i in range(2, h + 1) if (i, proc_name) in on), None)
-
-    # Processing in interval i needs (i + 1, proc) to reach (h, off); the
-    # time-1 (proc, proc) self entry that validate_instance requires always
-    # provides the exit from interval i itself. Below the horizon an edge
-    # exists depending only on interval differences, so (i + 1, proc)
-    # reaches (h, off) exactly when (2, proc) reaches (h + 1 - i, off): the
-    # latest such i comes from the earliest off arrival.
-    off_run = sssp(g, (2, proc_name)).dist
-    k = next((k for k in range(2, h) if (k, off_name) in off_run), None)
-    t_off = None if k is None else h + 1 - k
-
-    if t_on is None or t_off is None or t_off < t_on:
-        raise InfeasibleError("no feasible processing window")
-    return t_on, t_off
+    return 2 + d_on, h - 1 - d_off
 
 
 class ApspResult:

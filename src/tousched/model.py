@@ -126,17 +126,19 @@ class Schedule:
     omega: tuple[StatePair, ...]
 
 
-def _state_reach(transitions: TransitionSpec, states: tuple[str, ...], src: str) -> set[str]:
-    """States reachable from src through any chain of allowed transitions."""
-    seen = {src}
-    stack = [src]
-    while stack:
-        s = stack.pop()
-        for sp in states:
-            if sp not in seen and transitions.allowed(s, sp):
-                seen.add(sp)
-                stack.append(sp)
-    return seen
+def switch_times(transitions: TransitionSpec, states: tuple[str, ...], src: str) -> dict[str, int]:
+    """Shortest total transition time from src to every state it can reach,
+    following only transitions between the given states."""
+    known = set(states)
+    steps = [(s, sp, t) for (s, sp), (t, _pw) in transitions.entries.items()
+             if s in known and sp in known]
+    best = {src: 0}
+    # |states| - 1 rounds of relaxation settle every simple chain
+    for _ in range(len(states) - 1):
+        for s, sp, t in steps:
+            if s in best and best[s] + t < best.get(sp, best[s] + t + 1):
+                best[sp] = best[s] + t
+    return best
 
 
 def validate_instance(inst: Instance) -> list[Violation]:
@@ -188,9 +190,9 @@ def validate_instance(inst: Instance) -> list[Violation]:
                              f"transition power must stay below {COST_LIMIT}"))
 
     if ss.off_state in ss.states and ss.proc_state in ss.states:
-        if ss.proc_state not in _state_reach(inst.transitions, ss.states, ss.off_state):
+        if ss.proc_state not in switch_times(inst.transitions, ss.states, ss.off_state):
             out.append(Violation("instance", "transitions", "proc unreachable from off"))
-        if ss.off_state not in _state_reach(inst.transitions, ss.states, ss.proc_state):
+        if ss.off_state not in switch_times(inst.transitions, ss.states, ss.proc_state):
             out.append(Violation("instance", "transitions", "off unreachable from proc"))
 
     return out
@@ -228,17 +230,8 @@ def zero_time_closure(inst: Instance) -> dict[str, set[str]]:
     """For each state, the states reachable through instantaneous
     (time 0) transitions alone, itself included."""
     states = inst.state_set.states
-    reach = {s: {s} for s in states}
-    changed = True
-    while changed:
-        changed = False
-        for s in states:
-            for a in tuple(reach[s]):
-                for b in states:
-                    if b not in reach[s] and inst.transitions.time(a, b) == 0:
-                        reach[s].add(b)
-                        changed = True
-    return reach
+    zero = TransitionSpec({k: v for k, v in inst.transitions.entries.items() if v[0] == 0})
+    return {s: set(switch_times(zero, states, s)) for s in states}
 
 
 def _check_transition_chain(inst: Instance, omega: tuple[StatePair, ...]) -> list[Violation]:

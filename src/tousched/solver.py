@@ -19,8 +19,8 @@ every table is indexed by (multiset m, offset d):
   to the horizon instead. Both successors sit at the same (m-p, d), so a
   layer only keeps H_W = min(F_W, G_W), merged on ties.
 - G_W[m, d], a gap follows the block that ended just before offset d: a
-  min-plus product of F_W[m, .] with the band's block of phi, pruned and
-  unreachable gaps left out; the nearer end wins ties.
+  min-plus product of F_W[m, .] with the band's block of phi, unreachable
+  gaps left out; the nearer end wins ties.
 
 The root is the gap after interval 1 against F of all jobs. Every cell
 stores its choice, so the schedule is a walk over the choices, and ties
@@ -165,8 +165,10 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     deadline = None if time_limit is None else t0 + time_limit
     h = inst.horizon
     t_on, t_off = table.window
-    phi = table.phi_matrix
-    pruned = table.pruned_mask
+    # The pruning flags are not read: every gap the band reaches has the
+    # work already done on its left and the rest on its right, and
+    # apply_pruning flags no such gap.
+    phi = np.minimum(table.phi_matrix, _HUGE)  # an unreachable gap costs _HUGE
     proc = inst.state_set.proc_state
     p_proc = inst.transitions.power(proc, proc)
     C = np.asarray(inst.cost_prefix, dtype=np.int64)
@@ -183,18 +185,13 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     if R < 1:
         return done("infeasible")
 
-    def gaps(starts, ends) -> np.ndarray:
-        """phi of the gaps starts -> ends, _HUGE where unreachable or pruned."""
-        cost = phi[starts, ends]
-        return np.where((cost < _UNREACHABLE) & ~pruned[starts, ends], cost, _HUGE)
-
     def incumbent(reason: str, states: int) -> SolveResult:
         """All jobs in one block at t_on, shorter first, with the cheapest
         root gap plus all work at the cheapest later price as the bound."""
         ends = np.arange(2, t_on + R)
         costs = np.asarray(inst.costs[:t_off], dtype=np.int64)
         suf_min = np.minimum.accumulate(costs[::-1])[::-1]  # cheapest price from i on
-        lb = int(np.min(gaps(1, ends) + sum_p * p_proc * suf_min[ends - 1], initial=_HUGE))
+        lb = int(np.min(phi[1, ends] + sum_p * p_proc * suf_min[ends - 1], initial=_HUGE))
         pieces, at = [], t_on
         for p in sorted(inst.jobs):
             pieces.append((at, p))
@@ -251,7 +248,7 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
             if has.size == 0:
                 continue
             if W == p:
-                rest = gaps(start + p - 1, h)  # the last block pays the trailing gap
+                rest = phi[start + p - 1, h]  # the last block pays the trailing gap
             else:
                 rest = H[W - p][row_of(W - p, rows[has] - stride[j])]
             cand[j, has] = (C[start + p - 1] - C[start - 1]) * p_proc + rest
@@ -263,7 +260,7 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
         if W == sum_p:
             break
         e0 = start[0] - 1  # gap starts e0 + d, ends e0 + 1 + d''
-        phi_blk = np.where(upper, gaps(np.s_[e0:e0 + R], np.s_[e0 + 1:e0 + 1 + R]), _HUGE)
+        phi_blk = np.where(upper, phi[e0:e0 + R, e0 + 1:e0 + 1 + R], _HUGE)
         G = np.full(F.shape, _HUGE, dtype=np.int64)
         g_arg[W] = np.zeros(F.shape, dtype=g_type)
         for lo in range(0, R - 1, _BAND_ROWS):  # one strip's ends all lie past lo
@@ -283,7 +280,7 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
         H[W] = np.minimum(F, G)
         states += G.size
 
-    root = gaps(1, t_on + d) + F[0]  # the last layer holds only the full multiset
+    root = phi[1, t_on + d] + F[0]  # the last layer holds only the full multiset
     slot = int(root.argmin())
     best_core = int(root[slot])
     if best_core >= _HUGE:

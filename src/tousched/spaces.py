@@ -202,25 +202,27 @@ def save_table(table: SpacesTable, path) -> str:
     if not path.endswith(".npz"):
         path += ".npz"
     np.savez_compressed(path, phi=table.phi_matrix, pruned=table.pruned_mask,
-                        window=np.asarray(table.window, dtype=np.int64),
-                        horizon=np.int64(table.horizon),
                         fingerprint=np.str_(_fingerprint(table.graph.inst)))
     return path
 
 
 def load_table(path, inst: Instance, graph: IntervalStateGraph | None = None) -> SpacesTable:
+    """Read a table written by save_table for inst. The window and the
+    horizon are derived from inst, never read from the file."""
     try:
         with np.load(path, allow_pickle=False) as doc:
             fingerprint = str(doc["fingerprint"])
             phi = doc["phi"].astype(np.int64)
             pruned = doc["pruned"].astype(bool)
-            window = (int(doc["window"][0]), int(doc["window"][1]))
-            horizon = int(doc["horizon"])
     except (zipfile.BadZipFile, KeyError, ValueError, EOFError) as exc:
         raise InputError(f"{path}: not a readable phi table ({exc})") from exc
     if fingerprint != _fingerprint(inst):
         raise InputError(f"{path}: phi table was computed for a different instance")
+    h = inst.horizon
+    if phi.shape != (h + 1, h + 1) or pruned.shape != (h + 1, h + 1):
+        raise InputError(f"{path}: phi and pruned must both have shape ({h + 1}, {h + 1}), "
+                         f"got {phi.shape} and {pruned.shape}")
     if graph is None:
         graph = build_graph(inst)
-    return SpacesTable(horizon=horizon, window=window, phi_matrix=phi,
+    return SpacesTable(horizon=h, window=proc_window(graph), phi_matrix=phi,
                        pruned_mask=pruned, graph=graph)

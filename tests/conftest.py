@@ -83,6 +83,23 @@ def random_machine(rng: random.Random, max_extra: int = 2):
     return MachineStateSet(tuple(names)), TransitionSpec(entries)
 
 
+def arbitrary_machine(rng: random.Random, max_extra: int = 3):
+    """Draw a machine with any transition graph: off, proc and up to
+    max_extra more states in a shuffled order, a time-1 stay on every
+    state and each other ordered pair present at random with time 0-4.
+    Nothing guarantees that proc and off reach each other, so many of
+    these machines fail validate_instance."""
+    names = ["off", "proc"] + [f"s{k}" for k in range(1, rng.randint(0, max_extra) + 1)]
+    rng.shuffle(names)
+    entries = {(s, s): (1, rng.randint(0, 5)) for s in names}
+    density = rng.choice((0.2, 0.4, 0.7))
+    for s in names:
+        for sp in names:
+            if s != sp and rng.random() < density:
+                entries[(s, sp)] = (rng.randint(0, 4), rng.randint(0, 5))
+    return MachineStateSet(tuple(names)), TransitionSpec(entries)
+
+
 def random_instance(rng: random.Random, n_max: int = 4, h_max: int = 18,
                     max_extra: int = 2, require_room: bool = True) -> Instance:
     """Draw a random valid instance; when require_room is set, retry until
@@ -126,6 +143,6 @@ def nosby_instance(rng: random.Random, n_max: int = 4, h_max: int = 18) -> Insta
 
 __all__ = [
     "WORKED_COSTS", "WORKED_JOBS", "WORKED_TEC", "WORKED_SIGMA",
-    "WORKED_OMEGA", "WORKED_WINDOW", "worked_instance", "random_machine",
+    "WORKED_OMEGA", "WORKED_WINDOW", "worked_instance", "arbitrary_machine", "random_machine",
     "random_instance", "nosby_instance", "preset_nosby", "preset_twosby",
 ]

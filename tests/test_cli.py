@@ -218,6 +218,32 @@ def test_phi_table_with_extra_pruned_gap_solves(tmp_path, capsys, worked_file):
     assert "TEC 177" in stdout
 
 
+def test_phi_table_with_the_optimum_gap_pruned_solves(tmp_path, capsys, worked_file):
+    import numpy as np
+    tab = tmp_path / "tab.npz"
+    run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))
+    with np.load(tab) as doc:
+        kept = {k: doc[k] for k in doc.files}
+    kept["pruned"][4, 10] = True  # a gap the optimum uses
+    np.savez(tab, **kept)
+    code, stdout, _ = run(capsys, "solve", "--instance", worked_file, "--phi", str(tab))
+    assert code == 0
+    assert "TEC 177" in stdout
+
+
+def test_phi_table_of_the_wrong_shape_is_exit_2(tmp_path, capsys, worked_file):
+    import numpy as np
+    tab = tmp_path / "tab.npz"
+    run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))
+    with np.load(tab) as doc:
+        kept = {k: doc[k] for k in doc.files}
+    kept["phi"] = kept["phi"][:10, :10]
+    np.savez(tab, **kept)
+    code, _, stderr = run(capsys, "solve", "--instance", worked_file, "--phi", str(tab))
+    assert code == 2
+    assert str(tab) in stderr and "shape" in stderr
+
+
 def test_overflowing_costs_are_exit_2(tmp_path, capsys):
     import dataclasses
     inst = worked_instance()

@@ -182,6 +182,25 @@ def test_load_custom_preset(tmp_path, worked):
     assert inst.horizon == horizon_for(sum(inst.jobs), 2, 1, 1)
 
 
+def test_switch_durations_follow_declared_states_only(tmp_path):
+    # the only switch-on chain passes through "warm", which the machine
+    # does not list among its states
+    doc = {
+        "states": ["off", "proc"],
+        "transitions": [
+            {"from": "off", "to": "off", "time": 1, "power": 0},
+            {"from": "proc", "to": "proc", "time": 1, "power": 4},
+            {"from": "off", "to": "warm", "time": 1, "power": 2},
+            {"from": "warm", "to": "proc", "time": 1, "power": 2},
+            {"from": "proc", "to": "off", "time": 1, "power": 1},
+        ],
+    }
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match="off->proc"):
+        switch_durations(load_custom_preset(path))
+
+
 def test_load_custom_preset_rejects_junk(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{oops")

@@ -1,5 +1,6 @@
 import heapq
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,12 +15,13 @@ from tousched import (
     sssp,
     to_dot,
 )
+from tousched import isg
 from tousched.datagen import MachinePreset, switch_durations
 from tousched.isg import tree_path
-from tousched.model import InfeasibleError
+from tousched.model import InfeasibleError, validate_instance
 
-from conftest import (WORKED_WINDOW, nosby_instance, preset_nosby, preset_twosby,
-                      random_instance, random_machine)
+from conftest import (WORKED_WINDOW, arbitrary_machine, nosby_instance, preset_nosby,
+                      preset_twosby, random_instance, random_machine)
 
 
 def lex_dijkstra_oracle(edges, source):
@@ -288,6 +290,48 @@ def test_proc_window_on_flat_costs_is_switch_durations():
         h = 30
         inst = Instance(h, (1,) * h, (1,), states, trans)
         assert proc_window(build_graph(inst)) == (2 + d_on, h - 1 - d_off)
+
+
+def two_sweep_window(g):
+    """The window read off two label sweeps, or None when there is none:
+    t_on is the first interval at which (2, off) reaches proc, and t_off
+    is h + 1 - k for the first k in 2..h-1 at which (2, proc) reaches off,
+    since below the last interval the edges depend only on interval
+    differences."""
+    h = g.horizon
+    off, proc = g.states[g.off_index], g.states[g.proc_index]
+    if h < 2:
+        return None
+    on = sssp(g, (2, off)).dist
+    t_on = next((i for i in range(2, h + 1) if (i, proc) in on), None)
+    off_run = sssp(g, (2, proc)).dist
+    k = next((k for k in range(2, h) if (k, off) in off_run), None)
+    t_off = None if k is None else h + 1 - k
+    if t_on is None or t_off is None or t_off < t_on:
+        return None
+    return t_on, t_off
+
+
+def test_proc_window_matches_two_sweeps_on_arbitrary_machines(monkeypatch):
+    # validation is bypassed so that machines with no switch-on or no
+    # switch-off chain reach proc_window too
+    monkeypatch.setattr(isg, "validate_instance", lambda inst: [])
+    rng = random.Random(53)
+    kinds = Counter()
+    for _ in range(2000):
+        states, trans = arbitrary_machine(rng)
+        h = rng.randint(1, 24)
+        inst = Instance(h, tuple(rng.randint(0, 6) for _ in range(h)), (1,), states, trans)
+        g = build_graph(inst)
+        want = two_sweep_window(g)
+        if want is None:
+            kinds["no chain" if validate_instance(inst) else "no room"] += 1
+            with pytest.raises(InfeasibleError):
+                proc_window(g)
+        else:
+            kinds["window"] += 1
+            assert proc_window(g) == want
+    assert min(kinds["no chain"], kinds["no room"], kinds["window"]) >= 200
 
 
 def test_to_dot_lists_vertices_and_edges(worked):

@@ -29,12 +29,13 @@ from tousched import (
     validate_schedule,
 )
 from tousched import spaces
-from tousched.model import COST_LIMIT, zero_time_closure
+from tousched.model import COST_LIMIT, switch_times, zero_time_closure
 
 from conftest import (
     WORKED_OMEGA,
     WORKED_SIGMA,
     WORKED_TEC,
+    arbitrary_machine,
     nosby_instance,
     random_instance,
 )
@@ -235,6 +236,56 @@ def test_zero_time_closure(worked):
     assert zc["proc"] == {"proc", "idle"}
     assert zc["idle"] == {"idle", "proc"}
     assert zc["off"] == {"off"}
+
+
+def plain_reach(states, linked, src) -> set:
+    """States reachable from src along the pairs linked accepts, by
+    depth-first search."""
+    seen, stack = {src}, [src]
+    while stack:
+        s = stack.pop()
+        for sp in states:
+            if sp not in seen and linked(s, sp):
+                seen.add(sp)
+                stack.append(sp)
+    return seen
+
+
+def test_state_graph_answers_match_plain_searches():
+    """On arbitrary machines, zero_time_closure and the reachability
+    messages of validate_instance agree with depth-first searches, and
+    switch_times agrees with Floyd-Warshall over the transition times."""
+    rng = random.Random(59)
+    none = 10 ** 9
+    unreachable = 0
+    for _ in range(2000):
+        states, tr = arbitrary_machine(rng)
+        names = states.states
+        inst = Instance(3, (1, 1, 1), (1,), states, tr)
+        assert zero_time_closure(inst) == {
+            s: plain_reach(names, lambda a, b: tr.time(a, b) == 0, s) for s in names}
+        messages = [v.message for v in validate_instance(inst)]
+        for src, dst in (("off", "proc"), ("proc", "off")):
+            missing = dst not in plain_reach(names, tr.allowed, src)
+            assert (f"{dst} unreachable from {src}" in messages) == missing
+        unreachable += bool(messages)
+        dist = {(a, b): none for a in names for b in names}
+        dist.update({pair: t for pair, (t, _pw) in tr.entries.items()})
+        dist.update({(a, a): 0 for a in names})
+        for k in names:
+            for a in names:
+                for b in names:
+                    dist[a, b] = min(dist[a, b], dist[a, k] + dist[k, b])
+        for src in names:
+            assert switch_times(tr, names, src) == {
+                b: dist[src, b] for b in names if dist[src, b] < none}
+    assert unreachable >= 200
+
+
+def test_switch_times_ignores_undeclared_states(worked):
+    # a detour through a state the machine does not list is no chain
+    tr = TransitionSpec({**worked.transitions.entries, ("off", "x"): (0, 0), ("x", "proc"): (0, 0)})
+    assert switch_times(tr, worked.state_set.states, "off") == {"off": 0, "proc": 2, "idle": 2}
 
 
 def test_instance_dict_round_trip(worked):

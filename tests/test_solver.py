@@ -258,10 +258,29 @@ def test_pruning_never_changes_the_optimum():
             assert with_p.tec == without.tec
 
 
+def test_pruning_flags_on_used_gaps_are_not_read(worked):
+    # The band reaches no gap that apply_pruning flags, so the solver
+    # ignores the flags; a table edited by hand cannot hide the optimum.
+    tab = make_table(worked)
+    tab.pruned_mask[4, 10] = True  # the optimum's interior gap
+    res = solve_exact(worked, tab)
+    assert (res.status, res.tec, res.stats.lower_bound) == ("optimal", WORKED_TEC, WORKED_TEC)
+    assert res.schedule.sigma == WORKED_SIGMA
+
+
+def test_flagged_root_gaps_still_solve(worked):
+    tab = make_table(worked)
+    tab.pruned_mask[1, :] = True
+    res = solve_exact(worked, tab)
+    assert (res.status, res.tec) == ("optimal", WORKED_TEC)
+    res = solve_exact(worked, tab, time_limit=0.0)
+    assert res.status == "timeout"
+    assert (res.stats.lower_bound, res.tec) == (54, 278)  # a bound below the incumbent
+
+
 def test_extra_pruned_gap_off_the_optimum_keeps_177(worked):
-    # Flagging one more interior gap that the optimum does not use leaves
-    # holes in that row's unpruned ends, so they are no longer a prefix
-    # of the row; the gap search must still read the right bounds.
+    # Flagging any one more interior gap, here those the optimum does not
+    # use, leaves the optimum and its tie-broken schedule unchanged.
     tab = make_table(worked)
     used = {(4, 10), (11, 13)}
     pairs = [(i, ip) for i in range(tab.window[0], 16) for ip in range(i + 2, 16)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from tousched import (
     load_table,
     proc_window,
     save_table,
+    solve_exact,
     switching_path,
     write_phi_csv,
 )
+from tousched import spaces
 from tousched.model import InfeasibleError, Instance
 
 from conftest import nosby_instance, random_instance
@@ -186,6 +189,41 @@ def test_table_load_rejects_other_instance(tmp_path, worked):
                      worked.transitions)
     with pytest.raises(InputError):
         load_table(out, other)
+
+
+def rewrite_table_file(path, **fields):
+    """Add or replace fields of an .npz that save_table wrote."""
+    with np.load(path) as doc:
+        kept = {k: doc[k] for k in doc.files}
+    np.savez_compressed(path, **{**kept, **fields})
+
+
+def test_table_file_holds_no_derived_fields(tmp_path, worked):
+    out = save_table(make_table(worked, prune=True), tmp_path / "tab.npz")
+    with np.load(out) as doc:
+        assert sorted(doc.files) == ["fingerprint", "phi", "pruned"]
+
+
+def test_table_load_derives_window_and_horizon(tmp_path, worked):
+    # files written with the old window and horizon keys still load, and
+    # those keys are not read: a stored (5, 14) once hid the optimum
+    tab = make_table(worked, prune=True)
+    out = save_table(tab, tmp_path / "old.npz")
+    rewrite_table_file(out, window=np.asarray((5, 14), dtype=np.int64), horizon=np.int64(15))
+    back = load_table(out, worked)
+    assert (back.window, back.horizon) == ((4, 14), 16)
+    assert np.array_equal(back.pruned_mask, tab.pruned_mask)
+    res = solve_exact(worked, back)
+    assert (res.status, res.tec) == ("optimal", 177)
+
+
+def test_table_load_rejects_wrong_shapes(tmp_path, worked):
+    tab = make_table(worked, prune=True)
+    for key, shape in (("phi", (10, 10)), ("pruned", (17, 16))):
+        out = save_table(tab, tmp_path / f"{key}.npz")
+        rewrite_table_file(out, **{key: np.zeros(shape, dtype=np.int64)})
+        with pytest.raises(InputError, match=re.escape(out)):
+            load_table(out, worked)
 
 
 def test_phi_csv_dump(tmp_path, worked):
