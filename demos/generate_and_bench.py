@@ -42,7 +42,7 @@ for inst in family:
 # modes; pre-processing stays fast even on a four-digit horizon
 big = generate_family(190, preset_twosby(), seed=10)[-1]
 t0 = time.perf_counter()
-table = compute_spaces(big, build_graph(big), parallelism=1)
+table = compute_spaces(big, build_graph(big))
 dt = time.perf_counter() - t0
 print()
 print(f"twosby h={big.horizon}: bridging table in {dt:.2f}s, "

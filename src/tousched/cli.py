@@ -48,15 +48,11 @@ def _resolve_preset(name: str) -> datagen.MachinePreset:
                            f"machine JSON file)")
 
 
-def _table_for(inst: model.Instance, phi_path: str | None,
-               prune: bool = True) -> spaces.SpacesTable:
+def _table_for(inst: model.Instance, phi_path: str | None) -> spaces.SpacesTable:
     g = isg.build_graph(inst)
     if phi_path:
         return spaces.load_table(phi_path, inst, graph=g)
-    table = spaces.compute_spaces(inst, g)
-    if prune:
-        table = spaces.apply_pruning(table, inst)
-    return table
+    return spaces.compute_spaces(inst, g)
 
 
 def cmd_gen(args) -> int:
@@ -79,15 +75,12 @@ def cmd_preprocess(args) -> int:
     inst = model.load_instance(args.instance)
     g = isg.build_graph(inst)
     t0 = time.monotonic()
-    table = spaces.compute_spaces(inst, g, parallelism=args.parallel)
-    if not args.no_prune:
-        table = spaces.apply_pruning(table, inst)
+    table = spaces.compute_spaces(inst, g)
     dt = time.monotonic() - t0
     out = spaces.save_table(table, args.out)
     defined = int((table.phi_matrix < spaces._UNREACHABLE).sum())
     print(f"window {table.window}, {defined} switching costs, "
-          f"{len(table.pruned_pairs()) if not args.no_prune else 0} pruned, "
-          f"{dt:.2f}s -> {out}")
+          f"{int(table.pruned_mask.sum())} pruned, {dt:.2f}s -> {out}")
     if args.dump_csv:
         spaces.write_phi_csv(table, args.dump_csv)
         print(args.dump_csv)
@@ -139,7 +132,7 @@ def cmd_validate(args) -> int:
 
 def cmd_emit_lp(args) -> int:
     inst = model.load_instance(args.instance)
-    table = _table_for(inst, args.phi, prune=not args.no_prune)
+    table = _table_for(inst, args.phi)
     artifact = modelgen.emit_ilp_spaces(inst, table, prune=not args.no_prune)
     lp_path, map_path = modelgen.write_artifact(artifact, args.out)
     print(lp_path)
@@ -149,7 +142,7 @@ def cmd_emit_lp(args) -> int:
 
 def cmd_import_solution(args) -> int:
     inst = model.load_instance(args.instance)
-    table = _table_for(inst, args.phi, prune=False)
+    table = _table_for(inst, args.phi)
     artifact = modelgen.load_varmap(args.model_map)
     assignment = modelgen.parse_solution_text(Path(args.solution).read_text(encoding="utf-8"))
     result = modelgen.import_solution(inst, table, artifact, assignment)
@@ -221,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="compute the switching cost table")
     p.add_argument("--instance", required=True)
     p.add_argument("--out", required=True, help="table output (.npz)")
-    p.add_argument("--parallel", type=int, default=1)
-    p.add_argument("--no-prune", action="store_true")
     p.add_argument("--dump-csv", default=None, help="also dump phi as CSV")
     p.add_argument("--dump-dot", default=None, help="also dump the graph as DOT")
     p.set_defaults(func=cmd_preprocess)

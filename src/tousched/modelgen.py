@@ -54,7 +54,7 @@ def emit_ilp_spaces(inst: Instance, table: SpacesTable, prune: bool = True) -> I
     """Build the LP text, the variable map and the objective constant."""
     h = inst.horizon
     t_on, t_off = table.window
-    phi = table.phi_matrix
+    phi, pruned = table.phi_matrix, table.pruned_mask
     n = inst.n_jobs
 
     x_vars: list[tuple[str, int, int, int]] = []  # name, j, i, cost
@@ -74,7 +74,7 @@ def emit_ilp_spaces(inst: Instance, table: SpacesTable, prune: bool = True) -> I
         for ip in range(i + 2, h + 1):
             if row[ip] >= _UNREACHABLE:
                 continue
-            if prune and table.pruned_mask[i, ip]:
+            if prune and pruned[i, ip]:
                 continue
             y_vars.append((f"y_{i}_{ip}", i, ip, int(row[ip])))
 
@@ -135,17 +135,29 @@ def write_artifact(artifact: IlpModelArtifact, lp_path, map_path=None) -> tuple[
     return lp_path, str(map_path)
 
 
+_VARMAP_KEYS = {"x": ("j", "i"), "y": ("i", "ip")}  # the integer fields of each kind
+
+
 def load_varmap(map_path) -> IlpModelArtifact:
+    """Read a sidecar written by write_artifact. Every entry must be an x
+    with integer j and i or a y with integer i and ip."""
     with open(map_path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{map_path}: not valid JSON: {exc}") from exc
     try:
-        return IlpModelArtifact(lp_text="", varmap=dict(doc["variables"]),
-                                constant_term=int(doc["constant_term"]))
+        artifact = IlpModelArtifact(lp_text="", varmap=dict(doc["variables"]),
+                                    constant_term=int(doc["constant_term"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{map_path}: malformed variable map: {exc}") from exc
+    for name, meta in artifact.varmap.items():
+        kind = meta.get("kind") if isinstance(meta, dict) else None
+        keys = _VARMAP_KEYS.get(kind) if isinstance(kind, str) else None
+        if keys is None or any(type(meta.get(k)) is not int for k in keys):
+            raise InputError(f"{map_path}: variable {name!r} is neither an x entry with "
+                             f"integer j and i nor a y entry with integer i and ip")
+    return artifact
 
 
 def parse_solution_text(text: str) -> dict[str, float]:
@@ -186,7 +198,7 @@ def import_solution(inst: Instance, table: SpacesTable, artifact: IlpModelArtifa
         val = assignment.get(name, 0.0)
         if abs(val) <= tol:
             continue
-        if abs(val - 1.0) > tol:
+        if not abs(val - 1.0) <= tol:  # NaN fails this test too
             raise InputError(f"non-integral assignment: {name} = {val}")
         if meta["kind"] == "x":
             j, i = int(meta["j"]), int(meta["i"])

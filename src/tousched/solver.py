@@ -167,7 +167,7 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     t_on, t_off = table.window
     # The pruning flags are not read: every gap the band reaches has the
     # work already done on its left and the rest on its right, and
-    # apply_pruning flags no such gap.
+    # pruned_mask flags no such gap.
     phi = np.minimum(table.phi_matrix, _HUGE)  # an unreachable gap costs _HUGE
     proc = inst.state_set.proc_state
     p_proc = inst.transitions.power(proc, proc)
@@ -225,11 +225,11 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     d = np.arange(R)
     upper = d[None, :] > d[:, None]  # a real gap ends at least two past its start
     # H keeps the last max(p) layers; the choices of every layer are the
-    # job length index of F, whether a gap beats merging, and the band
-    # offset of the gap end.
+    # job length index of F and the band offset of the gap end where a gap
+    # beats merging, 0 where it does not (a real gap ends at offset 1 or
+    # later).
     H: dict[int, np.ndarray] = {}
     f_arg: dict[int, np.ndarray] = {}
-    gap_arg: dict[int, np.ndarray] = {}
     g_arg: dict[int, np.ndarray] = {}
     g_type = np.min_scalar_type(R - 1)
     buf = np.empty(max(_CHUNK, _BAND_ROWS * R), dtype=np.int64)
@@ -276,7 +276,7 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
                 end = tot.argmin(axis=2)
                 g_arg[W][a:a + step, lo:hi] = end + lo + 1
                 G[a:a + step, lo:hi] = np.take_along_axis(tot, end[..., None], 2)[..., 0]
-        gap_arg[W] = G < F
+        np.copyto(g_arg[W], 0, where=G >= F)
         H[W] = np.minimum(F, G)
         states += G.size
 
@@ -292,8 +292,8 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
         j = int(f_arg[W][row_of(W, m), slot])
         pieces.append((t_on + sum_p - W + slot, int(ps[j])))
         m, W = m - int(stride[j]), W - int(ps[j])
-        if W and gap_arg[W][row_of(W, m), slot]:
-            slot = int(g_arg[W][row_of(W, m), slot])
+        if W:
+            slot = int(g_arg[W][row_of(W, m), slot]) or slot
 
     sched = assemble_schedule(inst, _job_assignment(inst, pieces), table)
     tec = best_core + const

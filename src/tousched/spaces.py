@@ -19,6 +19,7 @@ import hashlib
 import json
 import zipfile
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,18 +31,55 @@ _UNREACHABLE = np.int64(INF) // 2  # values at or above this mean "no path"
 
 @dataclass
 class SpacesTable:
-    """phi values and pruning flags over the graph they were computed on.
+    """phi values over the graph they were computed on.
 
     phi_matrix[i, ip] holds phi(i, ip) for 1 <= i < ip <= h, with INF as
     the absent sentinel; row 0 and column 0 are padding so indices match
-    the 1-based interval convention.
+    the 1-based interval convention. The horizon, the window and the
+    pruning flags derive from the graph's instance, which must have a window.
     """
 
-    horizon: int
-    window: tuple[int, int]
     phi_matrix: np.ndarray
-    pruned_mask: np.ndarray
     graph: IntervalStateGraph
+
+    def __post_init__(self) -> None:
+        self.window  # raises InfeasibleError when there is no processing window
+
+    @property
+    def horizon(self) -> int:
+        return self.graph.inst.horizon
+
+    @cached_property
+    def window(self) -> tuple[int, int]:
+        return proc_window(self.graph)
+
+    @cached_property
+    def pruned_mask(self) -> np.ndarray:
+        """Flags on the gaps that cannot appear in any feasible schedule.
+
+        With window (t_on, t_off), the processing capacity left of a gap
+        start i is i - t_on + 1 and right of a gap end ip is t_off - ip + 1;
+        on a horizon boundary (i = 1 or ip = h) that side carries no
+        processing and counts as 0. A gap is flagged when the longest job
+        fits on neither side, or when the two sides together cannot hold
+        the total processing time.
+        """
+        h = self.horizon
+        t_on, t_off = self.window
+        jobs = self.graph.inst.jobs
+        max_p, sum_p = max(jobs), sum(jobs)
+
+        idx = np.arange(h + 1, dtype=np.int64)
+        left = idx - t_on + 1
+        left[1] = 0
+        right = t_off - idx + 1
+        right[h] = 0
+
+        mask = right[None, :] < (sum_p - left)[:, None]  # PC2
+        mask |= (max_p > left)[:, None] & (max_p > right)[None, :]  # PC1
+        mask &= idx[None, :] > idx[:, None]
+        mask[0] = False
+        return mask
 
     def phi(self, i: int, ip: int) -> int | None:
         """Switching cost for the pair, or None when no switching exists."""
@@ -101,20 +139,14 @@ def _sweep_rows(g: IntervalStateGraph, starts: np.ndarray, phi: np.ndarray) -> N
         cur[:] = INF  # slot is reused for interval k + t_max + 1
 
 
-def compute_spaces(inst: Instance, g: IntervalStateGraph, parallelism: int = 1) -> SpacesTable:
-    """Build the full phi table. parallelism (>= 1) is accepted for
-    compatibility; the sweep always runs serially, since worker threads
-    only slowed it down."""
-    if parallelism < 1:
-        raise InputError("parallelism must be >= 1")
-    window = proc_window(g)
+def compute_spaces(inst: Instance, g: IntervalStateGraph) -> SpacesTable:
+    """The full phi table; raises InfeasibleError without a processing window."""
     h = inst.horizon
-    phi = np.full((h + 1, h + 1), INF, dtype=np.int64)
+    table = SpacesTable(np.full((h + 1, h + 1), INF, dtype=np.int64), g)
+    phi = table.phi_matrix
     _sweep_rows(g, np.arange(1, h, dtype=np.int64), phi)
     phi[phi >= _UNREACHABLE] = INF
-    pruned = np.zeros((h + 1, h + 1), dtype=bool)
-    return SpacesTable(horizon=h, window=window, phi_matrix=phi,
-                       pruned_mask=pruned, graph=g)
+    return table
 
 
 def switching_path(table: SpacesTable, i: int, ip: int) -> list[StatePair]:
@@ -131,7 +163,8 @@ def switching_path(table: SpacesTable, i: int, ip: int) -> list[StatePair]:
     target = g.target_vertex(ip)
     steps = tree_path(dm, target)
     if steps is None or dm.dist[target] != cost:
-        raise RuntimeError(f"path extraction disagrees with phi at ({i}, {ip})")
+        raise InputError(f"phi({i}, {ip}) = {cost} is not the cheapest switching cost of "
+                         f"the gap: the table does not match its instance")
     return steps
 
 
@@ -153,33 +186,9 @@ def expand_space(table: SpacesTable, i: int, ip: int) -> list[StatePair]:
 
 
 def apply_pruning(table: SpacesTable, inst: Instance) -> SpacesTable:
-    """Flag gaps that cannot appear in any feasible schedule.
-
-    With window (t_on, t_off), the processing capacity left of a gap
-    start i is i - t_on + 1 and right of a gap end ip is t_off - ip + 1;
-    on a horizon boundary (i = 1 or ip = h) that side carries no
-    processing and counts as 0. A gap is flagged when the longest job
-    fits on neither side, or when the two sides together cannot hold the
-    total processing time.
-    """
-    h = table.horizon
-    t_on, t_off = table.window
-    max_p = max(inst.jobs)
-    sum_p = sum(inst.jobs)
-
-    idx = np.arange(h + 1, dtype=np.int64)
-    left = idx - t_on + 1
-    left[1] = 0
-    right = t_off - idx + 1
-    right[h] = 0
-
-    pc1 = (max_p > left)[:, None] & (max_p > right)[None, :]
-    pc2 = left[:, None] + right[None, :] < sum_p
-    valid = (idx >= 1)[:, None] & (idx[None, :] > idx[:, None])
-    pruned = (pc1 | pc2) & valid
-
-    return SpacesTable(horizon=h, window=table.window, phi_matrix=table.phi_matrix,
-                       pruned_mask=pruned, graph=table.graph)
+    """The table itself: its pruning flags (`SpacesTable.pruned_mask`) are
+    derived from its instance, so there is nothing to apply."""
+    return table
 
 
 def write_phi_csv(table: SpacesTable, path) -> None:
@@ -196,33 +205,31 @@ def _fingerprint(inst: Instance) -> str:
 
 
 def save_table(table: SpacesTable, path) -> str:
-    """Write the table as an .npz archive; returns the actual path, which
-    gains the .npz suffix when missing."""
+    """Write phi and the instance fingerprint as an .npz archive; returns
+    the actual path, which gains the .npz suffix when missing."""
     path = str(path)
     if not path.endswith(".npz"):
         path += ".npz"
-    np.savez_compressed(path, phi=table.phi_matrix, pruned=table.pruned_mask,
+    np.savez_compressed(path, phi=table.phi_matrix,
                         fingerprint=np.str_(_fingerprint(table.graph.inst)))
     return path
 
 
 def load_table(path, inst: Instance, graph: IntervalStateGraph | None = None) -> SpacesTable:
-    """Read a table written by save_table for inst. The window and the
-    horizon are derived from inst, never read from the file."""
+    """Read a table written by save_table for inst. Only phi is read, and
+    beyond its shape only its sign is checked; the pruned, window and
+    horizon keys of older files are ignored."""
     try:
         with np.load(path, allow_pickle=False) as doc:
             fingerprint = str(doc["fingerprint"])
             phi = doc["phi"].astype(np.int64)
-            pruned = doc["pruned"].astype(bool)
     except (zipfile.BadZipFile, KeyError, ValueError, EOFError) as exc:
         raise InputError(f"{path}: not a readable phi table ({exc})") from exc
     if fingerprint != _fingerprint(inst):
         raise InputError(f"{path}: phi table was computed for a different instance")
     h = inst.horizon
-    if phi.shape != (h + 1, h + 1) or pruned.shape != (h + 1, h + 1):
-        raise InputError(f"{path}: phi and pruned must both have shape ({h + 1}, {h + 1}), "
-                         f"got {phi.shape} and {pruned.shape}")
-    if graph is None:
-        graph = build_graph(inst)
-    return SpacesTable(horizon=h, window=proc_window(graph), phi_matrix=phi,
-                       pruned_mask=pruned, graph=graph)
+    if phi.shape != (h + 1, h + 1):
+        raise InputError(f"{path}: phi must have shape ({h + 1}, {h + 1}), got {phi.shape}")
+    if (phi < 0).any():
+        raise InputError(f"{path}: phi holds negative switching costs")
+    return SpacesTable(phi, build_graph(inst) if graph is None else graph)

@@ -1,5 +1,7 @@
 import random
+import re
 
+import numpy as np
 import pytest
 
 from tousched import (
@@ -141,8 +143,33 @@ def nosby_instance(rng: random.Random, n_max: int = 4, h_max: int = 18) -> Insta
     raise RuntimeError("could not draw an instance with processing room")
 
 
+def lp_to_arrays(text):
+    """Test-local reader of the emitted model text."""
+    m = re.search(r"Minimize\s+obj:(.*?)Subject To(.*?)Binary(.*?)End",
+                  text, re.S)
+    objs, cons, binsec = m.group(1), m.group(2), m.group(3)
+    names = binsec.split()
+    idx = {nm: k for k, nm in enumerate(names)}
+    c = np.zeros(len(names))
+    for coef, name in re.findall(r"([+-]?\s*\d+)\s+([xy]_\d+_\d+)", objs):
+        c[idx[name]] = float(coef.replace(" ", ""))
+    rows, rhs = [], []
+    for block in re.split(r"\n(?=\s*\w+:)", cons.strip()):
+        body = block.split(":", 1)[1]
+        lhs, r = body.split("=")
+        row = np.zeros(len(names))
+        for sign_coef, name in re.findall(r"([+-]?\s*\d*)\s*([xy]_\d+_\d+)", lhs):
+            s = sign_coef.replace(" ", "") or "+"
+            if s in ("+", "-"):
+                s += "1"
+            row[idx[name]] = float(s)
+        rows.append(row)
+        rhs.append(float(r))
+    return names, c, np.array(rows), np.array(rhs)
+
+
 __all__ = [
     "WORKED_COSTS", "WORKED_JOBS", "WORKED_TEC", "WORKED_SIGMA",
     "WORKED_OMEGA", "WORKED_WINDOW", "worked_instance", "arbitrary_machine", "random_machine",
-    "random_instance", "nosby_instance", "preset_nosby", "preset_twosby",
+    "random_instance", "nosby_instance", "preset_nosby", "preset_twosby", "lp_to_arrays",
 ]

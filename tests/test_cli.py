@@ -2,12 +2,14 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from tousched import load_schedule, save_instance, save_schedule, solver, validate_schedule
+from tousched import (build_graph, compute_spaces, load_schedule, save_instance, save_schedule,
+                      solver, validate_schedule)
 from tousched.cli import BenchRecord, main
 
-from conftest import WORKED_SIGMA, WORKED_TEC, worked_instance
+from conftest import WORKED_SIGMA, WORKED_TEC, lp_to_arrays, worked_instance
 
 
 @pytest.fixture()
@@ -15,6 +17,9 @@ def worked_file(tmp_path):
     path = tmp_path / "worked.json"
     save_instance(worked_instance(), path)
     return str(path)
+
+
+WORKED_SOLUTION = "x_1_10 1\nx_2_4 1\nx_3_13 1\ny_1_4 1\ny_4_10 1\ny_11_13 1\ny_14_16 1\n"
 
 
 def run(capsys, *argv):
@@ -122,14 +127,7 @@ def test_emit_lp_and_import_solution(tmp_path, capsys, worked_file):
     assert "Minimize" in lp.read_text()
 
     sol = tmp_path / "sol.txt"
-    sol.write_text("""x_1_10 1
-x_2_4 1
-x_3_13 1
-y_1_4 1
-y_4_10 1
-y_11_13 1
-y_14_16 1
-""")
+    sol.write_text(WORKED_SOLUTION)
     sched = tmp_path / "imported.json"
     code, stdout, _ = run(capsys, "import-solution", "--instance", worked_file,
                           "--model-map", str(tmp_path / "model.lp.varmap.json"),
@@ -151,6 +149,38 @@ def test_import_solution_rejects_partial_cover(tmp_path, capsys, worked_file):
                           "--solution", str(sol))
     assert code == 1
     assert stderr.strip()
+
+
+def import_edited(tmp_path, capsys, worked_file, variables=None, solution=WORKED_SOLUTION):
+    """import-solution after emit-lp, with the sidecar's variables and
+    the solution dump replaced by the given ones."""
+    lp = tmp_path / "model.lp"
+    run(capsys, "emit-lp", "--instance", worked_file, "--out", str(lp))
+    map_path = tmp_path / "model.lp.varmap.json"
+    if variables is not None:
+        doc = json.loads(map_path.read_text())
+        doc["variables"].update(variables)
+        map_path.write_text(json.dumps(doc))
+    sol = tmp_path / "sol.txt"
+    sol.write_text(solution)
+    code, _, stderr = run(capsys, "import-solution", "--instance", worked_file,
+                          "--model-map", str(map_path), "--solution", str(sol))
+    return code, stderr, str(map_path)
+
+
+@pytest.mark.parametrize("entry", [{"kind": "x", "i": 10}, 7, {"kind": "y", "i": 4, "ip": "10"},
+                                   {"kind": "z", "i": 4, "ip": 10}, {"kind": ["x"]}])
+def test_import_solution_with_a_bad_varmap_entry_is_exit_2(tmp_path, capsys, worked_file, entry):
+    code, stderr, map_path = import_edited(tmp_path, capsys, worked_file, {"x_1_10": entry})
+    assert code == 2
+    assert map_path in stderr and "x_1_10" in stderr
+
+
+def test_import_solution_with_a_nan_value_is_exit_2(tmp_path, capsys, worked_file):
+    solution = WORKED_SOLUTION.replace("x_1_10 1", "x_1_10 nan")
+    code, stderr, _ = import_edited(tmp_path, capsys, worked_file, solution=solution)
+    assert code == 2
+    assert "non-integral" in stderr and "x_1_10" in stderr
 
 
 def test_bench_report(tmp_path, capsys):
@@ -194,7 +224,6 @@ def test_truncated_phi_table_is_exit_2(tmp_path, capsys, worked_file):
 
 
 def test_phi_table_missing_key_is_exit_2(tmp_path, capsys, worked_file):
-    import numpy as np
     tab = tmp_path / "tab.npz"
     run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))
     with np.load(tab) as doc:
@@ -205,34 +234,77 @@ def test_phi_table_missing_key_is_exit_2(tmp_path, capsys, worked_file):
     assert str(tab) in stderr and "fingerprint" in stderr
 
 
-def test_phi_table_with_extra_pruned_gap_solves(tmp_path, capsys, worked_file):
-    import numpy as np
+def old_format_table(tmp_path, capsys, worked_file, gap):
+    """A table file as older versions wrote it, with a pruned mask that
+    flags gap on top of the derived flags."""
     tab = tmp_path / "tab.npz"
     run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))
+    inst = worked_instance()
+    pruned = compute_spaces(inst, build_graph(inst)).pruned_mask.copy()
+    pruned[gap] = True
     with np.load(tab) as doc:
         kept = {k: doc[k] for k in doc.files}
-    kept["pruned"][4, 6] = True  # a gap the optimum does not use
-    np.savez(tab, **kept)
-    code, stdout, _ = run(capsys, "solve", "--instance", worked_file, "--phi", str(tab))
+    np.savez(tab, **{**kept, "pruned": pruned})
+    return str(tab)
+
+
+def test_phi_table_with_extra_pruned_gap_solves(tmp_path, capsys, worked_file):
+    tab = old_format_table(tmp_path, capsys, worked_file, (4, 6))  # a gap the optimum does not use
+    code, stdout, _ = run(capsys, "solve", "--instance", worked_file, "--phi", tab)
     assert code == 0
     assert "TEC 177" in stdout
 
 
 def test_phi_table_with_the_optimum_gap_pruned_solves(tmp_path, capsys, worked_file):
-    import numpy as np
-    tab = tmp_path / "tab.npz"
-    run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))
-    with np.load(tab) as doc:
-        kept = {k: doc[k] for k in doc.files}
-    kept["pruned"][4, 10] = True  # a gap the optimum uses
-    np.savez(tab, **kept)
-    code, stdout, _ = run(capsys, "solve", "--instance", worked_file, "--phi", str(tab))
+    tab = old_format_table(tmp_path, capsys, worked_file, (4, 10))  # a gap the optimum uses
+    code, stdout, _ = run(capsys, "solve", "--instance", worked_file, "--phi", tab)
     assert code == 0
     assert "TEC 177" in stdout
 
 
+def test_emit_lp_ignores_stored_pruning_flags(tmp_path, capsys, worked_file):
+    # an old file flags (4, 10), a gap the optimum uses; the exported
+    # model keeps it and solves to the optimum
+    tab = old_format_table(tmp_path, capsys, worked_file, (4, 10))
+    lp = tmp_path / "model.lp"
+    code, _, _ = run(capsys, "emit-lp", "--instance", worked_file, "--phi", tab,
+                     "--out", str(lp))
+    assert code == 0
+    varmap = json.loads((tmp_path / "model.lp.varmap.json").read_text())
+    assert "y_4_10" in varmap["variables"]
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    names, c, rows, rhs = lp_to_arrays(lp.read_text())
+    res = scipy_opt.milp(c=c, constraints=scipy_opt.LinearConstraint(rows, rhs, rhs),
+                         integrality=np.ones(len(names)), bounds=scipy_opt.Bounds(0, 1))
+    assert res.status == 0
+    assert round(res.fun) + varmap["constant_term"] == WORKED_TEC
+
+
+def edited_phi_table(tmp_path, capsys, worked_file, gap, value):
+    tab = tmp_path / "tab.npz"
+    run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))
+    with np.load(tab) as doc:
+        kept = {k: doc[k] for k in doc.files}
+    kept["phi"][gap] = value
+    np.savez(tab, **kept)
+    return str(tab)
+
+
+def test_phi_table_with_a_lowered_cost_is_exit_2(tmp_path, capsys, worked_file):
+    tab = edited_phi_table(tmp_path, capsys, worked_file, (4, 10), 1)
+    code, _, stderr = run(capsys, "solve", "--instance", worked_file, "--phi", tab)
+    assert code == 2
+    assert "(4, 10)" in stderr and "does not match its instance" in stderr
+
+
+def test_phi_table_with_a_negative_cost_is_exit_2(tmp_path, capsys, worked_file):
+    tab = edited_phi_table(tmp_path, capsys, worked_file, (4, 6), -5)
+    code, _, stderr = run(capsys, "solve", "--instance", worked_file, "--phi", tab)
+    assert code == 2
+    assert tab in stderr and "negative" in stderr
+
+
 def test_phi_table_of_the_wrong_shape_is_exit_2(tmp_path, capsys, worked_file):
-    import numpy as np
     tab = tmp_path / "tab.npz"
     run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))
     with np.load(tab) as doc:

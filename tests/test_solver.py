@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import types
 
@@ -287,9 +286,9 @@ def test_extra_pruned_gap_off_the_optimum_keeps_177(worked):
              if tab.phi(i, ip) is not None and not tab.is_pruned(i, ip) and (i, ip) not in used]
     assert len(pairs) == 43
     for i, ip in pairs:
-        mask = tab.pruned_mask.copy()
-        mask[i, ip] = True
-        res = solve_exact(worked, dataclasses.replace(tab, pruned_mask=mask))
+        flagged = make_table(worked)
+        flagged.pruned_mask[i, ip] = True
+        res = solve_exact(worked, flagged)
         assert (res.status, res.tec, res.schedule.sigma) == ("optimal", WORKED_TEC, WORKED_SIGMA)
 
 
