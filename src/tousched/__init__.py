@@ -2,8 +2,8 @@
 power-saving states: switching cost pre-processing, an exact solver,
 schedule validation, integer-program export and a benchmark generator."""
 
-from .datagen import (GenSpec, MachinePreset, SplitMix64, generate_family,
-                      generate_instance, preset_nosby, preset_twosby)
+from .datagen import (MachinePreset, SplitMix64, generate_family, generate_instance,
+                      preset_nosby, preset_twosby)
 from .isg import (ApspResult, DistanceMap, IntervalStateGraph, apsp_oracle, build_graph,
                   proc_window, sssp, to_dot)
 from .model import (InfeasibleError, InputError, Instance, MachineStateSet, Schedule,

@@ -133,8 +133,7 @@ def cmd_validate(args) -> int:
 def cmd_emit_lp(args) -> int:
     inst = model.load_instance(args.instance)
     table = _table_for(inst, args.phi)
-    artifact = modelgen.emit_ilp_spaces(inst, table, prune=not args.no_prune)
-    lp_path, map_path = modelgen.write_artifact(artifact, args.out)
+    lp_path, map_path = modelgen.write_artifact(modelgen.emit_ilp_spaces(inst, table), args.out)
     print(lp_path)
     print(map_path)
     return 0
@@ -234,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("emit-lp", help="write the integer program")
     p.add_argument("--instance", required=True)
     p.add_argument("--phi", default=None)
-    p.add_argument("--no-prune", action="store_true")
     p.add_argument("--out", required=True, help="LP file; sidecar gains .varmap.json")
     p.set_defaults(func=cmd_emit_lp)
 

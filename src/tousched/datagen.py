@@ -59,16 +59,6 @@ class MachinePreset:
     transitions: TransitionSpec
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    """Parameters of one generated instance."""
-
-    n: int
-    preset: MachinePreset
-    multiple: Fraction
-    seed: int
-
-
 def preset_nosby() -> MachinePreset:
     """Machine without a standby state: off, proc and a parking idle state
     reachable instantaneously from proc.

@@ -337,27 +337,38 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
+def _integer(value, field: str) -> int:
+    """value itself when it is a JSON integer (a bool is not one)."""
+    if type(value) is not int:
+        raise InputError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def instance_from_dict(doc: dict) -> Instance:
+    """Build an instance from its JSON document. Every number must be a
+    JSON integer; anything else is an InputError naming the field."""
     try:
-        horizon = int(doc["horizon"])
-        costs = tuple(int(c) for c in doc["costs"])
-        jobs = tuple(int(p) for p in doc["jobs"])
+        horizon, costs, jobs = doc["horizon"], list(doc["costs"]), list(doc["jobs"])
         states = tuple(str(s) for s in doc["states"])
-        raw = doc["transitions"]
-    except (KeyError, TypeError, ValueError) as exc:
+        raw = list(doc["transitions"])
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed instance document: {exc}") from exc
+    horizon = _integer(horizon, "horizon")
+    costs = tuple(_integer(c, f"interval {i} cost") for i, c in enumerate(costs, start=1))
+    jobs = tuple(_integer(p, f"job {j} processing time") for j, p in enumerate(jobs, start=1))
     if "off" not in states or "proc" not in states:
         raise InputError('instance states must contain "off" and "proc"')
     entries: dict[StatePair, tuple[int, int]] = {}
     for row in raw:
         try:
             key = (str(row["from"]), str(row["to"]))
-            val = (int(row["time"]), int(row["power"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            t, pw = row["time"], row["power"]
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed transition entry {row!r}") from exc
         if key in entries:
             raise InputError(f"duplicate transition entry for {key}")
-        entries[key] = val
+        entries[key] = (_integer(t, f"transition {key} time"),
+                        _integer(pw, f"transition {key} power"))
     return Instance(horizon=horizon, costs=costs, jobs=jobs,
                     state_set=MachineStateSet(states=states),
                     transitions=TransitionSpec(entries=entries))

@@ -4,9 +4,14 @@ external solutions back into schedules.
 Variables: x_<j>_<i> places job j at start interval i (only admissible
 starts inside the processing window are created); y_<i>_<ip> activates the
 gap (i, ip) at its switching cost (only gaps with a non-empty body, a
-defined switching cost and, when pruning is on, an unpruned flag). One
-assignment equality per job, one covering equality per interior interval:
-each is processed by exactly one job or bridged by exactly one gap.
+defined switching cost and no pruning flag). One assignment equality per
+job. Each interior interval is processed by one job or bridged by one gap;
+as every column covers a run of intervals, these covering rows are written
+as flow rows, row k being covering row k minus covering row k - 1 (a row
+left without terms, 0 = 0, is not written). A column has +1 in the row of
+its first interval and -1 in the row after its last; the right-hand side is
+1 in row 2 and 0 after. The transform is invertible over the integers, so
+the feasible set and the LP bound are those of the covering rows.
 
 The two boundary off intervals contribute a constant that is deliberately
 kept out of the LP text and reported in the sidecar instead, so any
@@ -37,10 +42,11 @@ class IlpModelArtifact:
 
 
 def _wrap_terms(head: str, terms: list[str], tail: str) -> list[str]:
+    """Join terms into wrapped lines; a term that starts with "- " is subtracted."""
     lines = []
     cur = head
     for k, term in enumerate(terms):
-        piece = term if k == 0 else " + " + term
+        piece = term if k == 0 else " " + (term if term[0] == "-" else "+ " + term)
         if len(cur) + len(piece) > _WRAP and cur != head:
             lines.append(cur)
             cur = "   " + piece.lstrip()
@@ -50,7 +56,7 @@ def _wrap_terms(head: str, terms: list[str], tail: str) -> list[str]:
     return lines
 
 
-def emit_ilp_spaces(inst: Instance, table: SpacesTable, prune: bool = True) -> IlpModelArtifact:
+def emit_ilp_spaces(inst: Instance, table: SpacesTable) -> IlpModelArtifact:
     """Build the LP text, the variable map and the objective constant."""
     h = inst.horizon
     t_on, t_off = table.window
@@ -72,11 +78,8 @@ def emit_ilp_spaces(inst: Instance, table: SpacesTable, prune: bool = True) -> I
     for i in range(1, h):
         row = phi[i]
         for ip in range(i + 2, h + 1):
-            if row[ip] >= _UNREACHABLE:
-                continue
-            if prune and pruned[i, ip]:
-                continue
-            y_vars.append((f"y_{i}_{ip}", i, ip, int(row[ip])))
+            if row[ip] < _UNREACHABLE and not pruned[i, ip]:
+                y_vars.append((f"y_{i}_{ip}", i, ip, int(row[ip])))
 
     obj_terms = [f"{cost} {name}" for name, _j, _i, cost in x_vars]
     obj_terms += [f"{cost} {name}" for name, _i, _ip, cost in y_vars]
@@ -89,21 +92,20 @@ def emit_ilp_spaces(inst: Instance, table: SpacesTable, prune: bool = True) -> I
         terms = [f"x_{j}_{i}" for i in starts_of[j]]
         lines += _wrap_terms(f" assign_{j}: ", terms, " = 1")
 
-    covering_x: dict[int, list[str]] = {i: [] for i in range(2, h)}
-    for name, j, i, _cost in x_vars:
-        p = inst.jobs[j - 1]
-        for k in range(max(2, i), min(h - 1, i + p - 1) + 1):
-            covering_x[k].append(name)
-    covering_y: dict[int, list[str]] = {i: [] for i in range(2, h)}
-    for name, i, ip, _cost in y_vars:
-        for k in range(max(2, i + 1), min(h - 1, ip - 1) + 1):
-            covering_y[k].append(name)
-
+    # each column covers intervals first..last; the window and the gap bodies keep them in 2..h-1
+    columns = [(name, i, i + inst.jobs[j - 1] - 1) for name, j, i, _c in x_vars]
+    columns += [(name, i + 1, ip - 1) for name, i, ip, _c in y_vars]
+    flow: dict[int, list[str]] = {k: [] for k in range(2, h + 1)}
+    for name, first, last in columns:
+        flow[first].append(name)
+        flow[last + 1].append("- " + name)  # row h does not exist
+    open_cols = 0
     for k in range(2, h):
-        terms = covering_x[k] + covering_y[k]
-        if not terms:
+        open_cols += sum(1 if t[0] != "-" else -1 for t in flow[k])
+        if open_cols == 0:
             raise InfeasibleError(f"interval {k} can be neither processed nor bridged")
-        lines += _wrap_terms(f" cover_{k}: ", terms, " = 1")
+        if flow[k]:  # a row without terms would state 0 = 0
+            lines += _wrap_terms(f" flow_{k}: ", flow[k], " = 1" if k == 2 else " = 0")
 
     lines.append("Binary")
     lines += [f" {name}" for name, _j, _i, _c in x_vars]

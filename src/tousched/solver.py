@@ -160,7 +160,10 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     expires before the fill completes, the answer is the one-block
     incumbent at t_on with an admissible lower bound under status
     "timeout"; stats.stop_reason says which limit stopped the solve.
+    A time limit must be >= 0; inf, like None, sets no limit.
     """
+    if time_limit is not None and not time_limit >= 0:  # NaN fails this test too
+        raise InputError(f"time limit must be >= 0, got {time_limit}")
     t0 = time.monotonic()
     deadline = None if time_limit is None else t0 + time_limit
     h = inst.horizon

@@ -168,8 +168,32 @@ def lp_to_arrays(text):
     return names, c, np.array(rows), np.array(rhs)
 
 
+# One entry per kind of non-integer number in an instance document: where
+# to plant it, the value, and the field the error must name.
+NON_INTEGERS = {
+    "half_cost": (("costs", 4), 8.5, "interval 5 cost"),
+    "float_job": (("jobs", 0), 2.9, "job 1 processing time"),
+    "integral_float": (("horizon",), 16.0, "horizon"),
+    "string_job": (("jobs", 2), "2", "job 3 processing time"),
+    "bool_cost": (("costs", 0), True, "interval 1 cost"),
+    "null_time": (("transitions", 1, "time"), None, "transition ('off', 'proc') time"),
+}
+
+
+def plant_non_integer(doc: dict, kind: str) -> str:
+    """Put the kind's number into an instance document of the worked
+    machine; returns the field an error must name."""
+    path, value, field = NON_INTEGERS[kind]
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return field
+
+
 __all__ = [
     "WORKED_COSTS", "WORKED_JOBS", "WORKED_TEC", "WORKED_SIGMA",
     "WORKED_OMEGA", "WORKED_WINDOW", "worked_instance", "arbitrary_machine", "random_machine",
     "random_instance", "nosby_instance", "preset_nosby", "preset_twosby", "lp_to_arrays",
+    "NON_INTEGERS", "plant_non_integer",
 ]

@@ -9,7 +9,8 @@ from tousched import (build_graph, compute_spaces, load_schedule, save_instance,
                       solver, validate_schedule)
 from tousched.cli import BenchRecord, main
 
-from conftest import WORKED_SIGMA, WORKED_TEC, lp_to_arrays, worked_instance
+from conftest import (NON_INTEGERS, WORKED_SIGMA, WORKED_TEC, lp_to_arrays, plant_non_integer,
+                      worked_instance)
 
 
 @pytest.fixture()
@@ -137,6 +138,14 @@ def test_emit_lp_and_import_solution(tmp_path, capsys, worked_file):
     back, tec = load_schedule(sched)
     assert tec == WORKED_TEC
     assert validate_schedule(worked_instance(), back) == []
+
+
+def test_emit_lp_has_no_prune_switch(tmp_path, capsys, worked_file):
+    # the flags are sound, so the export always drops the flagged gaps
+    with pytest.raises(SystemExit) as exc:
+        main(["emit-lp", "--instance", worked_file, "--no-prune", "--out", str(tmp_path / "m.lp")])
+    assert exc.value.code == 2
+    assert "--no-prune" in capsys.readouterr().err
 
 
 def test_import_solution_rejects_partial_cover(tmp_path, capsys, worked_file):
@@ -331,6 +340,53 @@ def test_bad_json_is_exit_2(tmp_path, capsys):
     bad.write_text("{nope")
     code, _, stderr = run(capsys, "solve", "--instance", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("kind", NON_INTEGERS)
+def test_non_integer_instance_numbers_are_exit_2_everywhere(tmp_path, capsys, worked_file, kind):
+    doc = json.loads(open(worked_file).read())
+    field = plant_non_integer(doc, kind)
+    bad_dir = tmp_path / "bad"
+    bad_dir.mkdir()
+    bad = bad_dir / "bad.json"
+    bad.write_text(json.dumps(doc))
+    run(capsys, "emit-lp", "--instance", worked_file, "--out", str(tmp_path / "m.lp"))
+    (tmp_path / "sol.txt").write_text(WORKED_SOLUTION)
+    out = str(tmp_path / "out")
+    commands = [
+        ["preprocess", "--instance", str(bad), "--out", out],
+        ["solve", "--instance", str(bad)],
+        ["validate", "--instance", str(bad), "--schedule", worked_file],
+        ["emit-lp", "--instance", str(bad), "--out", out],
+        ["import-solution", "--instance", str(bad), "--model-map",
+         str(tmp_path / "m.lp.varmap.json"), "--solution", str(tmp_path / "sol.txt")],
+        ["bench", "--dir", str(bad_dir), "--out", out],
+    ]
+    for argv in commands:
+        code, stdout, stderr = run(capsys, *argv)
+        assert (code, stdout) == (2, ""), argv
+        assert f"{field} must be an integer" in stderr, argv
+
+
+def test_custom_preset_with_a_float_time_is_exit_2(tmp_path, capsys):
+    preset = {"states": ["off", "proc"],
+              "transitions": [{"from": "off", "to": "off", "time": 1, "power": 0},
+                              {"from": "proc", "to": "proc", "time": 1, "power": 6},
+                              {"from": "off", "to": "proc", "time": 1.5, "power": 8},
+                              {"from": "proc", "to": "off", "time": 1, "power": 1}]}
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(preset))
+    code, _, stderr = run(capsys, "gen", "--jobs", "3", "--preset", str(path),
+                          "--seed", "1", "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert "transition ('off', 'proc') time must be an integer, got 1.5" in stderr
+
+
+@pytest.mark.parametrize("limit", ["nan", "-1"])
+def test_solve_with_a_bad_time_limit_is_exit_2(capsys, worked_file, limit):
+    code, stdout, stderr = run(capsys, "solve", "--instance", worked_file, "--time-limit", limit)
+    assert (code, stdout) == (2, "")
+    assert "time limit must be >= 0" in stderr
 
 
 def test_bench_names_offending_file(tmp_path, capsys):

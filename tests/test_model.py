@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 
 import pytest
 
@@ -35,8 +36,10 @@ from conftest import (
     WORKED_OMEGA,
     WORKED_SIGMA,
     WORKED_TEC,
+    NON_INTEGERS,
     arbitrary_machine,
     nosby_instance,
+    plant_non_integer,
     random_instance,
 )
 
@@ -313,6 +316,21 @@ def test_instance_from_dict_requires_off_and_proc(worked):
     doc = instance_to_dict(worked)
     doc["states"] = ["sleep", "proc", "idle"]
     with pytest.raises(InputError):
+        instance_from_dict(doc)
+
+
+def test_instance_from_dict_rejects_transitions_that_are_no_list(worked):
+    doc = instance_to_dict(worked)
+    doc["transitions"] = 5
+    with pytest.raises(InputError, match="malformed instance document"):
+        instance_from_dict(doc)
+
+
+@pytest.mark.parametrize("kind", NON_INTEGERS)
+def test_instance_from_dict_accepts_integers_only(worked, kind):
+    doc = instance_to_dict(worked)
+    field = plant_non_integer(doc, kind)
+    with pytest.raises(InputError, match=re.escape(f"{field} must be an integer")):
         instance_from_dict(doc)
 
 

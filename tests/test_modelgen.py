@@ -1,12 +1,13 @@
 import json
 import random
+import re
 
+import numpy as np
 import pytest
 
 from tousched import (
     Instance,
     InputError,
-    apply_pruning,
     build_graph,
     compute_spaces,
     emit_ilp_spaces,
@@ -19,7 +20,7 @@ from tousched import (
 )
 from tousched.model import InfeasibleError
 
-from conftest import WORKED_TEC, nosby_instance
+from conftest import WORKED_TEC, lp_to_arrays, nosby_instance, random_instance
 
 WORKED_OPTIMAL_ASSIGNMENT = {
     "x_1_10": 1, "x_2_4": 1, "x_3_13": 1,
@@ -27,9 +28,8 @@ WORKED_OPTIMAL_ASSIGNMENT = {
 }
 
 
-def make_table(inst, prune=True):
-    tab = compute_spaces(inst, build_graph(inst))
-    return apply_pruning(tab, inst) if prune else tab
+def make_table(inst):
+    return compute_spaces(inst, build_graph(inst))
 
 
 def test_worked_artifact_shape(worked):
@@ -55,8 +55,8 @@ def test_worked_constraint_rows(worked):
     for j in (1, 2, 3):
         assert f"assign_{j}:" in text
     for k in range(2, 16):
-        assert f"cover_{k}:" in text
-    assert "cover_1:" not in text and "cover_16:" not in text
+        assert f"flow_{k}:" in text
+    assert "flow_1:" not in text and "flow_16:" not in text and "cover_" not in text
 
 
 def test_worked_variable_domain(worked):
@@ -70,11 +70,51 @@ def test_worked_variable_domain(worked):
     assert "y_4_10" in names and "y_1_4" in names and "y_14_16" in names
 
 
-def test_unpruned_model_keeps_more_gaps(worked):
-    pruned = set(emit_ilp_spaces(worked, make_table(worked)).varmap)
-    loose = set(emit_ilp_spaces(worked, make_table(worked), prune=False).varmap)
-    assert pruned < loose
-    assert "y_2_15" in loose
+def check_flow_rows(inst, art):
+    """The flow rows are T times the covering rows, T the lower bidiagonal
+    matrix with 1 on the diagonal and -1 below it, and the right-hand side
+    is e_1; a row of T times the covering rows that is all zero (0 = 0) is
+    left out. The covering rows are rebuilt here from the variable map.
+    Returns the number of rows left out."""
+    names, _c, rows, rhs = lp_to_arrays(art.lp_text)
+    h, n = inst.horizon, inst.n_jobs
+    cover = np.zeros((h - 2, len(names)))  # rows for intervals 2 .. h-1
+    for col, name in enumerate(names):
+        meta = art.varmap[name]
+        if meta["kind"] == "x":
+            first, last = meta["i"], meta["i"] + inst.jobs[meta["j"] - 1] - 1
+        else:
+            first, last = meta["i"] + 1, meta["ip"] - 1
+        cover[first - 2:last - 1, col] = 1
+    want = (np.eye(h - 2) - np.eye(h - 2, k=-1)) @ cover
+    kept = [int(k) - 2 for k in re.findall(r"^ flow_(\d+):", art.lp_text, re.M)]
+    left_out = sorted(set(range(h - 2)) - set(kept))
+    assert kept == sorted(kept) and 0 in kept
+    assert np.array_equal(rows[n:], want[kept])
+    assert not want[left_out].any()
+    assert np.array_equal(rhs[n:], np.eye(h - 2)[0][kept])
+    assert (np.count_nonzero(rows[n:], axis=0) <= 2).all()
+    return len(left_out)
+
+
+def test_flow_rows_are_differenced_covering_rows(worked):
+    assert check_flow_rows(worked, emit_ilp_spaces(worked, make_table(worked))) == 0
+    rng = random.Random(61)
+    left_out = 0
+    for k in range(50):
+        inst = random_instance(rng, n_max=5, h_max=30) if k % 2 else \
+            nosby_instance(rng, n_max=5, h_max=30)
+        left_out += check_flow_rows(inst, emit_ilp_spaces(inst, make_table(inst)))
+    assert left_out > 0  # the draw includes rows that would state 0 = 0
+
+
+def test_emit_rejects_an_interval_nothing_covers(worked):
+    # Two jobs of 6 need 12 intervals, one more than the window 4..14
+    # holds: PC2 flags every root gap from y_1_4 on, y_1_3 has no
+    # switching, and no job can start before 4, so nothing covers 2.
+    inst = Instance(16, worked.costs, (6, 6), worked.state_set, worked.transitions)
+    with pytest.raises(InfeasibleError, match="interval 2 can be neither processed nor bridged"):
+        emit_ilp_spaces(inst, make_table(inst))
 
 
 def test_import_worked_optimum(worked):

@@ -9,7 +9,6 @@ from tousched import (
     InputError,
     MachineStateSet,
     TransitionSpec,
-    apply_pruning,
     assemble_schedule,
     brute_force_schedule,
     brute_force_switching,
@@ -35,9 +34,8 @@ from conftest import (
 )
 
 
-def make_table(inst, prune=True):
-    tab = compute_spaces(inst, build_graph(inst))
-    return apply_pruning(tab, inst) if prune else tab
+def make_table(inst):
+    return compute_spaces(inst, build_graph(inst))
 
 
 def test_worked_optimum(worked):
@@ -183,6 +181,17 @@ def test_generous_time_limit_still_optimal(worked):
     assert res.status == "optimal" and res.tec == WORKED_TEC
 
 
+@pytest.mark.parametrize("limit", [float("nan"), -1.0])
+def test_time_limit_below_zero_or_nan_is_an_input_error(worked, limit):
+    with pytest.raises(InputError, match="time limit must be >= 0"):
+        solve_exact(worked, make_table(worked), time_limit=limit)
+
+
+def test_infinite_time_limit_sets_no_limit(worked):
+    res = solve_exact(worked, make_table(worked), time_limit=float("inf"))
+    assert (res.status, res.tec, res.stats.stop_reason) == ("optimal", WORKED_TEC, "optimal")
+
+
 def fourteen_jobs_h120():
     rng = random.Random(4)
     pre = preset_nosby()
@@ -244,17 +253,6 @@ def test_fifteen_hundred_unit_jobs():
     res = solve_exact(inst, make_table(inst))
     assert res.status == "optimal"
     assert validate_schedule(inst, res.schedule) == []
-
-
-def test_pruning_never_changes_the_optimum():
-    rng = random.Random(47)
-    for _ in range(10):
-        inst = random_instance(rng, n_max=4, h_max=16)
-        with_p = solve_exact(inst, make_table(inst, prune=True))
-        without = solve_exact(inst, make_table(inst, prune=False))
-        assert with_p.status == without.status
-        if with_p.status == "optimal":
-            assert with_p.tec == without.tec
 
 
 def test_pruning_flags_on_used_gaps_are_not_read(worked):

@@ -24,10 +24,8 @@ from tousched.model import InfeasibleError, Instance
 from conftest import nosby_instance, random_instance
 
 
-def make_table(inst, prune=False):
-    g = build_graph(inst)
-    tab = compute_spaces(inst, g)
-    return apply_pruning(tab, inst) if prune else tab
+def make_table(inst):
+    return compute_spaces(inst, build_graph(inst))
 
 
 def phi_from_apsp(inst, g, oracle, i, ip):
@@ -129,7 +127,7 @@ def test_phi_matches_all_pairs_oracle():
 
 
 def test_worked_pruning(worked):
-    tab = make_table(worked, prune=True)
+    tab = make_table(worked)
     assert tab.is_pruned(2, 15)
     assert not tab.is_pruned(4, 10)
     assert (2, 15) in tab.pruned_pairs()
@@ -139,7 +137,7 @@ def test_pruning_matches_plain_loop_oracle():
     rng = random.Random(31)
     for _ in range(20):
         inst = random_instance(rng, n_max=4, h_max=18)
-        tab = make_table(inst, prune=True)
+        tab = make_table(inst)
         t_on, t_off = tab.window
         h = inst.horizon
         max_p, sum_p = max(inst.jobs), sum(inst.jobs)
@@ -160,7 +158,7 @@ def test_pruning_shares_phi_values(worked):
 
 
 def test_table_round_trip(tmp_path, worked):
-    tab = make_table(worked, prune=True)
+    tab = make_table(worked)
     out = save_table(tab, tmp_path / "tab")
     assert out.endswith(".npz")
     back = load_table(out, worked)
@@ -189,7 +187,7 @@ def rewrite_table_file(path, **fields):
 
 
 def test_table_file_holds_no_derived_fields(tmp_path, worked):
-    out = save_table(make_table(worked, prune=True), tmp_path / "tab.npz")
+    out = save_table(make_table(worked), tmp_path / "tab.npz")
     with np.load(out) as doc:
         assert sorted(doc.files) == ["fingerprint", "phi"]
 
@@ -197,7 +195,7 @@ def test_table_file_holds_no_derived_fields(tmp_path, worked):
 def test_table_load_derives_window_and_horizon(tmp_path, worked):
     # files written with the old window and horizon keys still load, and
     # those keys are not read: a stored (5, 14) once hid the optimum
-    tab = make_table(worked, prune=True)
+    tab = make_table(worked)
     out = save_table(tab, tmp_path / "old.npz")
     rewrite_table_file(out, window=np.asarray((5, 14), dtype=np.int64), horizon=np.int64(15))
     back = load_table(out, worked)
@@ -208,7 +206,7 @@ def test_table_load_derives_window_and_horizon(tmp_path, worked):
 
 
 def test_table_load_rejects_wrong_shapes(tmp_path, worked):
-    tab = make_table(worked, prune=True)
+    tab = make_table(worked)
     out = save_table(tab, tmp_path / "phi.npz")
     rewrite_table_file(out, phi=np.zeros((10, 10), dtype=np.int64))
     with pytest.raises(InputError, match=re.escape(out)):
