@@ -1,13 +1,13 @@
 """Command line front end tying the pipeline together.
 
-Exit codes: 0 success, 1 infeasible or failed validation, 2 bad input.
+Exit codes: 0 success, 1 infeasible or failed validation, 2 bad input: a file
+that cannot be read, decoded, parsed or written, or data it rejects.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 import time
 from dataclasses import dataclass
@@ -57,12 +57,12 @@ def _table_for(inst: model.Instance, phi_path: str | None) -> spaces.SpacesTable
 
 def cmd_gen(args) -> int:
     preset = _resolve_preset(args.preset)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.multiple is not None:
         insts = [datagen.generate_instance(args.jobs, preset, args.multiple, args.seed)]
     else:
         insts = datagen.generate_family(args.jobs, preset, args.seed)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for inst in insts:
         name = datagen.instance_filename(preset.name, args.jobs, inst.horizon, args.seed)
         path = out_dir / name
@@ -100,16 +100,16 @@ def cmd_solve(args) -> int:
     if result.status == "infeasible":
         print("infeasible: no schedule fits the processing window", file=sys.stderr)
         return 1
-    print(f"TEC {result.tec}")
-    if result.status == "timeout":
-        limit = result.stats.stop_reason.replace("_", " ")
-        print(f"{limit} reached; best bound {result.stats.lower_bound}", file=sys.stderr)
     if args.out:
         stats = {"status": result.status, "stop_reason": result.stats.stop_reason,
                  "states": result.stats.states,
                  "wall_time": round(result.stats.wall_time, 6),
                  "lower_bound": result.stats.lower_bound}
         model.save_schedule(result.schedule, result.tec, args.out, stats=stats)
+    print(f"TEC {result.tec}")
+    if result.status == "timeout":
+        limit = result.stats.stop_reason.replace("_", " ")
+        print(f"{limit} reached; best bound {result.stats.lower_bound}", file=sys.stderr)
     return 0
 
 
@@ -143,12 +143,12 @@ def cmd_import_solution(args) -> int:
     inst = model.load_instance(args.instance)
     table = _table_for(inst, args.phi)
     artifact = modelgen.load_varmap(args.model_map)
-    assignment = modelgen.parse_solution_text(Path(args.solution).read_text(encoding="utf-8"))
+    assignment = modelgen.parse_solution_text(model.read_text(args.solution))
     result = modelgen.import_solution(inst, table, artifact, assignment)
-    print(f"TEC {result.tec}")
     if args.out:
         model.save_schedule(result.schedule, result.tec, args.out,
                             stats={"status": result.status})
+    print(f"TEC {result.tec}")
     return 0
 
 
@@ -158,10 +158,7 @@ def cmd_bench(args) -> int:
         raise model.InputError(f"no instance files in {args.dir}")
     records = []
     for path in paths:
-        try:
-            inst = model.load_instance(path)
-        except model.InputError as exc:
-            raise model.InputError(f"{path.name}: {exc}") from exc
+        inst = model.load_instance(path)
         t0 = time.monotonic()
         if args.method == "bruteforce":
             result = solver.brute_force_schedule(inst)
@@ -204,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--multiple", type=str, default=None,
-                     help="one horizon multiple, e.g. 1.6")
+                     help="one horizon multiple, a positive decimal such as 1.6")
     grp.add_argument("--family", action="store_true",
                      help="all four canonical multiples (default)")
     p.add_argument("--out", required=True, help="output directory")
@@ -259,17 +256,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except model.InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except model.InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (model.InputError, OSError) as exc:  # OSError: a file could not be read or written
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: not valid JSON: {exc}", file=sys.stderr)
         return 2
 
 

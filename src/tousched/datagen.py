@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (Instance, InputError, MachineStateSet, TransitionSpec, instance_from_dict,
-                    switch_times)
+                    read_json, switch_times)
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -107,19 +107,13 @@ def preset_twosby() -> MachinePreset:
 
 def load_custom_preset(path) -> MachinePreset:
     """Read a machine description from a JSON file with "states" and
-    "transitions" fields shaped like the instance format."""
-    import json
-
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: not valid JSON: {exc}") from exc
-    doc = dict(doc)
-    doc.setdefault("horizon", 1)
-    doc.setdefault("costs", [0])
-    doc.setdefault("jobs", [1])
-    inst = instance_from_dict(doc)
+    "transitions" fields shaped like the instance format; any InputError
+    names the file."""
+    doc = {"horizon": 1, "costs": [0], "jobs": [1], **read_json(path)}
+    try:
+        inst = instance_from_dict(doc)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     name = str(doc.get("name", "custom"))
     return MachinePreset(name=name, state_set=inst.state_set, transitions=inst.transitions)
 
@@ -140,12 +134,15 @@ def switch_durations(preset: MachinePreset) -> tuple[int, int]:
 
 
 def _as_multiple(multiple) -> Fraction:
-    if isinstance(multiple, Fraction):
-        return multiple
-    if isinstance(multiple, int):
-        return Fraction(multiple)
-    # go through str so 1.3 means the decimal 1.3, not its float neighbor
-    return Fraction(str(multiple))
+    """The multiple as an exact positive fraction; anything but a Fraction or
+    an int goes through its text, so 1.3 means the decimal 1.3."""
+    try:
+        m = Fraction(multiple if isinstance(multiple, (Fraction, int)) else str(multiple))
+    except (ValueError, ZeroDivisionError):
+        m = None
+    if m is None or m <= 0:
+        raise InputError(f"horizon multiple must be a finite positive decimal, got {multiple!r}")
+    return m
 
 
 def horizon_for(total_p: int, multiple, d_on: int, d_off: int) -> int:
@@ -155,40 +152,31 @@ def horizon_for(total_p: int, multiple, d_on: int, d_off: int) -> int:
     return int(core) + d_on + d_off + 1
 
 
-def _draw_jobs(rng: SplitMix64, n: int) -> tuple[int, ...]:
-    return tuple(rng.uniform_int(1, 5) for _ in range(n))
-
-
-def _build(preset: MachinePreset, jobs: tuple[int, ...], costs: tuple[int, ...]) -> Instance:
-    return Instance(horizon=len(costs), costs=costs, jobs=jobs,
-                    state_set=preset.state_set, transitions=preset.transitions)
+def _draw(n: int, preset: MachinePreset, multiples, seed: int) -> list[Instance]:
+    """One instance per multiple. Draw order: n processing times, then one
+    cost per interval of the longest horizon; shorter horizons take a
+    prefix of that cost stream."""
+    if n < 1:
+        raise InputError("n must be >= 1")
+    multiples = [_as_multiple(m) for m in multiples]
+    d_on, d_off = switch_durations(preset)
+    rng = SplitMix64(seed)
+    jobs = tuple(rng.uniform_int(1, 5) for _ in range(n))
+    horizons = [horizon_for(sum(jobs), m, d_on, d_off) for m in multiples]
+    stream = tuple(rng.uniform_int(1, 10) for _ in range(max(horizons)))
+    return [Instance(horizon=h, costs=stream[:h], jobs=jobs, state_set=preset.state_set,
+                     transitions=preset.transitions) for h in horizons]
 
 
 def generate_instance(n: int, preset: MachinePreset, multiple, seed: int) -> Instance:
-    """One instance. Draw order: n processing times, then one cost per
-    interval; identical to the matching family member."""
-    if n < 1:
-        raise InputError("n must be >= 1")
-    d_on, d_off = switch_durations(preset)
-    rng = SplitMix64(seed)
-    jobs = _draw_jobs(rng, n)
-    h = horizon_for(sum(jobs), multiple, d_on, d_off)
-    costs = tuple(rng.uniform_int(1, 10) for _ in range(h))
-    return _build(preset, jobs, costs)
+    """One instance, identical to the matching family member."""
+    return _draw(n, preset, [multiple], seed)[0]
 
 
 def generate_family(n: int, preset: MachinePreset, seed: int) -> list[Instance]:
     """Four instances, one per canonical multiple, sharing processing times
     and a common cost stream so shorter horizons are cost prefixes."""
-    if n < 1:
-        raise InputError("n must be >= 1")
-    d_on, d_off = switch_durations(preset)
-    rng = SplitMix64(seed)
-    jobs = _draw_jobs(rng, n)
-    total = sum(jobs)
-    horizons = [horizon_for(total, m, d_on, d_off) for m in FAMILY_MULTIPLES]
-    stream = tuple(rng.uniform_int(1, 10) for _ in range(max(horizons)))
-    return [_build(preset, jobs, stream[:h]) for h in horizons]
+    return _draw(n, preset, FAMILY_MULTIPLES, seed)
 
 
 def instance_filename(preset_name: str, n: int, h: int, seed: int) -> str:

@@ -27,8 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import (InfeasibleError, InputError, Instance, StatePair, switch_times,
-                    validate_instance)
+from .model import InfeasibleError, InputError, Instance, StatePair, require_valid, switch_times
 
 Vertex = tuple[int, str]
 
@@ -48,7 +47,6 @@ class IntervalStateGraph:
     proc_index: int
     duration: np.ndarray  # (nS, nS) transition times, -1 where forbidden
     power: np.ndarray  # (nS, nS) transition powers, 0 where forbidden
-    cost_prefix: np.ndarray  # (h+1,) prefix sums, [0] = 0
 
     @property
     def horizon(self) -> int:
@@ -69,7 +67,7 @@ class IntervalStateGraph:
 
     @cached_property
     def edges(self) -> list[tuple[Vertex, Vertex, int]]:
-        h, C, names, off = self.horizon, self.cost_prefix.tolist(), self.states, self.off_index
+        h, C, names, off = self.horizon, self.inst.cost_prefix, self.states, self.off_index
         steps = self.steps()
         return [((i, names[s]), (i + t, names[sp]), (C[i + t - 1] - C[i - 1]) * pw)
                 for i in range(1, h + 1) for s, sp, t, pw in steps
@@ -91,10 +89,7 @@ class IntervalStateGraph:
 
 
 def build_graph(inst: Instance) -> IntervalStateGraph:
-    problems = validate_instance(inst)
-    if problems:
-        raise InputError("invalid instance: " + "; ".join(str(v) for v in problems[:3]))
-
+    require_valid(inst)
     states = inst.state_set.states
     n_s = len(states)
     duration = np.full((n_s, n_s), -1, dtype=np.int64)
@@ -103,13 +98,10 @@ def build_graph(inst: Instance) -> IntervalStateGraph:
         duration[inst.state_set.index(s), inst.state_set.index(sp)] = t
         power[inst.state_set.index(s), inst.state_set.index(sp)] = pw
 
-    C = np.zeros(inst.horizon + 1, dtype=np.int64)
-    np.cumsum(np.asarray(inst.costs, dtype=np.int64), out=C[1:])
-
     return IntervalStateGraph(inst=inst, states=states,
                               off_index=inst.state_set.index(inst.state_set.off_state),
                               proc_index=inst.state_set.index(inst.state_set.proc_state),
-                              duration=duration, power=power, cost_prefix=C)
+                              duration=duration, power=power)
 
 
 @dataclass
@@ -167,7 +159,7 @@ def sssp(g: IntervalStateGraph, source: Vertex, last: int | None = None) -> Dist
     k0 = int(source[0])
     end = h + 1 if last is None else min(h + 1, last)
     # C[j + t] - C[j] is the cost of the t intervals that start at k0 + j
-    C = g.cost_prefix[k0 - 1:end + 1].tolist()
+    C = g.inst.cost_prefix[k0 - 1:end + 1]
     labels: list[tuple[int, int, int] | None] = [None] * (max(0, end - k0 + 1) * n_s)
     if labels:
         labels[rank[g.states.index(source[1])]] = (0, 0, -1)

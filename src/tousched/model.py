@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Mapping
 
 StatePair = tuple[str, str]
@@ -198,6 +199,15 @@ def validate_instance(inst: Instance) -> list[Violation]:
     return out
 
 
+def require_valid(inst: Instance) -> Instance:
+    """inst itself when validate_instance finds nothing; otherwise an
+    InputError listing the first problems."""
+    problems = validate_instance(inst)
+    if problems:
+        raise InputError("invalid instance: " + "; ".join(str(v) for v in problems[:3]))
+    return inst
+
+
 def job_cost(inst: Instance, j: int, i: int) -> int:
     """Energy cost of job j starting at interval i: the covered interval
     costs summed, times the processing power. O(1) via prefix sums."""
@@ -321,6 +331,28 @@ def validate_schedule(inst: Instance, sched: Schedule) -> list[Violation]:
 
 # --- file formats ---
 
+def read_text(path) -> str:
+    """The file's text; bytes that are not UTF-8 are an InputError naming
+    the file. OSError (missing, a directory, no permission) passes through."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def read_json(path) -> dict:
+    """The JSON object a file holds. Every way the text can fail to be
+    one is an InputError naming the file."""
+    text = read_text(path)
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise InputError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def instance_to_dict(inst: Instance) -> dict:
     order = {s: k for k, s in enumerate(inst.state_set.states)}
     transitions = [
@@ -381,12 +413,12 @@ def save_instance(inst: Instance, path) -> None:
 
 
 def load_instance(path) -> Instance:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: not valid JSON: {exc}") from exc
-    return instance_from_dict(doc)
+    """The valid instance a file holds; any InputError names the file."""
+    doc = read_json(path)
+    try:
+        return require_valid(instance_from_dict(doc))
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def schedule_to_dict(sched: Schedule, tec: int, stats: dict | None = None) -> dict:
@@ -401,13 +433,14 @@ def schedule_to_dict(sched: Schedule, tec: int, stats: dict | None = None) -> di
 
 
 def schedule_from_dict(doc: dict) -> tuple[Schedule, int | None]:
+    """A schedule and its claimed tec, None when absent; both must be integers."""
     try:
-        sigma = tuple(int(s) for s in doc["sigma"])
+        sigma, tec = list(doc["sigma"]), doc.get("tec")
         omega = tuple((str(a), str(b)) for a, b in doc["omega"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed schedule document: {exc}") from exc
-    tec = doc.get("tec")
-    return Schedule(sigma=sigma, omega=omega), (None if tec is None else int(tec))
+    sigma = tuple(_integer(t, f"job {j} start time") for j, t in enumerate(sigma, start=1))
+    return Schedule(sigma=sigma, omega=omega), (None if tec is None else _integer(tec, "tec"))
 
 
 def save_schedule(sched: Schedule, tec: int, path, stats: dict | None = None) -> None:
@@ -417,9 +450,9 @@ def save_schedule(sched: Schedule, tec: int, path, stats: dict | None = None) ->
 
 
 def load_schedule(path) -> tuple[Schedule, int | None]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: not valid JSON: {exc}") from exc
-    return schedule_from_dict(doc)
+    """The schedule a file holds; any InputError names the file."""
+    doc = read_json(path)
+    try:
+        return schedule_from_dict(doc)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (InfeasibleError, InputError, Instance, compute_tec, job_cost,
-                    validate_schedule)
+from .model import (InfeasibleError, InputError, Instance, _integer, compute_tec, job_cost,
+                    read_json, validate_schedule)
 from .solver import SolveResult, SolveStats, _boundary_constant, assemble_schedule
 from .spaces import SpacesTable, _UNREACHABLE
 
@@ -131,9 +131,8 @@ def write_artifact(artifact: IlpModelArtifact, lp_path, map_path=None) -> tuple[
     with open(lp_path, "w", encoding="utf-8") as fh:
         fh.write(artifact.lp_text)
     with open(map_path, "w", encoding="utf-8") as fh:
-        json.dump({"constant_term": artifact.constant_term, "variables": artifact.varmap},
-                  fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps({"constant_term": artifact.constant_term,
+                             "variables": artifact.varmap}) + "\n")
     return lp_path, str(map_path)
 
 
@@ -143,14 +142,10 @@ _VARMAP_KEYS = {"x": ("j", "i"), "y": ("i", "ip")}  # the integer fields of each
 def load_varmap(map_path) -> IlpModelArtifact:
     """Read a sidecar written by write_artifact. Every entry must be an x
     with integer j and i or a y with integer i and ip."""
-    with open(map_path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{map_path}: not valid JSON: {exc}") from exc
+    doc = read_json(map_path)
     try:
         artifact = IlpModelArtifact(lp_text="", varmap=dict(doc["variables"]),
-                                    constant_term=int(doc["constant_term"]))
+                                    constant_term=_integer(doc["constant_term"], "constant_term"))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{map_path}: malformed variable map: {exc}") from exc
     for name, meta in artifact.varmap.items():

@@ -100,7 +100,7 @@ def _sweep_rows(g: IntervalStateGraph, starts: np.ndarray, phi: np.ndarray) -> N
     inst = g.inst
     h = inst.horizon
     n_s = len(g.states)
-    C = g.cost_prefix
+    C = inst.cost_prefix
     off, proc = g.off_index, g.proc_index
 
     steps = g.steps()
@@ -132,7 +132,7 @@ def _sweep_rows(g: IntervalStateGraph, starts: np.ndarray, phi: np.ndarray) -> N
         for s, sp, t, pw in pos_steps:
             if k + t > h:  # transition would not complete by the last interval
                 continue
-            w = int(C[k + t - 1] - C[k - 1]) * pw
+            w = (C[k + t - 1] - C[k - 1]) * pw
             tgt = ring[(k + t) % (t_max + 1)]
             np.minimum(tgt[:, sp], cur[:, s] + w, out=tgt[:, sp])
 

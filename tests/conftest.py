@@ -191,9 +191,28 @@ def plant_non_integer(doc: dict, kind: str) -> str:
     return field
 
 
+# File contents that are no JSON object, each with the reason read_json gives
+NOT_JSON_OBJECTS = {
+    "bad_syntax": (b"{oops", "not valid JSON"),
+    "a_list": (b"[1]", "expected a JSON object, got list"),
+    "a_string": (b'"abc"', "expected a JSON object, got str"),
+    "not_utf8": (b'{"note": "\xff"}', "not UTF-8 text"),
+    "nested_too_deep": (b"[" * 100_000, "not valid JSON"),
+    "integer_too_long": (b"1" * 5000, "not valid JSON"),
+}
+
+
+def write_each_non_object(tmp_path):
+    """One file per NOT_JSON_OBJECTS entry: yields (path, reason)."""
+    for kind, (content, reason) in NOT_JSON_OBJECTS.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_bytes(content)
+        yield path, reason
+
+
 __all__ = [
     "WORKED_COSTS", "WORKED_JOBS", "WORKED_TEC", "WORKED_SIGMA",
     "WORKED_OMEGA", "WORKED_WINDOW", "worked_instance", "arbitrary_machine", "random_machine",
     "random_instance", "nosby_instance", "preset_nosby", "preset_twosby", "lp_to_arrays",
-    "NON_INTEGERS", "plant_non_integer",
+    "NON_INTEGERS", "plant_non_integer", "NOT_JSON_OBJECTS", "write_each_non_object",
 ]

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,8 @@ from tousched.datagen import (
     load_custom_preset,
     switch_durations,
 )
+
+from conftest import write_each_non_object
 
 
 def test_stream_matches_published_reference():
@@ -123,9 +126,11 @@ def test_generate_instance_shape():
 
 
 def test_generate_instance_matches_family_member():
-    fam = generate_family(30, preset_nosby(), seed=1)
-    single = generate_instance(30, preset_nosby(), Fraction(13, 10), seed=1)
-    assert fam[0] == single
+    for preset in (preset_nosby(), preset_twosby()):
+        fam = generate_family(30, preset, seed=1)
+        for member, multiple in zip(fam, FAMILY_MULTIPLES):
+            for spelled in (multiple, str(float(multiple)), float(multiple)):
+                assert generate_instance(30, preset, spelled, seed=1) == member
 
 
 def test_family_shares_jobs_and_cost_prefixes():
@@ -206,6 +211,9 @@ def test_load_custom_preset_rejects_junk(tmp_path):
     path.write_text("{oops")
     with pytest.raises(InputError):
         load_custom_preset(path)
+    for path, reason in write_each_non_object(tmp_path):
+        with pytest.raises(InputError, match=re.escape(f"{path}: {reason}")):
+            load_custom_preset(path)
 
 
 def test_generate_rejects_bad_n():
@@ -213,3 +221,10 @@ def test_generate_rejects_bad_n():
         generate_instance(0, preset_nosby(), 2, seed=1)
     with pytest.raises(InputError):
         generate_family(0, preset_nosby(), seed=1)
+
+
+@pytest.mark.parametrize("multiple", ["abc", "nan", "inf", float("nan"), float("inf"), "-1", -1,
+                                      0, "0", Fraction(0), "1/0", None])
+def test_generate_rejects_a_multiple_that_is_no_positive_decimal(multiple):
+    with pytest.raises(InputError, match="horizon multiple must be"):
+        generate_instance(3, preset_nosby(), multiple, seed=1)

@@ -41,6 +41,7 @@ from conftest import (
     nosby_instance,
     plant_non_integer,
     random_instance,
+    write_each_non_object,
 )
 
 
@@ -303,6 +304,19 @@ def test_instance_file_round_trip(tmp_path, worked):
     path = tmp_path / "inst.json"
     save_instance(worked, path)
     assert load_instance(path) == worked
+    for bad, reason in write_each_non_object(tmp_path):
+        for load in (load_instance, load_schedule):
+            with pytest.raises(InputError, match=re.escape(f"{bad}: {reason}")):
+                load(bad)
+
+
+def test_load_instance_rejects_an_invalid_instance(tmp_path, worked):
+    # the file parses, but holds 15 costs for a horizon of 16
+    path = tmp_path / "short.json"
+    save_instance(dataclasses.replace(worked, costs=worked.costs[:-1]), path)
+    with pytest.raises(InputError, match=re.escape(f"{path}: invalid instance: ") + ".*"
+                       "expected 16 interval costs, got 15"):
+        load_instance(path)
 
 
 def test_instance_from_dict_rejects_duplicates(worked):
@@ -343,6 +357,24 @@ def test_schedule_round_trip(tmp_path, worked, worked_schedule):
     save_schedule(worked_schedule, WORKED_TEC, path)
     back, tec = load_schedule(path)
     assert back == worked_schedule and tec == WORKED_TEC
+
+
+@pytest.mark.parametrize("field, value, name", [
+    ("sigma", [9.7, 3, 12], "job 1 start time"), ("sigma", [9, 3.0, 12], "job 2 start time"),
+    ("sigma", [9, 3, "12"], "job 3 start time"), ("sigma", [True, 3, 12], "job 1 start time"),
+    ("tec", 177.9, "tec"), ("tec", 177.0, "tec"), ("tec", "177", "tec"), ("tec", True, "tec"),
+])
+def test_schedule_from_dict_accepts_integers_only(worked_schedule, field, value, name):
+    doc = schedule_to_dict(worked_schedule, WORKED_TEC)
+    doc[field] = value
+    with pytest.raises(InputError, match=re.escape(f"{name} must be an integer")):
+        schedule_from_dict(doc)
+
+
+def test_schedule_tec_may_be_absent(worked_schedule):
+    doc = schedule_to_dict(worked_schedule, WORKED_TEC)
+    del doc["tec"]
+    assert schedule_from_dict(doc) == (worked_schedule, None)
 
 
 def test_random_instances_validate_clean():

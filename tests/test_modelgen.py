@@ -20,7 +20,8 @@ from tousched import (
 )
 from tousched.model import InfeasibleError
 
-from conftest import WORKED_TEC, lp_to_arrays, nosby_instance, random_instance
+from conftest import (WORKED_TEC, lp_to_arrays, nosby_instance, random_instance,
+                      write_each_non_object)
 
 WORKED_OPTIMAL_ASSIGNMENT = {
     "x_1_10": 1, "x_2_4": 1, "x_3_13": 1,
@@ -212,6 +213,12 @@ def test_load_varmap_rejects_junk(tmp_path):
     bad = tmp_path / "x.json"
     bad.write_text("{not json")
     with pytest.raises(InputError):
+        load_varmap(bad)
+    for path, reason in write_each_non_object(tmp_path):
+        with pytest.raises(InputError, match=re.escape(f"{path}: {reason}")):
+            load_varmap(path)
+    bad.write_text(json.dumps({"constant_term": 3.5, "variables": {}}))
+    with pytest.raises(InputError, match="constant_term must be an integer"):
         load_varmap(bad)
 
 
