@@ -92,11 +92,7 @@ def cmd_preprocess(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = model.load_instance(args.instance)
-    if args.method == "bruteforce":
-        result = solver.brute_force_schedule(inst)
-    else:
-        table = _table_for(inst, args.phi)
-        result = solver.solve_exact(inst, table, time_limit=args.time_limit)
+    result = solver.solve_exact(inst, _table_for(inst, args.phi), time_limit=args.time_limit)
     if result.status == "infeasible":
         print("infeasible: no schedule fits the processing window", file=sys.stderr)
         return 1
@@ -156,34 +152,29 @@ def cmd_bench(args) -> int:
     paths = sorted(Path(args.dir).glob("*.json"))
     if not paths:
         raise model.InputError(f"no instance files in {args.dir}")
-    records = []
-    for path in paths:
-        inst = model.load_instance(path)
-        t0 = time.monotonic()
-        if args.method == "bruteforce":
-            result = solver.brute_force_schedule(inst)
-        else:
+    # line buffered, so each row reaches the file as soon as it is solved
+    with open(args.out, "w", encoding="utf-8", newline="", buffering=1) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["instance", "n", "h", "ub", "lb", "t", "gap"])
+        for path in paths:
+            inst = model.load_instance(path)
+            t0 = time.monotonic()
             try:
                 table = _table_for(inst, None)
             except model.InfeasibleError:
                 result = solver.SolveResult(tec=None, schedule=None, status="infeasible")
             else:
                 result = solver.solve_exact(inst, table, time_limit=args.time_limit)
-        dt = time.monotonic() - t0
-        if result.status == "infeasible":
-            rec = BenchRecord(path.stem, inst.n_jobs, inst.horizon, None, None, dt, None)
-        else:
-            ub = result.tec
-            lb = result.stats.lower_bound if result.stats.lower_bound is not None else ub
-            gap = 0.0 if ub == 0 else max(0.0, min(100.0, (ub - lb) / ub * 100.0))
-            rec = BenchRecord(path.stem, inst.n_jobs, inst.horizon, ub, lb, dt, gap)
-        records.append(rec)
-        print(",".join(rec.row()))
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance", "n", "h", "ub", "lb", "t", "gap"])
-        for rec in records:
+            dt = time.monotonic() - t0
+            if result.status == "infeasible":
+                rec = BenchRecord(path.stem, inst.n_jobs, inst.horizon, None, None, dt, None)
+            else:
+                ub = result.tec
+                lb = result.stats.lower_bound if result.stats.lower_bound is not None else ub
+                gap = 0.0 if ub == 0 else max(0.0, min(100.0, (ub - lb) / ub * 100.0))
+                rec = BenchRecord(path.stem, inst.n_jobs, inst.horizon, ub, lb, dt, gap)
             writer.writerow(rec.row())
+            print(",".join(rec.row()))
     return 0
 
 
@@ -199,11 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", required=True,
                    help="nosby, twosby, or a machine JSON file")
     p.add_argument("--seed", type=int, default=0)
-    grp = p.add_mutually_exclusive_group()
-    grp.add_argument("--multiple", type=str, default=None,
-                     help="one horizon multiple, a positive decimal such as 1.6")
-    grp.add_argument("--family", action="store_true",
-                     help="all four canonical multiples (default)")
+    p.add_argument("--multiple", type=str, default=None,
+                   help="one horizon multiple, a positive decimal such as 1.6; "
+                        "without it, all four canonical multiples")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen)
 
@@ -217,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="find an optimal schedule")
     p.add_argument("--instance", required=True)
     p.add_argument("--phi", default=None, help="precomputed table (.npz)")
-    p.add_argument("--method", choices=["dp", "bruteforce"], default="dp")
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--out", default=None, help="schedule output (JSON)")
     p.set_defaults(func=cmd_solve)
@@ -243,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="solve a directory of instances to CSV")
     p.add_argument("--dir", required=True)
-    p.add_argument("--method", choices=["dp", "bruteforce"], default="dp")
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--out", required=True, help="CSV report path")
     p.set_defaults(func=cmd_bench)

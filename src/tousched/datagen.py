@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import (Instance, InputError, MachineStateSet, TransitionSpec, instance_from_dict,
-                    read_json, switch_times)
+from .model import (COST_LIMIT, Instance, InputError, MachineStateSet, TransitionSpec,
+                    instance_from_dict, read_json, switch_times)
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -155,7 +155,9 @@ def horizon_for(total_p: int, multiple, d_on: int, d_off: int) -> int:
 def _draw(n: int, preset: MachinePreset, multiples, seed: int) -> list[Instance]:
     """One instance per multiple. Draw order: n processing times, then one
     cost per interval of the longest horizon; shorter horizons take a
-    prefix of that cost stream."""
+    prefix of that cost stream. Every cost is at least 1, so a horizon
+    that times the largest power reaches COST_LIMIT is rejected before
+    any cost is drawn: validate_instance would reject its instance."""
     if n < 1:
         raise InputError("n must be >= 1")
     multiples = [_as_multiple(m) for m in multiples]
@@ -163,6 +165,10 @@ def _draw(n: int, preset: MachinePreset, multiples, seed: int) -> list[Instance]
     rng = SplitMix64(seed)
     jobs = tuple(rng.uniform_int(1, 5) for _ in range(n))
     horizons = [horizon_for(sum(jobs), m, d_on, d_off) for m in multiples]
+    max_power = max((pw for _t, pw in preset.transitions.entries.values()), default=0)
+    if max(horizons) * max_power >= COST_LIMIT:
+        raise InputError(f"a horizon of {max(horizons)} intervals, each costing at least 1, "
+                         f"at power {max_power} reaches the cost limit {COST_LIMIT}")
     stream = tuple(rng.uniform_int(1, 10) for _ in range(max(horizons)))
     return [Instance(horizon=h, costs=stream[:h], jobs=jobs, state_set=preset.state_set,
                      transitions=preset.transitions) for h in horizons]

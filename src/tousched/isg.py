@@ -27,9 +27,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import InfeasibleError, InputError, Instance, StatePair, require_valid, switch_times
+from .model import (InfeasibleError, InputError, Instance, MachineStateSet, StatePair,
+                    require_valid, switch_times)
 
 Vertex = tuple[int, str]
+OFF, PROC = MachineStateSet.off_state, MachineStateSet.proc_state
 
 INF = np.int64(2) ** 62  # unreachable sentinel; far above any real distance
 _APSP_INF = np.int64(2) ** 61  # halved so sentinel + sentinel cannot overflow
@@ -37,71 +39,61 @@ _APSP_INF = np.int64(2) ** 61  # halved so sentinel + sentinel cannot overflow
 
 @dataclass
 class IntervalStateGraph:
-    """The matrices every shortest path query reads. The explicit vertex
-    and edge lists are derived from them on first read and then cached;
-    only oracles and drawings need them."""
+    """The interval-state graph of an instance, read off the instance
+    itself. The explicit vertex and edge lists are built on first read and
+    then cached; only oracles and drawings need them."""
 
     inst: Instance
-    states: tuple[str, ...]
-    off_index: int
-    proc_index: int
-    duration: np.ndarray  # (nS, nS) transition times, -1 where forbidden
-    power: np.ndarray  # (nS, nS) transition powers, 0 where forbidden
 
     @property
     def horizon(self) -> int:
         return self.inst.horizon
 
+    @property
+    def states(self) -> tuple[str, ...]:
+        return self.inst.state_set.states
+
+    @property
+    def off_index(self) -> int:
+        return self.inst.state_set.index(OFF)
+
+    @property
+    def proc_index(self) -> int:
+        return self.inst.state_set.index(PROC)
+
+    @cached_property
     def steps(self) -> list[tuple[int, int, int, int]]:
-        """Allowed transitions as (s, sp, time, power) state indices."""
-        power = self.power.tolist()
-        return [(s, sp, t, power[s][sp])
-                for s, row in enumerate(self.duration.tolist()) for sp, t in enumerate(row) if t >= 0]
+        """Allowed transitions as (s, sp, time, power) with state indices,
+        sorted by (s, sp)."""
+        index = self.inst.state_set.index
+        return sorted((index(s), index(sp), t, pw)
+                      for (s, sp), (t, pw) in self.inst.transitions.entries.items())
 
     @cached_property
     def vertices(self) -> list[Vertex]:
         h = self.horizon
-        off_name = self.states[self.off_index]
-        return [(1, off_name), *((i, s) for i in range(2, h + 1) for s in self.states),
-                (h + 1, off_name)]
+        return [(1, OFF), *((i, s) for i in range(2, h + 1) for s in self.states), (h + 1, OFF)]
 
     @cached_property
     def edges(self) -> list[tuple[Vertex, Vertex, int]]:
         h, C, names, off = self.horizon, self.inst.cost_prefix, self.states, self.off_index
-        steps = self.steps()
         return [((i, names[s]), (i + t, names[sp]), (C[i + t - 1] - C[i - 1]) * pw)
-                for i in range(1, h + 1) for s, sp, t, pw in steps
+                for i in range(1, h + 1) for s, sp, t, pw in self.steps
                 if 2 <= i and i + t <= h or s == sp == off and i in (1, h)]
 
     def source_vertex(self, i: int) -> Vertex:
         """Start vertex of the gap after interval i: on the off boundary for
         i = 1, otherwise in proc right after the interval."""
-        if i == 1:
-            return (2, self.states[self.off_index])
-        return (i + 1, self.states[self.proc_index])
+        return (2, OFF) if i == 1 else (i + 1, PROC)
 
     def target_vertex(self, ip: int) -> Vertex:
         """End vertex of the gap before interval ip: on the off boundary for
         ip = h, otherwise in proc at the start of the interval."""
-        if ip == self.horizon:
-            return (self.horizon, self.states[self.off_index])
-        return (ip, self.states[self.proc_index])
+        return (ip, OFF if ip == self.horizon else PROC)
 
 
 def build_graph(inst: Instance) -> IntervalStateGraph:
-    require_valid(inst)
-    states = inst.state_set.states
-    n_s = len(states)
-    duration = np.full((n_s, n_s), -1, dtype=np.int64)
-    power = np.zeros((n_s, n_s), dtype=np.int64)
-    for (s, sp), (t, pw) in inst.transitions.entries.items():
-        duration[inst.state_set.index(s), inst.state_set.index(sp)] = t
-        power[inst.state_set.index(s), inst.state_set.index(sp)] = pw
-
-    return IntervalStateGraph(inst=inst, states=states,
-                              off_index=inst.state_set.index(inst.state_set.off_state),
-                              proc_index=inst.state_set.index(inst.state_set.proc_state),
-                              duration=duration, power=power)
+    return IntervalStateGraph(require_valid(inst))
 
 
 @dataclass
@@ -141,8 +133,7 @@ def sssp(g: IntervalStateGraph, source: Vertex, last: int | None = None) -> Dist
     the vertices as (interval, state name).
     """
     h = g.horizon
-    off_name = g.states[g.off_index]
-    if source not in ((1, off_name), (h + 1, off_name)) and not (
+    if source not in ((1, OFF), (h + 1, OFF)) and not (
             isinstance(source, tuple) and len(source) == 2 and source[1] in g.states
             and isinstance(source[0], (int, np.integer)) and 2 <= source[0] <= h):
         raise InputError(f"unknown vertex {source!r}")
@@ -150,11 +141,11 @@ def sssp(g: IntervalStateGraph, source: Vertex, last: int | None = None) -> Dist
     n_s = len(g.states)
     names = sorted(g.states)
     rank = [names.index(s) for s in g.states]
-    steps = [(t, rank[s], rank[sp], pw) for s, sp, t, pw in g.steps()]
+    steps = [(t, rank[s], rank[sp], pw) for s, sp, t, pw in g.steps]
     zero = [(r, rp) for t, r, rp, _pw in steps if t == 0]
     inner = [step for step in steps if step[0] >= 1]
     off = rank[g.off_index]
-    boundary = [(1, off, off, int(g.power[g.off_index, g.off_index]))]
+    boundary = [(1, off, off, g.inst.transitions.power(OFF, OFF))]
 
     k0 = int(source[0])
     end = h + 1 if last is None else min(h + 1, last)
@@ -203,9 +194,8 @@ def proc_window(g: IntervalStateGraph) -> tuple[int, int]:
     Which vertices a path reaches does not depend on prices, so the window
     is the horizon less the shortest switch-on and switch-off times."""
     h = g.horizon
-    off, proc = g.states[g.off_index], g.states[g.proc_index]
-    d_on = switch_times(g.inst.transitions, g.states, off).get(proc)
-    d_off = switch_times(g.inst.transitions, g.states, proc).get(off)
+    d_on = switch_times(g.inst.transitions, g.states, OFF).get(PROC)
+    d_off = switch_times(g.inst.transitions, g.states, PROC).get(OFF)
     if h < 2 or d_on is None or d_off is None or h - 1 - d_off < 2 + d_on:
         raise InfeasibleError("no feasible processing window")
     return 2 + d_on, h - 1 - d_off

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 StatePair = tuple[str, str]
 
@@ -53,15 +53,14 @@ class Violation:
 
 @dataclass(frozen=True)
 class MachineStateSet:
-    """Ordered machine states with the two designated roles.
-
-    off_state is the state held at both horizon boundaries; proc_state is
-    the only state in which jobs execute.
+    """Ordered machine states. The two roles are fixed names: off_state is
+    held at both horizon boundaries; proc_state is the only state in which
+    jobs execute.
     """
 
     states: tuple[str, ...]
-    off_state: str = "off"
-    proc_state: str = "proc"
+    off_state: ClassVar[str] = "off"
+    proc_state: ClassVar[str] = "proc"
 
     def index(self, state: str) -> int:
         return self.states.index(state)
@@ -167,8 +166,6 @@ def validate_instance(inst: Instance) -> list[Violation]:
         out.append(Violation("instance", "states", f"off state {ss.off_state!r} not in state set"))
     if ss.proc_state not in ss.states:
         out.append(Violation("instance", "states", f"proc state {ss.proc_state!r} not in state set"))
-    if ss.off_state == ss.proc_state:
-        out.append(Violation("instance", "states", "off and proc states must be distinct"))
 
     for (s, sp), (t, pw) in inst.transitions.entries.items():
         where = f"transition ({s}, {sp})"
@@ -376,24 +373,32 @@ def _integer(value, field: str) -> int:
     return value
 
 
+def _string(value, field: str) -> str:
+    """value itself when it is a JSON string."""
+    if type(value) is not str:
+        raise InputError(f"{field} must be a string, got {value!r}")
+    return value
+
+
 def instance_from_dict(doc: dict) -> Instance:
     """Build an instance from its JSON document. Every number must be a
-    JSON integer; anything else is an InputError naming the field."""
+    JSON integer and every state name a JSON string; anything else is an
+    InputError naming the field."""
     try:
         horizon, costs, jobs = doc["horizon"], list(doc["costs"]), list(doc["jobs"])
-        states = tuple(str(s) for s in doc["states"])
+        states = tuple(_string(s, "state name") for s in doc["states"])
         raw = list(doc["transitions"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed instance document: {exc}") from exc
     horizon = _integer(horizon, "horizon")
     costs = tuple(_integer(c, f"interval {i} cost") for i, c in enumerate(costs, start=1))
     jobs = tuple(_integer(p, f"job {j} processing time") for j, p in enumerate(jobs, start=1))
-    if "off" not in states or "proc" not in states:
+    if MachineStateSet.off_state not in states or MachineStateSet.proc_state not in states:
         raise InputError('instance states must contain "off" and "proc"')
     entries: dict[StatePair, tuple[int, int]] = {}
     for row in raw:
         try:
-            key = (str(row["from"]), str(row["to"]))
+            key = (_string(row["from"], "transition from"), _string(row["to"], "transition to"))
             t, pw = row["time"], row["power"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed transition entry {row!r}") from exc
@@ -433,14 +438,18 @@ def schedule_to_dict(sched: Schedule, tec: int, stats: dict | None = None) -> di
 
 
 def schedule_from_dict(doc: dict) -> tuple[Schedule, int | None]:
-    """A schedule and its claimed tec, None when absent; both must be integers."""
+    """A schedule and its claimed tec, None when absent. Start times and tec
+    must be integers, and each omega label a list of two state names."""
     try:
-        sigma, tec = list(doc["sigma"]), doc.get("tec")
-        omega = tuple((str(a), str(b)) for a, b in doc["omega"])
-    except (KeyError, TypeError, ValueError) as exc:
+        sigma, tec, omega = list(doc["sigma"]), doc.get("tec"), list(doc["omega"])
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed schedule document: {exc}") from exc
     sigma = tuple(_integer(t, f"job {j} start time") for j, t in enumerate(sigma, start=1))
-    return Schedule(sigma=sigma, omega=omega), (None if tec is None else _integer(tec, "tec"))
+    for i, label in enumerate(omega, start=1):
+        if type(label) is not list or len(label) != 2 or any(type(s) is not str for s in label):
+            raise InputError(f"interval {i} label must be a list of two state names, "
+                             f"got {label!r}")
+    return Schedule(sigma=sigma, omega=tuple(map(tuple, omega))), (None if tec is None else _integer(tec, "tec"))
 
 
 def save_schedule(sched: Schedule, tec: int, path, stats: dict | None = None) -> None:

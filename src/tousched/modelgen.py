@@ -122,18 +122,17 @@ def emit_ilp_spaces(inst: Instance, table: SpacesTable) -> IlpModelArtifact:
                             constant_term=_boundary_constant(inst))
 
 
-def write_artifact(artifact: IlpModelArtifact, lp_path, map_path=None) -> tuple[str, str]:
-    """Write the LP text and its sidecar; returns both paths. The sidecar
-    defaults to the LP path plus .varmap.json."""
+def write_artifact(artifact: IlpModelArtifact, lp_path) -> tuple[str, str]:
+    """Write the LP text and its sidecar, the LP path plus .varmap.json;
+    returns both paths."""
     lp_path = str(lp_path)
-    if map_path is None:
-        map_path = lp_path + ".varmap.json"
+    map_path = lp_path + ".varmap.json"
     with open(lp_path, "w", encoding="utf-8") as fh:
         fh.write(artifact.lp_text)
     with open(map_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"constant_term": artifact.constant_term,
                              "variables": artifact.varmap}) + "\n")
-    return lp_path, str(map_path)
+    return lp_path, map_path
 
 
 _VARMAP_KEYS = {"x": ("j", "i"), "y": ("i", "ip")}  # the integer fields of each kind

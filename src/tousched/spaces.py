@@ -95,45 +95,37 @@ class SpacesTable:
         return [(int(i), int(ip)) for i, ip in np.argwhere(self.pruned_mask)]
 
 
-def _sweep_rows(g: IntervalStateGraph, starts: np.ndarray, phi: np.ndarray) -> None:
-    """Fill phi rows for the given gap starts (ascending 1-based indices)."""
+def _sweep_rows(g: IntervalStateGraph, phi: np.ndarray) -> None:
+    """Fill phi rows 1..h-1. Row i is the sweep from the start of the gap
+    after interval i, which enters at interval i + 1 (in off for i = 1, in
+    proc after), so interval k relaxes rows 1..k-1 only."""
     inst = g.inst
     h = inst.horizon
     n_s = len(g.states)
     C = inst.cost_prefix
     off, proc = g.off_index, g.proc_index
 
-    steps = g.steps()
-    zero_steps = [(s, sp) for s, sp, t, _pw in steps if t == 0]
-    pos_steps = [step for step in steps if step[2] >= 1]
+    zero_steps = [(s, sp) for s, sp, t, _pw in g.steps if t == 0]
+    pos_steps = [step for step in g.steps if step[2] >= 1]
     t_max = max(t for _s, _sp, t, _pw in pos_steps)
 
-    n_rows = len(starts)
-    ring = np.full((t_max + 1, n_rows, n_s), INF, dtype=np.int64)
-    act_k = np.where(starts == 1, 2, starts + 1)
-    act_s = np.where(starts == 1, off, proc)
-
+    # ring[k % (t_max + 1), i] holds row i at interval k; row 0 is padding
+    ring = np.full((t_max + 1, h, n_s), INF, dtype=np.int64)
     for k in range(2, h + 1):
-        cur = ring[k % (t_max + 1)]
+        cur = ring[k % (t_max + 1), :k]
+        cur[k - 1, off if k == 2 else proc] = 0
 
-        entering = act_k == k
-        if entering.any():
-            cur[np.nonzero(entering)[0], act_s[entering]] = 0
-
-        for _ in range(max(0, n_s - 1)) if zero_steps else range(0):
+        for _ in range(n_s - 1 if zero_steps else 0):
             for s, sp in zero_steps:
                 np.minimum(cur[:, sp], cur[:, s], out=cur[:, sp])
 
-        if k < h:
-            phi[starts, k] = cur[:, proc]
-        else:
-            phi[starts, h] = cur[:, off]
+        phi[:k, k] = cur[:, proc if k < h else off]
 
         for s, sp, t, pw in pos_steps:
             if k + t > h:  # transition would not complete by the last interval
                 continue
             w = (C[k + t - 1] - C[k - 1]) * pw
-            tgt = ring[(k + t) % (t_max + 1)]
+            tgt = ring[(k + t) % (t_max + 1), :k]
             np.minimum(tgt[:, sp], cur[:, s] + w, out=tgt[:, sp])
 
         cur[:] = INF  # slot is reused for interval k + t_max + 1
@@ -144,7 +136,7 @@ def compute_spaces(inst: Instance, g: IntervalStateGraph) -> SpacesTable:
     h = inst.horizon
     table = SpacesTable(np.full((h + 1, h + 1), INF, dtype=np.int64), g)
     phi = table.phi_matrix
-    _sweep_rows(g, np.arange(1, h, dtype=np.int64), phi)
+    _sweep_rows(g, phi)
     phi[phi >= _UNREACHABLE] = INF
     return table
 
@@ -217,19 +209,22 @@ def save_table(table: SpacesTable, path) -> str:
 
 def load_table(path, inst: Instance, graph: IntervalStateGraph | None = None) -> SpacesTable:
     """Read a table written by save_table for inst. Only phi is read, and
-    beyond its shape only its sign is checked; the pruned, window and
-    horizon keys of older files are ignored."""
+    beyond its shape only its integer type and its sign are checked; the
+    pruned, window and horizon keys of older files are ignored."""
     try:
         with np.load(path, allow_pickle=False) as doc:
             fingerprint = str(doc["fingerprint"])
-            phi = doc["phi"].astype(np.int64)
+            phi = doc["phi"]
     except (zipfile.BadZipFile, KeyError, ValueError, EOFError) as exc:
         raise InputError(f"{path}: not a readable phi table ({exc})") from exc
+    if phi.dtype.kind not in "iu":
+        raise InputError(f"{path}: phi must hold integers, got {phi.dtype}")
     if fingerprint != _fingerprint(inst):
         raise InputError(f"{path}: phi table was computed for a different instance")
     h = inst.horizon
     if phi.shape != (h + 1, h + 1):
         raise InputError(f"{path}: phi must have shape ({h + 1}, {h + 1}), got {phi.shape}")
+    phi = phi.astype(np.int64)
     if (phi < 0).any():
         raise InputError(f"{path}: phi holds negative switching costs")
     return SpacesTable(phi, build_graph(inst) if graph is None else graph)

@@ -33,7 +33,7 @@ def run(capsys, *argv):
 def test_gen_family_writes_four_files(tmp_path, capsys):
     out = tmp_path / "insts"
     code, stdout, _ = run(capsys, "gen", "--jobs", "4", "--preset", "nosby",
-                          "--seed", "42", "--family", "--out", str(out))
+                          "--seed", "42", "--out", str(out))
     assert code == 0
     names = sorted(p.name for p in out.glob("*.json"))
     assert names == [
@@ -62,7 +62,7 @@ def test_pipeline_closure(tmp_path, capsys, worked_file):
     assert "window (4, 14)" in stdout
 
     code, stdout, _ = run(capsys, "solve", "--instance", worked_file,
-                          "--phi", str(tab), "--method", "dp", "--out", str(sched))
+                          "--phi", str(tab), "--out", str(sched))
     assert code == 0
     assert "TEC 177" in stdout
 
@@ -74,11 +74,11 @@ def test_pipeline_closure(tmp_path, capsys, worked_file):
     assert code == 0 and "valid" in stdout
 
 
-def test_solve_without_phi_matches(capsys, worked_file):
-    code1, out1, _ = run(capsys, "solve", "--instance", worked_file,
-                         "--method", "dp")
-    code2, out2, _ = run(capsys, "solve", "--instance", worked_file,
-                         "--method", "bruteforce")
+def test_solve_without_phi_matches(tmp_path, capsys, worked_file):
+    tab = tmp_path / "tab.npz"
+    assert run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))[0] == 0
+    code1, out1, _ = run(capsys, "solve", "--instance", worked_file, "--phi", str(tab))
+    code2, out2, _ = run(capsys, "solve", "--instance", worked_file)
     assert code1 == code2 == 0
     assert out1.splitlines()[0] == out2.splitlines()[0] == "TEC 177"
 
@@ -196,10 +196,10 @@ def test_import_solution_with_a_nan_value_is_exit_2(tmp_path, capsys, worked_fil
 def test_bench_report(tmp_path, capsys):
     insts = tmp_path / "insts"
     run(capsys, "gen", "--jobs", "3", "--preset", "nosby", "--seed", "8",
-        "--family", "--out", str(insts))
+        "--out", str(insts))
     csv = tmp_path / "bench.csv"
     code, stdout, _ = run(capsys, "bench", "--dir", str(insts),
-                          "--method", "dp", "--out", str(csv))
+                          "--out", str(csv))
     assert code == 0
     lines = csv.read_text().splitlines()
     assert lines[0] == "instance,n,h,ub,lb,t,gap"
@@ -209,6 +209,58 @@ def test_bench_report(tmp_path, capsys):
         assert fields[1] == "3"
         assert fields[3] == fields[4]  # exact solves prove their own bound
         assert fields[6] == "0.00"
+
+
+def test_bench_writes_each_row_as_it_is_solved(tmp_path, capsys, monkeypatch):
+    insts = tmp_path / "insts"
+    run(capsys, "gen", "--jobs", "3", "--preset", "nosby", "--seed", "8", "--out", str(insts))
+    report = tmp_path / "bench.csv"
+    seen = []
+    solve_exact = solver.solve_exact
+
+    def spy(*args, **kwargs):
+        seen.append(len(report.read_text().splitlines()))
+        return solve_exact(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_exact", spy)
+    code, _, _ = run(capsys, "bench", "--dir", str(insts), "--out", str(report))
+    assert code == 0
+    assert seen == [1, 2, 3, 4]  # the header, then one row per earlier solve
+    assert len(report.read_text().splitlines()) == 5
+
+
+def test_bench_into_a_directory_fails_before_solving(tmp_path, capsys):
+    insts = tmp_path / "insts"
+    run(capsys, "gen", "--jobs", "3", "--preset", "nosby", "--seed", "8", "--out", str(insts))
+    code, stdout, stderr = run(capsys, "bench", "--dir", str(insts), "--out", str(insts))
+    assert (code, stdout) == (2, "")
+    assert str(insts) in stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--jobs", "3", "--preset", "nosby", "--family", "--out", "{out}"],
+    ["solve", "--instance", "{W}", "--method", "bruteforce"],
+    ["bench", "--dir", "{dir}", "--method", "dp", "--out", "{out}"],
+])
+def test_removed_switches_are_rejected(tmp_path, capsys, worked_file, argv):
+    files = {"out": str(tmp_path / "out"), "W": worked_file, "dir": str(tmp_path)}
+    flag = next(a for a in argv if a in ("--family", "--method"))
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**files) for a in argv])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_gen_rejects_a_horizon_past_the_cost_limit_at_once(tmp_path, capsys):
+    # every generated cost is at least 1, so this horizon could only give
+    # an instance that validation rejects
+    out = tmp_path / "x"
+    code, stdout, stderr = run(capsys, "gen", "--jobs", "9", "--preset", "nosby",
+                               "--multiple", "1e400", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert "cost limit" in stderr
+    assert not out.exists()
 
 
 def test_bench_record_row_format():
@@ -314,6 +366,20 @@ def test_phi_table_with_a_negative_cost_is_exit_2(tmp_path, capsys, worked_file)
     assert tab in stderr and "negative" in stderr
 
 
+@pytest.mark.parametrize("dtype", [float, bool])
+def test_phi_table_that_holds_no_integers_is_exit_2(tmp_path, capsys, worked_file, dtype):
+    # the values are the right ones; only their type is wrong
+    tab = tmp_path / "tab.npz"
+    run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))
+    with np.load(tab) as doc:
+        kept = {k: doc[k] for k in doc.files}
+    kept["phi"] = kept["phi"].astype(dtype)
+    np.savez(tab, **kept)
+    code, stdout, stderr = run(capsys, "solve", "--instance", worked_file, "--phi", str(tab))
+    assert (code, stdout) == (2, "")
+    assert str(tab) in stderr and "integers" in stderr
+
+
 def test_phi_table_of_the_wrong_shape_is_exit_2(tmp_path, capsys, worked_file):
     tab = tmp_path / "tab.npz"
     run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))
@@ -416,7 +482,7 @@ def test_infeasible_instance_is_exit_1(tmp_path, capsys):
 
 def test_unknown_preset_is_exit_2(tmp_path, capsys):
     code, _, stderr = run(capsys, "gen", "--jobs", "3", "--preset", "mystery",
-                          "--seed", "1", "--family", "--out", str(tmp_path / "x"))
+                          "--seed", "1", "--out", str(tmp_path / "x"))
     assert code == 2
 
 
@@ -511,6 +577,12 @@ BAD_INPUTS = {
                         ("{sched}", set_field("tec", "177"))),
     "validate_15_costs_for_h_16": (["validate", "--instance", "{bad}", "--schedule", "{sched}"],
                                    ("{W}", lambda doc: doc["costs"].pop())),
+    "omega_label_is_a_string": (["validate", "--instance", "{W}", "--schedule", "{bad}"],
+                                ("{sched}", lambda doc: doc["omega"].__setitem__(5, "xy"))),
+    "omega_label_holds_numbers": (["validate", "--instance", "{W}", "--schedule", "{bad}"],
+                                  ("{sched}", lambda doc: doc["omega"].__setitem__(5, [1, 2]))),
+    "state_name_is_a_number": (["solve", "--instance", "{bad}"],
+                               ("{W}", lambda doc: doc["transitions"][0].update({"from": 1}))),
     **{f"multiple_{m}": (["gen", "--jobs", "3", "--preset", "nosby", "--multiple", m,
                           "--out", "{out}"], None) for m in ["abc", "nan", "inf", "-1", "0"]},
 }

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from tousched import datagen, model
 from tousched import (
     InputError,
     Instance,
@@ -228,3 +229,37 @@ def test_generate_rejects_bad_n():
 def test_generate_rejects_a_multiple_that_is_no_positive_decimal(multiple):
     with pytest.raises(InputError, match="horizon multiple must be"):
         generate_instance(3, preset_nosby(), multiple, seed=1)
+
+
+def test_generate_rejects_horizons_that_reach_the_cost_limit(monkeypatch):
+    pre = preset_nosby()
+    max_power = max(pw for _t, pw in pre.transitions.entries.values())
+    h = generate_instance(4, pre, "1.3", 6).horizon
+    monkeypatch.setattr(datagen, "COST_LIMIT", h * max_power + 1)
+    assert generate_instance(4, pre, "1.3", 6).horizon == h
+    monkeypatch.setattr(datagen, "COST_LIMIT", h * max_power)
+    with pytest.raises(InputError, match="cost limit"):
+        generate_instance(4, pre, "1.3", 6)
+    with pytest.raises(InputError, match="cost limit"):
+        generate_family(4, pre, 6)  # the longest member decides
+    # such a horizon is invalid under the same limit even at the lowest costs
+    monkeypatch.setattr(model, "COST_LIMIT", h * max_power)
+    low = Instance(h, (1,) * h, (1,), pre.state_set, pre.transitions)
+    assert any(v.where == "costs" for v in validate_instance(low))
+
+
+def test_generate_rejects_a_huge_multiple_before_drawing_costs():
+    with pytest.raises(InputError, match="cost limit"):
+        generate_instance(9, preset_nosby(), "1e400", 1)
+
+
+def test_custom_preset_state_names_are_strings(tmp_path):
+    doc = {"states": ["off", "proc", 3],
+           "transitions": [{"from": "off", "to": "off", "time": 1, "power": 0},
+                           {"from": "proc", "to": "proc", "time": 1, "power": 6},
+                           {"from": "off", "to": "proc", "time": 1, "power": 8},
+                           {"from": "proc", "to": "off", "time": 1, "power": 1}]}
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match="state name must be a string"):
+        load_custom_preset(path)

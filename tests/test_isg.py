@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import heapq
 import random
 from collections import Counter
@@ -339,3 +341,27 @@ def test_to_dot_lists_vertices_and_edges(worked):
     dot = to_dot(g)
     assert dot.startswith("digraph")
     assert '"2:off"' in dot and "->" in dot and dot.rstrip().endswith("}")
+
+
+def test_worked_dot_is_pinned(worked):
+    # vertex and edge order follow state index order; this digest pins both
+    dot = to_dot(build_graph(worked))
+    assert hashlib.sha256(dot.encode()).hexdigest() == (
+        "69d5afec76525a0abcb6957eacec05d2e71ec67b7258fc419cbf1646d23aed5e")
+
+
+def test_graph_is_a_view_of_its_instance():
+    rng = random.Random(29)
+    for _ in range(30):
+        inst = tie_heavy_instance(rng, random_instance(rng))
+        g = build_graph(inst)
+        assert [f.name for f in dataclasses.fields(g)] == ["inst"]
+        ss = inst.state_set
+        assert g.states == ss.states
+        assert g.states[g.off_index] == "off" and g.states[g.proc_index] == "proc"
+        index = ss.index
+        assert g.steps == sorted((index(s), index(sp), t, pw)
+                                 for (s, sp), (t, pw) in inst.transitions.entries.items())
+        assert [(s, sp) for s, sp, _t, _pw in g.steps] == sorted(
+            (index(s), index(sp)) for s, sp in inst.transitions.entries)
+        assert g.steps is g.steps  # built once

@@ -371,6 +371,35 @@ def test_schedule_from_dict_accepts_integers_only(worked_schedule, field, value,
         schedule_from_dict(doc)
 
 
+@pytest.mark.parametrize("label", ["xy", [1, 2], ["off"], ["off", "off", "off"], ["off", None],
+                                   {"off": "off"}, 5])
+def test_schedule_from_dict_takes_labels_of_two_names(worked_schedule, label):
+    doc = schedule_to_dict(worked_schedule, WORKED_TEC)
+    doc["omega"][5] = label
+    with pytest.raises(InputError, match="interval 6"):
+        schedule_from_dict(doc)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["states"].append(7),
+    lambda doc: doc["transitions"][0].update({"from": 1}),
+    lambda doc: doc["transitions"][0].update({"to": ["off"]}),
+])
+def test_instance_from_dict_takes_string_names_only(worked, edit):
+    doc = instance_to_dict(worked)
+    edit(doc)
+    with pytest.raises(InputError, match="must be a string"):
+        instance_from_dict(doc)
+
+
+def test_machine_roles_are_fixed_names():
+    ss = MachineStateSet(("proc", "idle", "off"))
+    assert (ss.off_state, ss.proc_state) == (MachineStateSet.off_state,
+                                             MachineStateSet.proc_state) == ("off", "proc")
+    with pytest.raises(TypeError):
+        MachineStateSet(("sleep", "run"), off_state="sleep", proc_state="run")
+
+
 def test_schedule_tec_may_be_absent(worked_schedule):
     doc = schedule_to_dict(worked_schedule, WORKED_TEC)
     del doc["tec"]

@@ -207,6 +207,8 @@ def test_write_artifact_and_load_varmap(tmp_path, worked):
     back = load_varmap(map_path)
     assert back.varmap == art.varmap
     assert back.constant_term == art.constant_term
+    with pytest.raises(TypeError):  # the sidecar path is not settable
+        write_artifact(art, tmp_path / "other.lp", map_path=tmp_path / "elsewhere.json")
 
 
 def test_load_varmap_rejects_junk(tmp_path):

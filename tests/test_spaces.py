@@ -217,6 +217,21 @@ def test_table_load_rejects_wrong_shapes(tmp_path, worked):
     assert np.array_equal(load_table(out, worked).pruned_mask, tab.pruned_mask)
 
 
+@pytest.mark.parametrize("phi_dtype", [np.float64, np.bool_, np.str_])
+def test_table_load_takes_integer_phi_only(tmp_path, worked, phi_dtype):
+    # a float phi is refused, not truncated: 47.9 would read as 47
+    tab = make_table(worked)
+    out = save_table(tab, tmp_path / "phi.npz")
+    phi = tab.phi_matrix.astype(phi_dtype)
+    if phi_dtype is np.float64:
+        phi[4, 10] = 47.9
+    rewrite_table_file(out, phi=phi)
+    with pytest.raises(InputError, match=re.escape(out) + ".*integers"):
+        load_table(out, worked)
+    rewrite_table_file(out, phi=tab.phi_matrix.astype(np.uint64))
+    assert np.array_equal(load_table(out, worked).phi_matrix, tab.phi_matrix)
+
+
 def test_phi_csv_dump(tmp_path, worked):
     tab = make_table(worked)
     path = tmp_path / "phi.csv"
