@@ -185,10 +185,11 @@ def apply_pruning(table: SpacesTable, inst: Instance) -> SpacesTable:
 
 def write_phi_csv(table: SpacesTable, path) -> None:
     """Debug dump of all defined phi values, one "i,ip,phi" row per pair."""
+    phi = table.phi_matrix
+    i, ip = np.argwhere(phi < _UNREACHABLE).T
+    rows = map("{},{},{}\n".format, i.tolist(), ip.tolist(), phi[i, ip].tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("i,ip,phi\n")
-        for i, ip in np.argwhere(table.phi_matrix < _UNREACHABLE):
-            fh.write(f"{i},{ip},{int(table.phi_matrix[i, ip])}\n")
+        fh.write("i,ip,phi\n" + "".join(rows))
 
 
 def _fingerprint(inst: Instance) -> str:
@@ -198,19 +199,32 @@ def _fingerprint(inst: Instance) -> str:
 
 def save_table(table: SpacesTable, path) -> str:
     """Write phi and the instance fingerprint as an .npz archive; returns
-    the actual path, which gains the .npz suffix when missing."""
+    the actual path, which gains the .npz suffix when missing.
+
+    phi is stored in the narrowest signed integer type (int8, int16, int32
+    or int64) whose maximum is above every finite phi value, and that
+    maximum stands for "no switching"."""
     path = str(path)
     if not path.endswith(".npz"):
         path += ".npz"
-    np.savez_compressed(path, phi=table.phi_matrix,
-                        fingerprint=np.str_(_fingerprint(table.graph.inst)))
+    phi = table.phi_matrix
+    finite = phi < _UNREACHABLE
+    top = int(phi.max(where=finite, initial=0))
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max > top)
+    stored = np.where(finite, phi, np.iinfo(dtype).max).astype(dtype)
+    np.savez_compressed(path, phi=stored, fingerprint=np.str_(_fingerprint(table.graph.inst)))
     return path
 
 
 def load_table(path, inst: Instance, graph: IntervalStateGraph | None = None) -> SpacesTable:
     """Read a table written by save_table for inst. Only phi is read, and
     beyond its shape only its integer type and its sign are checked; the
-    pruned, window and horizon keys of older files are ignored."""
+    pruned, window and horizon keys of older files are ignored.
+
+    A value at or above min(its type's maximum, 2^61) means no switching
+    and loads as INF, so narrow files and the int64 files of older
+    versions (INF = 2^62) read alike; a hand-edited cell equal to the
+    type's maximum reads as unreachable."""
     try:
         with np.load(path, allow_pickle=False) as doc:
             fingerprint = str(doc["fingerprint"])
@@ -224,7 +238,9 @@ def load_table(path, inst: Instance, graph: IntervalStateGraph | None = None) ->
     h = inst.horizon
     if phi.shape != (h + 1, h + 1):
         raise InputError(f"{path}: phi must have shape ({h + 1}, {h + 1}), got {phi.shape}")
-    phi = phi.astype(np.int64)
     if (phi < 0).any():
         raise InputError(f"{path}: phi holds negative switching costs")
+    unreachable = phi >= min(np.iinfo(phi.dtype).max, int(_UNREACHABLE))
+    phi = phi.astype(np.int64)
+    phi[unreachable] = INF
     return SpacesTable(phi, build_graph(inst) if graph is None else graph)

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import random
 import re
 
@@ -168,6 +170,93 @@ def test_table_round_trip(tmp_path, worked):
     assert back.phi(4, 10) == 48
 
 
+STORED_TYPES = (np.int8, np.int16, np.int32, np.int64)
+
+
+def stored_phi(path):
+    with np.load(path) as doc:
+        return doc["phi"]
+
+
+def assert_narrowest(stored, tab):
+    """stored is phi in the narrowest signed type whose maximum is above
+    every finite value, with that maximum in every cell without switching."""
+    finite = tab.phi_matrix < spaces._UNREACHABLE
+    top = int(tab.phi_matrix[finite].max())
+    k = STORED_TYPES.index(stored.dtype.type)
+    assert np.iinfo(stored.dtype).max > top
+    assert k == 0 or np.iinfo(STORED_TYPES[k - 1]).max <= top
+    assert np.array_equal(stored[finite], tab.phi_matrix[finite])
+    assert (stored[~finite] == np.iinfo(stored.dtype).max).all()
+
+
+def test_table_round_trip_on_random_instances(tmp_path):
+    rng = random.Random(41)
+    for k in range(40):
+        inst = random_instance(rng, n_max=4, h_max=rng.randint(6, 40))
+        tab = make_table(inst)
+        out = save_table(tab, tmp_path / f"tab{k}.npz")
+        assert_narrowest(stored_phi(out), tab)
+        back = load_table(out, inst)
+        assert back.phi_matrix.dtype == np.int64
+        assert np.array_equal(back.phi_matrix, tab.phi_matrix)
+        assert np.array_equal(back.pruned_mask, tab.pruned_mask)
+
+
+@pytest.mark.parametrize("scale, dtype", [(1, np.int8), (2, np.int16), (1000, np.int32),
+                                          (2 ** 30, np.int64)])
+def test_table_round_trip_in_each_stored_type(tmp_path, worked, scale, dtype):
+    # phi is linear in the costs: the worked example's largest finite
+    # value, 106, stored as int8, then scaled past 127, 32767 and 2^31 - 1
+    inst = dataclasses.replace(worked, costs=tuple(c * scale for c in worked.costs))
+    tab = make_table(inst)
+    out = save_table(tab, tmp_path / "tab.npz")
+    stored = stored_phi(out)
+    assert stored.dtype == dtype
+    assert_narrowest(stored, tab)
+    back = load_table(out, inst)
+    assert np.array_equal(back.phi_matrix, tab.phi_matrix)
+    assert np.array_equal(back.pruned_mask, tab.pruned_mask)
+    assert back.phi(4, 10) == 48 * scale
+
+
+def test_finite_phi_at_a_type_maximum_is_stored_wider(tmp_path, worked):
+    tab = make_table(worked)
+    phi = tab.phi_matrix.copy()
+    phi[4, 10] = np.iinfo(np.int8).max  # a cost, not the no-switching mark
+    edited = spaces.SpacesTable(phi, tab.graph)
+    out = save_table(edited, tmp_path / "tab.npz")
+    assert stored_phi(out).dtype == np.int16
+    back = load_table(out, worked)
+    assert np.array_equal(back.phi_matrix, phi)
+    assert back.phi(4, 10) == 127
+
+
+def test_table_file_of_older_versions_loads(tmp_path, worked):
+    # older versions stored int64 phi with INF = 2^62 as the no-switching mark
+    tab = make_table(worked)
+    out = str(tmp_path / "old.npz")
+    np.savez_compressed(out, phi=tab.phi_matrix, fingerprint=np.str_(spaces._fingerprint(worked)))
+    assert stored_phi(out).dtype == np.int64
+    back = load_table(out, worked)
+    assert np.array_equal(back.phi_matrix, tab.phi_matrix)
+    res = solve_exact(worked, back)
+    assert (res.status, res.tec) == ("optimal", 177)
+
+
+@pytest.mark.parametrize("old_format", [False, True])
+def test_hand_set_type_maximum_reads_as_no_switching(tmp_path, worked, old_format):
+    tab = make_table(worked)
+    out = save_table(tab, tmp_path / "tab.npz")
+    phi = tab.phi_matrix.copy() if old_format else stored_phi(out)
+    phi[4, 10] = np.iinfo(phi.dtype).max
+    rewrite_table_file(out, phi=phi)
+    back = load_table(out, worked)
+    assert back.phi(4, 10) is None
+    assert back.phi_matrix[4, 10] == spaces.INF
+    assert back.phi(1, 4) == 24
+
+
 def test_table_load_rejects_other_instance(tmp_path, worked):
     tab = make_table(worked)
     out = save_table(tab, tmp_path / "tab.npz")
@@ -244,6 +333,26 @@ def test_phi_csv_dump(tmp_path, worked):
     defined = sum(1 for i in range(1, 16) for ip in range(i + 1, 17)
                   if tab.phi(i, ip) is not None)
     assert len(rows) == defined
+
+
+def test_worked_phi_csv_is_pinned(tmp_path, worked):
+    path = tmp_path / "phi.csv"
+    write_phi_csv(make_table(worked), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "5cb113f07cac0e2d695e29491f28905e0f5f7dbe8d7b3ced8948fbb25ca8514d"
+
+
+def test_phi_csv_matches_a_row_by_row_dump(tmp_path):
+    rng = random.Random(43)
+    for _ in range(10):
+        inst = random_instance(rng, n_max=4, h_max=30)
+        tab = make_table(inst)
+        path = tmp_path / "phi.csv"
+        write_phi_csv(tab, path)
+        h = inst.horizon
+        rows = [f"{i},{ip},{tab.phi(i, ip)}\n" for i in range(1, h) for ip in range(i + 1, h + 1)
+                if tab.phi(i, ip) is not None]
+        assert path.read_text() == "i,ip,phi\n" + "".join(rows)
 
 
 def test_window_follows_phi_rule():
