@@ -25,6 +25,12 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 FAMILY_MULTIPLES = (Fraction(13, 10), Fraction(16, 10), Fraction(19, 10), Fraction(22, 10))
 
+# The longest horizon a generated instance may have. phi is an (h+1)^2
+# int64 matrix, 32 GiB at 2^16 intervals, and the paper's largest horizon
+# is 1277; below the cost limit a horizon is otherwise unbounded (a
+# machine whose powers are all 0 has no cost limit at all).
+HORIZON_LIMIT = 1 << 16
+
 
 class SplitMix64:
     """Deterministic 64-bit generator; the reproducibility contract of
@@ -157,9 +163,14 @@ def _draw(n: int, preset: MachinePreset, multiples, seed: int) -> list[Instance]
     cost per interval of the longest horizon; shorter horizons take a
     prefix of that cost stream. Every cost is at least 1, so a horizon
     that times the largest power reaches COST_LIMIT is rejected before
-    any cost is drawn: validate_instance would reject its instance."""
+    any cost is drawn: validate_instance would reject its instance. So is
+    a horizon above HORIZON_LIMIT, and n above it before any job is drawn,
+    as h > sum_p >= n."""
     if n < 1:
         raise InputError("n must be >= 1")
+    if n > HORIZON_LIMIT:
+        raise InputError(f"n = {n} jobs need a horizon above the limit of "
+                         f"{HORIZON_LIMIT} intervals")
     multiples = [_as_multiple(m) for m in multiples]
     d_on, d_off = switch_durations(preset)
     rng = SplitMix64(seed)
@@ -169,6 +180,9 @@ def _draw(n: int, preset: MachinePreset, multiples, seed: int) -> list[Instance]
     if max(horizons) * max_power >= COST_LIMIT:
         raise InputError(f"a horizon of {max(horizons)} intervals, each costing at least 1, "
                          f"at power {max_power} reaches the cost limit {COST_LIMIT}")
+    if max(horizons) > HORIZON_LIMIT:
+        raise InputError(f"a horizon of {max(horizons)} intervals is above the limit of "
+                         f"{HORIZON_LIMIT}")
     stream = tuple(rng.uniform_int(1, 10) for _ in range(max(horizons)))
     return [Instance(horizon=h, costs=stream[:h], jobs=jobs, state_set=preset.state_set,
                      transitions=preset.transitions) for h in horizons]

@@ -5,13 +5,15 @@ Variables: x_<j>_<i> places job j at start interval i (only admissible
 starts inside the processing window are created); y_<i>_<ip> activates the
 gap (i, ip) at its switching cost (only gaps with a non-empty body, a
 defined switching cost and no pruning flag). One assignment equality per
-job. Each interior interval is processed by one job or bridged by one gap;
-as every column covers a run of intervals, these covering rows are written
-as flow rows, row k being covering row k minus covering row k - 1 (a row
-left without terms, 0 = 0, is not written). A column has +1 in the row of
-its first interval and -1 in the row after its last; the right-hand side is
-1 in row 2 and 0 after. The transform is invertible over the integers, so
-the feasible set and the LP bound are those of the covering rows.
+job. Each interior interval is processed by one job or bridged by one gap.
+
+Every column covers a run of intervals first..last: x_<j>_<i> covers
+i..i+p_j-1 and y_<i>_<ip> its body i+1..ip-1. The column has +1 in
+flow_<first> and -1 in flow_<last+1>, so row k of these flow rows is
+covering row k minus covering row k - 1 (a row left without terms, 0 = 0,
+is not written); the right-hand side is 1 in flow_2 and 0 after. The
+transform is invertible over the integers, so the feasible set and the LP
+bound are those of the covering rows.
 
 The two boundary off intervals contribute a constant that is deliberately
 kept out of the LP text and reported in the sidecar instead, so any
@@ -60,45 +62,27 @@ def emit_ilp_spaces(inst: Instance, table: SpacesTable) -> IlpModelArtifact:
     """Build the LP text, the variable map and the objective constant."""
     h = inst.horizon
     t_on, t_off = table.window
-    phi, pruned = table.phi_matrix, table.pruned_mask
-    n = inst.n_jobs
+    phi = table.phi_matrix
 
-    x_vars: list[tuple[str, int, int, int]] = []  # name, j, i, cost
-    starts_of: dict[int, list[int]] = {}
-    for j in range(1, n + 1):
-        p = inst.jobs[j - 1]
-        hi = t_off - p + 1
-        if t_on > hi:
+    columns: list[tuple[str, int, int, int]] = []  # name, cost, first, last
+    assign: list[str] = []
+    for j, p in enumerate(inst.jobs, start=1):
+        if t_on > t_off - p + 1:
             raise InfeasibleError(f"infeasible window: job {j} has no admissible start")
-        starts_of[j] = list(range(t_on, hi + 1))
-        for i in starts_of[j]:
-            x_vars.append((f"x_{j}_{i}", j, i, job_cost(inst, j, i)))
+        starts = range(t_on, t_off - p + 2)
+        columns += [(f"x_{j}_{i}", job_cost(inst, j, i), i, i + p - 1) for i in starts]
+        assign += _wrap_terms(f" assign_{j}: ", [f"x_{j}_{i}" for i in starts], " = 1")
+    gi, gip = np.nonzero(np.triu(phi < _UNREACHABLE, 2) & ~table.pruned_mask)
+    columns += [(f"y_{i}_{ip}", cost, i + 1, ip - 1)
+                for i, ip, cost in zip(gi.tolist(), gip.tolist(), phi[gi, gip].tolist())]
 
-    y_vars: list[tuple[str, int, int, int]] = []  # name, i, ip, cost
-    for i in range(1, h):
-        row = phi[i]
-        for ip in range(i + 2, h + 1):
-            if row[ip] < _UNREACHABLE and not pruned[i, ip]:
-                y_vars.append((f"y_{i}_{ip}", i, ip, int(row[ip])))
-
-    obj_terms = [f"{cost} {name}" for name, _j, _i, cost in x_vars]
-    obj_terms += [f"{cost} {name}" for name, _i, _ip, cost in y_vars]
-
-    lines = ["Minimize"]
-    lines += _wrap_terms(" obj: ", obj_terms, "")
-    lines.append("Subject To")
-
-    for j in range(1, n + 1):
-        terms = [f"x_{j}_{i}" for i in starts_of[j]]
-        lines += _wrap_terms(f" assign_{j}: ", terms, " = 1")
-
-    # each column covers intervals first..last; the window and the gap bodies keep them in 2..h-1
-    columns = [(name, i, i + inst.jobs[j - 1] - 1) for name, j, i, _c in x_vars]
-    columns += [(name, i + 1, ip - 1) for name, i, ip, _c in y_vars]
-    flow: dict[int, list[str]] = {k: [] for k in range(2, h + 1)}
-    for name, first, last in columns:
+    # the window and the gap bodies keep every column inside 2..h-1
+    flow: list[list[str]] = [[] for _ in range(h + 1)]
+    for name, _cost, first, last in columns:
         flow[first].append(name)
         flow[last + 1].append("- " + name)  # row h does not exist
+    obj = [f"{cost} {name}" for name, cost, _f, _l in columns]
+    lines = ["Minimize", *_wrap_terms(" obj: ", obj, ""), "Subject To", *assign]
     open_cols = 0
     for k in range(2, h):
         open_cols += sum(1 if t[0] != "-" else -1 for t in flow[k])
@@ -106,18 +90,11 @@ def emit_ilp_spaces(inst: Instance, table: SpacesTable) -> IlpModelArtifact:
             raise InfeasibleError(f"interval {k} can be neither processed nor bridged")
         if flow[k]:  # a row without terms would state 0 = 0
             lines += _wrap_terms(f" flow_{k}: ", flow[k], " = 1" if k == 2 else " = 0")
+    lines += ["Binary", *(f" {name}" for name, _c, _f, _l in columns), "End"]
 
-    lines.append("Binary")
-    lines += [f" {name}" for name, _j, _i, _c in x_vars]
-    lines += [f" {name}" for name, _i, _ip, _c in y_vars]
-    lines.append("End")
-
-    varmap: dict[str, dict] = {}
-    for name, j, i, _cost in x_vars:
-        varmap[name] = {"kind": "x", "j": j, "i": i}
-    for name, i, ip, _cost in y_vars:
-        varmap[name] = {"kind": "y", "i": i, "ip": ip}
-
+    varmap = {name: {"kind": "x", "j": int(name.split("_")[1]), "i": first} if name[0] == "x"
+              else {"kind": "y", "i": first - 1, "ip": last + 1}
+              for name, _c, first, last in columns}
     return IlpModelArtifact(lp_text="\n".join(lines) + "\n", varmap=varmap,
                             constant_term=_boundary_constant(inst))
 
@@ -185,7 +162,6 @@ def import_solution(inst: Instance, table: SpacesTable, artifact: IlpModelArtifa
     """
     t0 = time.monotonic()
     tol = 1e-6
-    h = inst.horizon
 
     starts: dict[int, int] = {}
     gaps: list[tuple[int, int]] = []
@@ -215,15 +191,6 @@ def import_solution(inst: Instance, table: SpacesTable, artifact: IlpModelArtifa
     missing = [j for j in range(1, inst.n_jobs + 1) if j not in starts]
     if missing:
         raise InfeasibleError(f"cover violated: jobs {missing} unassigned")
-
-    cover = np.zeros(h + 1, dtype=np.int64)
-    for j, i in starts.items():
-        cover[i:i + inst.jobs[j - 1]] += 1
-    for i, ip in gaps:
-        cover[i + 1:ip] += 1
-    bad = [int(k) for k in range(2, h) if cover[k] != 1]
-    if bad:
-        raise InfeasibleError(f"cover violated at intervals {bad[:5]}")
 
     placement = sorted(starts.items())
     sched = assemble_schedule(inst, placement, table, spaces=sorted(gaps))

@@ -12,7 +12,7 @@ from tousched import (
     build_graph,
     proc_window,
 )
-from tousched.datagen import preset_nosby, preset_twosby
+from tousched.datagen import SplitMix64, preset_nosby, preset_twosby
 from tousched.model import InfeasibleError
 
 # A small published benchmark instance used as a fixed anchor throughout
@@ -210,9 +210,34 @@ def write_each_non_object(tmp_path):
         yield path, reason
 
 
+# A machine whose powers are all 0: no horizon reaches the cost limit on it.
+ZERO_POWER_MACHINE = {
+    "states": ["off", "proc"],
+    "transitions": [{"from": s, "to": sp, "time": 1, "power": 0}
+                    for s in ("off", "proc") for sp in ("off", "proc")],
+}
+
+
+def limit_draws(monkeypatch, budget: int) -> None:
+    """Let SplitMix64.uniform_int answer budget calls and fail on the next,
+    so a generator that goes on to draw a huge horizon's costs fails at
+    once instead of running until memory is gone."""
+    draw = SplitMix64.uniform_int
+    calls = [0]
+
+    def counted(self, lo, hi):
+        calls[0] += 1
+        if calls[0] > budget:
+            raise AssertionError(f"more than {budget} draws")
+        return draw(self, lo, hi)
+
+    monkeypatch.setattr(SplitMix64, "uniform_int", counted)
+
+
 __all__ = [
     "WORKED_COSTS", "WORKED_JOBS", "WORKED_TEC", "WORKED_SIGMA",
     "WORKED_OMEGA", "WORKED_WINDOW", "worked_instance", "arbitrary_machine", "random_machine",
     "random_instance", "nosby_instance", "preset_nosby", "preset_twosby", "lp_to_arrays",
     "NON_INTEGERS", "plant_non_integer", "NOT_JSON_OBJECTS", "write_each_non_object",
+    "ZERO_POWER_MACHINE", "limit_draws",
 ]

@@ -10,8 +10,8 @@ from tousched import (build_graph, compute_spaces, load_schedule, save_instance,
                       solver, validate_schedule)
 from tousched.cli import BenchRecord, main
 
-from conftest import (NON_INTEGERS, WORKED_SIGMA, WORKED_TEC, lp_to_arrays, plant_non_integer,
-                      worked_instance)
+from conftest import (NON_INTEGERS, WORKED_SIGMA, WORKED_TEC, ZERO_POWER_MACHINE, limit_draws,
+                      lp_to_arrays, plant_non_integer, worked_instance)
 
 
 @pytest.fixture()
@@ -186,6 +186,25 @@ def test_import_solution_with_a_bad_varmap_entry_is_exit_2(tmp_path, capsys, wor
     assert map_path in stderr and "x_1_10" in stderr
 
 
+def test_import_solution_with_a_gap_over_a_job_is_exit_1(tmp_path, capsys, worked_file):
+    # y_1_6 bridges intervals 2..5, which y_1_4 and job 2 at 4 already cover
+    code, stderr, _ = import_edited(tmp_path, capsys, worked_file,
+                                    solution=WORKED_SOLUTION + "y_1_6 1\n")
+    assert code == 1
+    assert "interval 2 labeled twice" in stderr
+
+
+def test_import_solution_with_a_moved_job_in_the_sidecar_is_exit_1(tmp_path, capsys,
+                                                                   worked_file):
+    # job 1 at interval 1 overlaps the leading off interval and y_1_4,
+    # and leaves 10 and 11 uncovered
+    code, stderr, _ = import_edited(tmp_path, capsys, worked_file,
+                                    {"x_1_1": {"kind": "x", "j": 1, "i": 1}},
+                                    WORKED_SOLUTION.replace("x_1_10 1", "x_1_1 1"))
+    assert code == 1
+    assert "interval 1 labeled twice" in stderr
+
+
 def test_import_solution_with_a_nan_value_is_exit_2(tmp_path, capsys, worked_file):
     solution = WORKED_SOLUTION.replace("x_1_10 1", "x_1_10 nan")
     code, stderr, _ = import_edited(tmp_path, capsys, worked_file, solution=solution)
@@ -260,6 +279,25 @@ def test_gen_rejects_a_horizon_past_the_cost_limit_at_once(tmp_path, capsys):
                                "--multiple", "1e400", "--out", str(out))
     assert (code, stdout) == (2, "")
     assert "cost limit" in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs, machine, multiple", [
+    ("30", "nosby", "1e15"),  # h about 8.6e16, below the cost limit
+    ("3", "zero_power", "1e6"),  # no cost limit at all
+    ("65537", "nosby", "1.3"),  # n jobs need a horizon above n
+])
+def test_gen_rejects_a_horizon_past_the_horizon_limit_at_once(tmp_path, capsys, monkeypatch,
+                                                               jobs, machine, multiple):
+    machine_file = tmp_path / "machine.json"
+    machine_file.write_text(json.dumps(ZERO_POWER_MACHINE))
+    preset = "nosby" if machine == "nosby" else str(machine_file)
+    limit_draws(monkeypatch, 30)  # the job lengths at most, never a horizon's costs
+    out = tmp_path / "x"
+    code, stdout, stderr = run(capsys, "gen", "--jobs", jobs, "--preset", preset,
+                               "--multiple", multiple, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert "above the limit of 65536" in stderr
     assert not out.exists()
 
 

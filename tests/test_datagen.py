@@ -24,7 +24,7 @@ from tousched.datagen import (
     switch_durations,
 )
 
-from conftest import write_each_non_object
+from conftest import ZERO_POWER_MACHINE, limit_draws, write_each_non_object
 
 
 def test_stream_matches_published_reference():
@@ -251,6 +251,32 @@ def test_generate_rejects_horizons_that_reach_the_cost_limit(monkeypatch):
 def test_generate_rejects_a_huge_multiple_before_drawing_costs():
     with pytest.raises(InputError, match="cost limit"):
         generate_instance(9, preset_nosby(), "1e400", 1)
+
+
+@pytest.mark.parametrize("n, machine, multiple", [
+    (30, "nosby", "1e15"),  # h about 8.6e16, whose costs stay below the cost limit
+    (3, "zero_power", "1e6"),  # no cost limit at all
+    (datagen.HORIZON_LIMIT + 1, "nosby", "1.3"),  # h > sum_p >= n, caught before any draw
+])
+def test_generate_rejects_a_horizon_above_the_limit(monkeypatch, tmp_path, n, machine, multiple):
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(ZERO_POWER_MACHINE))
+    pre = preset_nosby() if machine == "nosby" else load_custom_preset(path)
+    limit_draws(monkeypatch, 30)  # the job lengths at most, never a horizon's costs
+    with pytest.raises(InputError, match=f"above the limit of {datagen.HORIZON_LIMIT}"):
+        generate_instance(n, pre, multiple, seed=1)
+
+
+def test_horizon_limit_is_inclusive(monkeypatch):
+    pre = preset_nosby()
+    h = generate_instance(4, pre, "1.3", 6).horizon
+    monkeypatch.setattr(datagen, "HORIZON_LIMIT", h)
+    assert generate_instance(4, pre, "1.3", 6).horizon == h
+    with pytest.raises(InputError, match="above the limit"):
+        generate_family(4, pre, 6)  # the longest member decides
+    monkeypatch.setattr(datagen, "HORIZON_LIMIT", h - 1)
+    with pytest.raises(InputError, match=f"a horizon of {h} intervals is above the limit"):
+        generate_instance(4, pre, "1.3", 6)
 
 
 def test_custom_preset_state_names_are_strings(tmp_path):

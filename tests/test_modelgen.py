@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -11,9 +12,11 @@ from tousched import (
     build_graph,
     compute_spaces,
     emit_ilp_spaces,
+    generate_instance,
     import_solution,
     load_varmap,
     parse_solution_text,
+    preset_twosby,
     solve_exact,
     validate_schedule,
     write_artifact,
@@ -41,6 +44,23 @@ def test_worked_artifact_shape(worked):
     assert text.index("Minimize") < text.index("Subject To") < \
         text.index("Binary") < text.index("End")
     assert all(len(line) <= 200 for line in text.splitlines())
+
+
+def test_export_is_pinned(worked):
+    # sha256 of the LP text and of json.dumps(varmap): these pin the terms,
+    # the row and column order and the varmap key order
+    pinned = [
+        (worked, "942434e983b6f574e0d4d9202f65300e1245722c41ec464555852f62997db144",
+         "ebf3003e4471027ace270d8b670a0fd09f9b12d37fcd6add6319cff24f7e20b1"),
+        (generate_instance(8, preset_twosby(), "1.9", seed=42),
+         "e5723494986394299094584e7918db32b0b5538f5737079916f5e5033efd34f7",
+         "dd80c4ac7a17a3c6e9c082a9902682e88735f5fb1d169a479c17bb69aab73ba6"),
+    ]
+    for inst, lp_digest, varmap_digest in pinned:
+        art = emit_ilp_spaces(inst, make_table(inst))
+        assert hashlib.sha256(art.lp_text.encode()).hexdigest() == lp_digest
+        assert hashlib.sha256(json.dumps(art.varmap).encode()).hexdigest() == varmap_digest
+        assert art.constant_term == 0
 
 
 def test_worked_objective_coefficients(worked):
@@ -98,6 +118,15 @@ def check_flow_rows(inst, art):
     return len(left_out)
 
 
+def check_gap_columns(table, art):
+    """The y columns, in order, are the gaps with a body of at least one
+    interval, a switching cost and no pruning flag, found pair by pair."""
+    h = table.horizon
+    want = [(i, ip) for i in range(1, h) for ip in range(i + 2, h + 1)
+            if table.phi(i, ip) is not None and not table.is_pruned(i, ip)]
+    assert [(m["i"], m["ip"]) for m in art.varmap.values() if m["kind"] == "y"] == want
+
+
 def test_flow_rows_are_differenced_covering_rows(worked):
     assert check_flow_rows(worked, emit_ilp_spaces(worked, make_table(worked))) == 0
     rng = random.Random(61)
@@ -105,7 +134,10 @@ def test_flow_rows_are_differenced_covering_rows(worked):
     for k in range(50):
         inst = random_instance(rng, n_max=5, h_max=30) if k % 2 else \
             nosby_instance(rng, n_max=5, h_max=30)
-        left_out += check_flow_rows(inst, emit_ilp_spaces(inst, make_table(inst)))
+        table = make_table(inst)
+        art = emit_ilp_spaces(inst, table)
+        left_out += check_flow_rows(inst, art)
+        check_gap_columns(table, art)
     assert left_out > 0  # the draw includes rows that would state 0 = 0
 
 
@@ -167,6 +199,28 @@ def test_import_rejects_uncovered_interval(worked):
     bad = dict(WORKED_OPTIMAL_ASSIGNMENT)
     del bad["y_11_13"]
     with pytest.raises(InfeasibleError):
+        import_solution(worked, tab, art, bad)
+
+
+def test_import_rejects_a_gap_over_a_job(worked):
+    # y_1_6 bridges intervals 2..5, which y_1_4 and job 2 at 4 already cover
+    tab = make_table(worked)
+    art = emit_ilp_spaces(worked, tab)
+    bad = dict(WORKED_OPTIMAL_ASSIGNMENT, y_1_6=1)
+    with pytest.raises(InfeasibleError, match="interval 2 labeled twice"):
+        import_solution(worked, tab, art, bad)
+
+
+def test_import_rejects_a_sidecar_that_moves_a_job(worked):
+    # a hand edit renames x_1_10 to x_1_1: job 1 at interval 1 overlaps
+    # the leading off interval and y_1_4, and leaves 10 and 11 uncovered
+    tab = make_table(worked)
+    art = emit_ilp_spaces(worked, tab)
+    del art.varmap["x_1_10"]
+    art.varmap["x_1_1"] = {"kind": "x", "j": 1, "i": 1}
+    bad = dict(WORKED_OPTIMAL_ASSIGNMENT, x_1_1=1)
+    del bad["x_1_10"]
+    with pytest.raises(InfeasibleError, match="interval 1 labeled twice"):
         import_solution(worked, tab, art, bad)
 
 
