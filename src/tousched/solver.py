@@ -26,15 +26,28 @@ The root is the gap after interval 1 against F of all jobs. Every cell
 stores its choice, so the schedule is a walk over the choices, and ties
 go to the lexicographically smallest sequence of (start, length) pieces.
 Values are kept only for the last max(p) layers, and the min-plus runs in
-fixed-size chunks. The band holds prod(count_p + 1) * (s + 1) cells; above
-_DP_CELL_LIMIT, or once the time limit expires, the solver answers with a
-one-block incumbent and an admissible lower bound instead.
+fixed-size chunks. The band holds prod(count_p + 1) * (s + 1) cells.
+
+The relaxation is the same fill (_fill) with one row per W instead of one
+per multiset, so a block may hold any sequence of job lengths: a
+state-space relaxation (Christofides, Mingozzi and Toth, Networks 11,
+1981) whose optimum is a lower bound. TEC depends only on which intervals
+process, so if the jobs split exactly into the relaxed optimum's merged
+blocks (_fit), that schedule proves the bound optimal.
+
+With no time limit and at most _DP_CELL_LIMIT band cells the DP runs
+alone. Otherwise the relaxation and the fit run first; without a fit the
+DP goes on under the cell limit. Above it, or once the time limit
+expires, the solver answers with a one-block incumbent and the relaxed
+value (or, before the relaxation completes, a cruder admissible bound)
+as lower bound.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +58,9 @@ from .spaces import SpacesTable, _UNREACHABLE, compute_spaces, expand_space
 
 _HUGE = int(_UNREACHABLE)
 _DP_CELL_LIMIT = 2 ** 23  # band cells the DP may fill, prod(count_p + 1) * (slack + 1)
+_FIT_BYTES = 2 ** 28  # the fit's packed sets kept, plus 16 bytes per lattice cell walking back
 _CHUNK = 2 ** 16  # int64 elements per min-plus chunk
-_BAND_ROWS = 16  # gap starts per min-plus strip; strips skip most ends before their starts
+_BAND_ROWS = 16  # fewest gap starts per min-plus strip; strips skip most ends before their starts
 
 
 @dataclass
@@ -78,8 +92,9 @@ def assemble_schedule(inst: Instance, placement: list[tuple[int, int]], table: S
     placement lists (job index, start interval). When spaces is omitted it
     is derived from the gaps between consecutive blocks plus the two
     boundary gaps; an explicit list lets callers keep gap splits that pass
-    through proc instantaneously. Raises when the pieces do not tile the
-    horizon exactly.
+    through proc instantaneously. When the pieces do not tile the horizon
+    exactly, raises one InfeasibleError naming every interval labeled
+    twice, out of range or left uncovered.
     """
     h = inst.horizon
     off = inst.state_set.off_state
@@ -113,12 +128,13 @@ def assemble_schedule(inst: Instance, placement: list[tuple[int, int]], table: S
     omega: list[StatePair | None] = [None] * h
     omega[0] = (off, off)
     omega[h - 1] = (off, off)
+    bad: list[int] = []  # intervals labeled twice or out of range
 
     def put(i: int, label: StatePair) -> None:
-        if i < 1 or i > h or omega[i - 1] is not None:
-            raise InfeasibleError(f"inconsistent placement: interval {i} labeled twice "
-                                  f"or out of range")
-        omega[i - 1] = label
+        if 1 <= i <= h and omega[i - 1] is None:
+            omega[i - 1] = label
+        else:
+            bad.append(i)
 
     for start, end in blocks:
         for i in range(start, end + 1):
@@ -127,9 +143,12 @@ def assemble_schedule(inst: Instance, placement: list[tuple[int, int]], table: S
         for k, label in enumerate(expand_space(table, i, ip), start=i + 1):
             put(k, label)
 
-    if any(lab is None for lab in omega):
-        missing = [i + 1 for i, lab in enumerate(omega) if lab is None]
-        raise InfeasibleError(f"inconsistent placement: intervals {missing[:5]} uncovered")
+    faults = [f"interval {i} {'labeled twice' if 1 <= i <= h else 'out of range'}"
+              for i in dict.fromkeys(bad)]
+    faults += [f"interval {i} uncovered" for i, lab in enumerate(omega, start=1) if lab is None]
+    if faults:
+        more = f" and {len(faults) - 10} more" if len(faults) > 10 else ""
+        raise InfeasibleError("inconsistent placement: " + ", ".join(faults[:10]) + more)
     return Schedule(sigma=tuple(sigma), omega=tuple(omega))
 
 
@@ -147,25 +166,222 @@ def _job_assignment(inst: Instance, block_jobs: list[tuple[int, int]]) -> list[t
     return placement
 
 
+class _Band(NamedTuple):
+    """What every layer of a band DP shares. A block that begins with W
+    work left starts at interval t_end - W + d, band offset d in 0..R-1,
+    where t_end = t_on + sum(p)."""
+
+    phi: np.ndarray  # capped at _HUGE, and _HUGE at ip < i + 2 below row 1 and left of column h
+    runs: np.ndarray  # runs[j, i]: processing cost of a job of length ps[j] from interval i
+    t_on: int
+    t_end: int
+    R: int
+    ps: np.ndarray  # the distinct job lengths, ascending
+
+
+def _fill(band: _Band, links, expired):
+    """Fill the layers W = 1..sum(p) of a band DP; returns (F, f_arg,
+    g_arg, states) with F the top layer's, or None when the deadline
+    expired first.
+
+    links(W) gives layer W's row count and, for each job length p in
+    turn, the rows that can start a block with a job of length p and the
+    row of layer W - p each of them continues in, or None when no row
+    can (index arrays or slices either way). The choices of every
+    layer are the job length index of F and the band offset of the gap
+    end where a gap beats merging, 0 where it does not (a real gap ends at
+    offset 1 or later).
+    """
+    phi, R, ps = band.phi, band.R, band.ps
+    h = phi.shape[0] - 1
+    H: dict[int, np.ndarray] = {}  # min(F, G) of the last max(p) layers
+    f_arg: dict[int, np.ndarray] = {}
+    g_arg: dict[int, np.ndarray] = {}
+    f_type, g_type = np.min_scalar_type(len(ps) - 1), np.min_scalar_type(R - 1)
+    buf = np.empty(max(_CHUNK, _BAND_ROWS * R), dtype=np.int64)
+    states, top, longest = 0, band.t_end - band.t_on, int(ps[-1])
+    for W in range(1, top + 1):
+        H.pop(W - longest - 1, None)
+        if expired():
+            return None, f_arg, g_arg, states
+        n_rows, succ = links(W)
+        if n_rows == 0:
+            continue
+        s0 = band.t_end - W  # the block starts at interval s0 + d
+        cand = np.full((len(ps), n_rows, R), _HUGE, dtype=np.int64)
+        for j, (p, link) in enumerate(zip(ps.tolist(), succ)):
+            if link is None:
+                continue
+            has, nxt = link
+            if W == p:
+                rest = phi[s0 + p - 1:s0 + p - 1 + R, h]  # the last block pays the trailing gap
+            else:
+                rest = H[W - p][nxt]
+            cand[j, has] = band.runs[j, s0:s0 + R] + rest
+        F = np.minimum(cand.min(axis=0), _HUGE)
+        f_arg[W] = cand.argmin(axis=0).astype(f_type)  # the shortest length wins ties
+        states += F.size
+        if W == top:
+            break
+        e0 = s0 - 1  # gap starts e0 + d, ends e0 + 1 + d''
+        phi_blk = phi[e0:e0 + R, e0 + 1:e0 + 1 + R]
+        G = np.full(F.shape, _HUGE, dtype=np.int64)
+        g_arg[W] = np.zeros(F.shape, dtype=g_type)
+        strip = max(_BAND_ROWS, _CHUNK // (n_rows * R))  # taller strips for few rows
+        for lo in range(0, R - 1, strip):  # one strip's ends all lie past lo
+            hi = min(lo + strip, R - 1)
+            blk = phi_blk[lo:hi, lo + 1:]
+            step = max(1, _CHUNK // blk.size)
+            for a in range(0, n_rows, step):
+                if expired():
+                    return None, f_arg, g_arg, states
+                part = F[a:a + step, None, lo + 1:]
+                out = buf[:len(part) * blk.size].reshape(len(part), *blk.shape)
+                tot = np.add(part, blk, out=out)
+                end = tot.argmin(axis=2)
+                g_arg[W][a:a + step, lo:hi] = end + lo + 1
+                G[a:a + step, lo:hi] = tot.min(axis=2)
+        np.copyto(g_arg[W], 0, where=G >= F)
+        H[W] = np.minimum(F, G)
+        states += G.size
+    return F, f_arg, g_arg, states
+
+
+def _band_optimum(band: _Band, links, top_code: int, row_of, stride, expired):
+    """Fill a band DP and walk its choices from the cheapest root, the gap
+    after interval 1; returns (value, pieces, states). value is None when
+    the deadline expired first and _HUGE or more when no schedule exists;
+    pieces are the (start, length) of every job in start order.
+
+    Rows are multiset codes: top_code is the top layer's, a job of length
+    index j takes stride[j] off a code, and row_of(W, code) is the code's
+    row in layer W."""
+    F, f_arg, g_arg, states = _fill(band, links, expired)
+    if F is None:
+        return None, [], states
+    root = band.phi[1, band.t_on + np.arange(band.R)] + F[0]  # the top layer has one row
+    slot = int(root.argmin())
+    value = int(root[slot])
+    pieces: list[tuple[int, int]] = []
+    W, code = band.t_end - band.t_on, top_code
+    while W and value < _HUGE:
+        j = int(f_arg[W][row_of(W, code), slot])
+        pieces.append((band.t_end - W + slot, int(band.ps[j])))
+        code, W = code - int(stride[j]), W - int(band.ps[j])
+        if W:
+            slot = int(g_arg[W][row_of(W, code), slot]) or slot
+    return value, pieces, states
+
+
+def _fit(ps: np.ndarray, counts: np.ndarray, lengths: list[int], expired) -> list[list[int]] | None:
+    """Split the jobs into blocks of the given lengths: for each block, the
+    lengths of the jobs it holds. None when no split exists, its memory
+    would pass _FIT_BYTES, or the deadline expired.
+
+    A knapsack over the lattice of count vectors of every length but the
+    shortest, q: block by block, layer[l] = layer[l - q] | (layer[l - p]
+    one step along p's axis) for every other length p, from layer[0] = the
+    vectors reachable before the block. The jobs fill the blocks exactly
+    when the full count vector is reachable after the last one. The
+    longest length's axis is packed 64 counts to a word, and only the set
+    before each block is kept. Walking back, a block holds what takes the
+    current vector down to any vector of that set with no more work than
+    the block's length. Jobs of length q fill the rest, always a multiple
+    of q: every vector of a set is reached with the work before its block.
+    """
+    q, others, c = int(ps[0]), ps[1:].tolist(), counts[1:].tolist()
+    if not others:
+        if any(L % q for L in lengths):
+            return None
+        return [[q] * (L // q) for L in lengths]
+    shape = tuple(k + 1 for k in c[:-1]) + (c[-1] // 64 + 1,)
+    longest = others[-1]
+    cells = int(np.prod([k + 1 for k in c], dtype=object))
+    words = cells // (c[-1] + 1) * shape[-1]
+    if 8 * words * (len(lengths) + longest + 1) + 16 * cells > _FIT_BYTES:
+        return None
+
+    def grow(S: np.ndarray, L: int) -> np.ndarray:
+        """The vectors reachable after a block of length L from those in S."""
+        layers = [S]
+        for l in range(1, L + 1):
+            cur = layers[l - q].copy() if l >= q else np.zeros_like(S)
+            for a, p in enumerate(others):
+                if p > l:
+                    break
+                src = layers[l - p]
+                if p < longest:
+                    lead = (slice(None),) * a
+                    cur[lead + (slice(1, None),)] |= src[lead + (slice(None, -1),)]
+                else:  # the packed axis: one bit up, carried across words
+                    cur |= src << 1
+                    cur[..., 1:] |= src[..., :-1] >> 63
+            layers.append(cur)
+            if l >= longest:
+                layers[l - longest] = None
+        return layers[L]
+
+    def box(S: np.ndarray, lo: list[int], hi: list[int]) -> np.ndarray:
+        """S unpacked to booleans over the count vectors from lo to hi."""
+        w0 = lo[-1] // 64
+        words = S[tuple(slice(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))
+                  + (slice(w0, hi[-1] // 64 + 1),)]
+        bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=-1,
+                             bitorder="little")
+        return bits[..., lo[-1] - 64 * w0:hi[-1] - 64 * w0 + 1].view(bool)
+
+    S = np.zeros(shape, dtype=np.uint64)
+    S[(0,) * len(shape)] = 1
+    before = []
+    for L in lengths:
+        if expired():
+            return None
+        before.append(S)
+        S = grow(S, L)
+        if not S.any():
+            return None
+    if not box(S, c, c).all():
+        return None
+
+    split = []
+    v = c
+    for S, L in zip(before[::-1], lengths[::-1]):
+        lo = [max(0, k - L // p) for k, p in zip(v, others)]
+        share = np.zeros((), dtype=np.int32)  # the work a step from lo + i to v puts in the block
+        for a, k, p in zip(lo, v, others):
+            share = np.add.outer(share, np.arange((k - a) * p, -1, -p, dtype=np.int32))
+        fits = box(S, lo, v) & (share <= L)
+        prev = [a + i for a, i in zip(lo, np.unravel_index(int(fits.argmax()), fits.shape))]
+        held = [p for p, k, a in zip(others, v, prev) for _ in range(k - a)]
+        split.append([q] * ((L - sum(held)) // q) + held)
+        v = prev
+    return split[::-1]
+
+
 def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = None) -> SolveResult:
     """Provably optimal schedule for the instance, or infeasible.
 
-    Fills the band DP of the module docstring layer by layer, storing the
-    argmin of every cell, then walks those choices from the root, the gap
-    after interval 1. Among equal-cost schedules the one whose (start,
-    length) pieces, sorted by start, form the lexicographically smallest
-    sequence wins. stats.states counts the DP cells filled.
+    With no time limit and a band of at most _DP_CELL_LIMIT cells, fills
+    the band DP of the module docstring, storing the argmin of every cell,
+    then walks those choices from the root, the gap after interval 1.
+    Among equal-cost schedules the one whose (start, length) pieces,
+    sorted by start, form the lexicographically smallest sequence wins.
 
-    When the band holds more than _DP_CELL_LIMIT cells, or the time limit
-    expires before the fill completes, the answer is the one-block
-    incumbent at t_on with an admissible lower bound under status
-    "timeout"; stats.stop_reason says which limit stopped the solve.
+    Otherwise the relaxation runs first. When the jobs fit its blocks
+    (_fit) the answer is that schedule, proved optimal by the bound.
+    Without a fit, the DP goes on when the band is under the cell limit;
+    when it is not, or the time limit expires first, the answer is the
+    one-block incumbent at t_on under status "timeout", with the relaxed
+    value as its lower bound (or, when the deadline expires during the
+    relaxation, the cheapest root gap plus all work at the cheapest later
+    price). stats.stop_reason says which limit stopped the solve, and
+    stats.states counts the DP cells filled, the relaxation's included.
     A time limit must be >= 0; inf, like None, sets no limit.
     """
     if time_limit is not None and not time_limit >= 0:  # NaN fails this test too
         raise InputError(f"time limit must be >= 0, got {time_limit}")
     t0 = time.monotonic()
-    deadline = None if time_limit is None else t0 + time_limit
+    deadline = None if time_limit is None or time_limit == float("inf") else t0 + time_limit
     h = inst.horizon
     t_on, t_off = table.window
     # The pruning flags are not read: every gap the band reaches has the
@@ -188,13 +404,15 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     if R < 1:
         return done("infeasible")
 
-    def incumbent(reason: str, states: int) -> SolveResult:
-        """All jobs in one block at t_on, shorter first, with the cheapest
-        root gap plus all work at the cheapest later price as the bound."""
-        ends = np.arange(2, t_on + R)
-        costs = np.asarray(inst.costs[:t_off], dtype=np.int64)
-        suf_min = np.minimum.accumulate(costs[::-1])[::-1]  # cheapest price from i on
-        lb = int(np.min(phi[1, ends] + sum_p * p_proc * suf_min[ends - 1], initial=_HUGE))
+    def incumbent(reason: str, states: int, bound: int | None = None) -> SolveResult:
+        """All jobs in one block at t_on, shorter first. The bound is the
+        relaxed value or, without one, the cheapest root gap plus all work
+        at the cheapest later price (the relaxed value is never below it)."""
+        if bound is None:
+            ends = np.arange(2, t_on + R)
+            costs = np.asarray(inst.costs[:t_off], dtype=np.int64)
+            suf_min = np.minimum.accumulate(costs[::-1])[::-1]  # cheapest price from i on
+            bound = int(np.min(phi[1, ends] + sum_p * p_proc * suf_min[ends - 1], initial=_HUGE))
         pieces, at = [], t_on
         for p in sorted(inst.jobs):
             pieces.append((at, p))
@@ -203,14 +421,55 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
         tec = compute_tec(inst, sched)
         e = t_on + sum_p - 1
         assert tec == const + int(phi[1, t_on] + phi[e, h] + (C[e] - C[t_on - 1]) * p_proc)
-        return done("timeout", tec=tec, sched=sched, states=states, lb=lb + const, reason=reason)
+        return done("timeout", tec=tec, sched=sched, states=states, lb=bound + const,
+                    reason=reason)
+
+    def optimal(pieces: list[tuple[int, int]], value: int, states: int) -> SolveResult:
+        sched = assemble_schedule(inst, _job_assignment(inst, pieces), table)
+        tec = value + const
+        check = compute_tec(inst, sched)
+        if check != tec:
+            raise RuntimeError(f"assembled schedule costs {check}, search found {tec}")
+        return done("optimal", tec=tec, sched=sched, states=states, lb=tec)
 
     def expired() -> bool:
         return deadline is not None and time.monotonic() >= deadline
 
+    # A gap between blocks ends at least two past its start; the root gaps
+    # (row 1) and the trailing gaps (column h) keep every entry.
+    for i in range(2, h):
+        phi[i, :min(i + 2, h)] = _HUGE
+    runs = np.full((len(ps), h + 1), _HUGE, dtype=np.int64)
+    for j, p in enumerate(ps.tolist()):
+        runs[j, 1:h + 2 - p] = (C[p:] - C[:h + 1 - p]) * p_proc
+    band = _Band(phi=phi, runs=runs, t_on=t_on, t_end=t_on + sum_p, R=R, ps=ps)
     radix = counts + 1
-    if int(np.prod(radix, dtype=object)) * R > _DP_CELL_LIMIT:
-        return incumbent("cell_limit", 0)
+    over = int(np.prod(radix, dtype=object)) * R > _DP_CELL_LIMIT
+    relaxed, states = None, 0
+    if deadline is not None or over:
+        # One row per remaining work W: a block may hold any sequence of
+        # job lengths, so the value is a lower bound.
+        every = (slice(None), slice(None))
+        relaxed, pieces, states = _band_optimum(
+            band, lambda W: (1, [every if W >= p else None for p in ps.tolist()]),
+            sum_p, lambda W, code: 0, ps, expired)
+        if relaxed is None:
+            return incumbent("time_limit", states)
+        if relaxed >= _HUGE:
+            return done("infeasible", states=states)
+        blocks: list[list[int]] = []  # [start, length] of the merged blocks
+        for a, p in pieces:
+            if blocks and sum(blocks[-1]) == a:
+                blocks[-1][1] += p
+            else:
+                blocks.append([a, p])
+        split = _fit(ps, counts, [L for _a, L in blocks], expired)
+        if split is not None:
+            fitted = [(a + sum(held[:k]), p) for (a, _L), held in zip(blocks, split)
+                      for k, p in enumerate(held)]
+            return optimal(fitted, relaxed, states)
+        if over:
+            return incumbent("cell_limit", states, relaxed)
 
     # Multiset codes in mixed radix, the shortest length varying fastest.
     # Layer W, the codes with W work left in ascending order, is
@@ -225,85 +484,24 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     def row_of(W: int, codes):
         return np.searchsorted(order[first[W]:first[W + 1]], codes)
 
-    d = np.arange(R)
-    upper = d[None, :] > d[:, None]  # a real gap ends at least two past its start
-    # H keeps the last max(p) layers; the choices of every layer are the
-    # job length index of F and the band offset of the gap end where a gap
-    # beats merging, 0 where it does not (a real gap ends at offset 1 or
-    # later).
-    H: dict[int, np.ndarray] = {}
-    f_arg: dict[int, np.ndarray] = {}
-    g_arg: dict[int, np.ndarray] = {}
-    g_type = np.min_scalar_type(R - 1)
-    buf = np.empty(max(_CHUNK, _BAND_ROWS * R), dtype=np.int64)
-    states, top = 0, int(ps[-1])
-    for W in range(1, sum_p + 1):
-        H.pop(W - top - 1, None)
-        if expired():
-            return incumbent("time_limit", states)
+    def links(W: int):
         rows = order[first[W]:first[W + 1]]
-        if rows.size == 0:
-            continue
-        start = t_on + sum_p - W + d
-        cand = np.full((len(ps), rows.size, R), _HUGE, dtype=np.int64)
+        succ = []
         for j, p in enumerate(ps.tolist()):
             has = np.nonzero(rows // stride[j] % radix[j])[0]
-            if has.size == 0:
-                continue
-            if W == p:
-                rest = phi[start + p - 1, h]  # the last block pays the trailing gap
+            if has.size:
+                succ.append((has, row_of(W - p, rows[has] - stride[j]) if W > p else None))
             else:
-                rest = H[W - p][row_of(W - p, rows[has] - stride[j])]
-            cand[j, has] = (C[start + p - 1] - C[start - 1]) * p_proc + rest
-        F = np.minimum(cand.min(axis=0), _HUGE)
-        f_arg[W] = np.zeros(F.shape, dtype=np.uint8)  # the cell limit allows at most 23 lengths
-        for j in range(len(ps) - 1, -1, -1):  # the shortest length wins ties
-            np.copyto(f_arg[W], j, where=cand[j] == F)
-        states += F.size
-        if W == sum_p:
-            break
-        e0 = start[0] - 1  # gap starts e0 + d, ends e0 + 1 + d''
-        phi_blk = np.where(upper, phi[e0:e0 + R, e0 + 1:e0 + 1 + R], _HUGE)
-        G = np.full(F.shape, _HUGE, dtype=np.int64)
-        g_arg[W] = np.zeros(F.shape, dtype=g_type)
-        for lo in range(0, R - 1, _BAND_ROWS):  # one strip's ends all lie past lo
-            hi = min(lo + _BAND_ROWS, R - 1)
-            blk = phi_blk[lo:hi, lo + 1:]
-            step = max(1, _CHUNK // blk.size)
-            for a in range(0, rows.size, step):
-                if expired():
-                    return incumbent("time_limit", states)
-                part = F[a:a + step, None, lo + 1:]
-                out = buf[:len(part) * blk.size].reshape(len(part), *blk.shape)
-                tot = np.add(part, blk, out=out)
-                end = tot.argmin(axis=2)
-                g_arg[W][a:a + step, lo:hi] = end + lo + 1
-                G[a:a + step, lo:hi] = np.take_along_axis(tot, end[..., None], 2)[..., 0]
-        np.copyto(g_arg[W], 0, where=G >= F)
-        H[W] = np.minimum(F, G)
-        states += G.size
+                succ.append(None)
+        return rows.size, succ
 
-    root = phi[1, t_on + d] + F[0]  # the last layer holds only the full multiset
-    slot = int(root.argmin())
-    best_core = int(root[slot])
-    if best_core >= _HUGE:
+    value, pieces, filled = _band_optimum(band, links, order.size - 1, row_of, stride, expired)
+    states += filled
+    if value is None:
+        return incumbent("time_limit", states, relaxed)
+    if value >= _HUGE:
         return done("infeasible", states=states)
-
-    pieces: list[tuple[int, int]] = []
-    W, m = sum_p, order.size - 1
-    while W:
-        j = int(f_arg[W][row_of(W, m), slot])
-        pieces.append((t_on + sum_p - W + slot, int(ps[j])))
-        m, W = m - int(stride[j]), W - int(ps[j])
-        if W:
-            slot = int(g_arg[W][row_of(W, m), slot]) or slot
-
-    sched = assemble_schedule(inst, _job_assignment(inst, pieces), table)
-    tec = best_core + const
-    check = compute_tec(inst, sched)
-    if check != tec:
-        raise RuntimeError(f"assembled schedule costs {check}, search found {tec}")
-    return done("optimal", tec=tec, sched=sched, states=states, lb=tec)
+    return optimal(pieces, value, states)
 
 
 def brute_force_switching(inst: Instance, i: int, ip: int, s: str, sp: str) -> int | None:

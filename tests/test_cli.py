@@ -558,15 +558,43 @@ def test_solve_out_records_the_stop_reason(tmp_path, capsys, worked_file):
     assert (stats["status"], stats["stop_reason"]) == ("timeout", "time_limit")
 
 
+def gen_one(capsys, out, preset, jobs, seed, multiple):
+    run(capsys, "gen", "--jobs", str(jobs), "--preset", preset, "--seed", str(seed),
+        "--multiple", multiple, "--out", str(out))
+    return str(next(out.glob("*.json")))
+
+
 def test_solve_names_the_cell_limit(tmp_path, capsys, worked_file, monkeypatch):
     monkeypatch.setattr(solver, "_DP_CELL_LIMIT", 1)
     out = tmp_path / "sched.json"
-    code, stdout, stderr = run(capsys, "solve", "--instance", worked_file, "--out", str(out))
+    # nosby/30/3001 at 1.3 does not fit its relaxed blocks (3022, optimum 3026)
+    no_fit = gen_one(capsys, tmp_path / "insts", "nosby", 30, 3001, "1.3")
+    code, stdout, stderr = run(capsys, "solve", "--instance", no_fit, "--out", str(out))
     assert code == 0 and stdout.startswith("TEC ")
     assert "cell limit reached" in stderr and "time limit" not in stderr
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert (doc["stats"]["status"], doc["stats"]["stop_reason"]) == ("timeout", "cell_limit")
     assert doc["stats"]["lower_bound"] <= doc["tec"]
+    assert doc["stats"]["lower_bound"] == 3022
+    # the worked example fits: its relaxed value is the optimum
+    code, stdout, stderr = run(capsys, "solve", "--instance", worked_file, "--out", str(out))
+    assert (code, stdout, stderr) == (0, "TEC 177\n", "")
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert (doc["stats"]["status"], doc["stats"]["stop_reason"]) == ("optimal", "optimal")
+    assert doc["stats"]["lower_bound"] == doc["tec"] == WORKED_TEC
+    assert tuple(doc["sigma"]) == WORKED_SIGMA
+
+
+def test_solve_certifies_a_190_job_member(tmp_path, capsys):
+    # The paper's scale: nosby/190/19002 at 1.6 (h=927). The jobs fit the
+    # relaxed blocks, which proves 17051 optimal.
+    inst_file = gen_one(capsys, tmp_path / "insts", "nosby", 190, 19002, "1.6")
+    out = tmp_path / "sched.json"
+    code, stdout, stderr = run(capsys, "solve", "--instance", inst_file, "--out", str(out))
+    assert (code, stdout, stderr) == (0, "TEC 17051\n", "")
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["stats"]["status"] == "optimal"
+    assert doc["stats"]["lower_bound"] == doc["tec"] == 17051
 
 
 

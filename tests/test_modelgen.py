@@ -220,8 +220,10 @@ def test_import_rejects_a_sidecar_that_moves_a_job(worked):
     art.varmap["x_1_1"] = {"kind": "x", "j": 1, "i": 1}
     bad = dict(WORKED_OPTIMAL_ASSIGNMENT, x_1_1=1)
     del bad["x_1_10"]
-    with pytest.raises(InfeasibleError, match="interval 1 labeled twice"):
+    with pytest.raises(InfeasibleError, match="interval 1 labeled twice") as err:
         import_solution(worked, tab, art, bad)
+    for named in ("interval 2 labeled twice", "interval 10 uncovered", "interval 11 uncovered"):
+        assert named in str(err.value)
 
 
 def test_import_round_trips_solver_output():

@@ -1,6 +1,9 @@
+import functools
 import random
 import types
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +18,7 @@ from tousched import (
     build_graph,
     compute_spaces,
     compute_tec,
+    generate_family,
     job_cost,
     solve_exact,
     validate_schedule,
@@ -200,19 +204,50 @@ def fourteen_jobs_h120():
     return Instance(120, costs, jobs, pre.state_set, pre.transitions)
 
 
+# nosby/30/3001 at multiple 1.3 (h=130): its relaxation is 3022 against an
+# optimum of 3026, so the jobs do not fit the relaxed blocks.
+NO_FIT_RELAXED, NO_FIT_OPTIMUM = 3022, 3026
+
+
+@functools.cache
+def no_fit_member():
+    inst = generate_family(30, preset_nosby(), 3001)[0]
+    return inst, make_table(inst)
+
+
+def relaxed_cells(inst, tab):
+    """Cells of the relaxation: sum(p) layers of F and sum(p) - 1 of G,
+    one row each, over the band."""
+    t_on, t_off = tab.window
+    return (2 * sum(inst.jobs) - 1) * (t_off - t_on + 2 - sum(inst.jobs))
+
+
 def test_cell_limit_answers_like_an_expired_time_limit(monkeypatch):
-    inst = fourteen_jobs_h120()
-    tab = make_table(inst)
+    # Without a fit: the incumbent of an expired time limit, under the
+    # relaxed bound, and no DP cell filled beyond the relaxation's.
+    inst, tab = no_fit_member()
     expired = solve_exact(inst, tab, time_limit=0.0)
     assert (expired.status, expired.stats.stop_reason) == ("timeout", "time_limit")
+    fits = fourteen_jobs_h120()
+    fits_tab = make_table(fits)
+    full = solve_exact(fits, fits_tab)
     monkeypatch.setattr(solver, "_DP_CELL_LIMIT", 1000)
     for limit in (None, 60.0):
         res = solve_exact(inst, tab, time_limit=limit)
         assert (res.status, res.stats.stop_reason) == ("timeout", "cell_limit")
-        assert res.stats.states == 0
+        assert res.stats.states == relaxed_cells(inst, tab)
         assert validate_schedule(inst, res.schedule) == []
         assert res.stats.lower_bound <= res.tec
-        assert (res.tec, res.stats.lower_bound) == (expired.tec, expired.stats.lower_bound)
+        assert (res.tec, res.stats.lower_bound) == (expired.tec, NO_FIT_RELAXED)
+        assert expired.stats.lower_bound < NO_FIT_RELAXED
+        # With a fit: the relaxed blocks hold the jobs, and that schedule
+        # is the DP's optimum, 1050.
+        res = solve_exact(fits, fits_tab, time_limit=limit)
+        assert (res.status, res.stats.stop_reason) == ("optimal", "optimal")
+        assert (res.tec, res.stats.lower_bound) == (full.tec, full.tec) == (1050, 1050)
+        assert res.stats.states == relaxed_cells(fits, fits_tab)
+        assert validate_schedule(fits, res.schedule) == []
+        assert compute_tec(fits, res.schedule) == 1050
 
 
 def test_cell_limit_counts_multisets_times_band_width(worked, monkeypatch):
@@ -223,25 +258,53 @@ def test_cell_limit_counts_multisets_times_band_width(worked, monkeypatch):
     monkeypatch.setattr(solver, "_DP_CELL_LIMIT", cells)
     assert solve_exact(worked, tab).tec == WORKED_TEC
     monkeypatch.setattr(solver, "_DP_CELL_LIMIT", cells - 1)
-    assert solve_exact(worked, tab).stats.stop_reason == "cell_limit"
+    res = solve_exact(worked, tab)  # the relaxation, and the jobs fit its blocks
+    assert (res.status, res.stats.stop_reason) == ("optimal", "optimal")
+    assert (res.tec, res.schedule.sigma) == (WORKED_TEC, WORKED_SIGMA)
+    # nosby/30/3001 at 1.3: (6 + 1)(4 + 1)(4 + 1)(9 + 1)(7 + 1) multisets
+    inst, tab = no_fit_member()
+    t_on, t_off = tab.window
+    cells = 7 * 5 * 5 * 10 * 8 * (t_off - t_on + 2 - sum(inst.jobs))
+    monkeypatch.setattr(solver, "_DP_CELL_LIMIT", cells)
+    assert solve_exact(inst, tab).tec == NO_FIT_OPTIMUM
+    monkeypatch.setattr(solver, "_DP_CELL_LIMIT", cells - 1)
+    assert solve_exact(inst, tab).stats.stop_reason == "cell_limit"
 
 
 def test_deadline_mid_fill_gives_the_same_answer(monkeypatch):
     # A fake clock that ticks once per reading makes the deadline fall
-    # after a fixed number of checks: before, between and inside layers.
+    # after a fixed number of checks: before, between and inside layers,
+    # first of the relaxation, then of the fit and the DP.
     inst = fourteen_jobs_h120()
     tab = make_table(inst)
     full = solve_exact(inst, tab)
     expired = solve_exact(inst, tab, time_limit=0.0)
+    no_fit, no_fit_tab = no_fit_member()
+    no_fit_full = solve_exact(no_fit, no_fit_tab)
+    no_fit_expired = solve_exact(no_fit, no_fit_tab, time_limit=0.0)
     ticks = iter(range(10 ** 6))
     monkeypatch.setattr(solver, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
     filled = []
-    for checks in (1, 2, 5, 40, 200):
+    for checks in (1, 2, 5, 40):  # inside the relaxation
         res = solve_exact(inst, tab, time_limit=checks - 0.5)
         assert (res.status, res.stats.stop_reason) == ("timeout", "time_limit")
         assert (res.tec, res.stats.lower_bound) == (expired.tec, expired.stats.lower_bound)
         filled.append(res.stats.states)
-    assert filled[0] == 0 and 0 < filled[-1] < full.stats.states
+    assert filled[0] == 0 and 0 < filled[-1] < relaxed_cells(inst, tab) < full.stats.states
+    assert filled == sorted(filled)
+    res = solve_exact(inst, tab, time_limit=70 - 0.5)  # inside the fit
+    assert (res.status, res.stats.stop_reason) == ("timeout", "time_limit")
+    assert (res.tec, res.stats.lower_bound) == (expired.tec, full.tec)
+    res = solve_exact(inst, tab, time_limit=200 - 0.5)  # past the fit
+    assert (res.status, res.tec) == ("optimal", full.tec)
+    filled = []
+    for checks in (250, 300, 400):  # inside the DP, after a relaxation without a fit
+        res = solve_exact(no_fit, no_fit_tab, time_limit=checks - 0.5)
+        assert (res.status, res.stats.stop_reason) == ("timeout", "time_limit")
+        assert (res.tec, res.stats.lower_bound) == (no_fit_expired.tec, NO_FIT_RELAXED)
+        filled.append(res.stats.states)
+    assert relaxed_cells(no_fit, no_fit_tab) < filled[0]
+    assert filled[-1] < relaxed_cells(no_fit, no_fit_tab) + no_fit_full.stats.states
     assert filled == sorted(filled)
 
 
@@ -389,3 +452,81 @@ def test_solver_matches_brute_force_on_random_machines(machine_seed, jobs, data)
         assert got.tec == want.tec
         pieces = sorted((a + 1, p) for a, p in zip(got.schedule.sigma, inst.jobs))
         assert pieces == min(optimal_piece_sequences(inst, tab))
+
+
+def split_exists(jobs, lengths):
+    """Whether the jobs split exactly into blocks of the given lengths:
+    each job in turn goes into a block with room for it."""
+    jobs = sorted(jobs, reverse=True)
+
+    @functools.cache
+    def go(i, room):
+        if i == len(jobs):
+            return not any(room)
+        return any(go(i + 1, tuple(sorted(room[:k] + (r - jobs[i],) + room[k + 1:])))
+                   for k, r in enumerate(room) if r >= jobs[i])
+
+    return go(0, tuple(sorted(lengths)))
+
+
+def fit(jobs, lengths):
+    ps, counts = np.unique(jobs, return_counts=True)
+    split = solver._fit(ps, counts, lengths, lambda: False)
+    if split is not None:
+        assert [sum(held) for held in split] == lengths
+        assert sorted(p for held in split for p in held) == sorted(jobs)
+    return split
+
+
+def test_fit_splits_the_jobs_exactly_when_they_fit():
+    rng = random.Random(5)
+    found = 0
+    for _ in range(400):
+        jobs = [rng.randint(1, 4) for _ in range(rng.randint(1, 8))]
+        cuts = sorted(rng.sample(range(1, sum(jobs)), min(sum(jobs) - 1, rng.randint(0, 3))))
+        lengths = [b - a for a, b in zip([0] + cuts, cuts + [sum(jobs)])]
+        split = fit(jobs, lengths)
+        assert (split is not None) == split_exists(jobs, lengths)
+        found += split is not None
+    assert 100 <= found <= 300
+    # 70 jobs of the longest length: its packed axis spans two 64-bit words
+    jobs = [1] * 3 + [2] * 5 + [3] * 70
+    assert fit(jobs, [3 * 65 + 2 + 1, 3 * 5 + 2 * 4 + 1 * 2]) is not None
+    assert fit(jobs[3:], [1, 3 * 70 + 2 * 5 - 1]) is None
+    # its budget: 6 x 2 words per set, kept for 2 blocks and 3 + 1 layers,
+    # and 16 bytes for each of the 6 x 71 count vectors
+    need = 8 * 6 * 2 * (2 + 3 + 1) + 16 * 6 * 71
+    for budget, fits in ((need, True), (need - 1, False)):
+        with mock.patch.object(solver, "_FIT_BYTES", budget):
+            assert (fit(jobs, [3 * 65 + 2 + 1, 3 * 5 + 2 * 4 + 1 * 2]) is not None) == fits
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(machine_seed=st.integers(0, 2 ** 32 - 1),
+       jobs=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+       data=st.data())
+def test_relaxation_bounds_the_optimum_and_its_fit_is_optimal(machine_seed, jobs, data):
+    # With no cell to spare the solve is the relaxation, then its fit or
+    # the incumbent; either way its lower bound is the relaxed value.
+    states, trans = random_machine(random.Random(machine_seed), max_extra=3)
+    h = data.draw(st.integers(min(20, sum(jobs) + 2), 20))
+    costs = data.draw(st.lists(st.integers(0, 6), min_size=h, max_size=h))
+    inst = Instance(h, tuple(costs), tuple(jobs), states, trans)
+    try:
+        tab = make_table(inst)
+    except InfeasibleError:
+        return
+    want = brute_force_schedule(inst, tab)
+    with mock.patch.object(solver, "_DP_CELL_LIMIT", 0):
+        relaxed = solve_exact(inst, tab)
+    assert (relaxed.status == "infeasible") == (want.status == "infeasible")
+    if want.status == "infeasible":
+        return
+    assert relaxed.stats.lower_bound <= want.tec
+    if relaxed.status == "optimal":
+        assert relaxed.stats.stop_reason == "optimal"
+        assert relaxed.tec == relaxed.stats.lower_bound == solve_exact(inst, tab).tec
+        assert validate_schedule(inst, relaxed.schedule) == []
+        assert compute_tec(inst, relaxed.schedule) == relaxed.tec
+    else:
+        assert relaxed.stats.stop_reason == "cell_limit"

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import random
 import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -242,6 +243,22 @@ def test_table_file_of_older_versions_loads(tmp_path, worked):
     assert np.array_equal(back.phi_matrix, tab.phi_matrix)
     res = solve_exact(worked, back)
     assert (res.status, res.tec) == ("optimal", 177)
+
+
+def test_table_file_of_np_savez_compressed_loads(tmp_path):
+    # save_table deflates at level 1; the level-6 archives np.savez_compressed
+    # wrote for the same members read the same
+    inst = nosby_instance(random.Random(7), n_max=4, h_max=40)
+    tab = make_table(inst)
+    out = save_table(tab, tmp_path / "tab.npz")
+    with zipfile.ZipFile(out) as zf:
+        assert sorted(zf.namelist()) == ["fingerprint.npy", "phi.npy"]
+        assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+    old = str(tmp_path / "old.npz")
+    np.savez_compressed(old, phi=stored_phi(out), fingerprint=np.str_(spaces._fingerprint(inst)))
+    back = load_table(old, inst)
+    assert np.array_equal(back.phi_matrix, load_table(out, inst).phi_matrix)
+    assert np.array_equal(back.phi_matrix, tab.phi_matrix)
 
 
 @pytest.mark.parametrize("old_format", [False, True])
