@@ -98,6 +98,7 @@ def cmd_solve(args) -> int:
         return 1
     if args.out:
         stats = {"status": result.status, "stop_reason": result.stats.stop_reason,
+                 "certifier": result.stats.certifier, "rounds": result.stats.rounds,
                  "states": result.stats.states,
                  "wall_time": round(result.stats.wall_time, 6),
                  "lower_bound": result.stats.lower_bound}

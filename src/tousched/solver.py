@@ -36,15 +36,23 @@ process, so if the jobs split exactly into the relaxed optimum's merged
 blocks (_fit), that schedule proves the bound optimal.
 
 With no time limit and at most _DP_CELL_LIMIT band cells the DP runs
-alone. Otherwise the relaxation and the fit run first; without a fit the
-DP goes on under the cell limit. Above it, or once the time limit
-expires, the solver answers with a one-block incumbent and the relaxed
-value (or, before the relaxation completes, a cruder admissible bound)
-as lower bound.
+alone. Otherwise the relaxation and the fit run first. Without a fit, a
+timed solve under the cell limit eliminates cells by reduced cost: one
+forward sweep over the relaxation (_through) gives the cheapest relaxed
+schedule through every cell, and deepening rounds fill the DP only on
+the cells whose value is at most a cut ub, the distinct values taken in
+ascending order from the relaxed bound. Every schedule below the next
+cut lies on a round's cells, so a round whose value is below it has the
+optimum and the full DP's walk; otherwise the bound rises to that cut.
+Above the cell limit, or once the time limit expires, the solver answers
+with its incumbent (a failed round's schedule or one block) and the best
+bound it has (before the relaxation completes, a cruder admissible one).
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -69,6 +77,8 @@ class SolveStats:
     wall_time: float = 0.0
     lower_bound: int | None = None
     stop_reason: str | None = None  # optimal | infeasible | time_limit | cell_limit
+    certifier: str | None = None  # what proved an optimum: dp | fit | rounds
+    rounds: int = 0  # elimination rounds begun
 
 
 @dataclass
@@ -113,17 +123,18 @@ def assemble_schedule(inst: Instance, placement: list[tuple[int, int]], table: S
     blocks.sort()
 
     if spaces is None:
+        # A gap before the first block, between blocks that do not touch
+        # and after the last. A block at interval 1 or h, past either end
+        # or overlapping another leaves no room for its gap and is named
+        # below.
         spaces = []
         prev_end = 1
-        first = True
-        for start, end in blocks:
-            if first or start > prev_end + 1:
+        for k, (start, end) in enumerate(blocks):
+            if (k == 0 or start > prev_end + 1) and 1 <= prev_end < start <= h:
                 spaces.append((prev_end, start))
-            elif start != prev_end + 1:
-                raise InfeasibleError("inconsistent placement: overlapping blocks")
             prev_end = end
-            first = False
-        spaces.append((prev_end, h))
+        if 1 <= prev_end < h:
+            spaces.append((prev_end, h))
 
     omega: list[StatePair | None] = [None] * h
     omega[0] = (off, off)
@@ -179,98 +190,178 @@ class _Band(NamedTuple):
     ps: np.ndarray  # the distinct job lengths, ascending
 
 
-def _fill(band: _Band, links, expired):
+def _fill(band: _Band, links, cols, expired, keep: bool = False):
     """Fill the layers W = 1..sum(p) of a band DP; returns (F, f_arg,
-    g_arg, states) with F the top layer's, or None when the deadline
-    expired first.
+    g_arg, states, values) with F the top layer's, or None when the
+    deadline expired first.
 
     links(W) gives layer W's row count and, for each job length p in
     turn, the rows that can start a block with a job of length p and the
     row of layer W - p each of them continues in, or None when no row
-    can (index arrays or slices either way). The choices of every
-    layer are the job length index of F and the band offset of the gap
-    end where a gap beats merging, 0 where it does not (a real gap ends at
-    offset 1 or later).
+    can (index arrays or slices either way). cols(W) gives the band
+    offsets of layer W that are filled: where a block may start (F) and
+    where one may have just ended (G), each an ascending index array or
+    slice(None) for all. Every other cell is left out as if it cost
+    _HUGE. The choices of every layer are stored for the kept columns
+    only: the job length index of F, and the band offset of the gap end
+    where a gap beats merging, 0 where it does not (a real gap ends at
+    offset 1 or later). With keep, which needs one row per layer and
+    every column, values[0][W] and values[1][W] are F_W and H_W of every
+    layer; without, values is None.
     """
     phi, R, ps = band.phi, band.R, band.ps
     h = phi.shape[0] - 1
-    H: dict[int, np.ndarray] = {}  # min(F, G) of the last max(p) layers
+    every = np.arange(R)
+    after = every + 1  # the first gap end past each start, with every column kept
+    H: dict[int, np.ndarray] = {}  # min(F, G) of the last max(p) layers, at every offset
+    top = band.t_end - band.t_on
+    values = np.full((2, top + 1, R), _HUGE, dtype=np.int64) if keep else None
     f_arg: dict[int, np.ndarray] = {}
     g_arg: dict[int, np.ndarray] = {}
     f_type, g_type = np.min_scalar_type(len(ps) - 1), np.min_scalar_type(R - 1)
     buf = np.empty(max(_CHUNK, _BAND_ROWS * R), dtype=np.int64)
-    states, top, longest = 0, band.t_end - band.t_on, int(ps[-1])
+    states, longest = 0, int(ps[-1])
     for W in range(1, top + 1):
         H.pop(W - longest - 1, None)
         if expired():
-            return None, f_arg, g_arg, states
+            return None, f_arg, g_arg, states, values
         n_rows, succ = links(W)
         if n_rows == 0:
             continue
         s0 = band.t_end - W  # the block starts at interval s0 + d
-        cand = np.full((len(ps), n_rows, R), _HUGE, dtype=np.int64)
+        fc, hc = cols(W)
+        whole = isinstance(fc, slice) and isinstance(hc, slice)
+        ends = every[fc]
+        runs = band.runs[:, s0:s0 + R] if whole else band.runs[:, s0:s0 + R][:, fc]
+        cand = np.full((len(ps), n_rows, len(ends)), _HUGE, dtype=np.int64)
         for j, (p, link) in enumerate(zip(ps.tolist(), succ)):
             if link is None:
                 continue
             has, nxt = link
             if W == p:
-                rest = phi[s0 + p - 1:s0 + p - 1 + R, h]  # the last block pays the trailing gap
+                rest = phi[s0 + p - 1 + ends, h]  # the last block pays the trailing gap
             else:
-                rest = H[W - p][nxt]
-            cand[j, has] = band.runs[j, s0:s0 + R] + rest
-        F = np.minimum(cand.min(axis=0), _HUGE)
+                rest = H[W - p][nxt] if whole else H[W - p][:, fc][nxt]
+            cand[j, has] = runs[j] + rest
+        F = np.minimum(cand.min(axis=0), _HUGE, out=values[0][W:W + 1] if keep else None)
         f_arg[W] = cand.argmin(axis=0).astype(f_type)  # the shortest length wins ties
         states += F.size
         if W == top:
             break
         e0 = s0 - 1  # gap starts e0 + d, ends e0 + 1 + d''
         phi_blk = phi[e0:e0 + R, e0 + 1:e0 + 1 + R]
-        G = np.full(F.shape, _HUGE, dtype=np.int64)
-        g_arg[W] = np.zeros(F.shape, dtype=g_type)
-        strip = max(_BAND_ROWS, _CHUNK // (n_rows * R))  # taller strips for few rows
-        for lo in range(0, R - 1, strip):  # one strip's ends all lie past lo
-            hi = min(lo + strip, R - 1)
-            blk = phi_blk[lo:hi, lo + 1:]
+        if whole:
+            begins = every
+            past, some = after, R - 1
+        else:
+            begins = every[hc]
+            phi_blk = phi_blk[hc][:, fc]
+            past = np.searchsorted(ends, begins, side="right")  # each start's first end column
+            some = int(np.searchsorted(past, len(ends)))  # the starts with an end past them
+        G = np.full((n_rows, len(begins)), _HUGE, dtype=np.int64)
+        g_arg[W] = np.zeros(G.shape, dtype=g_type)
+        # taller strips for few rows
+        strip = max(_BAND_ROWS, _CHUNK // (n_rows * max(len(ends), 1)))
+        for lo in range(0, some, strip):
+            hi = min(lo + strip, some)
+            b = int(past[lo])  # one strip's ends all lie past its first start
+            blk = phi_blk[lo:hi, b:]
             step = max(1, _CHUNK // blk.size)
             for a in range(0, n_rows, step):
                 if expired():
-                    return None, f_arg, g_arg, states
-                part = F[a:a + step, None, lo + 1:]
+                    return None, f_arg, g_arg, states, values
+                part = F[a:a + step, None, b:]
                 out = buf[:len(part) * blk.size].reshape(len(part), *blk.shape)
                 tot = np.add(part, blk, out=out)
-                end = tot.argmin(axis=2)
-                g_arg[W][a:a + step, lo:hi] = end + lo + 1
+                end = tot.argmin(axis=2) + b
+                g_arg[W][a:a + step, lo:hi] = end if whole else ends[end]
                 G[a:a + step, lo:hi] = tot.min(axis=2)
-        np.copyto(g_arg[W], 0, where=G >= F)
-        H[W] = np.minimum(F, G)
         states += G.size
-    return F, f_arg, g_arg, states
+        if whole:
+            np.copyto(g_arg[W], 0, where=G >= F)
+            H[W] = np.minimum(F, G, out=values[1][W:W + 1] if keep else None)
+        else:  # F at G's columns, and H there only: a block ends nowhere else
+            F_g = np.full((n_rows, R), _HUGE, dtype=np.int64)
+            F_g[:, fc] = F
+            F_g = F_g[:, hc]
+            np.copyto(g_arg[W], 0, where=G >= F_g)
+            H[W] = np.full((n_rows, R), _HUGE, dtype=np.int64)
+            H[W][:, hc] = np.minimum(F_g, G)
+    return F, f_arg, g_arg, states, values
 
 
-def _band_optimum(band: _Band, links, top_code: int, row_of, stride, expired):
+def _band_optimum(band: _Band, links, cols, top_code: int, row_of, stride, expired,
+                  keep: bool = False):
     """Fill a band DP and walk its choices from the cheapest root, the gap
-    after interval 1; returns (value, pieces, states). value is None when
-    the deadline expired first and _HUGE or more when no schedule exists;
-    pieces are the (start, length) of every job in start order.
+    after interval 1; returns (value, pieces, states, values). value is
+    None when the deadline expired first and _HUGE or more when no
+    schedule exists; pieces are the (start, length) of every job in start
+    order. links, cols, keep and values are _fill's.
 
     Rows are multiset codes: top_code is the top layer's, a job of length
-    index j takes stride[j] off a code, and row_of(W, code) is the code's
-    row in layer W."""
-    F, f_arg, g_arg, states = _fill(band, links, expired)
+    index j takes stride[j] off a code, and row_of(code) is the code's
+    row in its layer."""
+    F, f_arg, g_arg, states, values = _fill(band, links, cols, expired, keep)
     if F is None:
-        return None, [], states
-    root = band.phi[1, band.t_on + np.arange(band.R)] + F[0]  # the top layer has one row
-    slot = int(root.argmin())
-    value = int(root[slot])
-    pieces: list[tuple[int, int]] = []
+        return None, [], states, values
+    every = np.arange(band.R)
+
+    def column(c, d: int) -> int:
+        return d if isinstance(c, slice) else int(np.searchsorted(c, d))
+
     W, code = band.t_end - band.t_on, top_code
+    fc = cols(W)[0]
+    root = band.phi[1, band.t_on:band.t_on + band.R][fc] + F[0]  # the top layer has one row
+    k = int(root.argmin())
+    value, slot = int(root[k]), int(every[fc][k])
+    pieces: list[tuple[int, int]] = []
     while W and value < _HUGE:
-        j = int(f_arg[W][row_of(W, code), slot])
+        j = int(f_arg[W][row_of(code), column(cols(W)[0], slot)])
         pieces.append((band.t_end - W + slot, int(band.ps[j])))
         code, W = code - int(stride[j]), W - int(band.ps[j])
         if W:
-            slot = int(g_arg[W][row_of(W, code), slot]) or slot
-    return value, pieces, states
+            slot = int(g_arg[W][row_of(code), column(cols(W)[1], slot)]) or slot
+    return value, pieces, states, values
+
+
+def _columns(mask: np.ndarray) -> list:
+    """For each row of mask, the offsets where it holds, or slice(None)
+    where it holds everywhere."""
+    rows, offsets = np.nonzero(mask)
+    ends = np.searchsorted(rows, np.arange(len(mask) + 1)).tolist()
+    return [slice(None) if b - a == mask.shape[1] else offsets[a:b]
+            for a, b in zip(ends, ends[1:])]
+
+
+def _through(band: _Band, values, expired):
+    """The cheapest relaxed schedule through every cell of the relaxation,
+    from the values its _fill keeps: two arrays indexed [W, d], A_W + F_W
+    and B_W + H_W, where A_W[d] is the cheapest relaxed cost from the root
+    to a block that starts at offset d, and B_W[d] to a block that ended
+    just before it, both from one forward sweep. None when the deadline
+    expired first."""
+    phi, R, ps = band.phi, band.R, band.ps
+    top = band.t_end - band.t_on
+    B = np.full((top + 1, R), _HUGE, dtype=np.int64)
+    via_f, via_h = np.full((2, top + 1, R), _HUGE, dtype=np.int64)
+    for W in range(top, 0, -1):
+        if expired():
+            return None
+        s0 = band.t_end - W
+        F, H = values[0][W], values[1][W]
+        if W == top:
+            A = phi[1, s0:s0 + R]  # the root gap
+        else:
+            e0 = s0 - 1
+            Bw = np.minimum(B[W], _HUGE)
+            gap = (Bw[:, None] + phi[e0:e0 + R, e0 + 1:e0 + 1 + R]).min(axis=0)
+            A = np.minimum(np.minimum(Bw, gap), _HUGE)  # merge, or a gap from an earlier end
+            via_h[W] = Bw + H
+        via_f[W] = A + F
+        for j, p in enumerate(ps.tolist()):
+            if p < W:
+                np.minimum(B[W - p], A + band.runs[j, s0:s0 + R], out=B[W - p])
+    return via_f, via_h
 
 
 def _fit(ps: np.ndarray, counts: np.ndarray, lengths: list[int], expired) -> list[list[int]] | None:
@@ -369,14 +460,19 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
 
     Otherwise the relaxation runs first. When the jobs fit its blocks
     (_fit) the answer is that schedule, proved optimal by the bound.
-    Without a fit, the DP goes on when the band is under the cell limit;
-    when it is not, or the time limit expires first, the answer is the
-    one-block incumbent at t_on under status "timeout", with the relaxed
-    value as its lower bound (or, when the deadline expires during the
-    relaxation, the cheapest root gap plus all work at the cheapest later
-    price). stats.stop_reason says which limit stopped the solve, and
-    stats.states counts the DP cells filled, the relaxation's included.
-    A time limit must be >= 0; inf, like None, sets no limit.
+    Without a fit, a timed solve under the cell limit runs the
+    elimination rounds of the module docstring; they end in the same
+    schedule as the full DP. Over the cell limit, or when the time limit
+    expires first, the answer has status "timeout": the cheaper of a
+    failed round's schedule and the one-block incumbent at t_on, under
+    the cut the rounds reached or the relaxed value (or, when the
+    deadline expires during the relaxation, the cheapest root gap plus
+    all work at the cheapest later price).
+    stats.stop_reason says which limit stopped the solve, stats.certifier
+    what proved an optimum ("dp", "fit" or "rounds"), stats.rounds how
+    many rounds began, and stats.states the DP cells filled, the
+    relaxation's included. A time limit must be >= 0; inf, like None,
+    sets no limit.
     """
     if time_limit is not None and not time_limit >= 0:  # NaN fails this test too
         raise InputError(f"time limit must be >= 0, got {time_limit}")
@@ -396,18 +492,23 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     sum_p = sum(inst.jobs)
     R = t_off - t_on + 2 - sum_p  # band width: window slack + 1
 
-    def done(status: str, tec=None, sched=None, states=0, lb=None, reason=None) -> SolveResult:
+    def done(status: str, tec=None, sched=None, states=0, lb=None, reason=None,
+             certifier=None, rounds=0) -> SolveResult:
         return SolveResult(tec=tec, schedule=sched, status=status,
                            stats=SolveStats(states=states, wall_time=time.monotonic() - t0,
-                                            lower_bound=lb, stop_reason=reason or status))
+                                            lower_bound=lb, stop_reason=reason or status,
+                                            certifier=certifier, rounds=rounds))
 
     if R < 1:
         return done("infeasible")
 
-    def incumbent(reason: str, states: int, bound: int | None = None) -> SolveResult:
-        """All jobs in one block at t_on, shorter first. The bound is the
-        relaxed value or, without one, the cheapest root gap plus all work
-        at the cheapest later price (the relaxed value is never below it)."""
+    def incumbent(reason: str, states: int, bound: int | None = None, found=None,
+                  rounds: int = 0) -> SolveResult:
+        """The cheaper of found, the (value, pieces) of a schedule a round
+        found, and all jobs in one block at t_on, shorter first. The bound
+        is the round's or the relaxed value or, without one, the cheapest
+        root gap plus all work at the cheapest later price (the relaxed
+        value is never below it)."""
         if bound is None:
             ends = np.arange(2, t_on + R)
             costs = np.asarray(inst.costs[:t_off], dtype=np.int64)
@@ -417,20 +518,25 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
         for p in sorted(inst.jobs):
             pieces.append((at, p))
             at += p
+        e = t_on + sum_p - 1
+        value = int(phi[1, t_on] + phi[e, h] + (C[e] - C[t_on - 1]) * p_proc)
+        if found is not None and found[0] < value:
+            value, pieces = found
         sched = assemble_schedule(inst, _job_assignment(inst, pieces), table)
         tec = compute_tec(inst, sched)
-        e = t_on + sum_p - 1
-        assert tec == const + int(phi[1, t_on] + phi[e, h] + (C[e] - C[t_on - 1]) * p_proc)
+        assert tec == const + value
         return done("timeout", tec=tec, sched=sched, states=states, lb=bound + const,
-                    reason=reason)
+                    reason=reason, rounds=rounds)
 
-    def optimal(pieces: list[tuple[int, int]], value: int, states: int) -> SolveResult:
+    def optimal(pieces: list[tuple[int, int]], value: int, states: int, certifier: str,
+                rounds: int = 0) -> SolveResult:
         sched = assemble_schedule(inst, _job_assignment(inst, pieces), table)
         tec = value + const
         check = compute_tec(inst, sched)
         if check != tec:
             raise RuntimeError(f"assembled schedule costs {check}, search found {tec}")
-        return done("optimal", tec=tec, sched=sched, states=states, lb=tec)
+        return done("optimal", tec=tec, sched=sched, states=states, lb=tec,
+                    certifier=certifier, rounds=rounds)
 
     def expired() -> bool:
         return deadline is not None and time.monotonic() >= deadline
@@ -443,16 +549,20 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     for j, p in enumerate(ps.tolist()):
         runs[j, 1:h + 2 - p] = (C[p:] - C[:h + 1 - p]) * p_proc
     band = _Band(phi=phi, runs=runs, t_on=t_on, t_end=t_on + sum_p, R=R, ps=ps)
+    every = (slice(None), slice(None))  # all rows of a relaxed layer, or all columns
+
+    def whole(W: int):
+        return every
+
     radix = counts + 1
-    over = int(np.prod(radix, dtype=object)) * R > _DP_CELL_LIMIT
-    relaxed, states = None, 0
+    cells = int(np.prod(radix, dtype=object)) * R
+    over = cells > _DP_CELL_LIMIT
     if deadline is not None or over:
         # One row per remaining work W: a block may hold any sequence of
         # job lengths, so the value is a lower bound.
-        every = (slice(None), slice(None))
-        relaxed, pieces, states = _band_optimum(
+        relaxed, pieces, states, layers = _band_optimum(
             band, lambda W: (1, [every if W >= p else None for p in ps.tolist()]),
-            sum_p, lambda W, code: 0, ps, expired)
+            whole, sum_p, lambda code: 0, ps, expired, keep=True)
         if relaxed is None:
             return incumbent("time_limit", states)
         if relaxed >= _HUGE:
@@ -467,7 +577,7 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
         if split is not None:
             fitted = [(a + sum(held[:k]), p) for (a, _L), held in zip(blocks, split)
                       for k, p in enumerate(held)]
-            return optimal(fitted, relaxed, states)
+            return optimal(fitted, relaxed, states, "fit")
         if over:
             return incumbent("cell_limit", states, relaxed)
 
@@ -480,28 +590,72 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
         work = np.add.outer(work, np.arange(0, p * c + 1, p, dtype=np.int32)).ravel()
     order = np.argsort(work, kind="stable").astype(np.int32)
     first = np.concatenate(([0], np.cumsum(np.bincount(work, minlength=sum_p + 1))))
-
-    def row_of(W: int, codes):
-        return np.searchsorted(order[first[W]:first[W + 1]], codes)
+    rank = np.empty_like(order)  # each code's row in its layer
+    rank[order] = np.arange(order.size) - first[work[order]]
+    # holds[j][i]: the multiset order[i] holds a job of length ps[j]
+    holds = [order // stride[j] % radix[j] > 0 for j in range(len(ps))]
 
     def links(W: int):
         rows = order[first[W]:first[W + 1]]
         succ = []
         for j, p in enumerate(ps.tolist()):
-            has = np.nonzero(rows // stride[j] % radix[j])[0]
+            has = np.flatnonzero(holds[j][first[W]:first[W + 1]])
             if has.size:
-                succ.append((has, row_of(W - p, rows[has] - stride[j]) if W > p else None))
+                succ.append((has, rank[rows[has] - stride[j]] if W > p else None))
             else:
                 succ.append(None)
         return rows.size, succ
 
-    value, pieces, filled = _band_optimum(band, links, order.size - 1, row_of, stride, expired)
-    states += filled
-    if value is None:
+    if deadline is None:
+        value, pieces, filled, _ = _band_optimum(band, links, whole, order.size - 1,
+                                                 rank.__getitem__, stride, expired)
+        if value >= _HUGE:
+            return done("infeasible", states=filled)
+        return optimal(pieces, value, filled, "dp")
+
+    # Reduced-cost elimination: a cell whose cheapest relaxed schedule
+    # costs more than ub lies on no schedule of cost ub or less. Each round
+    # fills the DP on the cells at or below a cut, one of those costs,
+    # ascending from the relaxed value; the rounds share the row links. A
+    # round at the cut of a schedule already found cannot fail, and is
+    # taken next unless it keeps more than twice the cells of the next
+    # cut. Once the rounds have filled as many cells as the whole DP would
+    # (an F and a G per band cell), the next round keeps every cell.
+    through = _through(band, layers, expired)
+    if through is None:
         return incumbent("time_limit", states, relaxed)
-    if value >= _HUGE:
-        return done("infeasible", states=states)
-    return optimal(pieces, value, states)
+    alive = np.sort(np.concatenate([via.ravel() for via in through]))
+    alive = alive[:np.searchsorted(alive, _HUGE)]
+    cuts = alive[np.diff(alive, prepend=alive[0] - 1) > 0].tolist()  # the relaxed value first
+
+    def kept(k: int) -> int:
+        return int(np.searchsorted(alive, cuts[k], side="right"))
+
+    links = functools.cache(links)
+    k, bound, found, spent, rounds = 0, relaxed, None, 0, 0
+    while True:
+        cols = list(zip(*(_columns(via <= cuts[k]) for via in through)))
+        value, pieces, filled, _ = _band_optimum(band, links, cols.__getitem__, order.size - 1,
+                                                 rank.__getitem__, stride, expired)
+        states, spent, rounds = states + filled, spent + filled, rounds + 1
+        if value is None:
+            return incumbent("time_limit", states, bound, found, rounds)
+        # Every schedule below the next cut lies on this round's cells, so a
+        # value below it is the optimum, reached by the full DP's walk.
+        bound = cuts[k + 1] if k + 1 < len(cuts) else _HUGE
+        if value < bound:
+            return optimal(pieces, value, states, "rounds", rounds)
+        if bound >= _HUGE:
+            return done("infeasible", states=states, rounds=rounds)
+        if value < _HUGE and (found is None or value < found[0]):
+            found = (value, pieces)
+        k += 1
+        if spent >= 2 * cells:
+            k = len(cuts) - 1
+        elif found is not None:
+            last = bisect.bisect_right(cuts, found[0]) - 1
+            if kept(last) <= 2 * kept(k):
+                k = last
 
 
 def brute_force_switching(inst: Instance, i: int, ip: int, s: str, sp: str) -> int | None:

@@ -233,7 +233,7 @@ def load_table(path, inst: Instance, graph: IntervalStateGraph | None = None) ->
     versions (INF = 2^62) read alike; a hand-edited cell equal to the
     type's maximum reads as unreachable."""
     try:
-        with np.load(path, allow_pickle=False) as doc:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as doc:
             fingerprint = str(doc["fingerprint"])
             phi = doc["phi"]
     except (zipfile.BadZipFile, KeyError, ValueError, EOFError) as exc:

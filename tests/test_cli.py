@@ -450,7 +450,7 @@ def test_bad_json_is_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", NON_INTEGERS)
 def test_non_integer_instance_numbers_are_exit_2_everywhere(tmp_path, capsys, worked_file, kind):
-    doc = json.loads(open(worked_file).read())
+    doc = json.loads(Path(worked_file).read_text())
     field = plant_non_integer(doc, kind)
     bad_dir = tmp_path / "bad"
     bad_dir.mkdir()
@@ -551,11 +551,30 @@ def test_solve_out_records_the_stop_reason(tmp_path, capsys, worked_file):
     assert code == 0 and stderr == ""
     stats = json.loads(out.read_text(encoding="utf-8"))["stats"]
     assert (stats["status"], stats["stop_reason"]) == ("optimal", "optimal")
+    assert (stats["certifier"], stats["rounds"]) == ("dp", 0)
     code, _, stderr = run(capsys, "solve", "--instance", worked_file, "--time-limit", "0.0",
                           "--out", str(out))
     assert code == 0 and "time limit reached" in stderr
     stats = json.loads(out.read_text(encoding="utf-8"))["stats"]
     assert (stats["status"], stats["stop_reason"]) == ("timeout", "time_limit")
+    assert (stats["certifier"], stats["rounds"]) == (None, 0)
+    code, _, stderr = run(capsys, "solve", "--instance", worked_file, "--time-limit", "60",
+                          "--out", str(out))
+    stats = json.loads(out.read_text(encoding="utf-8"))["stats"]
+    assert (code, stats["status"], stats["certifier"], stats["rounds"]) == (0, "optimal", "fit", 0)
+
+
+def test_solve_out_records_the_elimination_rounds(tmp_path, capsys):
+    # nosby/30/3001 at 1.3 has no fit; under a time limit the rounds prove
+    # 3026, at the cuts 3022 and 3026.
+    no_fit = gen_one(capsys, tmp_path / "insts", "nosby", 30, 3001, "1.3")
+    out = tmp_path / "sched.json"
+    code, stdout, stderr = run(capsys, "solve", "--instance", no_fit, "--time-limit", "60",
+                               "--out", str(out))
+    assert (code, stdout, stderr) == (0, "TEC 3026\n", "")
+    stats = json.loads(out.read_text(encoding="utf-8"))["stats"]
+    assert (stats["status"], stats["stop_reason"]) == ("optimal", "optimal")
+    assert (stats["certifier"], stats["rounds"], stats["lower_bound"]) == ("rounds", 2, 3026)
 
 
 def gen_one(capsys, out, preset, jobs, seed, multiple):
@@ -576,12 +595,14 @@ def test_solve_names_the_cell_limit(tmp_path, capsys, worked_file, monkeypatch):
     assert (doc["stats"]["status"], doc["stats"]["stop_reason"]) == ("timeout", "cell_limit")
     assert doc["stats"]["lower_bound"] <= doc["tec"]
     assert doc["stats"]["lower_bound"] == 3022
+    assert (doc["stats"]["certifier"], doc["stats"]["rounds"]) == (None, 0)
     # the worked example fits: its relaxed value is the optimum
     code, stdout, stderr = run(capsys, "solve", "--instance", worked_file, "--out", str(out))
     assert (code, stdout, stderr) == (0, "TEC 177\n", "")
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert (doc["stats"]["status"], doc["stats"]["stop_reason"]) == ("optimal", "optimal")
     assert doc["stats"]["lower_bound"] == doc["tec"] == WORKED_TEC
+    assert doc["stats"]["certifier"] == "fit"
     assert tuple(doc["sigma"]) == WORKED_SIGMA
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,7 +259,7 @@ def test_write_artifact_and_load_varmap(tmp_path, worked):
     lp_path, map_path = write_artifact(art, tmp_path / "model.lp")
     assert lp_path.endswith("model.lp")
     assert map_path.endswith("model.lp.varmap.json")
-    doc = json.loads(open(map_path).read())
+    doc = json.loads(Path(map_path).read_text())
     assert set(doc) == {"constant_term", "variables"}
     back = load_varmap(map_path)
     assert back.varmap == art.varmap

@@ -1,5 +1,6 @@
 import functools
 import random
+import time
 import types
 from unittest import mock
 
@@ -81,6 +82,20 @@ def test_assemble_schedule_worked(worked):
 def test_assemble_schedule_rejects_overlap(worked):
     tab = make_table(worked)
     with pytest.raises(InfeasibleError):
+        assemble_schedule(worked, [(1, 10), (2, 10), (3, 13)], tab)
+
+
+def test_assemble_schedule_names_blocks_at_the_horizon_ends(worked):
+    # Derived gaps: a block at interval 1 or h leaves no room for the
+    # boundary gap, so the interval is named instead.
+    tab = make_table(worked)
+    with pytest.raises(InfeasibleError, match=r"interval 1 labeled twice"):
+        assemble_schedule(worked, [(1, 1), (2, 4), (3, 13)], tab)
+    with pytest.raises(InfeasibleError, match=r"interval 16 labeled twice"):
+        assemble_schedule(worked, [(1, 10), (2, 4), (3, 15)], tab)
+    with pytest.raises(InfeasibleError, match=r"interval 17 out of range"):
+        assemble_schedule(worked, [(1, 10), (2, 4), (3, 16)], tab)
+    with pytest.raises(InfeasibleError, match=r"interval 10 labeled twice"):
         assemble_schedule(worked, [(1, 10), (2, 10), (3, 13)], tab)
 
 
@@ -297,15 +312,112 @@ def test_deadline_mid_fill_gives_the_same_answer(monkeypatch):
     assert (res.tec, res.stats.lower_bound) == (expired.tec, full.tec)
     res = solve_exact(inst, tab, time_limit=200 - 0.5)  # past the fit
     assert (res.status, res.tec) == ("optimal", full.tec)
+    # After a relaxation without a fit: the forward sweep, then the first
+    # elimination round (readings 310 to 424).
+    res = solve_exact(no_fit, no_fit_tab, time_limit=250 - 0.5)
+    assert (res.status, res.stats.stop_reason, res.stats.rounds) == ("timeout", "time_limit", 0)
+    assert (res.tec, res.stats.lower_bound) == (no_fit_expired.tec, NO_FIT_RELAXED)
+    assert res.stats.states == relaxed_cells(no_fit, no_fit_tab)
     filled = []
-    for checks in (250, 300, 400):  # inside the DP, after a relaxation without a fit
+    for checks in (330, 370, 410):  # inside the first round
         res = solve_exact(no_fit, no_fit_tab, time_limit=checks - 0.5)
         assert (res.status, res.stats.stop_reason) == ("timeout", "time_limit")
         assert (res.tec, res.stats.lower_bound) == (no_fit_expired.tec, NO_FIT_RELAXED)
+        assert res.stats.rounds == 1
         filled.append(res.stats.states)
     assert relaxed_cells(no_fit, no_fit_tab) < filled[0]
     assert filled[-1] < relaxed_cells(no_fit, no_fit_tab) + no_fit_full.stats.states
     assert filled == sorted(filled)
+
+
+def test_deadline_in_the_second_round_keeps_the_raised_bound(monkeypatch):
+    # The first round, at the relaxed value 3022, keeps no schedule below
+    # the next cut, 3026: that is the bound from then on, and its best
+    # schedule (3034) an incumbent. The second round starts at reading 425.
+    inst, tab = no_fit_member()
+    expired = solve_exact(inst, tab, time_limit=0.0)
+    ticks = iter(range(10 ** 6))
+    monkeypatch.setattr(solver, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+    res = solve_exact(inst, tab, time_limit=500 - 0.5)
+    assert (res.status, res.stats.stop_reason, res.stats.rounds) == ("timeout", "time_limit", 2)
+    assert res.stats.lower_bound == NO_FIT_OPTIMUM > NO_FIT_RELAXED
+    assert res.tec == min(expired.tec, 3034)
+    assert validate_schedule(inst, res.schedule) == []
+    assert compute_tec(inst, res.schedule) == res.tec
+    assert res.stats.certifier is None
+
+
+@pytest.mark.parametrize("member, tec", [(0, NO_FIT_OPTIMUM), (1, 3001)])
+def test_elimination_rounds_match_the_full_dp(member, tec):
+    # nosby/30/3001 at 1.3 and 1.6: no fit, so a time limit runs the rounds
+    inst = generate_family(30, preset_nosby(), 3001)[member]
+    tab = make_table(inst)
+    full = solve_exact(inst, tab)
+    res = solve_exact(inst, tab, time_limit=60.0)
+    assert (full.status, full.tec, full.stats.certifier) == ("optimal", tec, "dp")
+    assert (res.status, res.stats.stop_reason) == ("optimal", "optimal")
+    assert res.stats.certifier == "rounds"
+    assert (res.tec, res.stats.lower_bound) == (full.tec, full.stats.lower_bound)
+    assert res.schedule == full.schedule
+    assert res.stats.rounds == 2
+    assert res.stats.states < full.stats.states / 2
+
+
+def test_the_cell_limit_counts_the_whole_band_before_the_rounds():
+    # nosby/60/6001 at 1.9: no fit, and the band is over the cell limit,
+    # so no round runs even under a time limit; the bound is the relaxed
+    # value, which is the optimum.
+    inst = generate_family(60, preset_nosby(), 6001)[2]
+    res = solve_exact(inst, make_table(inst), time_limit=60.0)
+    assert (res.status, res.stats.stop_reason, res.stats.rounds) == ("timeout", "cell_limit", 0)
+    assert (res.stats.lower_bound, res.tec, res.stats.certifier) == (5324, 6152, None)
+
+
+def test_a_round_at_the_next_cut_is_not_final():
+    # The first round's value, 348, equals the next cut and so is optimal,
+    # but an equal schedule that the tie-break prefers passes a cell at
+    # that cut: the second round must run to find it.
+    states = MachineStateSet(("off", "proc", "sb1", "sb2", "sb3"))
+    trans = TransitionSpec({("off", "off"): (1, 1), ("proc", "proc"): (1, 6),
+                            ("off", "proc"): (2, 3), ("proc", "off"): (2, 2),
+                            ("sb1", "sb1"): (1, 1), ("proc", "sb1"): (0, 0),
+                            ("sb1", "proc"): (0, 0), ("sb2", "sb2"): (1, 5),
+                            ("proc", "sb2"): (0, 0), ("sb2", "proc"): (0, 0),
+                            ("sb3", "sb3"): (1, 2), ("proc", "sb3"): (0, 0),
+                            ("sb3", "proc"): (0, 0)})
+    inst = Instance(16, (5, 2, 8, 7, 9, 7, 4, 4, 9, 7, 11, 11, 3, 1, 9, 6), (2, 1, 4),
+                    states, trans)
+    tab = make_table(inst)
+    full = solve_exact(inst, tab)
+    with mock.patch.object(solver, "_fit", lambda *args: None):
+        res = solve_exact(inst, tab, time_limit=1e6)
+    assert (full.tec, full.schedule.sigma) == (348, (3, 12, 5))
+    assert (res.tec, res.schedule, res.stats.rounds) == (full.tec, full.schedule, 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(machine_seed=st.integers(0, 2 ** 32 - 1),
+       jobs=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+       data=st.data())
+def test_elimination_rounds_without_a_fit_match_the_full_dp(machine_seed, jobs, data):
+    # With the fit switched off every timed solve ends in the rounds: the
+    # same status, TEC, sigma and omega as the untimed DP, ties included.
+    states, trans = random_machine(random.Random(machine_seed), max_extra=3)
+    h = data.draw(st.integers(min(24, sum(jobs) + 2), 24))
+    costs = data.draw(st.lists(st.integers(0, 6), min_size=h, max_size=h))
+    inst = Instance(h, tuple(costs), tuple(jobs), states, trans)
+    try:
+        tab = make_table(inst)
+    except InfeasibleError:
+        return
+    full = solve_exact(inst, tab)
+    with mock.patch.object(solver, "_fit", lambda *args: None):
+        res = solve_exact(inst, tab, time_limit=1e6)
+    assert (res.status, res.tec, res.stats.lower_bound) == (full.status, full.tec,
+                                                           full.stats.lower_bound)
+    assert res.schedule == full.schedule
+    if res.status == "optimal":
+        assert res.stats.certifier == "rounds" and res.stats.rounds >= 1
 
 
 def test_fifteen_hundred_unit_jobs():
@@ -452,6 +564,45 @@ def test_solver_matches_brute_force_on_random_machines(machine_seed, jobs, data)
         assert got.tec == want.tec
         pieces = sorted((a + 1, p) for a, p in zip(got.schedule.sigma, inst.jobs))
         assert pieces == min(optimal_piece_sequences(inst, tab))
+
+
+def test_deadline_in_the_rounds_leaves_a_valid_answer(monkeypatch):
+    # With the fit off and a fake clock, a deadline at any reading of a
+    # timed solve gives the full DP's answer or a valid incumbent, that of
+    # a failed round included, with lb <= optimum <= tec.
+    monkeypatch.setattr(solver, "_fit", lambda *args: None)
+    rng = random.Random(11)
+    readings = [0]
+
+    def tick():
+        readings[0] += 1
+        return readings[0]
+
+    incumbents = 0
+    for _ in range(120):
+        inst = random_instance(rng, n_max=7, h_max=32, max_extra=3)
+        try:
+            tab = make_table(inst)
+        except InfeasibleError:
+            continue
+        full = solve_exact(inst, tab)
+        one_block = solve_exact(inst, tab, time_limit=0.0)
+        monkeypatch.setattr(solver, "time", types.SimpleNamespace(monotonic=tick))
+        readings[0] = 0
+        solve_exact(inst, tab, time_limit=1e9)
+        for reading in sorted({rng.randint(1, readings[0]) for _ in range(6)}):
+            readings[0] = 0
+            res = solve_exact(inst, tab, time_limit=reading - 0.5)
+            if res.status != "timeout":
+                assert (res.status, res.tec, res.schedule) == (full.status, full.tec, full.schedule)
+                continue
+            assert validate_schedule(inst, res.schedule) == []
+            assert compute_tec(inst, res.schedule) == res.tec
+            if full.status == "optimal":
+                assert res.stats.lower_bound <= full.tec <= res.tec
+            incumbents += res.tec < one_block.tec
+        monkeypatch.setattr(solver, "time", time)
+    assert incumbents >= 5
 
 
 def split_exists(jobs, lengths):
