@@ -10,8 +10,9 @@ interval index, so all weights are non-negative and paths never move
 backwards in time.
 
 So every shortest path is a sweep in interval order, closing the zero-time
-edges at each interval: `sssp` sweeps from one source, and
-`spaces.compute_spaces` from every gap start at once.
+edges at each interval: `sssp` sweeps from one source over states, and
+`spaces.compute_spaces` from every gap start at once over zero-time
+classes, the sets of states that reach each other by time-0 edges.
 
 Which vertices a path reaches depends only on transition times, never on
 prices: inside the horizon, v(k, s) reaches v(k+d, sp) exactly when some

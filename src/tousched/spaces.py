@@ -5,12 +5,17 @@ up to interval ip: leaving proc after I_i and being back in proc at I_ip,
 with the off boundary taking the place of proc when i = 1 or ip = h.
 
 The table is a forward dynamic program over the interval axis that
-advances every gap start simultaneously: a (starts x states) distance
-block is relaxed interval by interval, with an instantaneous-transition
-closure at each index. Edge weights depend only on the interval and the
-state pair, never on the start, so each relaxation is one vectorized add
-and minimum. `isg.sssp` is the same sweep from a single start; a
-switching path is read off it, stopped at the gap's end.
+advances every gap start simultaneously: a (classes x starts) distance
+block is relaxed interval by interval. Its rows are the machine's
+zero-time classes, the sets of states that reach each other by time-0
+transitions and so hold one distance once the instantaneous closure at
+an interval is done; that closure is one pass over the classes joined in
+one direction only, and positive-time steps between two classes with the
+same time merge at their cheapest power. Edge weights depend only on the
+interval and the step, never on the start, so each relaxation is one
+vectorized add and minimum. `isg.sssp` is the same sweep from a single
+start, over states; a switching path is read off it, stopped at the
+gap's end.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from .isg import INF, IntervalStateGraph, build_graph, proc_window, sssp, tree_path
-from .model import InfeasibleError, InputError, Instance, StatePair, instance_to_dict
+from .model import (InfeasibleError, InputError, Instance, StatePair, instance_to_dict,
+                    zero_time_closure)
 
 _UNREACHABLE = np.int64(INF) // 2  # values at or above this mean "no path"
 
@@ -98,37 +104,57 @@ class SpacesTable:
 def _sweep_rows(g: IntervalStateGraph, phi: np.ndarray) -> None:
     """Fill phi rows 1..h-1. Row i is the sweep from the start of the gap
     after interval i, which enters at interval i + 1 (in off for i = 1, in
-    proc after), so interval k relaxes rows 1..k-1 only."""
+    proc after), so interval k relaxes rows 1..k-1 only.
+
+    The sweep runs over zero-time classes, not states: a class is a set of
+    states that reach each other by time-0 transitions, so once the
+    closure at an interval is done all of its states hold one distance,
+    and it is one row of the ring. Positive-time steps between the same
+    two classes with the same time merge into one at the cheapest power,
+    which gives the cheapest weight since costs are non-negative. A class
+    reaching another by time-0 chains in one direction only passes its
+    distance on once per interval, over the transitively closed pairs, so
+    no ordering of the passes matters. Every distance stays at or below
+    INF, and each phi column is clamped to INF as it is written."""
     inst = g.inst
     h = inst.horizon
-    n_s = len(g.states)
     C = inst.cost_prefix
-    off, proc = g.off_index, g.proc_index
+    names = g.states
+    reach = zero_time_closure(inst)
 
-    zero_steps = [(s, sp) for s, sp, t, _pw in g.steps if t == 0]
-    pos_steps = [step for step in g.steps if step[2] >= 1]
-    t_max = max(t for _s, _sp, t, _pw in pos_steps)
+    # two states share a class exactly when they reach the same states at time 0
+    class_id: dict[frozenset[str], int] = {}
+    class_of = {s: class_id.setdefault(frozenset(reach[s]), len(class_id)) for s in names}
+    cls = [class_of[s] for s in names]
+    off, proc = cls[g.off_index], cls[g.proc_index]
 
-    # ring[k % (t_max + 1), i] holds row i at interval k; row 0 is padding
-    ring = np.full((t_max + 1, h, n_s), INF, dtype=np.int64)
+    zero_pairs = sorted({(class_of[s], class_of[sp]) for s in names for sp in reach[s]
+                         if class_of[s] != class_of[sp]})
+    power: dict[tuple[int, int, int], int] = {}
+    for s, sp, t, pw in g.steps:
+        if t >= 1:
+            key = (cls[s], cls[sp], t)
+            power[key] = min(pw, power.get(key, pw))
+    steps = [(c, cp, t, pw) for (c, cp, t), pw in power.items()]
+    slots = max(t for _c, _cp, t, _pw in steps) + 1
+
+    # ring[k % slots, c, i] holds class c of row i at interval k; row 0 is padding
+    ring = np.full((slots, len(class_id), h), INF, dtype=np.int64)
     for k in range(2, h + 1):
-        cur = ring[k % (t_max + 1), :k]
-        cur[k - 1, off if k == 2 else proc] = 0
+        cur = ring[k % slots, :, :k]
+        cur[off if k == 2 else proc, k - 1] = 0
+        for c, cp in zero_pairs:
+            np.minimum(cur[cp], cur[c], out=cur[cp])
 
-        for _ in range(n_s - 1 if zero_steps else 0):
-            for s, sp in zero_steps:
-                np.minimum(cur[:, sp], cur[:, s], out=cur[:, sp])
+        np.minimum(cur[proc if k < h else off], INF, out=phi[:k, k])
 
-        phi[:k, k] = cur[:, proc if k < h else off]
-
-        for s, sp, t, pw in pos_steps:
+        for c, cp, t, pw in steps:
             if k + t > h:  # transition would not complete by the last interval
                 continue
-            w = (C[k + t - 1] - C[k - 1]) * pw
-            tgt = ring[(k + t) % (t_max + 1), :k]
-            np.minimum(tgt[:, sp], cur[:, s] + w, out=tgt[:, sp])
+            tgt = ring[(k + t) % slots, cp, :k]
+            np.minimum(tgt, cur[c] + (C[k + t - 1] - C[k - 1]) * pw, out=tgt)
 
-        cur[:] = INF  # slot is reused for interval k + t_max + 1
+        cur[:] = INF  # slot is reused for interval k + slots
 
 
 def compute_spaces(inst: Instance, g: IntervalStateGraph) -> SpacesTable:
@@ -137,7 +163,6 @@ def compute_spaces(inst: Instance, g: IntervalStateGraph) -> SpacesTable:
     table = SpacesTable(np.full((h + 1, h + 1), INF, dtype=np.int64), g)
     phi = table.phi_matrix
     _sweep_rows(g, phi)
-    phi[phi >= _UNREACHABLE] = INF
     return table
 
 

@@ -1,8 +1,11 @@
 import dataclasses
 import hashlib
+import json
 import random
 import re
 import zipfile
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,10 +24,10 @@ from tousched import (
     switching_path,
     write_phi_csv,
 )
-from tousched import spaces
-from tousched.model import InfeasibleError, Instance
+from tousched import datagen, spaces
+from tousched.model import InfeasibleError, Instance, zero_time_closure
 
-from conftest import nosby_instance, random_instance
+from conftest import arbitrary_machine, nosby_instance, random_instance
 
 
 def make_table(inst):
@@ -32,10 +35,9 @@ def make_table(inst):
 
 
 def phi_from_apsp(inst, g, oracle, i, ip):
-    """Re-derive one switching cost straight from the all-pairs oracle."""
+    """Re-derive one switching cost straight from the all-pairs oracle;
+    None when the oracle has no path."""
     h = inst.horizon
-    if ip == i + 1:
-        return 0 if i >= 2 else oracle.get((2, "off"), (ip, "proc"))
     src = (2, "off") if i == 1 else (i + 1, "proc")
     dst = (h, "off") if ip == h else (ip, "proc")
     return oracle.get(src, dst)
@@ -114,19 +116,75 @@ def test_expansion_prices_match_phi():
                 assert price_expansion(inst, labels, i + 1) == val
 
 
+def assert_phi_matches_oracle(inst):
+    g = build_graph(inst)
+    tab = compute_spaces(inst, g)
+    oracle = apsp_oracle(g)
+    h = inst.horizon
+    for i in range(1, h):
+        for ip in range(i + 1, h + 1):
+            assert tab.phi(i, ip) == phi_from_apsp(inst, g, oracle, i, ip), (i, ip)
+
+
+def zero_time_shape(inst):
+    """Which zero-time structures the machine has: classes of more than
+    one state, and states joined by time-0 chains one way only."""
+    reach = zero_time_closure(inst)
+    pairs = [(s, sp) for s in reach for sp in reach[s] if s != sp]
+    shape = set()
+    if any(s in reach[sp] for s, sp in pairs):
+        shape.add("shared class")
+    if any(s not in reach[sp] for s, sp in pairs):
+        shape.add("one-way")
+    return shape
+
+
 def test_phi_matches_all_pairs_oracle():
     rng = random.Random(19)
     for _ in range(25):
-        inst = random_instance(rng, n_max=3, h_max=18)
-        g = build_graph(inst)
-        tab = compute_spaces(inst, g)
-        oracle = apsp_oracle(g)
-        h = inst.horizon
-        for i in range(1, h):
-            for ip in range(i + 1, h + 1):
-                got = tab.phi(i, ip)
-                if got is not None:
-                    assert got == phi_from_apsp(inst, g, oracle, i, ip), (i, ip)
+        assert_phi_matches_oracle(random_instance(rng, n_max=3, h_max=18))
+
+
+def test_phi_matches_all_pairs_oracle_on_arbitrary_machines():
+    # any transition graph: one-way time-0 chains, several zero-time
+    # classes, class members held at different powers, and intervals
+    # that cost nothing
+    rng = random.Random(23)
+    seen = Counter()
+    while seen["checked"] < 200:
+        states, trans = arbitrary_machine(rng)
+        h = rng.randint(4, 18)
+        costs = tuple(0 if rng.random() < 0.15 else rng.randint(1, 9) for _ in range(h))
+        inst = Instance(h, costs, (1,), states, trans)
+        try:
+            assert_phi_matches_oracle(inst)
+        except (InputError, InfeasibleError):
+            continue  # no switch-on or switch-off chain, or no window
+        seen["checked"] += 1
+        seen.update(zero_time_shape(inst))
+        seen["zero cost"] += 0 in costs
+    assert min(seen["shared class"], seen["one-way"], seen["zero cost"]) >= 25, seen
+
+
+# The long-horizon benchmark stores a digest of phi and the pruning flags
+# per instance; these two are its longest nosby and twosby horizons.
+BENCH_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
+
+
+@pytest.mark.parametrize("preset, n, seed, multiple, h", [
+    ("nosby", 190, 19002, "2.2", 1273),
+    ("twosby", 190, 19001, "1.9", 1068),
+])
+def test_phi_at_paper_scale_matches_the_benchmark_digest(preset, n, seed, multiple, h):
+    refs = json.loads(BENCH_REFS.read_text(encoding="utf-8"))
+    ref = refs["workloads"]["long-horizon"]["references"][f"{preset}/{n}/{seed}/{multiple}"]
+    members = datagen.generate_family(n, getattr(datagen, f"preset_{preset}")(), seed)
+    inst = members[[str(float(m)) for m in datagen.FAMILY_MULTIPLES].index(multiple)]
+    assert inst.horizon == ref["h"] == h
+    tab = make_table(inst)
+    digest = hashlib.sha256(tab.phi_matrix.astype("<i8").tobytes())
+    digest.update(tab.pruned_mask.astype("u1").tobytes())
+    assert digest.hexdigest() == ref["digest"]
 
 
 def test_worked_pruning(worked):
