@@ -37,12 +37,15 @@ blocks (_fit), that schedule proves the bound optimal.
 
 With no time limit and at most _DP_CELL_LIMIT band cells the DP runs
 alone. Otherwise the relaxation and the fit run first. Without a fit, a
-timed solve under the cell limit eliminates cells by reduced cost: one
-forward sweep over the relaxation (_through) gives the cheapest relaxed
-schedule through every cell, and deepening rounds fill the DP only on
-the cells whose value is at most a cut ub, the distinct values taken in
-ascending order from the relaxed bound. Every schedule below the next
-cut lies on a round's cells, so a round whose value is below it has the
+timed solve under the cell limit eliminates cells by reduced cost. The
+relaxation's values are costs to the horizon; the same relaxation of the
+time-reversed band (_reversed), read at the mirrored cells, gives the
+costs from the root, and the two sum to the cheapest relaxed schedule
+through every cell. Deepening rounds fill the DP on the cells whose
+value is at most a cut ub, the distinct values taken in ascending order
+from the relaxed bound: in each layer, the one slice of offsets from the
+first such cell to the last (_spans). Every schedule below the next cut
+lies on a round's cells, so a round whose value is below it has the
 optimum and the full DP's walk; otherwise the bound rises to that cut.
 Above the cell limit, or once the time limit expires, the solver answers
 with its incumbent (a failed round's schedule or one block) and the best
@@ -199,20 +202,18 @@ def _fill(band: _Band, links, cols, expired, keep: bool = False):
     turn, the rows that can start a block with a job of length p and the
     row of layer W - p each of them continues in, or None when no row
     can (index arrays or slices either way). cols(W) gives the band
-    offsets of layer W that are filled: where a block may start (F) and
-    where one may have just ended (G), each an ascending index array or
-    slice(None) for all. Every other cell is left out as if it cost
-    _HUGE. The choices of every layer are stored for the kept columns
-    only: the job length index of F, and the band offset of the gap end
-    where a gap beats merging, 0 where it does not (a real gap ends at
-    offset 1 or later). With keep, which needs one row per layer and
-    every column, values[0][W] and values[1][W] are F_W and H_W of every
-    layer; without, values is None.
+    offsets of layer W that are filled, two slices with explicit bounds:
+    where a block may start (F) and where one may have just ended (H),
+    slice(0, R) for all. Every other cell is left out as if it cost
+    _HUGE. The choices of every layer are stored for those columns only:
+    the job length index of F, and the band offset of the gap end where a
+    gap beats merging, 0 where it does not (a real gap ends at offset 1 or
+    later). With keep, which needs one row per layer and every column,
+    values[0][W] and values[1][W] are F_W and H_W of every layer;
+    without, values is None.
     """
     phi, R, ps = band.phi, band.R, band.ps
     h = phi.shape[0] - 1
-    every = np.arange(R)
-    after = every + 1  # the first gap end past each start, with every column kept
     H: dict[int, np.ndarray] = {}  # min(F, G) of the last max(p) layers, at every offset
     top = band.t_end - band.t_on
     values = np.full((2, top + 1, R), _HUGE, dtype=np.int64) if keep else None
@@ -230,18 +231,17 @@ def _fill(band: _Band, links, cols, expired, keep: bool = False):
             continue
         s0 = band.t_end - W  # the block starts at interval s0 + d
         fc, hc = cols(W)
-        whole = isinstance(fc, slice) and isinstance(hc, slice)
-        ends = every[fc]
-        runs = band.runs[:, s0:s0 + R] if whole else band.runs[:, s0:s0 + R][:, fc]
-        cand = np.full((len(ps), n_rows, len(ends)), _HUGE, dtype=np.int64)
+        f0, f1, h0, h1 = fc.start, fc.stop, hc.start, hc.stop
+        runs = band.runs[:, s0:][:, fc]
+        cand = np.full((len(ps), n_rows, f1 - f0), _HUGE, dtype=np.int64)
         for j, (p, link) in enumerate(zip(ps.tolist(), succ)):
             if link is None:
                 continue
             has, nxt = link
-            if W == p:
-                rest = phi[s0 + p - 1 + ends, h]  # the last block pays the trailing gap
+            if W == p:  # the last block pays the trailing gap
+                rest = phi[s0 + p - 1:, h][fc]
             else:
-                rest = H[W - p][nxt] if whole else H[W - p][:, fc][nxt]
+                rest = H[W - p][nxt, fc]
             cand[j, has] = runs[j] + rest
         F = np.minimum(cand.min(axis=0), _HUGE, out=values[0][W:W + 1] if keep else None)
         f_arg[W] = cand.argmin(axis=0).astype(f_type)  # the shortest length wins ties
@@ -249,22 +249,15 @@ def _fill(band: _Band, links, cols, expired, keep: bool = False):
         if W == top:
             break
         e0 = s0 - 1  # gap starts e0 + d, ends e0 + 1 + d''
-        phi_blk = phi[e0:e0 + R, e0 + 1:e0 + 1 + R]
-        if whole:
-            begins = every
-            past, some = after, R - 1
-        else:
-            begins = every[hc]
-            phi_blk = phi_blk[hc][:, fc]
-            past = np.searchsorted(ends, begins, side="right")  # each start's first end column
-            some = int(np.searchsorted(past, len(ends)))  # the starts with an end past them
-        G = np.full((n_rows, len(begins)), _HUGE, dtype=np.int64)
+        phi_blk = phi[e0:, e0 + 1:][hc, fc]
+        G = np.full((n_rows, h1 - h0), _HUGE, dtype=np.int64)
         g_arg[W] = np.zeros(G.shape, dtype=g_type)
         # taller strips for few rows
-        strip = max(_BAND_ROWS, _CHUNK // (n_rows * max(len(ends), 1)))
+        strip = max(_BAND_ROWS, _CHUNK // (n_rows * max(f1 - f0, 1)))
+        some = max(0, min(h1, f1 - 1) - h0)  # the starts with an end past them
         for lo in range(0, some, strip):
             hi = min(lo + strip, some)
-            b = int(past[lo])  # one strip's ends all lie past its first start
+            b = max(0, h0 + lo + 1 - f0)  # one strip's ends all lie past its first start
             blk = phi_blk[lo:hi, b:]
             step = max(1, _CHUNK // blk.size)
             for a in range(0, n_rows, step):
@@ -273,20 +266,22 @@ def _fill(band: _Band, links, cols, expired, keep: bool = False):
                 part = F[a:a + step, None, b:]
                 out = buf[:len(part) * blk.size].reshape(len(part), *blk.shape)
                 tot = np.add(part, blk, out=out)
-                end = tot.argmin(axis=2) + b
-                g_arg[W][a:a + step, lo:hi] = end if whole else ends[end]
+                g_arg[W][a:a + step, lo:hi] = tot.argmin(axis=2) + (b + f0)
                 G[a:a + step, lo:hi] = tot.min(axis=2)
         states += G.size
-        if whole:
-            np.copyto(g_arg[W], 0, where=G >= F)
-            H[W] = np.minimum(F, G, out=values[1][W:W + 1] if keep else None)
-        else:  # F at G's columns, and H there only: a block ends nowhere else
-            F_g = np.full((n_rows, R), _HUGE, dtype=np.int64)
-            F_g[:, fc] = F
-            F_g = F_g[:, hc]
-            np.copyto(g_arg[W], 0, where=G >= F_g)
+        if fc == hc:
+            F_g = F
+        else:  # F at G's columns: _HUGE off the overlap, which may be empty
+            F_g = np.full(G.shape, _HUGE, dtype=np.int64)
+            x0, x1 = max(f0, h0), min(f1, h1)
+            if x0 < x1:
+                F_g[:, x0 - h0:x1 - h0] = F[:, x0 - f0:x1 - f0]
+        np.copyto(g_arg[W], 0, where=G >= F_g)
+        if h1 - h0 == R:
+            H[W] = np.minimum(F_g, G, out=values[1][W:W + 1] if keep else None)
+        else:  # H at G's columns only: a block ends nowhere else
             H[W] = np.full((n_rows, R), _HUGE, dtype=np.int64)
-            H[W][:, hc] = np.minimum(F_g, G)
+            np.minimum(F_g, G, out=H[W][:, hc])
     return F, f_arg, g_arg, states, values
 
 
@@ -304,64 +299,45 @@ def _band_optimum(band: _Band, links, cols, top_code: int, row_of, stride, expir
     F, f_arg, g_arg, states, values = _fill(band, links, cols, expired, keep)
     if F is None:
         return None, [], states, values
-    every = np.arange(band.R)
-
-    def column(c, d: int) -> int:
-        return d if isinstance(c, slice) else int(np.searchsorted(c, d))
-
     W, code = band.t_end - band.t_on, top_code
     fc = cols(W)[0]
-    root = band.phi[1, band.t_on:band.t_on + band.R][fc] + F[0]  # the top layer has one row
+    root = band.phi[1, band.t_on:][fc] + F[0]  # the top layer has one row
     k = int(root.argmin())
-    value, slot = int(root[k]), int(every[fc][k])
+    value, slot = int(root[k]), fc.start + k
     pieces: list[tuple[int, int]] = []
     while W and value < _HUGE:
-        j = int(f_arg[W][row_of(code), column(cols(W)[0], slot)])
+        j = int(f_arg[W][row_of(code), slot - cols(W)[0].start])
         pieces.append((band.t_end - W + slot, int(band.ps[j])))
         code, W = code - int(stride[j]), W - int(band.ps[j])
         if W:
-            slot = int(g_arg[W][row_of(code), column(cols(W)[1], slot)]) or slot
+            slot = int(g_arg[W][row_of(code), slot - cols(W)[1].start]) or slot
     return value, pieces, states, values
 
 
-def _columns(mask: np.ndarray) -> list:
-    """For each row of mask, the offsets where it holds, or slice(None)
-    where it holds everywhere."""
-    rows, offsets = np.nonzero(mask)
-    ends = np.searchsorted(rows, np.arange(len(mask) + 1)).tolist()
-    return [slice(None) if b - a == mask.shape[1] else offsets[a:b]
-            for a, b in zip(ends, ends[1:])]
+def _spans(mask: np.ndarray) -> list[slice]:
+    """For each row of mask, the slice from its first held offset to its
+    last, or an empty slice where it holds nowhere."""
+    held = mask.any(axis=1)
+    first = np.where(held, mask.argmax(axis=1), 0).tolist()
+    stop = np.where(held, mask.shape[1] - mask[:, ::-1].argmax(axis=1), 0).tolist()
+    return [slice(a, b) for a, b in zip(first, stop)]
 
 
-def _through(band: _Band, values, expired):
-    """The cheapest relaxed schedule through every cell of the relaxation,
-    from the values its _fill keeps: two arrays indexed [W, d], A_W + F_W
-    and B_W + H_W, where A_W[d] is the cheapest relaxed cost from the root
-    to a block that starts at offset d, and B_W[d] to a block that ended
-    just before it, both from one forward sweep. None when the deadline
-    expired first."""
-    phi, R, ps = band.phi, band.R, band.ps
-    top = band.t_end - band.t_on
-    B = np.full((top + 1, R), _HUGE, dtype=np.int64)
-    via_f, via_h = np.full((2, top + 1, R), _HUGE, dtype=np.int64)
-    for W in range(top, 0, -1):
-        if expired():
-            return None
-        s0 = band.t_end - W
-        F, H = values[0][W], values[1][W]
-        if W == top:
-            A = phi[1, s0:s0 + R]  # the root gap
-        else:
-            e0 = s0 - 1
-            Bw = np.minimum(B[W], _HUGE)
-            gap = (Bw[:, None] + phi[e0:e0 + R, e0 + 1:e0 + 1 + R]).min(axis=0)
-            A = np.minimum(np.minimum(Bw, gap), _HUGE)  # merge, or a gap from an earlier end
-            via_h[W] = Bw + H
-        via_f[W] = A + F
-        for j, p in enumerate(ps.tolist()):
-            if p < W:
-                np.minimum(B[W - p], A + band.runs[j, s0:s0 + R], out=B[W - p])
-    return via_f, via_h
+def _reversed(band: _Band) -> _Band:
+    """The band of the time-reversed instance, interval k becoming
+    h + 1 - k: the gap (i, ip) costs phi[h + 1 - ip, h + 1 - i], a job run
+    is read backwards, t_on becomes h + 1 - t_off, and R stays. A block
+    start at offset d with W work left becomes a block end just before
+    offset R - 1 - d with sum(p) - W left, and a block end just before d
+    a block start at R - 1 - d."""
+    h = band.phi.shape[0] - 1
+    phi = np.full_like(band.phi, _HUGE)
+    phi[1:, 1:] = band.phi[:0:-1, :0:-1].T
+    runs = np.full_like(band.runs, _HUGE)
+    for j, p in enumerate(band.ps.tolist()):
+        runs[j, 1:h + 2 - p] = band.runs[j, h + 1 - p:0:-1]
+    t_on = h + 3 - band.t_end - band.R  # h + 1 - t_off
+    return band._replace(phi=phi, runs=runs, t_on=t_on, t_end=t_on + band.t_end - band.t_on)
 
 
 def _fit(ps: np.ndarray, counts: np.ndarray, lengths: list[int], expired) -> list[list[int]] | None:
@@ -549,10 +525,11 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     for j, p in enumerate(ps.tolist()):
         runs[j, 1:h + 2 - p] = (C[p:] - C[:h + 1 - p]) * p_proc
     band = _Band(phi=phi, runs=runs, t_on=t_on, t_end=t_on + sum_p, R=R, ps=ps)
-    every = (slice(None), slice(None))  # all rows of a relaxed layer, or all columns
+    def relaxed_links(W: int):  # the one row of a layer continues in the one row of W - p
+        return 1, [(slice(None), slice(None)) if W >= p else None for p in ps.tolist()]
 
     def whole(W: int):
-        return every
+        return slice(0, R), slice(0, R)
 
     radix = counts + 1
     cells = int(np.prod(radix, dtype=object)) * R
@@ -560,9 +537,8 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     if deadline is not None or over:
         # One row per remaining work W: a block may hold any sequence of
         # job lengths, so the value is a lower bound.
-        relaxed, pieces, states, layers = _band_optimum(
-            band, lambda W: (1, [every if W >= p else None for p in ps.tolist()]),
-            whole, sum_p, lambda code: 0, ps, expired, keep=True)
+        relaxed, pieces, states, layers = _band_optimum(band, relaxed_links, whole, sum_p,
+                                                        lambda code: 0, ps, expired, keep=True)
         if relaxed is None:
             return incumbent("time_limit", states)
         if relaxed >= _HUGE:
@@ -621,9 +597,17 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     # taken next unless it keeps more than twice the cells of the next
     # cut. Once the rounds have filled as many cells as the whole DP would
     # (an F and a G per band cell), the next round keeps every cell.
-    through = _through(band, layers, expired)
-    if through is None:
+    # The cheapest relaxed cost from the root to a block start at (W, d),
+    # A_W[d], is the reversed relaxation's H at the start's mirror, and to
+    # a block end, B_W[d], its F there; at W = sum(p), A is the root gap.
+    # A + F and B + H are the cheapest relaxed schedules through each cell.
+    F_rev, _, _, filled, mirror = _fill(_reversed(band), relaxed_links, whole, expired, keep=True)
+    states += filled
+    if F_rev is None:
         return incumbent("time_limit", states, relaxed)
+    A, B = mirror[1, ::-1, ::-1].copy(), mirror[0, ::-1, ::-1]
+    A[sum_p] = phi[1, t_on:t_on + R]
+    through = (A + layers[0], B + layers[1])
     alive = np.sort(np.concatenate([via.ravel() for via in through]))
     alive = alive[:np.searchsorted(alive, _HUGE)]
     cuts = alive[np.diff(alive, prepend=alive[0] - 1) > 0].tolist()  # the relaxed value first
@@ -634,7 +618,7 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     links = functools.cache(links)
     k, bound, found, spent, rounds = 0, relaxed, None, 0, 0
     while True:
-        cols = list(zip(*(_columns(via <= cuts[k]) for via in through)))
+        cols = list(zip(*(_spans(via <= cuts[k]) for via in through)))
         value, pieces, filled, _ = _band_optimum(band, links, cols.__getitem__, order.size - 1,
                                                  rank.__getitem__, stride, expired)
         states, spent, rounds = states + filled, spent + filled, rounds + 1

@@ -111,16 +111,10 @@ def test_criterion_04_phi_matches_all_pairs_oracle():
         h = inst.horizon
         for i in range(1, h):
             for ip in range(i + 1, h + 1):
-                got = tab.phi(i, ip)
-                if got is None:
-                    continue
-                if ip == i + 1 and i >= 2 and ip <= h - 1:
-                    want = 0
-                else:
-                    s, sp = endpoint_states(i, ip, h)
-                    src = (2, "off") if i == 1 else (i + 1, "proc")
-                    dst = (h, "off") if ip == h else (ip, "proc")
-                    want = oracle.get(src, dst)
+                # None on both sides where no switching exists
+                src = (2, "off") if i == 1 else (i + 1, "proc")
+                dst = (h, "off") if ip == h else (ip, "proc")
+                got, want = tab.phi(i, ip), oracle.get(src, dst)
                 assert got == want, (checked, i, ip, got, want)
         checked += 1
     elapsed = time.perf_counter() - t0

@@ -312,20 +312,26 @@ def test_deadline_mid_fill_gives_the_same_answer(monkeypatch):
     assert (res.tec, res.stats.lower_bound) == (expired.tec, full.tec)
     res = solve_exact(inst, tab, time_limit=200 - 0.5)  # past the fit
     assert (res.status, res.tec) == ("optimal", full.tec)
-    # After a relaxation without a fit: the forward sweep, then the first
-    # elimination round (readings 310 to 424).
-    res = solve_exact(no_fit, no_fit_tab, time_limit=250 - 0.5)
+    # After a relaxation without a fit: the relaxation of the reversed
+    # instance (readings 213 to 405), then the first elimination round
+    # (readings 406 to 520). A deadline at its first reading has filled
+    # nothing more; one inside it keeps the relaxed bound.
+    res = solve_exact(no_fit, no_fit_tab, time_limit=213 - 0.5)
     assert (res.status, res.stats.stop_reason, res.stats.rounds) == ("timeout", "time_limit", 0)
     assert (res.tec, res.stats.lower_bound) == (no_fit_expired.tec, NO_FIT_RELAXED)
     assert res.stats.states == relaxed_cells(no_fit, no_fit_tab)
+    res = solve_exact(no_fit, no_fit_tab, time_limit=300 - 0.5)
+    assert (res.status, res.stats.stop_reason, res.stats.rounds) == ("timeout", "time_limit", 0)
+    assert (res.tec, res.stats.lower_bound) == (no_fit_expired.tec, NO_FIT_RELAXED)
+    assert 1 < res.stats.states / relaxed_cells(no_fit, no_fit_tab) < 2
     filled = []
-    for checks in (330, 370, 410):  # inside the first round
+    for checks in (430, 470, 510):  # inside the first round
         res = solve_exact(no_fit, no_fit_tab, time_limit=checks - 0.5)
         assert (res.status, res.stats.stop_reason) == ("timeout", "time_limit")
         assert (res.tec, res.stats.lower_bound) == (no_fit_expired.tec, NO_FIT_RELAXED)
         assert res.stats.rounds == 1
         filled.append(res.stats.states)
-    assert relaxed_cells(no_fit, no_fit_tab) < filled[0]
+    assert 2 * relaxed_cells(no_fit, no_fit_tab) < filled[0]
     assert filled[-1] < relaxed_cells(no_fit, no_fit_tab) + no_fit_full.stats.states
     assert filled == sorted(filled)
 
@@ -333,12 +339,12 @@ def test_deadline_mid_fill_gives_the_same_answer(monkeypatch):
 def test_deadline_in_the_second_round_keeps_the_raised_bound(monkeypatch):
     # The first round, at the relaxed value 3022, keeps no schedule below
     # the next cut, 3026: that is the bound from then on, and its best
-    # schedule (3034) an incumbent. The second round starts at reading 425.
+    # schedule (3034) an incumbent. The second round starts at reading 521.
     inst, tab = no_fit_member()
     expired = solve_exact(inst, tab, time_limit=0.0)
     ticks = iter(range(10 ** 6))
     monkeypatch.setattr(solver, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
-    res = solve_exact(inst, tab, time_limit=500 - 0.5)
+    res = solve_exact(inst, tab, time_limit=600 - 0.5)
     assert (res.status, res.stats.stop_reason, res.stats.rounds) == ("timeout", "time_limit", 2)
     assert res.stats.lower_bound == NO_FIT_OPTIMUM > NO_FIT_RELAXED
     assert res.tec == min(expired.tec, 3034)
@@ -393,6 +399,96 @@ def test_a_round_at_the_next_cut_is_not_final():
         res = solve_exact(inst, tab, time_limit=1e6)
     assert (full.tec, full.schedule.sigma) == (348, (3, 12, 5))
     assert (res.tec, res.schedule, res.stats.rounds) == (full.tec, full.schedule, 2)
+
+
+def test_spans_run_from_the_first_held_offset_to_the_last():
+    mask = np.array([[0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 1, 0], [0, 1, 0, 1]], dtype=bool)
+    assert solver._spans(mask) == [slice(0, 0), slice(0, 4), slice(2, 3), slice(1, 4)]
+
+
+def test_a_round_whose_start_and_end_spans_do_not_overlap():
+    # In the one round of this instance, layer 6 keeps block starts at
+    # offsets 4-8 and block ends at offset 0 alone, so G reads F at no
+    # column of its own.
+    states = MachineStateSet(("off", "proc"))
+    trans = TransitionSpec({("off", "off"): (1, 0), ("proc", "proc"): (1, 9),
+                            ("off", "proc"): (1, 3), ("proc", "off"): (1, 3)})
+    costs = (9, 9, 1, 10, 5, 1, 1, 4, 9, 12, 11, 7, 5, 11, 6, 12, 1, 4, 10, 12, 7, 4, 12, 8,
+             9, 1, 3, 9)
+    inst = Instance(28, costs, (4, 1, 2, 1, 4), states, trans)
+    tab = make_table(inst)
+    full = solve_exact(inst, tab)
+    spans = []
+
+    def record(mask):
+        spans.append(real_spans(mask))
+        return spans[-1]
+
+    real_spans = solver._spans
+    with mock.patch.object(solver, "_fit", lambda *args: None), \
+            mock.patch.object(solver, "_spans", record):
+        res = solve_exact(inst, tab, time_limit=1e6)
+    assert (res.status, res.tec, res.schedule, res.stats.rounds) == ("optimal", full.tec,
+                                                                     full.schedule, 1)
+    assert (spans[0][6], spans[1][6]) == (slice(4, 9), slice(0, 1))
+
+
+def relaxed_costs_from_the_root(band):
+    """A[W][d] and B[W][d] of the relaxation, one cell at a time in a
+    forward sweep: the cheapest relaxed cost from the root to a block that
+    starts at offset d with W work left, and to a block that ends just
+    before it."""
+    phi, runs, R, huge = band.phi.tolist(), band.runs.tolist(), band.R, solver._HUGE
+    top = band.t_end - band.t_on
+    A = [[huge] * R for _ in range(top + 1)]
+    B = [[huge] * R for _ in range(top + 1)]
+    A[top] = phi[1][band.t_on:band.t_on + R]  # the root gap
+    for W in range(top, 0, -1):
+        s0 = band.t_end - W  # the block starts at interval s0 + d
+        if W < top:  # merge, or a gap from an earlier end
+            A[W] = [min([B[W][d]] + [B[W][e] + phi[s0 - 1 + e][s0 + d] for e in range(d)])
+                    for d in range(R)]
+        for j, p in enumerate(band.ps.tolist()):
+            if p < W:
+                B[W - p] = [min(b, a + runs[j][s0 + d])
+                            for d, (a, b) in enumerate(zip(A[W], B[W - p]))]
+    return np.minimum(A, huge), np.minimum(B, huge)
+
+
+def test_the_reversed_relaxation_gives_the_cheapest_costs_from_the_root():
+    # A block start at (W, d) is a block end just before (sum(p) - W,
+    # R - 1 - d) of the reversed band and the other way round, so H and F
+    # of the reversed relaxation are A and B mirrored; at W = sum(p), A is
+    # the root gap, which the reversed band has no layer for.
+    rng = random.Random(29)
+    checked = 0
+    while checked < 40:
+        inst = random_instance(rng, n_max=5, h_max=24, max_extra=3)
+        try:
+            tab = make_table(inst)
+        except InfeasibleError:
+            continue
+        kept = []
+
+        def record(band, links, cols, expired, keep=False):
+            out = real_fill(band, links, cols, expired, keep)
+            if keep:
+                kept.append((band, out[4]))
+            return out
+
+        real_fill = solver._fill
+        with mock.patch.object(solver, "_fit", lambda *args: None), \
+                mock.patch.object(solver, "_fill", record):
+            solve_exact(inst, tab, time_limit=1e6)
+        if len(kept) < 2:
+            continue  # no relaxed schedule, so no rounds
+        (band, _), (mirrored, mirror) = kept
+        assert (mirrored.R, mirrored.t_end - mirrored.t_on) == (band.R, band.t_end - band.t_on)
+        A, B = relaxed_costs_from_the_root(band)
+        top = band.t_end - band.t_on
+        assert np.array_equal(mirror[1, top - 1:0:-1, ::-1], A[1:top])
+        assert np.array_equal(mirror[0, top - 1::-1, ::-1], B[1:])
+        checked += 1
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
