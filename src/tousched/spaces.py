@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import zipfile
+import zlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -223,8 +225,8 @@ def _fingerprint(inst: Instance) -> str:
 
 
 def save_table(table: SpacesTable, path) -> str:
-    """Write phi and the instance fingerprint as an .npz archive (the
-    members np.savez writes, deflated at level 1); returns the actual path,
+    """Write phi and the instance fingerprint as an .npz archive of
+    uncompressed members, as np.savez writes it; returns the actual path,
     which gains the .npz suffix when missing.
 
     phi is stored in the narrowest signed integer type (int8, int16, int32
@@ -237,39 +239,66 @@ def save_table(table: SpacesTable, path) -> str:
     finite = phi < _UNREACHABLE
     top = int(phi.max(where=finite, initial=0))
     dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max > top)
-    stored = np.where(finite, phi, np.iinfo(dtype).max).astype(dtype)
-    members = {"phi": stored, "fingerprint": np.asarray(_fingerprint(table.graph.inst))}
-    # deflate level 1: about half the time of numpy's fixed level 6 for a
-    # somewhat larger file
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as zf:
-        for name, arr in members.items():
-            with zf.open(name + ".npy", "w", force_zip64=True) as fh:
-                np.lib.format.write_array(fh, arr, allow_pickle=False)
+    stored = phi.astype(dtype)
+    np.copyto(stored, np.iinfo(dtype).max, where=~finite)
+    np.savez(path, phi=stored, fingerprint=np.asarray(_fingerprint(table.graph.inst)))
     return path
+
+
+def _read_npy(zf: zipfile.ZipFile, name: str, check) -> np.ndarray:
+    """The array in member name.npy of zf. check(shape, dtype) runs on
+    the member's header before its data is read, so a header that
+    announces a wrong or huge array is refused with nothing allocated."""
+    with zf.open(name + ".npy") as member:
+        version = np.lib.format.read_magic(member)
+        if version == (1, 0):
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(member)
+        elif version == (2, 0):
+            shape, fortran_order, dtype = np.lib.format.read_array_header_2_0(member)
+        else:
+            raise ValueError(f"{name}.npy has .npy format version {version}")
+        check(shape, dtype)
+        data = member.read()  # to the end, where zipfile checks the CRC
+    values = np.frombuffer(data, dtype)
+    if values.size != math.prod(shape):
+        raise ValueError(f"{name}.npy holds {values.size} values for shape {shape}")
+    return values.reshape(shape, order="F" if fortran_order else "C")
 
 
 def load_table(path, inst: Instance, graph: IntervalStateGraph | None = None) -> SpacesTable:
     """Read a table written by save_table for inst. Only phi is read, and
     beyond its shape only its integer type and its sign are checked; the
-    pruned, window and horizon keys of older files are ignored.
+    pruned, window and horizon keys of older files are ignored. Stored
+    and deflated members read alike, so the files of every older version
+    load.
 
     A value at or above min(its type's maximum, 2^61) means no switching
     and loads as INF, so narrow files and the int64 files of older
     versions (INF = 2^62) read alike; a hand-edited cell equal to the
     type's maximum reads as unreachable."""
-    try:
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as doc:
-            fingerprint = str(doc["fingerprint"])
-            phi = doc["phi"]
-    except (zipfile.BadZipFile, KeyError, ValueError, EOFError) as exc:
-        raise InputError(f"{path}: not a readable phi table ({exc})") from exc
-    if phi.dtype.kind not in "iu":
-        raise InputError(f"{path}: phi must hold integers, got {phi.dtype}")
-    if fingerprint != _fingerprint(inst):
-        raise InputError(f"{path}: phi table was computed for a different instance")
     h = inst.horizon
-    if phi.shape != (h + 1, h + 1):
-        raise InputError(f"{path}: phi must have shape ({h + 1}, {h + 1}), got {phi.shape}")
+    other = f"{path}: phi table was computed for a different instance"
+
+    def fingerprint_header(shape, dtype):
+        if (shape, dtype.kind, dtype.itemsize) != ((), "U", 4 * 64):  # 64 hex digits
+            raise InputError(other)
+
+    def phi_header(shape, dtype):
+        if dtype.kind not in "iu":
+            raise InputError(f"{path}: phi must hold integers, got {dtype}")
+        if shape != (h + 1, h + 1):
+            raise InputError(f"{path}: phi must have shape ({h + 1}, {h + 1}), got {shape}")
+
+    try:
+        with zipfile.ZipFile(path) as zf:
+            if str(_read_npy(zf, "fingerprint", fingerprint_header)) != _fingerprint(inst):
+                raise InputError(other)
+            phi = _read_npy(zf, "phi", phi_header)
+    except InputError:
+        raise
+    except (zipfile.BadZipFile, zlib.error, KeyError, ValueError, EOFError, OSError,
+            NotImplementedError, RuntimeError) as exc:
+        raise InputError(f"{path}: not a readable phi table ({exc})") from exc
     if (phi < 0).any():
         raise InputError(f"{path}: phi holds negative switching costs")
     unreachable = phi >= min(np.iinfo(phi.dtype).max, int(_UNREACHABLE))

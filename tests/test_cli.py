@@ -323,6 +323,22 @@ def test_truncated_phi_table_is_exit_2(tmp_path, capsys, worked_file):
     assert str(tab) in stderr
 
 
+def test_corrupt_deflated_phi_table_is_exit_2(tmp_path, capsys, worked_file):
+    # a table as older versions wrote it, deflated, with one byte of phi's
+    # compressed data flipped: the zlib error is reported, not raised
+    tab = tmp_path / "tab.npz"
+    run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))
+    with np.load(tab) as doc:
+        kept = {k: doc[k] for k in doc.files}
+    np.savez_compressed(tab, **kept)
+    data = bytearray(tab.read_bytes())
+    data[data.index(b"phi.npy") + len("phi.npy") + 20] ^= 0xFF
+    tab.write_bytes(bytes(data))
+    code, stdout, stderr = run(capsys, "solve", "--instance", worked_file, "--phi", str(tab))
+    assert (code, stdout) == (2, "")
+    assert str(tab) in stderr
+
+
 def test_phi_table_missing_key_is_exit_2(tmp_path, capsys, worked_file):
     tab = tmp_path / "tab.npz"
     run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))

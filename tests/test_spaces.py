@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import re
+import tracemalloc
 import zipfile
 from collections import Counter
 from pathlib import Path
@@ -303,20 +304,103 @@ def test_table_file_of_older_versions_loads(tmp_path, worked):
     assert (res.status, res.tec) == ("optimal", 177)
 
 
+def write_deflated_level_1(path, **members):
+    """The archive save_table wrote before its members were stored
+    uncompressed: np.savez's members, deflated at level 1."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as zf:
+        for name, arr in members.items():
+            with zf.open(name + ".npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, arr, allow_pickle=False)
+
+
 def test_table_file_of_np_savez_compressed_loads(tmp_path):
-    # save_table deflates at level 1; the level-6 archives np.savez_compressed
-    # wrote for the same members read the same
+    # save_table stores its members uncompressed, as np.savez does; the
+    # deflated archives of older versions and of np.savez_compressed
+    # holding the same members read the same
     inst = nosby_instance(random.Random(7), n_max=4, h_max=40)
     tab = make_table(inst)
     out = save_table(tab, tmp_path / "tab.npz")
     with zipfile.ZipFile(out) as zf:
         assert sorted(zf.namelist()) == ["fingerprint.npy", "phi.npy"]
-        assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+        assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
+    members = {"phi": stored_phi(out), "fingerprint": np.str_(spaces._fingerprint(inst))}
+    for write in (write_deflated_level_1, np.savez_compressed, np.savez):
+        old = str(tmp_path / f"{write.__name__}.npz")
+        write(old, **members)
+        back = load_table(old, inst)
+        assert np.array_equal(back.phi_matrix, load_table(out, inst).phi_matrix)
+        assert np.array_equal(back.phi_matrix, tab.phi_matrix)
+
+
+@pytest.mark.parametrize("layout", [np.asfortranarray, lambda a: a.astype(a.dtype.newbyteorder())],
+                         ids=["fortran-order", "swapped-bytes"])
+def test_table_file_in_fortran_order_or_swapped_bytes_loads(tmp_path, worked, layout):
+    tab = make_table(worked)
+    out = save_table(tab, tmp_path / "tab.npz")
+    rewrite_table_file(out, phi=layout(stored_phi(out)))
+    assert np.array_equal(load_table(out, worked).phi_matrix, tab.phi_matrix)
+
+
+def test_corrupt_table_file_is_input_error_or_loads_unchanged(tmp_path, worked):
+    # every flipped byte and every truncation of the worked table, as
+    # save_table writes it and as older versions deflated it with
+    # np.savez_compressed, either raises InputError naming the file or,
+    # where the archive reader does not read the byte, loads the same phi
+    tab = make_table(worked)
     old = str(tmp_path / "old.npz")
-    np.savez_compressed(old, phi=stored_phi(out), fingerprint=np.str_(spaces._fingerprint(inst)))
-    back = load_table(old, inst)
-    assert np.array_equal(back.phi_matrix, load_table(out, inst).phi_matrix)
-    assert np.array_equal(back.phi_matrix, tab.phi_matrix)
+    np.savez_compressed(old, phi=tab.phi_matrix, fingerprint=np.str_(spaces._fingerprint(worked)))
+    bad = str(tmp_path / "bad.npz")
+    outcomes = Counter()
+    for path in (save_table(tab, tmp_path / "new.npz"), old):
+        data = Path(path).read_bytes()
+        variants = [data[:k] for k in range(len(data))]
+        variants += [data[:k] + bytes([data[k] ^ 0xFF]) + data[k + 1:] for k in range(len(data))]
+        for variant in variants:
+            Path(bad).write_bytes(variant)
+            try:
+                back = load_table(bad, worked, tab.graph)
+            except InputError as exc:
+                assert bad in str(exc)
+                outcomes["refused"] += 1
+            else:
+                assert np.array_equal(back.phi_matrix, tab.phi_matrix)
+                outcomes["same"] += 1
+    assert outcomes["refused"] > outcomes["same"] > 0
+
+
+def test_npy_file_is_not_a_table(tmp_path, worked):
+    # a bare .npy of phi, which np.load would return as an array
+    path = str(tmp_path / "phi.npy")
+    np.save(path, make_table(worked).phi_matrix)
+    with pytest.raises(InputError, match=re.escape(path)):
+        load_table(path, worked)
+
+
+@pytest.mark.parametrize("member", ["phi", "fingerprint"])
+def test_table_header_of_a_huge_array_allocates_nothing(tmp_path, worked, member):
+    # a member whose .npy header announces 10^10 int64 values (74.5 GiB)
+    # but holds none is refused from its header
+    tab = make_table(worked)
+    path = save_table(tab, tmp_path / "tab.npz")
+    with np.load(path) as doc:
+        members = {name: doc[name] for name in doc.files}
+    crafted = str(tmp_path / "huge.npz")
+    with zipfile.ZipFile(crafted, "w") as zf:
+        for name, arr in members.items():
+            with zf.open(name + ".npy", "w") as fh:
+                if name == member:
+                    np.lib.format.write_array_header_1_0(
+                        fh, {"descr": "<i8", "fortran_order": False, "shape": (100000, 100000)})
+                else:
+                    np.lib.format.write_array(fh, arr)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=re.escape(crafted)):
+            load_table(crafted, worked, tab.graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("old_format", [False, True])
