@@ -185,6 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
                                                  "time-of-use tariffs with machine "
                                                  "power states.")
     sub = parser.add_subparsers(dest="command", required=True)
+    time_limit_help = ("seconds (>= 0; inf for none). It only stops the search: a solve that "
+                       "ends in time gives the untimed answer, one that does not its best "
+                       "schedule and bound. Ties: a band of at most 2^14 cells runs the DP "
+                       "alone and takes the lexicographically smallest (start, length) "
+                       "pieces; a larger one the relaxation's block split (the fit) or "
+                       "the DP's walk through the elimination rounds")
 
     p = sub.add_parser("gen", help="generate benchmark instances")
     p.add_argument("--jobs", type=int, required=True)
@@ -207,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="find an optimal schedule")
     p.add_argument("--instance", required=True)
     p.add_argument("--phi", default=None, help="precomputed table (.npz)")
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--time-limit", type=float, default=None, help=time_limit_help)
     p.add_argument("--out", default=None, help="schedule output (JSON)")
     p.set_defaults(func=cmd_solve)
 
@@ -232,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="solve a directory of instances to CSV")
     p.add_argument("--dir", required=True)
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--time-limit", type=float, default=None,
+                   help="per instance, " + time_limit_help)
     p.add_argument("--out", required=True, help="CSV report path")
     p.set_defaults(func=cmd_bench)
 

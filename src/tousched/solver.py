@@ -35,9 +35,9 @@ state-space relaxation (Christofides, Mingozzi and Toth, Networks 11,
 process, so if the jobs split exactly into the relaxed optimum's merged
 blocks (_fit), that schedule proves the bound optimal.
 
-With no time limit and at most _DP_CELL_LIMIT band cells the DP runs
-alone. Otherwise the relaxation and the fit run first. Without a fit, a
-timed solve under the cell limit eliminates cells by reduced cost. The
+A band of at most _DP_ALONE_CELLS cells runs the DP alone. A larger one
+runs the relaxation and the fit first and, without a fit and at most
+_DP_CELL_LIMIT cells, eliminates cells by reduced cost. The
 relaxation's values are costs to the horizon; the same relaxation of the
 time-reversed band (_reversed), read at the mirrored cells, gives the
 costs from the root, and the two sum to the cheapest relaxed schedule
@@ -47,9 +47,7 @@ from the relaxed bound: in each layer, the one slice of offsets from the
 first such cell to the last (_spans). Every schedule below the next cut
 lies on a round's cells, so a round whose value is below it has the
 optimum and the full DP's walk; otherwise the bound rises to that cut.
-Above the cell limit, or once the time limit expires, the solver answers
-with its incumbent (a failed round's schedule or one block) and the best
-bound it has (before the relaxation completes, a cruder admissible one).
+A time limit picks none of this; it only stops the work.
 """
 
 from __future__ import annotations
@@ -69,6 +67,7 @@ from .spaces import SpacesTable, _UNREACHABLE, compute_spaces, expand_space
 
 _HUGE = int(_UNREACHABLE)
 _DP_CELL_LIMIT = 2 ** 23  # band cells the DP may fill, prod(count_p + 1) * (slack + 1)
+_DP_ALONE_CELLS = 2 ** 14  # band cells up to which the DP alone is faster than relaxation first
 _FIT_BYTES = 2 ** 28  # the fit's packed sets kept, plus 16 bytes per lattice cell walking back
 _CHUNK = 2 ** 16  # int64 elements per min-plus chunk
 _BAND_ROWS = 16  # fewest gap starts per min-plus strip; strips skip most ends before their starts
@@ -428,22 +427,20 @@ def _fit(ps: np.ndarray, counts: np.ndarray, lengths: list[int], expired) -> lis
 def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = None) -> SolveResult:
     """Provably optimal schedule for the instance, or infeasible.
 
-    With no time limit and a band of at most _DP_CELL_LIMIT cells, fills
-    the band DP of the module docstring, storing the argmin of every cell,
-    then walks those choices from the root, the gap after interval 1.
-    Among equal-cost schedules the one whose (start, length) pieces,
-    sorted by start, form the lexicographically smallest sequence wins.
-
-    Otherwise the relaxation runs first. When the jobs fit its blocks
-    (_fit) the answer is that schedule, proved optimal by the bound.
-    Without a fit, a timed solve under the cell limit runs the
-    elimination rounds of the module docstring; they end in the same
-    schedule as the full DP. Over the cell limit, or when the time limit
-    expires first, the answer has status "timeout": the cheaper of a
+    The band's cell count alone picks the order. At most _DP_ALONE_CELLS
+    cells: the band DP of the module docstring, its choices walked from
+    the root, the gap after interval 1. Among equal-cost schedules the
+    one whose (start, length) pieces, sorted by start, form the
+    lexicographically smallest sequence wins. More cells: the relaxation
+    first, and the fit's schedule when the jobs fit its blocks (_fit);
+    without a fit, at most _DP_CELL_LIMIT cells, the elimination rounds,
+    which end in the full DP's schedule. Over the cell limit, or once the
+    time limit expires, the answer has status "timeout": the cheaper of a
     failed round's schedule and the one-block incumbent at t_on, under
-    the cut the rounds reached or the relaxed value (or, when the
-    deadline expires during the relaxation, the cheapest root gap plus
-    all work at the cheapest later price).
+    the cut the rounds reached or the relaxed value (before the
+    relaxation completes, the cheapest root gap plus all work at the
+    cheapest later price). A solve that ends within the time limit gives
+    the untimed answer.
     stats.stop_reason says which limit stopped the solve, stats.certifier
     what proved an optimum ("dp", "fit" or "rounds"), stats.rounds how
     many rounds began, and stats.states the DP cells filled, the
@@ -533,8 +530,7 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
 
     radix = counts + 1
     cells = int(np.prod(radix, dtype=object)) * R
-    over = cells > _DP_CELL_LIMIT
-    if deadline is not None or over:
+    if cells > _DP_ALONE_CELLS:
         # One row per remaining work W: a block may hold any sequence of
         # job lengths, so the value is a lower bound.
         relaxed, pieces, states, layers = _band_optimum(band, relaxed_links, whole, sum_p,
@@ -554,7 +550,9 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
             fitted = [(a + sum(held[:k]), p) for (a, _L), held in zip(blocks, split)
                       for k, p in enumerate(held)]
             return optimal(fitted, relaxed, states, "fit")
-        if over:
+        if expired():
+            return incumbent("time_limit", states, relaxed)
+        if cells > _DP_CELL_LIMIT:
             return incumbent("cell_limit", states, relaxed)
 
     # Multiset codes in mixed radix, the shortest length varying fastest.
@@ -582,9 +580,11 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
                 succ.append(None)
         return rows.size, succ
 
-    if deadline is None:
+    if cells <= _DP_ALONE_CELLS:
         value, pieces, filled, _ = _band_optimum(band, links, whole, order.size - 1,
                                                  rank.__getitem__, stride, expired)
+        if value is None:
+            return incumbent("time_limit", filled)
         if value >= _HUGE:
             return done("infeasible", states=filled)
         return optimal(pieces, value, filled, "dp")

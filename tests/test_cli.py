@@ -561,7 +561,7 @@ def test_solve_time_limit_note(tmp_path, capsys):
     assert "time limit" in stderr
 
 
-def test_solve_out_records_the_stop_reason(tmp_path, capsys, worked_file):
+def test_solve_out_records_the_stop_reason(tmp_path, capsys, worked_file, monkeypatch):
     out = tmp_path / "sched.json"
     code, _, stderr = run(capsys, "solve", "--instance", worked_file, "--out", str(out))
     assert code == 0 and stderr == ""
@@ -574,6 +574,12 @@ def test_solve_out_records_the_stop_reason(tmp_path, capsys, worked_file):
     stats = json.loads(out.read_text(encoding="utf-8"))["stats"]
     assert (stats["status"], stats["stop_reason"]) == ("timeout", "time_limit")
     assert (stats["certifier"], stats["rounds"]) == (None, 0)
+    # a time limit picks no order: the worked band is small enough for the DP
+    code, _, stderr = run(capsys, "solve", "--instance", worked_file, "--time-limit", "60",
+                          "--out", str(out))
+    stats = json.loads(out.read_text(encoding="utf-8"))["stats"]
+    assert (code, stats["status"], stats["certifier"], stats["rounds"]) == (0, "optimal", "dp", 0)
+    monkeypatch.setattr(solver, "_DP_ALONE_CELLS", 0)
     code, _, stderr = run(capsys, "solve", "--instance", worked_file, "--time-limit", "60",
                           "--out", str(out))
     stats = json.loads(out.read_text(encoding="utf-8"))["stats"]
@@ -581,8 +587,8 @@ def test_solve_out_records_the_stop_reason(tmp_path, capsys, worked_file):
 
 
 def test_solve_out_records_the_elimination_rounds(tmp_path, capsys):
-    # nosby/30/3001 at 1.3 has no fit; under a time limit the rounds prove
-    # 3026, at the cuts 3022 and 3026.
+    # nosby/30/3001 at 1.3 has no fit; the rounds prove 3026, at the cuts
+    # 3022 and 3026.
     no_fit = gen_one(capsys, tmp_path / "insts", "nosby", 30, 3001, "1.3")
     out = tmp_path / "sched.json"
     code, stdout, stderr = run(capsys, "solve", "--instance", no_fit, "--time-limit", "60",
@@ -601,6 +607,7 @@ def gen_one(capsys, out, preset, jobs, seed, multiple):
 
 def test_solve_names_the_cell_limit(tmp_path, capsys, worked_file, monkeypatch):
     monkeypatch.setattr(solver, "_DP_CELL_LIMIT", 1)
+    monkeypatch.setattr(solver, "_DP_ALONE_CELLS", 0)
     out = tmp_path / "sched.json"
     # nosby/30/3001 at 1.3 does not fit its relaxed blocks (3022, optimum 3026)
     no_fit = gen_one(capsys, tmp_path / "insts", "nosby", 30, 3001, "1.3")

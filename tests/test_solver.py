@@ -270,11 +270,12 @@ def test_cell_limit_counts_multisets_times_band_width(worked, monkeypatch):
     tab = make_table(worked)
     t_on, t_off = tab.window
     cells = 6 * (t_off - t_on + 2 - 5)
+    monkeypatch.setattr(solver, "_DP_ALONE_CELLS", 0)
     monkeypatch.setattr(solver, "_DP_CELL_LIMIT", cells)
     assert solve_exact(worked, tab).tec == WORKED_TEC
     monkeypatch.setattr(solver, "_DP_CELL_LIMIT", cells - 1)
     res = solve_exact(worked, tab)  # the relaxation, and the jobs fit its blocks
-    assert (res.status, res.stats.stop_reason) == ("optimal", "optimal")
+    assert (res.status, res.stats.stop_reason, res.stats.certifier) == ("optimal", "optimal", "fit")
     assert (res.tec, res.schedule.sigma) == (WORKED_TEC, WORKED_SIGMA)
     # nosby/30/3001 at 1.3: (6 + 1)(4 + 1)(4 + 1)(9 + 1)(7 + 1) multisets
     inst, tab = no_fit_member()
@@ -286,16 +287,55 @@ def test_cell_limit_counts_multisets_times_band_width(worked, monkeypatch):
     assert solve_exact(inst, tab).stats.stop_reason == "cell_limit"
 
 
+def test_the_band_alone_picks_the_dp_or_the_relaxation(worked, monkeypatch):
+    # jobs (2, 1, 2): 6 multisets times the band width. At the constant
+    # the DP runs alone; one cell over it, the relaxation and its fit.
+    tab = make_table(worked)
+    t_on, t_off = tab.window
+    cells = 6 * (t_off - t_on + 2 - 5)
+    for alone, certifier in ((cells, "dp"), (cells - 1, "fit")):
+        monkeypatch.setattr(solver, "_DP_ALONE_CELLS", alone)
+        for limit in (None, 60.0):
+            res = solve_exact(worked, tab, time_limit=limit)
+            assert (res.status, res.stats.certifier) == ("optimal", certifier)
+            assert (res.tec, res.schedule.sigma) == (WORKED_TEC, WORKED_SIGMA)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(machine_seed=st.integers(0, 2 ** 32 - 1),
+       jobs=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+       data=st.data())
+def test_a_time_limit_only_stops_work(machine_seed, jobs, data):
+    # A solve that ends within its time limit gives the untimed answer,
+    # field for field, whichever order the band picks.
+    states, trans = random_machine(random.Random(machine_seed), max_extra=3)
+    h = data.draw(st.integers(min(24, sum(jobs) + 2), 24))
+    costs = data.draw(st.lists(st.integers(0, 6), min_size=h, max_size=h))
+    inst = Instance(h, tuple(costs), tuple(jobs), states, trans)
+    try:
+        tab = make_table(inst)
+    except InfeasibleError:
+        return
+    for alone in (solver._DP_ALONE_CELLS, 0):
+        with mock.patch.object(solver, "_DP_ALONE_CELLS", alone):
+            answers = [solve_exact(inst, tab, time_limit=limit) for limit in (None, 1e6)]
+        untimed, timed = ((r.status, r.tec, r.stats.lower_bound, r.stats.stop_reason,
+                           r.stats.certifier, r.stats.rounds, r.schedule) for r in answers)
+        assert untimed == timed
+
+
 def test_deadline_mid_fill_gives_the_same_answer(monkeypatch):
     # A fake clock that ticks once per reading makes the deadline fall
     # after a fixed number of checks: before, between and inside layers,
     # first of the relaxation, then of the fit and the DP.
     inst = fourteen_jobs_h120()
     tab = make_table(inst)
-    full = solve_exact(inst, tab)
-    expired = solve_exact(inst, tab, time_limit=0.0)
     no_fit, no_fit_tab = no_fit_member()
+    monkeypatch.setattr(solver, "_DP_ALONE_CELLS", solver._DP_CELL_LIMIT)  # the full DP
+    full = solve_exact(inst, tab)
     no_fit_full = solve_exact(no_fit, no_fit_tab)
+    monkeypatch.setattr(solver, "_DP_ALONE_CELLS", 0)
+    expired = solve_exact(inst, tab, time_limit=0.0)
     no_fit_expired = solve_exact(no_fit, no_fit_tab, time_limit=0.0)
     ticks = iter(range(10 ** 6))
     monkeypatch.setattr(solver, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
@@ -312,14 +352,24 @@ def test_deadline_mid_fill_gives_the_same_answer(monkeypatch):
     assert (res.tec, res.stats.lower_bound) == (expired.tec, full.tec)
     res = solve_exact(inst, tab, time_limit=200 - 0.5)  # past the fit
     assert (res.status, res.tec) == ("optimal", full.tec)
-    # After a relaxation without a fit: the relaxation of the reversed
-    # instance (readings 213 to 405), then the first elimination round
-    # (readings 406 to 520). A deadline at its first reading has filled
-    # nothing more; one inside it keeps the relaxed bound.
-    res = solve_exact(no_fit, no_fit_tab, time_limit=213 - 0.5)
-    assert (res.status, res.stats.stop_reason, res.stats.rounds) == ("timeout", "time_limit", 0)
-    assert (res.tec, res.stats.lower_bound) == (no_fit_expired.tec, NO_FIT_RELAXED)
-    assert res.stats.states == relaxed_cells(no_fit, no_fit_tab)
+    # Over the cell limit, a deadline inside the fit is still a time
+    # limit: the solve stops there, with the relaxed bound.
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_DP_CELL_LIMIT", 1000)
+        res = solve_exact(inst, tab, time_limit=70 - 0.5)
+    assert (res.status, res.stats.stop_reason) == ("timeout", "time_limit")
+    assert (res.tec, res.stats.lower_bound) == (expired.tec, full.tec)
+    assert res.stats.states == relaxed_cells(inst, tab)
+    # After a relaxation without a fit: one check after the fit, the
+    # relaxation of the reversed instance (readings 214 to 406), then the
+    # first elimination round (readings 407 to 521). A deadline at either
+    # of the first two has filled nothing more; one inside the reversed
+    # relaxation keeps the relaxed bound.
+    for checks in (213, 214):
+        res = solve_exact(no_fit, no_fit_tab, time_limit=checks - 0.5)
+        assert (res.status, res.stats.stop_reason, res.stats.rounds) == ("timeout", "time_limit", 0)
+        assert (res.tec, res.stats.lower_bound) == (no_fit_expired.tec, NO_FIT_RELAXED)
+        assert res.stats.states == relaxed_cells(no_fit, no_fit_tab)
     res = solve_exact(no_fit, no_fit_tab, time_limit=300 - 0.5)
     assert (res.status, res.stats.stop_reason, res.stats.rounds) == ("timeout", "time_limit", 0)
     assert (res.tec, res.stats.lower_bound) == (no_fit_expired.tec, NO_FIT_RELAXED)
@@ -339,7 +389,7 @@ def test_deadline_mid_fill_gives_the_same_answer(monkeypatch):
 def test_deadline_in_the_second_round_keeps_the_raised_bound(monkeypatch):
     # The first round, at the relaxed value 3022, keeps no schedule below
     # the next cut, 3026: that is the bound from then on, and its best
-    # schedule (3034) an incumbent. The second round starts at reading 521.
+    # schedule (3034) an incumbent. The second round starts at reading 522.
     inst, tab = no_fit_member()
     expired = solve_exact(inst, tab, time_limit=0.0)
     ticks = iter(range(10 ** 6))
@@ -354,11 +404,14 @@ def test_deadline_in_the_second_round_keeps_the_raised_bound(monkeypatch):
 
 
 @pytest.mark.parametrize("member, tec", [(0, NO_FIT_OPTIMUM), (1, 3001)])
-def test_elimination_rounds_match_the_full_dp(member, tec):
-    # nosby/30/3001 at 1.3 and 1.6: no fit, so a time limit runs the rounds
+def test_elimination_rounds_match_the_full_dp(member, tec, monkeypatch):
+    # nosby/30/3001 at 1.3 and 1.6: no fit, so the band, over
+    # _DP_ALONE_CELLS, runs the rounds; raised, the constant gives the full DP
     inst = generate_family(30, preset_nosby(), 3001)[member]
     tab = make_table(inst)
-    full = solve_exact(inst, tab)
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_DP_ALONE_CELLS", solver._DP_CELL_LIMIT)
+        full = solve_exact(inst, tab)
     res = solve_exact(inst, tab, time_limit=60.0)
     assert (full.status, full.tec, full.stats.certifier) == ("optimal", tec, "dp")
     assert (res.status, res.stats.stop_reason) == ("optimal", "optimal")
@@ -379,7 +432,7 @@ def test_the_cell_limit_counts_the_whole_band_before_the_rounds():
     assert (res.stats.lower_bound, res.tec, res.stats.certifier) == (5324, 6152, None)
 
 
-def test_a_round_at_the_next_cut_is_not_final():
+def test_a_round_at_the_next_cut_is_not_final(monkeypatch):
     # The first round's value, 348, equals the next cut and so is optimal,
     # but an equal schedule that the tie-break prefers passes a cell at
     # that cut: the second round must run to find it.
@@ -395,6 +448,7 @@ def test_a_round_at_the_next_cut_is_not_final():
                     states, trans)
     tab = make_table(inst)
     full = solve_exact(inst, tab)
+    monkeypatch.setattr(solver, "_DP_ALONE_CELLS", 0)
     with mock.patch.object(solver, "_fit", lambda *args: None):
         res = solve_exact(inst, tab, time_limit=1e6)
     assert (full.tec, full.schedule.sigma) == (348, (3, 12, 5))
@@ -406,7 +460,7 @@ def test_spans_run_from_the_first_held_offset_to_the_last():
     assert solver._spans(mask) == [slice(0, 0), slice(0, 4), slice(2, 3), slice(1, 4)]
 
 
-def test_a_round_whose_start_and_end_spans_do_not_overlap():
+def test_a_round_whose_start_and_end_spans_do_not_overlap(monkeypatch):
     # In the one round of this instance, layer 6 keeps block starts at
     # offsets 4-8 and block ends at offset 0 alone, so G reads F at no
     # column of its own.
@@ -425,6 +479,7 @@ def test_a_round_whose_start_and_end_spans_do_not_overlap():
         return spans[-1]
 
     real_spans = solver._spans
+    monkeypatch.setattr(solver, "_DP_ALONE_CELLS", 0)
     with mock.patch.object(solver, "_fit", lambda *args: None), \
             mock.patch.object(solver, "_spans", record):
         res = solve_exact(inst, tab, time_limit=1e6)
@@ -455,14 +510,15 @@ def relaxed_costs_from_the_root(band):
     return np.minimum(A, huge), np.minimum(B, huge)
 
 
-def test_the_reversed_relaxation_gives_the_cheapest_costs_from_the_root():
+def test_the_reversed_relaxation_gives_the_cheapest_costs_from_the_root(monkeypatch):
     # A block start at (W, d) is a block end just before (sum(p) - W,
     # R - 1 - d) of the reversed band and the other way round, so H and F
     # of the reversed relaxation are A and B mirrored; at W = sum(p), A is
     # the root gap, which the reversed band has no layer for.
+    monkeypatch.setattr(solver, "_DP_ALONE_CELLS", 0)
     rng = random.Random(29)
     checked = 0
-    while checked < 40:
+    for _ in range(400):
         inst = random_instance(rng, n_max=5, h_max=24, max_extra=3)
         try:
             tab = make_table(inst)
@@ -489,6 +545,7 @@ def test_the_reversed_relaxation_gives_the_cheapest_costs_from_the_root():
         assert np.array_equal(mirror[1, top - 1:0:-1, ::-1], A[1:top])
         assert np.array_equal(mirror[0, top - 1::-1, ::-1], B[1:])
         checked += 1
+    assert checked >= 40
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -507,7 +564,8 @@ def test_elimination_rounds_without_a_fit_match_the_full_dp(machine_seed, jobs, 
     except InfeasibleError:
         return
     full = solve_exact(inst, tab)
-    with mock.patch.object(solver, "_fit", lambda *args: None):
+    with mock.patch.object(solver, "_fit", lambda *args: None), \
+            mock.patch.object(solver, "_DP_ALONE_CELLS", 0):
         res = solve_exact(inst, tab, time_limit=1e6)
     assert (res.status, res.tec, res.stats.lower_bound) == (full.status, full.tec,
                                                            full.stats.lower_bound)
@@ -664,9 +722,10 @@ def test_solver_matches_brute_force_on_random_machines(machine_seed, jobs, data)
 
 def test_deadline_in_the_rounds_leaves_a_valid_answer(monkeypatch):
     # With the fit off and a fake clock, a deadline at any reading of a
-    # timed solve gives the full DP's answer or a valid incumbent, that of
-    # a failed round included, with lb <= optimum <= tec.
+    # solve gives the full DP's answer or a valid incumbent, that of a
+    # failed round included, with lb <= optimum <= tec.
     monkeypatch.setattr(solver, "_fit", lambda *args: None)
+    monkeypatch.setattr(solver, "_DP_ALONE_CELLS", 0)
     rng = random.Random(11)
     readings = [0]
 
@@ -681,7 +740,8 @@ def test_deadline_in_the_rounds_leaves_a_valid_answer(monkeypatch):
             tab = make_table(inst)
         except InfeasibleError:
             continue
-        full = solve_exact(inst, tab)
+        with mock.patch.object(solver, "_DP_ALONE_CELLS", solver._DP_CELL_LIMIT):
+            full = solve_exact(inst, tab)
         one_block = solve_exact(inst, tab, time_limit=0.0)
         monkeypatch.setattr(solver, "time", types.SimpleNamespace(monotonic=tick))
         readings[0] = 0
@@ -764,7 +824,8 @@ def test_relaxation_bounds_the_optimum_and_its_fit_is_optimal(machine_seed, jobs
     except InfeasibleError:
         return
     want = brute_force_schedule(inst, tab)
-    with mock.patch.object(solver, "_DP_CELL_LIMIT", 0):
+    with mock.patch.object(solver, "_DP_CELL_LIMIT", 0), \
+            mock.patch.object(solver, "_DP_ALONE_CELLS", 0):
         relaxed = solve_exact(inst, tab)
     assert (relaxed.status == "infeasible") == (want.status == "infeasible")
     if want.status == "infeasible":
