@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -43,19 +45,64 @@ class IlpModelArtifact:
     constant_term: int
 
 
-def _wrap_terms(head: str, terms: list[str], tail: str) -> list[str]:
-    """Join terms into wrapped lines; a term that starts with "- " is subtracted."""
-    lines = []
-    cur = head
-    for k, term in enumerate(terms):
-        piece = term if k == 0 else " " + (term if term[0] == "-" else "+ " + term)
-        if len(cur) + len(piece) > _WRAP and cur != head:
-            lines.append(cur)
-            cur = "   " + piece.lstrip()
-        else:
-            cur += piece
-    lines.append(cur + tail)
-    return lines
+def _wrap(text: str, cuts: list[int]) -> str:
+    """Break one row, written on a single line, into lines of at most _WRAP
+    characters where it can.
+
+    cuts[b] is where piece b starts in text, and cuts[-1] where the last
+    piece ends; a tail may follow it. Every piece after the first starts
+    with a space and its sign. A line takes the next piece unless that
+    would take it past _WRAP characters, and always takes at least one; a
+    continuation line is three spaces and its first piece without the
+    leading space."""
+    lines, b, start, room = [], 0, 0, _WRAP
+    while True:
+        b = max(b + 1, bisect_right(cuts, room) - 1)
+        if b >= len(cuts) - 1:
+            lines.append(text[start:])
+            return "\n  ".join(lines)
+        lines.append(text[start:cuts[b]])
+        start = cuts[b]
+        room = start + _WRAP - 2
+
+
+def _wrap_terms(head: str, pieces: list[str], tail: str) -> str:
+    """One row of signed pieces (" + term" or " - term"), wrapped. The
+    first piece is written without its " + " or its leading space; it is
+    replaced in the list."""
+    first = pieces[0]
+    pieces[0] = head + (first[3:] if first.startswith(" + ") else first[1:])
+    return _wrap("".join(pieces) + tail, list(accumulate(map(len, pieces), initial=0)))
+
+
+def _flow_rows(h: int, names: list[str], first: np.ndarray, end: np.ndarray) -> list[str]:
+    """The flow rows 2..h-1, wrapped, of columns that cover first..end-1.
+
+    Flow term 2c is +column c in row first[c] and 2c + 1 is -column c in
+    row end[c]; one stable sort by row keeps each row's terms in column
+    order. A row without terms would state 0 = 0 and is not written."""
+    rows = np.stack((first, end), axis=1).ravel()
+    order = np.argsort(rows, kind="stable")
+    bounds = np.searchsorted(rows[order], np.arange(2, h + 1))
+    # a term is its sign and its column's name: " + ", " - ", or for the
+    # first term of a row "" and "- "
+    sign = order & 1
+    sign[bounds[:-1][bounds[:-1] < bounds[1:]]] += 2
+    col = order >> 1
+    size = np.array([3, 3, 0, 2])[sign] + np.fromiter(map(len, names), np.int64, len(names))[col]
+    cum = np.concatenate(([0], np.cumsum(size)))  # length of the terms before each term
+    parts = np.empty(2 * len(order), dtype=object)
+    parts[0::2] = np.array([" + ", " - ", "", "- "], dtype=object)[sign]
+    parts[1::2] = np.array(names, dtype=object)[col]
+    bounds = bounds.tolist()
+    out = []
+    for k in range(2, h):
+        lo, hi = bounds[k - 2], bounds[k - 1]
+        if lo < hi:
+            head = f" flow_{k}: "
+            text = head + "".join(parts[2 * lo:2 * hi].tolist()) + (" = 1" if k == 2 else " = 0")
+            out.append(_wrap(text, (cum[lo:hi + 1] - (cum[lo] - len(head))).tolist()))
+    return out
 
 
 def emit_ilp_spaces(inst: Instance, table: SpacesTable) -> IlpModelArtifact:
@@ -63,38 +110,50 @@ def emit_ilp_spaces(inst: Instance, table: SpacesTable) -> IlpModelArtifact:
     h = inst.horizon
     t_on, t_off = table.window
     phi = table.phi_matrix
+    proc = inst.state_set.proc_state
+    pw = inst.transitions.power(proc, proc)
+    C = inst.cost_prefix
+    num = [str(k) for k in range(h + 1)]  # interval numbers as text, formatted once
 
-    columns: list[tuple[str, int, int, int]] = []  # name, cost, first, last
+    # the columns in order, x per job and start, then y per gap: name,
+    # cost, first covered interval and end = last covered interval + 1
+    names: list[str] = []
+    costs: list[int] = []
+    metas: list[dict] = []
+    firsts, ends = [], []
     assign: list[str] = []
     for j, p in enumerate(inst.jobs, start=1):
         if t_on > t_off - p + 1:
             raise InfeasibleError(f"infeasible window: job {j} has no admissible start")
         starts = range(t_on, t_off - p + 2)
-        columns += [(f"x_{j}_{i}", job_cost(inst, j, i), i, i + p - 1) for i in starts]
-        assign += _wrap_terms(f" assign_{j}: ", [f"x_{j}_{i}" for i in starts], " = 1")
+        prefix = f"x_{j}_"
+        job_names = [prefix + num[i] for i in starts]
+        names += job_names
+        costs += [(C[i + p - 1] - C[i - 1]) * pw for i in starts]
+        metas += [{"kind": "x", "j": j, "i": i} for i in starts]
+        firsts.append(np.arange(t_on, t_off - p + 2))
+        ends.append(firsts[-1] + p)
+        assign.append(_wrap_terms(f" assign_{j}: ", [" + " + name for name in job_names], " = 1"))
     gi, gip = np.nonzero(np.triu(phi < _UNREACHABLE, 2) & ~table.pruned_mask)
-    columns += [(f"y_{i}_{ip}", cost, i + 1, ip - 1)
-                for i, ip, cost in zip(gi.tolist(), gip.tolist(), phi[gi, gip].tolist())]
+    firsts.append(gi + 1)
+    ends.append(gip)
+    costs += phi[gi, gip].tolist()
+    names += [f"y_{num[i]}_{num[ip]}" for i, ip in zip(gi.tolist(), gip.tolist())]
+    metas += [{"kind": "y", "i": i, "ip": ip} for i, ip in zip(gi.tolist(), gip.tolist())]
+    varmap = dict(zip(names, metas))
 
-    # the window and the gap bodies keep every column inside 2..h-1
-    flow: list[list[str]] = [[] for _ in range(h + 1)]
-    for name, _cost, first, last in columns:
-        flow[first].append(name)
-        flow[last + 1].append("- " + name)  # row h does not exist
-    obj = [f"{cost} {name}" for name, cost, _f, _l in columns]
-    lines = ["Minimize", *_wrap_terms(" obj: ", obj, ""), "Subject To", *assign]
-    open_cols = 0
-    for k in range(2, h):
-        open_cols += sum(1 if t[0] != "-" else -1 for t in flow[k])
-        if open_cols == 0:
-            raise InfeasibleError(f"interval {k} can be neither processed nor bridged")
-        if flow[k]:  # a row without terms would state 0 = 0
-            lines += _wrap_terms(f" flow_{k}: ", flow[k], " = 1" if k == 2 else " = 0")
-    lines += ["Binary", *(f" {name}" for name, _c, _f, _l in columns), "End"]
+    # the window and the gap bodies keep every column inside 2..h-1, so
+    # interval k is open to the columns with first <= k < end
+    first = np.concatenate(firsts)
+    end = np.concatenate(ends)
+    open_cols = np.cumsum(np.bincount(first, minlength=h + 1) - np.bincount(end, minlength=h + 1))
+    shut = np.flatnonzero(open_cols[2:h] == 0)
+    if shut.size:
+        raise InfeasibleError(f"interval {shut[0] + 2} can be neither processed nor bridged")
 
-    varmap = {name: {"kind": "x", "j": int(name.split("_")[1]), "i": first} if name[0] == "x"
-              else {"kind": "y", "i": first - 1, "ip": last + 1}
-              for name, _c, first, last in columns}
+    obj = _wrap_terms(" obj: ", [f" + {c} {name}" for c, name in zip(costs, names)], "")
+    lines = ["Minimize", obj, "Subject To", *assign, *_flow_rows(h, names, first, end),
+             "Binary", " " + "\n ".join(names), "End"]
     return IlpModelArtifact(lp_text="\n".join(lines) + "\n", varmap=varmap,
                             constant_term=_boundary_constant(inst))
 
@@ -112,22 +171,26 @@ def write_artifact(artifact: IlpModelArtifact, lp_path) -> tuple[str, str]:
     return lp_path, map_path
 
 
-_VARMAP_KEYS = {"x": ("j", "i"), "y": ("i", "ip")}  # the integer fields of each kind
-
-
 def load_varmap(map_path) -> IlpModelArtifact:
-    """Read a sidecar written by write_artifact. Every entry must be an x
-    with integer j and i or a y with integer i and ip."""
+    """Read a sidecar written by write_artifact. Its variables must be a
+    JSON object whose every entry is an x with integer j and i or a y with
+    integer i and ip."""
     doc = read_json(map_path)
     try:
-        artifact = IlpModelArtifact(lp_text="", varmap=dict(doc["variables"]),
+        variables = doc["variables"]
+        if type(variables) is not dict:
+            raise TypeError(f"variables must be a JSON object, got {type(variables).__name__}")
+        artifact = IlpModelArtifact(lp_text="", varmap=variables,
                                     constant_term=_integer(doc["constant_term"], "constant_term"))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{map_path}: malformed variable map: {exc}") from exc
-    for name, meta in artifact.varmap.items():
-        kind = meta.get("kind") if isinstance(meta, dict) else None
-        keys = _VARMAP_KEYS.get(kind) if isinstance(kind, str) else None
-        if keys is None or any(type(meta.get(k)) is not int for k in keys):
+    for name, meta in variables.items():
+        kind = meta.get("kind") if type(meta) is dict else None
+        if kind == "x":
+            ok = type(meta.get("j")) is int and type(meta.get("i")) is int
+        else:
+            ok = kind == "y" and type(meta.get("i")) is int and type(meta.get("ip")) is int
+        if not ok:
             raise InputError(f"{map_path}: variable {name!r} is neither an x entry with "
                              f"integer j and i nor a y entry with integer i and ip")
     return artifact

@@ -209,10 +209,13 @@ def test_criterion_09_generator_reproduces_reference_rows():
 
 def test_criterion_10_model_round_trip_via_external_milp():
     scipy_opt = pytest.importorskip("scipy.optimize")
-    cases = [(3, "1.6", 31), (5, "1.3", 32), (8, "2.2", 33),
-             (12, "1.9", 34), (30, "1.3", 7)]
-    for n, multiple, seed in cases:
-        inst = generate_instance(n, preset_nosby(), multiple, seed=seed)
+    cases = [(preset_nosby, 3, "1.6", 31), (preset_nosby, 5, "1.3", 32),
+             (preset_nosby, 8, "2.2", 33), (preset_nosby, 12, "1.9", 34),
+             (preset_nosby, 30, "1.3", 7), (preset_twosby, 4, "1.3", 35),
+             (preset_twosby, 6, "1.6", 36), (preset_twosby, 9, "1.9", 37),
+             (preset_twosby, 12, "2.2", 38)]
+    for preset, n, multiple, seed in cases:
+        inst = generate_instance(n, preset(), multiple, seed=seed)
         tab = pipeline_table(inst)
         exact = solve_exact(inst, tab)
         assert exact.status == "optimal"
@@ -224,7 +227,7 @@ def test_criterion_10_model_round_trip_via_external_milp():
             integrality=np.ones(len(names)),
             bounds=scipy_opt.Bounds(0, 1),
         )
-        assert res.status == 0, (n, seed, res.message)
+        assert res.status == 0, (preset.__name__, n, seed, res.message)
         assert round(res.fun) + art.constant_term == exact.tec
         back = import_solution(inst, tab, art,
                                dict(zip(names, res.x)))

@@ -179,7 +179,8 @@ def import_edited(tmp_path, capsys, worked_file, variables=None, solution=WORKED
 
 
 @pytest.mark.parametrize("entry", [{"kind": "x", "i": 10}, 7, {"kind": "y", "i": 4, "ip": "10"},
-                                   {"kind": "z", "i": 4, "ip": 10}, {"kind": ["x"]}])
+                                   {"kind": "z", "i": 4, "ip": 10}, {"kind": ["x"]},
+                                   {"kind": "x", "j": True, "i": 10}])
 def test_import_solution_with_a_bad_varmap_entry_is_exit_2(tmp_path, capsys, worked_file, entry):
     code, stderr, map_path = import_edited(tmp_path, capsys, worked_file, {"x_1_10": entry})
     assert code == 2

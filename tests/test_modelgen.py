@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tousched import (
     Instance,
@@ -17,12 +18,14 @@ from tousched import (
     import_solution,
     load_varmap,
     parse_solution_text,
+    preset_nosby,
     preset_twosby,
     solve_exact,
     validate_schedule,
     write_artifact,
 )
 from tousched.model import InfeasibleError
+from tousched.modelgen import _WRAP, _wrap_terms
 
 from conftest import (WORKED_TEC, lp_to_arrays, nosby_instance, random_instance,
                       write_each_non_object)
@@ -56,12 +59,52 @@ def test_export_is_pinned(worked):
         (generate_instance(8, preset_twosby(), "1.9", seed=42),
          "e5723494986394299094584e7918db32b0b5538f5737079916f5e5033efd34f7",
          "dd80c4ac7a17a3c6e9c082a9902682e88735f5fb1d169a479c17bb69aab73ba6"),
+        # h=139, 9,446 variables: each flow row wraps over up to 9 lines
+        (generate_instance(30, preset_twosby(), "1.6", seed=3002),
+         "f039238861b80c2a72b21336a951c15f2a3fa790a3536f020ab8d8635156fe01",
+         "284253d2f74715a7e42442e9b0941e464886fa6ef298827f9c3a06152a170004"),
+        # flow_9 starts with "- x_1_5" and wraps onto a second line
+        (generate_instance(6, preset_nosby(), "1.3", seed=5),
+         "16367dc06e97606a7caef59511c1e4f5a83cc2ca4c31857dcdd2b5ed4357bff2",
+         "af79948b0c9a4ef130728c5f9247685ecc5525e1295794e2fd2080fd25c59508"),
     ]
     for inst, lp_digest, varmap_digest in pinned:
         art = emit_ilp_spaces(inst, make_table(inst))
         assert hashlib.sha256(art.lp_text.encode()).hexdigest() == lp_digest
         assert hashlib.sha256(json.dumps(art.varmap).encode()).hexdigest() == varmap_digest
         assert art.constant_term == 0
+
+
+def wrap_terms_one_piece_at_a_time(head, terms, tail):
+    """The line wrap as a loop that adds one piece at a time: the oracle
+    for _wrap_terms."""
+    lines = []
+    cur = head
+    for k, term in enumerate(terms):
+        piece = term if k == 0 else " " + (term if term[0] == "-" else "+ " + term)
+        if len(cur) + len(piece) > _WRAP and cur != head:
+            lines.append(cur)
+            cur = "   " + piece.lstrip()
+        else:
+            cur += piece
+    lines.append(cur + tail)
+    return lines
+
+
+# names of 1 to 205 characters, so single terms reach past the wrap width
+_NAMES = st.builds(lambda c, k: c * k, st.sampled_from("xy_7"),
+                   st.one_of(st.integers(1, 12), st.integers(_WRAP - 12, _WRAP + 5)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(head=st.sampled_from([" obj: ", " assign_3: ", " flow_1273: "]),
+       terms=st.lists(st.tuples(st.booleans(), _NAMES), min_size=1, max_size=60),
+       tail=st.sampled_from(["", " = 0", " = 1"]))
+def test_wrap_terms_matches_the_piece_by_piece_loop(head, terms, tail):
+    terms = [("- " if minus else "") + name for minus, name in terms]
+    pieces = [" " + t if t[0] == "-" else " + " + t for t in terms]
+    assert _wrap_terms(head, pieces, tail) == \
+        "\n".join(wrap_terms_one_piece_at_a_time(head, terms, tail))
 
 
 def test_worked_objective_coefficients(worked):
@@ -276,6 +319,12 @@ def test_load_varmap_rejects_junk(tmp_path):
     for path, reason in write_each_non_object(tmp_path):
         with pytest.raises(InputError, match=re.escape(f"{path}: {reason}")):
             load_varmap(path)
+    # a list of pairs would convert to a dict; the sidecar must hold an object
+    bad.write_text(json.dumps({"constant_term": 0,
+                               "variables": [["x_1_10", {"kind": "x", "j": 1, "i": 10}]]}))
+    with pytest.raises(InputError, match=re.escape(f"{bad}: malformed variable map: "
+                                                   "variables must be a JSON object, got list")):
+        load_varmap(bad)
     bad.write_text(json.dumps({"constant_term": 3.5, "variables": {}}))
     with pytest.raises(InputError, match="constant_term must be an integer"):
         load_varmap(bad)
