@@ -31,7 +31,9 @@ inst = generate_instance(6, preset_nosby(), "1.6", seed=5)
 table = apply_pruning(compute_spaces(inst, build_graph(inst)), inst)
 
 artifact = emit_ilp_spaces(inst, table)
-print(f"model: {len(artifact.varmap)} binary variables, "
+# the columns: one x per job and admissible start, one y per gap
+n_columns = sum(hi - lo + 1 for _j, lo, hi in artifact.x) + len(artifact.y[0])
+print(f"model: {n_columns} binary variables, "
       f"constant term {artifact.constant_term}")
 print("first lines:")
 for line in artifact.lp_text.splitlines()[:4]:

@@ -17,12 +17,14 @@ bound are those of the covering rows.
 
 The two boundary off intervals contribute a constant that is deliberately
 kept out of the LP text and reported in the sidecar instead, so any
-LP-format reader consumes the file unchanged.
+LP-format reader consumes the file unchanged. The sidecar stores the
+columns as arrays; the import looks up only the names the assignment sets.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -36,13 +38,25 @@ from .solver import SolveResult, SolveStats, _boundary_constant, assemble_schedu
 from .spaces import SpacesTable, _UNREACHABLE
 
 _WRAP = 200  # keep LP lines comfortably under common reader limits
+_COLUMN = re.compile(r"([xy])_(0|-?[1-9]\d*)_(0|-?[1-9]\d*)", re.ASCII)  # as f"x_{j}_{i}" writes
 
 
 @dataclass
 class IlpModelArtifact:
+    """The LP text, the objective constant and the columns in order: in x
+    [j, first start, last start] per job, in y the gaps' i and ip lists."""
     lp_text: str
-    varmap: dict[str, dict]
     constant_term: int
+    x: list[list[int]]
+    y: list[list[int]]
+
+    @property
+    def varmap(self) -> dict[str, dict]:
+        """Every column name, in column order, with its kind and indices."""
+        out = {f"x_{j}_{i}": {"kind": "x", "j": j, "i": i}
+               for j, lo, hi in self.x for i in range(lo, hi + 1)}
+        out.update((f"y_{i}_{ip}", {"kind": "y", "i": i, "ip": ip}) for i, ip in zip(*self.y))
+        return out
 
 
 def _wrap(text: str, cuts: list[int]) -> str:
@@ -106,31 +120,25 @@ def _flow_rows(h: int, names: list[str], first: np.ndarray, end: np.ndarray) -> 
 
 
 def emit_ilp_spaces(inst: Instance, table: SpacesTable) -> IlpModelArtifact:
-    """Build the LP text, the variable map and the objective constant."""
+    """Build the LP text, the columns and the objective constant."""
     h = inst.horizon
     t_on, t_off = table.window
     phi = table.phi_matrix
-    proc = inst.state_set.proc_state
-    pw = inst.transitions.power(proc, proc)
+    pw = inst.transitions.power(inst.state_set.proc_state, inst.state_set.proc_state)
     C = inst.cost_prefix
     num = [str(k) for k in range(h + 1)]  # interval numbers as text, formatted once
 
     # the columns in order, x per job and start, then y per gap: name,
     # cost, first covered interval and end = last covered interval + 1
-    names: list[str] = []
-    costs: list[int] = []
-    metas: list[dict] = []
-    firsts, ends = [], []
-    assign: list[str] = []
+    names, costs, xs, firsts, ends, assign = [], [], [], [], [], []
     for j, p in enumerate(inst.jobs, start=1):
         if t_on > t_off - p + 1:
             raise InfeasibleError(f"infeasible window: job {j} has no admissible start")
         starts = range(t_on, t_off - p + 2)
-        prefix = f"x_{j}_"
-        job_names = [prefix + num[i] for i in starts]
+        job_names = list(map(f"x_{j}_".__add__, num[t_on:t_off - p + 2]))
         names += job_names
         costs += [(C[i + p - 1] - C[i - 1]) * pw for i in starts]
-        metas += [{"kind": "x", "j": j, "i": i} for i in starts]
+        xs.append([j, t_on, t_off - p + 1])
         firsts.append(np.arange(t_on, t_off - p + 2))
         ends.append(firsts[-1] + p)
         assign.append(_wrap_terms(f" assign_{j}: ", [" + " + name for name in job_names], " = 1"))
@@ -138,14 +146,12 @@ def emit_ilp_spaces(inst: Instance, table: SpacesTable) -> IlpModelArtifact:
     firsts.append(gi + 1)
     ends.append(gip)
     costs += phi[gi, gip].tolist()
-    names += [f"y_{num[i]}_{num[ip]}" for i, ip in zip(gi.tolist(), gip.tolist())]
-    metas += [{"kind": "y", "i": i, "ip": ip} for i, ip in zip(gi.tolist(), gip.tolist())]
-    varmap = dict(zip(names, metas))
+    ys = [gi.tolist(), gip.tolist()]
+    names += [f"y_{num[i]}_{num[ip]}" for i, ip in zip(*ys)]
 
     # the window and the gap bodies keep every column inside 2..h-1, so
     # interval k is open to the columns with first <= k < end
-    first = np.concatenate(firsts)
-    end = np.concatenate(ends)
+    first, end = np.concatenate(firsts), np.concatenate(ends)
     open_cols = np.cumsum(np.bincount(first, minlength=h + 1) - np.bincount(end, minlength=h + 1))
     shut = np.flatnonzero(open_cols[2:h] == 0)
     if shut.size:
@@ -154,8 +160,7 @@ def emit_ilp_spaces(inst: Instance, table: SpacesTable) -> IlpModelArtifact:
     obj = _wrap_terms(" obj: ", [f" + {c} {name}" for c, name in zip(costs, names)], "")
     lines = ["Minimize", obj, "Subject To", *assign, *_flow_rows(h, names, first, end),
              "Binary", " " + "\n ".join(names), "End"]
-    return IlpModelArtifact(lp_text="\n".join(lines) + "\n", varmap=varmap,
-                            constant_term=_boundary_constant(inst))
+    return IlpModelArtifact("\n".join([*lines, ""]), _boundary_constant(inst), xs, ys)
 
 
 def write_artifact(artifact: IlpModelArtifact, lp_path) -> tuple[str, str]:
@@ -167,33 +172,31 @@ def write_artifact(artifact: IlpModelArtifact, lp_path) -> tuple[str, str]:
         fh.write(artifact.lp_text)
     with open(map_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"constant_term": artifact.constant_term,
-                             "variables": artifact.varmap}) + "\n")
+                             "x": artifact.x, "y": artifact.y}) + "\n")
     return lp_path, map_path
 
 
 def load_varmap(map_path) -> IlpModelArtifact:
-    """Read a sidecar written by write_artifact. Its variables must be a
-    JSON object whose every entry is an x with integer j and i or a y with
-    integer i and ip."""
+    """Read a sidecar written by write_artifact: constant_term, in x one
+    [j, first start, last start] row per job and in y the gaps' i and ip as
+    two lists of equal length, all integers (a bool is not one)."""
     doc = read_json(map_path)
+    if "variables" in doc:
+        raise InputError(f"{map_path}: a variable map in the old format, one object per "
+                         "variable; re-run emit-lp to write the current one")
     try:
-        variables = doc["variables"]
-        if type(variables) is not dict:
-            raise TypeError(f"variables must be a JSON object, got {type(variables).__name__}")
-        artifact = IlpModelArtifact(lp_text="", varmap=variables,
-                                    constant_term=_integer(doc["constant_term"], "constant_term"))
+        x, y = doc["x"], doc["y"]
+        constant = _integer(doc["constant_term"], "constant_term")
+        rows_ok = type(x) is list and all(
+            type(row) is list and len(row) == 3 and set(map(type, row)) <= {int} for row in x)
+        if not rows_ok or len({row[0] for row in x}) < len(x):
+            raise TypeError("x must hold one [j, first start, last start] integer row per job")
+        if type(y) is not list or list(map(type, y)) != [list, list] \
+                or len(y[0]) != len(y[1]) or not set(map(type, y[0] + y[1])) <= {int}:
+            raise TypeError("y must be two integer lists of equal length, i and ip")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{map_path}: malformed variable map: {exc}") from exc
-    for name, meta in variables.items():
-        kind = meta.get("kind") if type(meta) is dict else None
-        if kind == "x":
-            ok = type(meta.get("j")) is int and type(meta.get("i")) is int
-        else:
-            ok = kind == "y" and type(meta.get("i")) is int and type(meta.get("ip")) is int
-        if not ok:
-            raise InputError(f"{map_path}: variable {name!r} is neither an x entry with "
-                             f"integer j and i nor a y entry with integer i and ip")
-    return artifact
+    return IlpModelArtifact("", constant, x, y)
 
 
 def parse_solution_text(text: str) -> dict[str, float]:
@@ -201,17 +204,13 @@ def parse_solution_text(text: str) -> dict[str, float]:
     shape; lines that do not parse as a name plus a number are skipped."""
     out: dict[str, float] = {}
     for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
         parts = line.split()
-        if len(parts) < 2:
+        if len(parts) < 2 or parts[0].startswith("#"):
             continue
         try:
-            val = float(parts[1])
+            out[parts[0]] = float(parts[1])
         except ValueError:
-            continue
-        out[parts[0]] = val
+            pass
     return out
 
 
@@ -226,46 +225,47 @@ def import_solution(inst: Instance, table: SpacesTable, artifact: IlpModelArtifa
     t0 = time.monotonic()
     tol = 1e-6
 
-    starts: dict[int, int] = {}
-    gaps: list[tuple[int, int]] = []
-    objective = 0
-    for name, meta in artifact.varmap.items():
-        val = assignment.get(name, 0.0)
-        if abs(val) <= tol:
+    # the assignment's non-zero columns, checked below in column order; other
+    # names are ignored: a column is x_j_i, i in j's start range, or a stored y_i_ip
+    x_rows = {j: (k, lo, hi) for k, (j, lo, hi) in enumerate(artifact.x)}
+    y_cols = {pair: k for k, pair in enumerate(zip(*artifact.y), start=len(artifact.x))}
+    hits = []
+    for name, val in assignment.items():
+        if abs(val) <= tol or not (m := _COLUMN.fullmatch(name)):
             continue
+        kind, a, b = m[1], int(m[2]), int(m[3])
+        k, lo, hi = x_rows.get(a, (None, 0, 0)) if kind == "x" else (y_cols.get((a, b)), b, b)
+        if k is not None and lo <= b <= hi:
+            hits.append(((k, b), name, val, kind, a, b))
+
+    starts, gaps, objective = {}, [], 0
+    for _, name, val, kind, a, b in sorted(hits):
         if not abs(val - 1.0) <= tol:  # NaN fails this test too
             raise InputError(f"non-integral assignment: {name} = {val}")
-        if meta["kind"] == "x":
-            j, i = int(meta["j"]), int(meta["i"])
-            if j in starts:
-                raise InfeasibleError(f"cover violated: job {j} assigned twice")
-            starts[j] = i
-            objective += job_cost(inst, j, i)
-        elif meta["kind"] == "y":
-            i, ip = int(meta["i"]), int(meta["ip"])
-            cost = table.phi(i, ip)
+        if kind == "x":
+            if a in starts:
+                raise InfeasibleError(f"cover violated: job {a} assigned twice")
+            starts[a] = b
+            objective += job_cost(inst, a, b)
+        else:
+            cost = table.phi(a, b)
             if cost is None:
                 raise InputError(f"variable {name} refers to a gap with no switching")
-            gaps.append((i, ip))
+            gaps.append((a, b))
             objective += cost
-        else:
-            raise InputError(f"unknown variable kind for {name}")
 
     missing = [j for j in range(1, inst.n_jobs + 1) if j not in starts]
     if missing:
         raise InfeasibleError(f"cover violated: jobs {missing} unassigned")
 
-    placement = sorted(starts.items())
-    sched = assemble_schedule(inst, placement, table, spaces=sorted(gaps))
+    sched = assemble_schedule(inst, sorted(starts.items()), table, spaces=sorted(gaps))
     problems = validate_schedule(inst, sched)
     if problems:
         raise InfeasibleError("imported solution is infeasible: "
                               + "; ".join(str(v) for v in problems[:3]))
     tec = compute_tec(inst, sched)
     if tec != objective + artifact.constant_term:
-        raise InputError(f"assignment objective {objective} + constant "
-                         f"{artifact.constant_term} does not match the "
-                         f"re-priced schedule cost {tec}")
-    return SolveResult(tec=tec, schedule=sched, status="imported",
-                       stats=SolveStats(states=0, wall_time=time.monotonic() - t0,
-                                        lower_bound=None))
+        raise InputError(f"assignment objective {objective} + constant {artifact.constant_term} "
+                         f"does not match the re-priced schedule cost {tec}")
+    stats = SolveStats(states=0, wall_time=time.monotonic() - t0, lower_bound=None)
+    return SolveResult(tec=tec, schedule=sched, status="imported", stats=stats)

@@ -161,15 +161,17 @@ def test_import_solution_rejects_partial_cover(tmp_path, capsys, worked_file):
     assert stderr.strip()
 
 
-def import_edited(tmp_path, capsys, worked_file, variables=None, solution=WORKED_SOLUTION):
-    """import-solution after emit-lp, with the sidecar's variables and
-    the solution dump replaced by the given ones."""
+def import_edited(tmp_path, capsys, worked_file, job_1=None, solution=WORKED_SOLUTION):
+    """import-solution after emit-lp, with job 1's row of the sidecar's x,
+    [1, 4, 13] as written, and the solution dump replaced by the given
+    ones."""
     lp = tmp_path / "model.lp"
     run(capsys, "emit-lp", "--instance", worked_file, "--out", str(lp))
     map_path = tmp_path / "model.lp.varmap.json"
-    if variables is not None:
+    if job_1 is not None:
         doc = json.loads(map_path.read_text())
-        doc["variables"].update(variables)
+        assert doc["x"][0] == [1, 4, 13]
+        doc["x"][0] = job_1
         map_path.write_text(json.dumps(doc))
     sol = tmp_path / "sol.txt"
     sol.write_text(solution)
@@ -178,13 +180,26 @@ def import_edited(tmp_path, capsys, worked_file, variables=None, solution=WORKED
     return code, stderr, str(map_path)
 
 
-@pytest.mark.parametrize("entry", [{"kind": "x", "i": 10}, 7, {"kind": "y", "i": 4, "ip": "10"},
-                                   {"kind": "z", "i": 4, "ip": 10}, {"kind": ["x"]},
-                                   {"kind": "x", "j": True, "i": 10}])
+# job 1's x row: too short, not a list, a string, the old format's object,
+# a nested list, a bool
+@pytest.mark.parametrize("entry", [[1, 4], 7, [1, 4, "13"], {"kind": "x", "j": 1, "i": 10},
+                                   [[1], 4, 13], [True, 4, 13]])
 def test_import_solution_with_a_bad_varmap_entry_is_exit_2(tmp_path, capsys, worked_file, entry):
-    code, stderr, map_path = import_edited(tmp_path, capsys, worked_file, {"x_1_10": entry})
+    code, stderr, map_path = import_edited(tmp_path, capsys, worked_file, entry)
     assert code == 2
-    assert map_path in stderr and "x_1_10" in stderr
+    assert map_path in stderr and "x must hold one [j, first start, last start]" in stderr
+
+
+def test_import_solution_with_an_old_format_sidecar_is_exit_2(tmp_path, capsys, worked_file):
+    map_path = tmp_path / "model.lp.varmap.json"
+    map_path.write_text(json.dumps({"constant_term": 0, "variables": {
+        "x_1_10": {"kind": "x", "j": 1, "i": 10}, "y_1_4": {"kind": "y", "i": 1, "ip": 4}}}))
+    sol = tmp_path / "sol.txt"
+    sol.write_text(WORKED_SOLUTION)
+    code, _, stderr = run(capsys, "import-solution", "--instance", worked_file,
+                          "--model-map", str(map_path), "--solution", str(sol))
+    assert code == 2
+    assert str(map_path) in stderr and "old format" in stderr and "re-run emit-lp" in stderr
 
 
 def test_import_solution_with_a_gap_over_a_job_is_exit_1(tmp_path, capsys, worked_file):
@@ -197,10 +212,9 @@ def test_import_solution_with_a_gap_over_a_job_is_exit_1(tmp_path, capsys, worke
 
 def test_import_solution_with_a_moved_job_in_the_sidecar_is_exit_1(tmp_path, capsys,
                                                                    worked_file):
-    # job 1 at interval 1 overlaps the leading off interval and y_1_4,
-    # and leaves 10 and 11 uncovered
-    code, stderr, _ = import_edited(tmp_path, capsys, worked_file,
-                                    {"x_1_1": {"kind": "x", "j": 1, "i": 1}},
+    # job 1's starts widened to 1..13: job 1 at interval 1 overlaps the
+    # leading off interval and y_1_4, and leaves 10 and 11 uncovered
+    code, stderr, _ = import_edited(tmp_path, capsys, worked_file, [1, 1, 13],
                                     WORKED_SOLUTION.replace("x_1_10 1", "x_1_1 1"))
     assert code == 1
     assert "interval 1 labeled twice" in stderr
@@ -388,7 +402,7 @@ def test_emit_lp_ignores_stored_pruning_flags(tmp_path, capsys, worked_file):
                      "--out", str(lp))
     assert code == 0
     varmap = json.loads((tmp_path / "model.lp.varmap.json").read_text())
-    assert "y_4_10" in varmap["variables"]
+    assert (4, 10) in zip(*varmap["y"])
     scipy_opt = pytest.importorskip("scipy.optimize")
     names, c, rows, rhs = lp_to_arrays(lp.read_text())
     res = scipy_opt.milp(c=c, constraints=scipy_opt.LinearConstraint(rows, rhs, rhs),

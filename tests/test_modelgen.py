@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tousched import (
     Instance,
@@ -24,8 +24,9 @@ from tousched import (
     validate_schedule,
     write_artifact,
 )
-from tousched.model import InfeasibleError
+from tousched.model import InfeasibleError, compute_tec, job_cost
 from tousched.modelgen import _WRAP, _wrap_terms
+from tousched.solver import assemble_schedule
 
 from conftest import (WORKED_TEC, lp_to_arrays, nosby_instance, random_instance,
                       write_each_non_object)
@@ -256,18 +257,37 @@ def test_import_rejects_a_gap_over_a_job(worked):
 
 
 def test_import_rejects_a_sidecar_that_moves_a_job(worked):
-    # a hand edit renames x_1_10 to x_1_1: job 1 at interval 1 overlaps
-    # the leading off interval and y_1_4, and leaves 10 and 11 uncovered
+    # a hand edit widens job 1's starts 4..13 to 1..13, so x_1_1 is a
+    # column: job 1 at interval 1 overlaps the leading off interval and
+    # y_1_4, and leaves 10 and 11 uncovered
     tab = make_table(worked)
     art = emit_ilp_spaces(worked, tab)
-    del art.varmap["x_1_10"]
-    art.varmap["x_1_1"] = {"kind": "x", "j": 1, "i": 1}
+    assert art.x[0] == [1, 4, 13]
     bad = dict(WORKED_OPTIMAL_ASSIGNMENT, x_1_1=1)
     del bad["x_1_10"]
+    with pytest.raises(InfeasibleError, match=re.escape("jobs [1] unassigned")):
+        import_solution(worked, tab, art, bad)  # x_1_1 is no column yet
+    art.x[0] = [1, 1, 13]
     with pytest.raises(InfeasibleError, match="interval 1 labeled twice") as err:
         import_solution(worked, tab, art, bad)
     for named in ("interval 2 labeled twice", "interval 10 uncovered", "interval 11 uncovered"):
         assert named in str(err.value)
+
+
+def schedule_assignment(inst, sigma):
+    """The variable assignment a schedule's job starts correspond to."""
+    assignment = {}
+    blocks = sorted((start + 1, j) for j, start in enumerate(sigma, start=1))
+    for i, j in blocks:
+        assignment[f"x_{j}_{i}"] = 1
+    edges = [1] + [i + inst.jobs[j - 1] - 1
+                   for i, j in blocks] + [inst.horizon]
+    starts = [i for i, _ in blocks] + [inst.horizon]
+    for e, s2 in zip(edges, starts):
+        if s2 > e + 1 or (e == 1 and s2 > e) or s2 == inst.horizon:
+            if e != s2:
+                assignment[f"y_{e}_{s2}"] = 1
+    return assignment
 
 
 def test_import_round_trips_solver_output():
@@ -280,20 +300,109 @@ def test_import_round_trips_solver_output():
             continue
         art = emit_ilp_spaces(inst, tab)
         # rebuild the variable assignment the exact schedule corresponds to
-        assignment = {}
-        blocks = sorted((start + 1, j) for j, start in
-                        enumerate(res.schedule.sigma, start=1))
-        for i, j in blocks:
-            assignment[f"x_{j}_{i}"] = 1
-        edges = [1] + [i + inst.jobs[j - 1] - 1
-                       for i, j in blocks] + [inst.horizon]
-        starts = [i for i, _ in blocks] + [inst.horizon]
-        for e, s2 in zip(edges, starts):
-            if s2 > e + 1 or (e == 1 and s2 > e) or s2 == inst.horizon:
-                if e != s2:
-                    assignment[f"y_{e}_{s2}"] = 1
+        assignment = schedule_assignment(inst, res.schedule.sigma)
         back = import_solution(inst, tab, art, assignment)
         assert back.tec == res.tec
+
+
+def import_by_walking_the_varmap(inst, table, varmap, constant_term, assignment):
+    """The import as it was when the sidecar held one object per variable:
+    walk every column of the variable map in order and look its value up
+    in the assignment. The oracle for import_solution; returns the TEC and
+    the schedule."""
+    tol = 1e-6
+    starts, gaps, objective = {}, [], 0
+    for name, meta in varmap.items():
+        val = assignment.get(name, 0.0)
+        if abs(val) <= tol:
+            continue
+        if not abs(val - 1.0) <= tol:
+            raise InputError(f"non-integral assignment: {name} = {val}")
+        if meta["kind"] == "x":
+            j, i = meta["j"], meta["i"]
+            if j in starts:
+                raise InfeasibleError(f"cover violated: job {j} assigned twice")
+            starts[j] = i
+            objective += job_cost(inst, j, i)
+        else:
+            i, ip = meta["i"], meta["ip"]
+            cost = table.phi(i, ip)
+            if cost is None:
+                raise InputError(f"variable {name} refers to a gap with no switching")
+            gaps.append((i, ip))
+            objective += cost
+    missing = [j for j in range(1, inst.n_jobs + 1) if j not in starts]
+    if missing:
+        raise InfeasibleError(f"cover violated: jobs {missing} unassigned")
+    sched = assemble_schedule(inst, sorted(starts.items()), table, spaces=sorted(gaps))
+    problems = validate_schedule(inst, sched)
+    if problems:
+        raise InfeasibleError("imported solution is infeasible: "
+                              + "; ".join(str(v) for v in problems[:3]))
+    tec = compute_tec(inst, sched)
+    if tec != objective + constant_term:
+        raise InputError(f"assignment objective {objective} + constant {constant_term} "
+                         f"does not match the re-priced schedule cost {tec}")
+    return tec, sched
+
+
+def outcome(run):
+    """(TEC, sigma, omega) of a successful import, else the exception's
+    class and message."""
+    try:
+        tec, sched = run()
+    except (InputError, InfeasibleError) as exc:
+        return type(exc), str(exc)
+    return tec, sched.sigma, sched.omega
+
+
+# exact and noisy 0s and 1s, a fraction, NaN and a value past 1
+_VALUES = st.sampled_from([0, 1, 1 + 3e-7, 1 - 3e-7, 1e-9, -1e-9, 0.5, float("nan"), 2])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), nosby=st.booleans(), data=st.data())
+def test_import_matches_the_varmap_walk(tmp_path_factory, seed, nosby, data):
+    # the oracle walks the varmap the artifact derives; import_solution
+    # reads the arrays back from a sidecar file. Both see the same
+    # assignment: an optimum's columns with up to three edits, each a
+    # model column set to a value, an assigned column dropped, or a name
+    # outside the model set to a value.
+    rng = random.Random(seed)
+    inst = nosby_instance(rng, n_max=4, h_max=18) if nosby else random_instance(rng, n_max=4)
+    table = make_table(inst)
+    res = solve_exact(inst, table)
+    assume(res.status == "optimal")
+    art = emit_ilp_spaces(inst, table)
+    _lp, map_path = write_artifact(art, tmp_path_factory.mktemp("lp") / "model.lp")
+    loaded = load_varmap(map_path)
+
+    varmap = art.varmap
+    columns = list(varmap)
+    pairs = set(zip(*art.y))
+    j, lo, hi = art.x[rng.randrange(len(art.x))]
+    i = rng.randint(1, inst.horizon - 2)
+    outside = ["x_0_3", "x_01_5", f"x_{j}_{lo - 1}", f"x_{j}_{hi + 1}", f"x_{j}_0{lo}",
+               "y_5_5", f"y_{i}_{i + 1}", "Objective", "assign_1", f"x_{j}_-{lo}",
+               *(f"y_{a}_{b}" for a, b in [(1, inst.horizon), (2, 7)] if (a, b) not in pairs)]
+    assignment = {name: float(v) for name, v in
+                  schedule_assignment(inst, res.schedule.sigma).items()}
+    for kind in data.draw(st.lists(st.sampled_from(["column", "drop", "outside"]), max_size=3)):
+        if kind == "column":
+            assignment[data.draw(st.sampled_from(columns))] = data.draw(_VALUES)
+        elif kind == "drop" and assignment:
+            del assignment[data.draw(st.sampled_from(sorted(assignment)))]
+        elif kind == "outside":
+            assignment[data.draw(st.sampled_from(outside))] = data.draw(_VALUES)
+    assignment = dict(data.draw(st.permutations(list(assignment.items()))))
+
+    def new():
+        back = import_solution(inst, table, loaded, assignment)
+        return back.tec, back.schedule
+
+    want = outcome(lambda: import_by_walking_the_varmap(inst, table, varmap,
+                                                        art.constant_term, assignment))
+    assert outcome(new) == want
 
 
 def test_write_artifact_and_load_varmap(tmp_path, worked):
@@ -303,9 +412,12 @@ def test_write_artifact_and_load_varmap(tmp_path, worked):
     assert lp_path.endswith("model.lp")
     assert map_path.endswith("model.lp.varmap.json")
     doc = json.loads(Path(map_path).read_text())
-    assert set(doc) == {"constant_term", "variables"}
+    assert set(doc) == {"constant_term", "x", "y"}
+    assert doc["x"] == [[1, 4, 13], [2, 4, 14], [3, 4, 13]]  # [j, first start, last start]
+    assert len(doc["y"]) == 2 and len(doc["y"][0]) == len(doc["y"][1]) == 71
     back = load_varmap(map_path)
     assert back.varmap == art.varmap
+    assert (back.x, back.y) == (art.x, art.y)
     assert back.constant_term == art.constant_term
     with pytest.raises(TypeError):  # the sidecar path is not settable
         write_artifact(art, tmp_path / "other.lp", map_path=tmp_path / "elsewhere.json")
@@ -319,15 +431,49 @@ def test_load_varmap_rejects_junk(tmp_path):
     for path, reason in write_each_non_object(tmp_path):
         with pytest.raises(InputError, match=re.escape(f"{path}: {reason}")):
             load_varmap(path)
-    # a list of pairs would convert to a dict; the sidecar must hold an object
+    good = {"constant_term": 0, "x": [[1, 4, 13], [2, 4, 14]], "y": [[1, 4], [4, 10]]}
+    bad.write_text(json.dumps(good))
+    assert load_varmap(bad).varmap == {
+        **{f"x_1_{i}": {"kind": "x", "j": 1, "i": i} for i in range(4, 14)},
+        **{f"x_2_{i}": {"kind": "x", "j": 2, "i": i} for i in range(4, 15)},
+        "y_1_4": {"kind": "y", "i": 1, "ip": 4}, "y_4_10": {"kind": "y", "i": 4, "ip": 10}}
+    x_rows = "x must hold one [j, first start, last start] integer row per job"
+    y_lists = "y must be two integer lists of equal length, i and ip"
+    for edit, reason in [
+            # an object of rows by job would convert to a list; x must be one
+            ({"x": {"1": [4, 13], "2": [4, 14]}}, x_rows),
+            ({"x": [[True, 4, 13], [2, 4, 14]]}, x_rows),
+            ({"x": [[1, 4, "13"], [2, 4, 14]]}, x_rows),
+            ({"x": [[1, 4, 13.0], [2, 4, 14]]}, x_rows),
+            ({"x": [[1, 4], [2, 4, 14]]}, x_rows),
+            ({"x": [[1, 4, 13, 1], [2, 4, 14]]}, x_rows),
+            ({"x": [7, [2, 4, 14]]}, x_rows),
+            ({"x": [[1, 4, 13], [1, 5, 14]]}, x_rows),  # job 1 twice
+            ({"y": {"i": [1, 4], "ip": [4, 10]}}, y_lists),
+            ({"y": [[1, 4], [4, True]]}, y_lists),
+            ({"y": [["1", 4], [4, 10]]}, y_lists),
+            ({"y": [[1, 4], [4, 10], [2, 3]]}, y_lists),
+            ({"y": [[1, 4], [4]]}, y_lists),
+            ({"y": [[1, 4], 4]}, y_lists),
+            ({"y": [[1, 4]]}, y_lists),
+            ({"y": [[1, 4.0], [4, 10]]}, y_lists),
+            ({"constant_term": 3.5}, "constant_term must be an integer"),
+            ({"constant_term": False}, "constant_term must be an integer")]:
+        bad.write_text(json.dumps({**good, **edit}))
+        with pytest.raises(InputError, match=re.escape(f"{bad}: malformed variable map: {reason}")):
+            load_varmap(bad)
+    for key in good:
+        bad.write_text(json.dumps({k: v for k, v in good.items() if k != key}))
+        with pytest.raises(InputError, match=re.escape(f"{bad}: malformed variable map: ")):
+            load_varmap(bad)
+    # a sidecar in the old format, one object per variable, is refused
+    # with the way out: the LP text is the same, so emit-lp rewrites it
     bad.write_text(json.dumps({"constant_term": 0,
-                               "variables": [["x_1_10", {"kind": "x", "j": 1, "i": 10}]]}))
-    with pytest.raises(InputError, match=re.escape(f"{bad}: malformed variable map: "
-                                                   "variables must be a JSON object, got list")):
+                               "variables": {"x_1_10": {"kind": "x", "j": 1, "i": 10}}}))
+    with pytest.raises(InputError, match=re.escape(f"{bad}: a variable map in the old format")) \
+            as err:
         load_varmap(bad)
-    bad.write_text(json.dumps({"constant_term": 3.5, "variables": {}}))
-    with pytest.raises(InputError, match="constant_term must be an integer"):
-        load_varmap(bad)
+    assert "re-run emit-lp" in str(err.value)
 
 
 def test_parse_solution_text():
