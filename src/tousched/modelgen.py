@@ -228,13 +228,32 @@ def import_solution(inst: Instance, table: SpacesTable, artifact: IlpModelArtifa
     # the assignment's non-zero columns, checked below in column order; other
     # names are ignored: a column is x_j_i, i in j's start range, or a stored y_i_ip
     x_rows = {j: (k, lo, hi) for k, (j, lo, hi) in enumerate(artifact.x)}
-    y_cols = {pair: k for k, pair in enumerate(zip(*artifact.y), start=len(artifact.x))}
+    # a stored pair's key is i * (h + 2) + ip, or -1 outside 0..h + 1; the
+    # keys sorted stably, so a pair stored twice is found at its later column
+    h2 = inst.horizon + 2
+    try:
+        y_i, y_ip = (np.fromiter(v, np.int64, len(v)) for v in artifact.y)
+    except OverflowError:  # a hand-edited sidecar's ints past int64
+        y_i, y_ip = (np.array(v, dtype=object) for v in artifact.y)
+    inside = (y_i >= 0) & (y_i < h2) & (y_ip >= 0) & (y_ip < h2)
+    keys = np.where(inside, y_i * h2 + y_ip, -1).astype(np.int64)
+    by_key = np.argsort(keys, kind="stable")
+    keys = keys[by_key]
+
+    def y_col(a: int, b: int) -> int | None:
+        if 0 <= a < h2 and 0 <= b < h2:
+            at = int(np.searchsorted(keys, a * h2 + b, side="right")) - 1
+            found = by_key[at:at + 1] if at >= 0 and keys[at] == a * h2 + b else []
+        else:  # a pair outside the keys, matched one by one
+            found = np.flatnonzero((y_i == a) & (y_ip == b))
+        return len(artifact.x) + int(found[-1]) if len(found) else None
+
     hits = []
     for name, val in assignment.items():
         if abs(val) <= tol or not (m := _COLUMN.fullmatch(name)):
             continue
         kind, a, b = m[1], int(m[2]), int(m[3])
-        k, lo, hi = x_rows.get(a, (None, 0, 0)) if kind == "x" else (y_cols.get((a, b)), b, b)
+        k, lo, hi = x_rows.get(a, (None, 0, 0)) if kind == "x" else (y_col(a, b), b, b)
         if k is not None and lo <= b <= hi:
             hits.append(((k, b), name, val, kind, a, b))
 

@@ -15,9 +15,10 @@ every table is indexed by (multiset m, offset d):
 
 - F_W[m, d], a block starts there: the first minimum over job lengths p
   ascending of the block cost plus the merged next block F_{W-p}[m-p, d],
-  then plus the gap G_{W-p}[m-p, d]; the last block pays the trailing gap
-  to the horizon instead. Both successors sit at the same (m-p, d), so a
-  layer only keeps H_W = min(F_W, G_W), merged on ties.
+  then plus the gap G_{W-p}[m-p, d]. Both successors sit at the same
+  (m-p, d), so a layer only keeps H_W = min(F_W, G_W), merged on ties.
+  Layer 0, the empty multiset, is the trailing gap from the block's end
+  to the horizon, so the last block is no special case.
 - G_W[m, d], a gap follows the block that ended just before offset d: a
   min-plus product of F_W[m, .] with the band's block of phi, unreachable
   gaps left out; the nearer end wins ties.
@@ -25,8 +26,11 @@ every table is indexed by (multiset m, offset d):
 The root is the gap after interval 1 against F of all jobs. Every cell
 stores its choice, so the schedule is a walk over the choices, and ties
 go to the lexicographically smallest sequence of (start, length) pieces.
-Values are kept only for the last max(p) layers, and the min-plus runs in
-fixed-size chunks. The band holds prod(count_p + 1) * (s + 1) cells.
+Rows are positions: each layer's rows are consecutive, and one table
+gives the position a row continues in after each job length, so a
+layer's F is one gather over H. H is kept as a ring of the last max(p)
+layers, and the min-plus runs in fixed-size chunks. The band holds
+prod(count_p + 1) * (s + 1) cells.
 
 The relaxation is the same fill (_fill) with one row per W instead of one
 per multiset, so a block may hold any sequence of job lengths: a
@@ -53,7 +57,6 @@ A time limit picks none of this; it only stops the work.
 from __future__ import annotations
 
 import bisect
-import functools
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -192,56 +195,61 @@ class _Band(NamedTuple):
     ps: np.ndarray  # the distinct job lengths, ascending
 
 
-def _fill(band: _Band, links, cols, expired, keep: bool = False):
+def _fill(band: _Band, rows, cols, expired, keep: bool = False):
     """Fill the layers W = 1..sum(p) of a band DP; returns (F, f_arg,
     g_arg, states, values) with F the top layer's, or None when the
     deadline expired first.
 
-    links(W) gives layer W's row count and, for each job length p in
-    turn, the rows that can start a block with a job of length p and the
-    row of layer W - p each of them continues in, or None when no row
-    can (index arrays or slices either way). cols(W) gives the band
-    offsets of layer W that are filled, two slices with explicit bounds:
-    where a block may start (F) and where one may have just ended (H),
-    slice(0, R) for all. Every other cell is left out as if it cost
+    rows = (first, succ) gives every row of the DP a position: layer W
+    holds positions first[W] .. first[W + 1] - 1, position 0 alone is
+    layer 0, and succ[j, pos] is the position a row continues in after a
+    job of length ps[j], or -1 where it holds no such job. cols(W) gives
+    the band offsets of layer W that are filled, two slices with explicit
+    bounds: where a block may start (F) and where one may have just ended
+    (H), slice(0, R) for all. Every other cell is left out as if it cost
     _HUGE. The choices of every layer are stored for those columns only:
     the job length index of F, and the band offset of the gap end where a
     gap beats merging, 0 where it does not (a real gap ends at offset 1 or
     later). With keep, which needs one row per layer and every column,
-    values[0][W] and values[1][W] are F_W and H_W of every layer;
-    without, values is None.
+    values[0][W] and values[1][W] are F_W and H_W of W = 1..sum(p) - 1
+    (F of sum(p) too), _HUGE elsewhere; without, values is None.
+
+    H is one ring of rows over the last max(p) layers, a position at row
+    pos % size, where size is the most positions any max(p) + 1
+    consecutive layers hold; its extra last row is all _HUGE and stands
+    for "no successor". Layer 0 is the trailing gap from a block ending at
+    t_end - 1 + d to the horizon, so a block that ends the schedule pays
+    it like any other successor.
     """
     phi, R, ps = band.phi, band.R, band.ps
     h = phi.shape[0] - 1
-    H: dict[int, np.ndarray] = {}  # min(F, G) of the last max(p) layers, at every offset
+    first, succ = rows
     top = band.t_end - band.t_on
+    back = first[np.maximum(np.arange(top + 1) - int(ps[-1]), 0)]
+    size = int((first[1:] - back).max())
+    hbuf = np.full((size + 1, R), _HUGE, dtype=np.int64)
+    hbuf[0] = phi[band.t_end - 1:band.t_end - 1 + R, h]
+    ring = np.arange(first[-1] + 1, dtype=np.int32) % size  # the hbuf row of each position
+    ring[-1] = size  # and of succ's -1, the _HUGE row
+    slot = ring[succ]
     values = np.full((2, top + 1, R), _HUGE, dtype=np.int64) if keep else None
     f_arg: dict[int, np.ndarray] = {}
     g_arg: dict[int, np.ndarray] = {}
     f_type, g_type = np.min_scalar_type(len(ps) - 1), np.min_scalar_type(R - 1)
     buf = np.empty(max(_CHUNK, _BAND_ROWS * R), dtype=np.int64)
-    states, longest = 0, int(ps[-1])
+    states = 0
     for W in range(1, top + 1):
-        H.pop(W - longest - 1, None)
         if expired():
             return None, f_arg, g_arg, states, values
-        n_rows, succ = links(W)
+        r0, r1 = int(first[W]), int(first[W + 1])
+        n_rows = r1 - r0
         if n_rows == 0:
             continue
         s0 = band.t_end - W  # the block starts at interval s0 + d
         fc, hc = cols(W)
         f0, f1, h0, h1 = fc.start, fc.stop, hc.start, hc.stop
-        runs = band.runs[:, s0:][:, fc]
-        cand = np.full((len(ps), n_rows, f1 - f0), _HUGE, dtype=np.int64)
-        for j, (p, link) in enumerate(zip(ps.tolist(), succ)):
-            if link is None:
-                continue
-            has, nxt = link
-            if W == p:  # the last block pays the trailing gap
-                rest = phi[s0 + p - 1:, h][fc]
-            else:
-                rest = H[W - p][nxt, fc]
-            cand[j, has] = runs[j] + rest
+        cand = hbuf[slot[:, r0:r1], f0:f1]
+        cand += band.runs[:, None, s0 + f0:s0 + f1]
         F = np.minimum(cand.min(axis=0), _HUGE, out=values[0][W:W + 1] if keep else None)
         f_arg[W] = cand.argmin(axis=0).astype(f_type)  # the shortest length wins ties
         states += F.size
@@ -276,41 +284,58 @@ def _fill(band: _Band, links, cols, expired, keep: bool = False):
             if x0 < x1:
                 F_g[:, x0 - h0:x1 - h0] = F[:, x0 - f0:x1 - f0]
         np.copyto(g_arg[W], 0, where=G >= F_g)
-        if h1 - h0 == R:
-            H[W] = np.minimum(F_g, G, out=values[1][W:W + 1] if keep else None)
-        else:  # H at G's columns only: a block ends nowhere else
-            H[W] = np.full((n_rows, R), _HUGE, dtype=np.int64)
-            np.minimum(F_g, G, out=H[W][:, hc])
+        if h1 - h0 < R:  # H at G's columns only: a block ends nowhere else
+            hbuf[ring[r0:r1]] = _HUGE
+        hbuf[ring[r0:r1], h0:h1] = np.minimum(F_g, G, out=values[1][W:W + 1] if keep else None)
     return F, f_arg, g_arg, states, values
 
 
-def _band_optimum(band: _Band, links, cols, top_code: int, row_of, stride, expired,
-                  keep: bool = False):
+def _band_optimum(band: _Band, rows, cols, expired, keep: bool = False):
     """Fill a band DP and walk its choices from the cheapest root, the gap
     after interval 1; returns (value, pieces, states, values). value is
     None when the deadline expired first and _HUGE or more when no
     schedule exists; pieces are the (start, length) of every job in start
-    order. links, cols, keep and values are _fill's.
-
-    Rows are multiset codes: top_code is the top layer's, a job of length
-    index j takes stride[j] off a code, and row_of(code) is the code's
-    row in its layer."""
-    F, f_arg, g_arg, states, values = _fill(band, links, cols, expired, keep)
+    order. rows, cols, keep and values are _fill's; the walk moves from
+    position to position along rows' succ."""
+    F, f_arg, g_arg, states, values = _fill(band, rows, cols, expired, keep)
     if F is None:
         return None, [], states, values
-    W, code = band.t_end - band.t_on, top_code
+    first, succ = rows
+    W = band.t_end - band.t_on
+    pos = int(first[W])  # the top layer has one row
     fc = cols(W)[0]
-    root = band.phi[1, band.t_on:][fc] + F[0]  # the top layer has one row
+    root = band.phi[1, band.t_on:][fc] + F[0]
     k = int(root.argmin())
     value, slot = int(root[k]), fc.start + k
     pieces: list[tuple[int, int]] = []
     while W and value < _HUGE:
-        j = int(f_arg[W][row_of(code), slot - cols(W)[0].start])
+        j = int(f_arg[W][pos - first[W], slot - cols(W)[0].start])
         pieces.append((band.t_end - W + slot, int(band.ps[j])))
-        code, W = code - int(stride[j]), W - int(band.ps[j])
+        pos, W = int(succ[j, pos]), W - int(band.ps[j])
         if W:
-            slot = int(g_arg[W][row_of(code), slot - cols(W)[1].start]) or slot
+            slot = int(g_arg[W][pos - first[W], slot - cols(W)[1].start]) or slot
     return value, pieces, states, values
+
+
+def _multiset_rows(ps: np.ndarray, counts: np.ndarray):
+    """The rows of the exact DP, in _fill's (first, succ) form: one per
+    multiset of the jobs. The multisets are codes in mixed radix, the
+    shortest length varying fastest, and layer W is the codes with W work
+    left in ascending order."""
+    radix = counts + 1
+    stride = np.cumprod(radix) // radix
+    work = np.zeros(1, dtype=np.int32)
+    for p, c in zip(ps[::-1].tolist(), counts[::-1].tolist()):
+        work = np.add.outer(work, np.arange(0, p * c + 1, p, dtype=np.int32)).ravel()
+    order = np.argsort(work, kind="stable").astype(np.int32)
+    first = np.concatenate(([0], np.cumsum(np.bincount(work))))
+    position = np.empty_like(order)  # each code's index in order
+    position[order] = np.arange(order.size, dtype=np.int32)
+    succ = np.full((len(ps), order.size), -1, dtype=np.int32)
+    for j in range(len(ps)):
+        has = order // stride[j] % radix[j] > 0  # the multiset holds a job of length ps[j]
+        succ[j, has] = position[order[has] - stride[j]]
+    return first, succ
 
 
 def _spans(mask: np.ndarray) -> list[slice]:
@@ -522,19 +547,18 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     for j, p in enumerate(ps.tolist()):
         runs[j, 1:h + 2 - p] = (C[p:] - C[:h + 1 - p]) * p_proc
     band = _Band(phi=phi, runs=runs, t_on=t_on, t_end=t_on + sum_p, R=R, ps=ps)
-    def relaxed_links(W: int):  # the one row of a layer continues in the one row of W - p
-        return 1, [(slice(None), slice(None)) if W >= p else None for p in ps.tolist()]
 
     def whole(W: int):
         return slice(0, R), slice(0, R)
 
-    radix = counts + 1
-    cells = int(np.prod(radix, dtype=object)) * R
+    cells = int(np.prod(counts + 1, dtype=object)) * R
     if cells > _DP_ALONE_CELLS:
-        # One row per remaining work W: a block may hold any sequence of
-        # job lengths, so the value is a lower bound.
-        relaxed, pieces, states, layers = _band_optimum(band, relaxed_links, whole, sum_p,
-                                                        lambda code: 0, ps, expired, keep=True)
+        # One row per remaining work W, at position W: a block may hold any
+        # sequence of job lengths, so the value is a lower bound.
+        left = np.arange(sum_p + 1)
+        relaxed_rows = (np.arange(sum_p + 2), np.where(left >= ps[:, None], left - ps[:, None], -1))
+        relaxed, pieces, states, layers = _band_optimum(band, relaxed_rows, whole, expired,
+                                                        keep=True)
         if relaxed is None:
             return incumbent("time_limit", states)
         if relaxed >= _HUGE:
@@ -555,34 +579,10 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
         if cells > _DP_CELL_LIMIT:
             return incumbent("cell_limit", states, relaxed)
 
-    # Multiset codes in mixed radix, the shortest length varying fastest.
-    # Layer W, the codes with W work left in ascending order, is
-    # order[first[W]:first[W + 1]].
-    stride = np.cumprod(radix) // radix
-    work = np.zeros(1, dtype=np.int32)
-    for p, c in zip(ps[::-1].tolist(), counts[::-1].tolist()):
-        work = np.add.outer(work, np.arange(0, p * c + 1, p, dtype=np.int32)).ravel()
-    order = np.argsort(work, kind="stable").astype(np.int32)
-    first = np.concatenate(([0], np.cumsum(np.bincount(work, minlength=sum_p + 1))))
-    rank = np.empty_like(order)  # each code's row in its layer
-    rank[order] = np.arange(order.size) - first[work[order]]
-    # holds[j][i]: the multiset order[i] holds a job of length ps[j]
-    holds = [order // stride[j] % radix[j] > 0 for j in range(len(ps))]
-
-    def links(W: int):
-        rows = order[first[W]:first[W + 1]]
-        succ = []
-        for j, p in enumerate(ps.tolist()):
-            has = np.flatnonzero(holds[j][first[W]:first[W + 1]])
-            if has.size:
-                succ.append((has, rank[rows[has] - stride[j]] if W > p else None))
-            else:
-                succ.append(None)
-        return rows.size, succ
+    rows = _multiset_rows(ps, counts)
 
     if cells <= _DP_ALONE_CELLS:
-        value, pieces, filled, _ = _band_optimum(band, links, whole, order.size - 1,
-                                                 rank.__getitem__, stride, expired)
+        value, pieces, filled, _ = _band_optimum(band, rows, whole, expired)
         if value is None:
             return incumbent("time_limit", filled)
         if value >= _HUGE:
@@ -592,7 +592,7 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     # Reduced-cost elimination: a cell whose cheapest relaxed schedule
     # costs more than ub lies on no schedule of cost ub or less. Each round
     # fills the DP on the cells at or below a cut, one of those costs,
-    # ascending from the relaxed value; the rounds share the row links. A
+    # ascending from the relaxed value; the rounds share the rows. A
     # round at the cut of a schedule already found cannot fail, and is
     # taken next unless it keeps more than twice the cells of the next
     # cut. Once the rounds have filled as many cells as the whole DP would
@@ -601,7 +601,7 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     # A_W[d], is the reversed relaxation's H at the start's mirror, and to
     # a block end, B_W[d], its F there; at W = sum(p), A is the root gap.
     # A + F and B + H are the cheapest relaxed schedules through each cell.
-    F_rev, _, _, filled, mirror = _fill(_reversed(band), relaxed_links, whole, expired, keep=True)
+    F_rev, _, _, filled, mirror = _fill(_reversed(band), relaxed_rows, whole, expired, keep=True)
     states += filled
     if F_rev is None:
         return incumbent("time_limit", states, relaxed)
@@ -615,12 +615,10 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     def kept(k: int) -> int:
         return int(np.searchsorted(alive, cuts[k], side="right"))
 
-    links = functools.cache(links)
     k, bound, found, spent, rounds = 0, relaxed, None, 0, 0
     while True:
         cols = list(zip(*(_spans(via <= cuts[k]) for via in through)))
-        value, pieces, filled, _ = _band_optimum(band, links, cols.__getitem__, order.size - 1,
-                                                 rank.__getitem__, stride, expired)
+        value, pieces, filled, _ = _band_optimum(band, rows, cols.__getitem__, expired)
         states, spent, rounds = states + filled, spent + filled, rounds + 1
         if value is None:
             return incumbent("time_limit", states, bound, found, rounds)

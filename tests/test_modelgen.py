@@ -346,6 +346,17 @@ def import_by_walking_the_varmap(inst, table, varmap, constant_term, assignment)
     return tec, sched
 
 
+def varmap_by_last_occurrence(art):
+    """art.varmap, with a y pair listed twice at its later column, the one
+    the import takes it for."""
+    ys = list(zip(*art.y))
+    last = {pair: k for k, pair in enumerate(ys)}
+    out = {name: meta for name, meta in art.varmap.items() if meta["kind"] == "x"}
+    out.update((f"y_{i}_{ip}", {"kind": "y", "i": i, "ip": ip})
+               for k, (i, ip) in enumerate(ys) if last[i, ip] == k)
+    return out
+
+
 def outcome(run):
     """(TEC, sigma, omega) of a successful import, else the exception's
     class and message."""
@@ -354,6 +365,11 @@ def outcome(run):
     except (InputError, InfeasibleError) as exc:
         return type(exc), str(exc)
     return tec, sched.sigma, sched.omega
+
+
+def out_of_range_pairs(h):
+    """y pairs no model has, below 0, past h + 1 and past int64."""
+    return [(-3, 4), (2, h + 3), (2 ** 70, 1)]
 
 
 # exact and noisy 0s and 1s, a fraction, NaN and a value past 1
@@ -367,7 +383,10 @@ def test_import_matches_the_varmap_walk(tmp_path_factory, seed, nosby, data):
     # reads the arrays back from a sidecar file. Both see the same
     # assignment: an optimum's columns with up to three edits, each a
     # model column set to a value, an assigned column dropped, or a name
-    # outside the model set to a value.
+    # outside the model set to a value. The sidecar is as written, or its
+    # y pairs shuffled, or one of them listed again further on, or pairs
+    # outside the horizon added; the oracle then walks the edited columns,
+    # a pair listed twice at its later one.
     rng = random.Random(seed)
     inst = nosby_instance(rng, n_max=4, h_max=18) if nosby else random_instance(rng, n_max=4)
     table = make_table(inst)
@@ -375,15 +394,14 @@ def test_import_matches_the_varmap_walk(tmp_path_factory, seed, nosby, data):
     assume(res.status == "optimal")
     art = emit_ilp_spaces(inst, table)
     _lp, map_path = write_artifact(art, tmp_path_factory.mktemp("lp") / "model.lp")
-    loaded = load_varmap(map_path)
 
-    varmap = art.varmap
-    columns = list(varmap)
+    columns = list(art.varmap)
     pairs = set(zip(*art.y))
     j, lo, hi = art.x[rng.randrange(len(art.x))]
     i = rng.randint(1, inst.horizon - 2)
     outside = ["x_0_3", "x_01_5", f"x_{j}_{lo - 1}", f"x_{j}_{hi + 1}", f"x_{j}_0{lo}",
                "y_5_5", f"y_{i}_{i + 1}", "Objective", "assign_1", f"x_{j}_-{lo}",
+               *(f"y_{a}_{b}" for a, b in out_of_range_pairs(inst.horizon)),
                *(f"y_{a}_{b}" for a, b in [(1, inst.horizon), (2, 7)] if (a, b) not in pairs)]
     assignment = {name: float(v) for name, v in
                   schedule_assignment(inst, res.schedule.sigma).items()}
@@ -395,6 +413,23 @@ def test_import_matches_the_varmap_walk(tmp_path_factory, seed, nosby, data):
         elif kind == "outside":
             assignment[data.draw(st.sampled_from(outside))] = data.draw(_VALUES)
     assignment = dict(data.draw(st.permutations(list(assignment.items()))))
+    sidecar = data.draw(st.sampled_from(["as written", "y shuffled", "a y pair twice",
+                                         "y out of range"]))
+    doc = json.loads(Path(map_path).read_text())
+    ys = list(zip(*doc["y"]))
+    if sidecar == "y shuffled":
+        rng.shuffle(ys)
+    elif sidecar == "a y pair twice" and ys:
+        k = rng.randrange(len(ys))
+        ys.insert(rng.randint(k + 1, len(ys)), ys[k])
+    elif sidecar == "y out of range":
+        ys += out_of_range_pairs(inst.horizon)
+    doc["y"] = [[i for i, _ip in ys], [ip for _i, ip in ys]]
+    Path(map_path).write_text(json.dumps(doc))
+    loaded = load_varmap(map_path)
+    varmap = varmap_by_last_occurrence(loaded)
+    if sidecar == "as written":
+        assert varmap == art.varmap
 
     def new():
         back = import_solution(inst, table, loaded, assignment)
@@ -403,6 +438,23 @@ def test_import_matches_the_varmap_walk(tmp_path_factory, seed, nosby, data):
     want = outcome(lambda: import_by_walking_the_varmap(inst, table, varmap,
                                                         art.constant_term, assignment))
     assert outcome(new) == want
+
+
+def test_import_takes_a_pair_listed_twice_at_its_later_column(tmp_path, worked):
+    # two faults: the one in the earlier column is named, and a pair listed
+    # again at the end is a column after every other
+    art = emit_ilp_spaces(worked, make_table(worked))
+    _lp, map_path = write_artifact(art, tmp_path / "model.lp")
+    doc = json.loads(Path(map_path).read_text())
+    (a, c), (b, d) = doc["y"][0][:2], doc["y"][1][:2]  # the first two pairs, (a, b) and (c, d)
+    assignment = {f"y_{a}_{b}": 0.5, f"y_{c}_{d}": 0.5}
+    with pytest.raises(InputError, match=f"non-integral assignment: y_{a}_{b} = 0.5"):
+        import_solution(worked, make_table(worked), load_varmap(map_path), assignment)
+    doc["y"][0].append(a)
+    doc["y"][1].append(b)
+    Path(map_path).write_text(json.dumps(doc))
+    with pytest.raises(InputError, match=f"non-integral assignment: y_{c}_{d} = 0.5"):
+        import_solution(worked, make_table(worked), load_varmap(map_path), assignment)
 
 
 def test_write_artifact_and_load_varmap(tmp_path, worked):

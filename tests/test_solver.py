@@ -1,7 +1,9 @@
 import functools
+import json
 import random
 import time
 import types
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -25,6 +27,7 @@ from tousched import (
     validate_schedule,
 )
 from tousched import solver
+from tousched.datagen import FAMILY_MULTIPLES
 from tousched.model import InfeasibleError
 
 from conftest import (
@@ -37,6 +40,8 @@ from conftest import (
     random_instance,
     random_machine,
 )
+
+HERE = Path(__file__).resolve().parent
 
 
 def make_table(inst):
@@ -53,6 +58,29 @@ def test_worked_optimum(worked):
     assert res.stats.lower_bound == WORKED_TEC
     assert res.stats.stop_reason == "optimal"
     assert res.stats.states > 0 and res.stats.wall_time >= 0
+
+
+def test_the_benchmark_solver_families_solve_as_pinned():
+    # The exact-small and timeout-gap families of perfbench/workloads.json,
+    # in generated job order and untimed, so that no answer depends on the
+    # machine's speed, against the answers and the cells filled that
+    # solver_pins.json records. A change to the DP's layout or order must
+    # leave every one of them as it is.
+    pins = json.loads((HERE / "solver_pins.json").read_text(encoding="utf-8"))
+    spec = json.loads((HERE.parent / "perfbench" / "workloads.json").read_text(encoding="utf-8"))
+    presets = {"nosby": preset_nosby, "twosby": preset_twosby}
+    got = {}
+    for workload in ("exact-small", "timeout-gap"):
+        for fam in spec["workloads"][workload]["families"]:
+            members = generate_family(fam["n"], presets[fam["preset"]](), fam["seed"])
+            for multiple, inst in zip(FAMILY_MULTIPLES, members):
+                res = solve_exact(inst, make_table(inst))
+                s = res.stats
+                got[f"{fam['preset']}/{fam['n']}/{fam['seed']}/{float(multiple)}"] = {
+                    "status": res.status, "tec": res.tec, "lower_bound": s.lower_bound,
+                    "states": s.states, "certifier": s.certifier, "rounds": s.rounds,
+                    "sigma": list(res.schedule.sigma)}
+    assert got == pins
 
 
 def test_worked_cost_decomposition(worked):
@@ -526,8 +554,8 @@ def test_the_reversed_relaxation_gives_the_cheapest_costs_from_the_root(monkeypa
             continue
         kept = []
 
-        def record(band, links, cols, expired, keep=False):
-            out = real_fill(band, links, cols, expired, keep)
+        def record(band, rows, cols, expired, keep=False):
+            out = real_fill(band, rows, cols, expired, keep)
             if keep:
                 kept.append((band, out[4]))
             return out
