@@ -10,9 +10,13 @@ interval index, so all weights are non-negative and paths never move
 backwards in time.
 
 So every shortest path is a sweep in interval order, closing the zero-time
-edges at each interval: `sssp` sweeps from one source over states, and
-`spaces.compute_spaces` from every gap start at once over zero-time
-classes, the sets of states that reach each other by time-0 edges.
+edges at each interval. `sweep_labels` is that sweep from one source over
+states, into a flat list of labels: `sssp` turns it into a `DistanceMap`
+for tests and oracles, and `shortest_path` walks it back from one target,
+which is how `spaces.switching_path` bridges a gap. The phi table
+is the same recurrence run the other way: `spaces.compute_spaces` sweeps
+backward from every gap end at once, over zero-time classes, the sets of
+states that reach each other by time-0 edges.
 
 Which vertices a path reaches depends only on transition times, never on
 prices: inside the horizon, v(k, s) reaches v(k+d, sp) exactly when some
@@ -82,6 +86,24 @@ class IntervalStateGraph:
                 for i in range(1, h + 1) for s, sp, t, pw in self.steps
                 if 2 <= i and i + t <= h or s == sp == off and i in (1, h)]
 
+    @cached_property
+    def sweep_plan(self) -> tuple[tuple[str, ...], list[int], tuple[list, list, list]]:
+        """What `sweep_labels` reads of the machine: the state names in
+        sorted order, each state's rank in it, and the (time, r, rp, power)
+        steps over ranks that leave the first, an inner and the last
+        interval. Zero-time steps stay on the interval; an optimal chain
+        of them visits each state at most once, so nS - 1 rounds of them
+        come first wherever they apply. From the first and the last
+        interval only the (off, off) stay moves on."""
+        names = tuple(sorted(self.states))
+        rank = [names.index(s) for s in self.states]
+        steps = [(t, rank[s], rank[sp], pw) for s, sp, t, pw in self.steps]
+        zero = [step for step in steps if step[0] == 0] * (len(names) - 1)
+        off = rank[self.off_index]
+        boundary = [(1, off, off, self.inst.transitions.power(OFF, OFF))]
+        inner = zero + [step for step in steps if step[0] >= 1]
+        return names, rank, (boundary, inner, zero + boundary)
+
     def source_vertex(self, i: int) -> Vertex:
         """Start vertex of the gap after interval i: on the off boundary for
         i = 1, otherwise in proc right after the interval."""
@@ -115,39 +137,21 @@ class DistanceMap:
         return self.dist.get(v)
 
 
-def _relax(labels: list, u: int, v: int, w: int) -> None:
-    """Offer v the label of u extended by an edge of weight w; a label is
-    (distance, edges, predecessor) and the smaller one is kept."""
-    lab = labels[u]
-    if lab is not None:
-        offer = (lab[0] + w, lab[1] + 1, u)
-        if labels[v] is None or offer < labels[v]:
-            labels[v] = offer
-
-
-def sssp(g: IntervalStateGraph, source: Vertex, last: int | None = None) -> DistanceMap:
-    """Shortest paths from source by one sweep in interval order; with
-    last, only vertices of intervals up to last are settled.
+def sweep_labels(g: IntervalStateGraph, source: Vertex,
+                 last: int | None = None) -> list[tuple[int, int, int] | None]:
+    """Shortest path labels from source by one sweep in interval order;
+    with last, only vertices of intervals up to last are settled.
 
     Labels live in one flat list indexed by (k - k_source) * nS + r, where
-    r numbers the states in name order, so comparing two indices compares
-    the vertices as (interval, state name).
+    r ranks the states in name order (`sweep_plan`), so comparing two
+    indices compares the vertices as (interval, state name). A label is
+    (distance, edges, index of the predecessor or -1), None where nothing
+    arrives; the smaller label wins, so ties break toward fewer edges and
+    then smaller vertices.
     """
     h = g.horizon
-    if source not in ((1, OFF), (h + 1, OFF)) and not (
-            isinstance(source, tuple) and len(source) == 2 and source[1] in g.states
-            and isinstance(source[0], (int, np.integer)) and 2 <= source[0] <= h):
-        raise InputError(f"unknown vertex {source!r}")
-
-    n_s = len(g.states)
-    names = sorted(g.states)
-    rank = [names.index(s) for s in g.states]
-    steps = [(t, rank[s], rank[sp], pw) for s, sp, t, pw in g.steps]
-    zero = [(r, rp) for t, r, rp, _pw in steps if t == 0]
-    inner = [step for step in steps if step[0] >= 1]
-    off = rank[g.off_index]
-    boundary = [(1, off, off, g.inst.transitions.power(OFF, OFF))]
-
+    names, rank, (first, inner, closing) = g.sweep_plan
+    n_s = len(names)
     k0 = int(source[0])
     end = h + 1 if last is None else min(h + 1, last)
     # C[j + t] - C[j] is the cost of the t intervals that start at k0 + j
@@ -157,22 +161,58 @@ def sssp(g: IntervalStateGraph, source: Vertex, last: int | None = None) -> Dist
         labels[rank[g.states.index(source[1])]] = (0, 0, -1)
     for k in range(k0, min(h, end) + 1):
         j = k - k0
-        # zero-time edges stay on the interval; an optimal chain of them
-        # visits each state at most once, so nS - 1 rounds settle it
-        for _ in range(n_s - 1 if k > 1 and zero else 0):
-            for r, rp in zero:
-                _relax(labels, j * n_s + r, j * n_s + rp, 0)
-        # from the first and the last interval only the (off, off) stay moves on
-        moves, reach = (inner, min(h, end) - k) if 1 < k < h else (boundary, end - k)
+        u0 = j * n_s
+        moves, reach = ((inner, min(h, end) - k) if 1 < k < h
+                        else (first if k == 1 else closing, end - k))
         for t, r, rp, pw in moves:
-            if t <= reach:
-                _relax(labels, j * n_s + r, (j + t) * n_s + rp, (C[j + t] - C[j]) * pw)
+            lab = labels[u0 + r]
+            if lab is not None and t <= reach:
+                v = u0 + t * n_s + rp
+                offer = (lab[0] + (C[j + t] - C[j]) * pw, lab[1] + 1, u0 + r)
+                if labels[v] is None or offer < labels[v]:
+                    labels[v] = offer
+    return labels
 
+
+def sssp(g: IntervalStateGraph, source: Vertex, last: int | None = None) -> DistanceMap:
+    """Shortest paths from source, `sweep_labels` as a DistanceMap; with
+    last, only vertices of intervals up to last are settled."""
+    h = g.horizon
+    if source not in ((1, OFF), (h + 1, OFF)) and not (
+            isinstance(source, tuple) and len(source) == 2 and source[1] in g.states
+            and isinstance(source[0], (int, np.integer)) and 2 <= source[0] <= h):
+        raise InputError(f"unknown vertex {source!r}")
+
+    labels = sweep_labels(g, source, last)
+    names = g.sweep_plan[0]
+    n_s = len(names)
+    k0 = int(source[0])
     verts = [(k0 + x // n_s, name) for x in range(0, len(labels), n_s) for name in names]
     reached = [(verts[x], lab) for x, lab in enumerate(labels) if lab is not None]
     return DistanceMap(source=source, dist={v: lab[0] for v, lab in reached},
                        pred={v: (verts[lab[2]], (verts[lab[2]][1], v[1]))
                              for v, lab in reached if lab[2] >= 0})
+
+
+def shortest_path(g: IntervalStateGraph, source: Vertex,
+                  target: Vertex) -> tuple[int, list[StatePair]] | None:
+    """Distance and transition steps from source to target, walked back
+    along the predecessor indices of one `sweep_labels` run stopped at
+    target's interval; None when target is not reached. The steps are
+    `tree_path`'s on the same `sssp`."""
+    labels = sweep_labels(g, source, last=target[0])
+    names, rank = g.sweep_plan[:2]
+    n_s = len(names)
+    x = (target[0] - source[0]) * n_s + rank[g.states.index(target[1])]
+    if not 0 <= x < len(labels) or labels[x] is None:
+        return None
+    dist = labels[x][0]
+    steps: list[StatePair] = []
+    while (u := labels[x][2]) >= 0:
+        steps.append((names[u % n_s], names[x % n_s]))
+        x = u
+    steps.reverse()
+    return dist, steps
 
 
 def tree_path(dm: DistanceMap, target: Vertex) -> list[StatePair] | None:

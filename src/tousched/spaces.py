@@ -4,18 +4,18 @@ phi(i, ip) is the cheapest energy cost of bridging the gap after interval i
 up to interval ip: leaving proc after I_i and being back in proc at I_ip,
 with the off boundary taking the place of proc when i = 1 or ip = h.
 
-The table is a forward dynamic program over the interval axis that
-advances every gap start simultaneously: a (classes x starts) distance
-block is relaxed interval by interval. Its rows are the machine's
-zero-time classes, the sets of states that reach each other by time-0
-transitions and so hold one distance once the instantaneous closure at
-an interval is done; that closure is one pass over the classes joined in
+The table is a backward dynamic program over the interval axis that
+serves every gap end at once: at each interval, from the last down, one
+cost-to-go row per zero-time class covers all gap ends, and the row of
+the class a gap starts in is that gap's row of phi, written whole. The
+classes are the sets of states that reach each other by time-0
+transitions and so hold one row once the instantaneous closure at an
+interval is done; that closure is one pass over the classes joined in
 one direction only, and positive-time steps between two classes with the
-same time merge at their cheapest power. Edge weights depend only on the
-interval and the step, never on the start, so each relaxation is one
-vectorized add and minimum. `isg.sssp` is the same sweep from a single
-start, over states; a switching path is read off it, stopped at the
-gap's end.
+same time merge at their cheapest power. Step weights depend only on the
+interval and the step, never on the gap end, so each step is one
+vectorized add and minimum. A switching path is read off `isg`'s
+single-source sweep (`isg.shortest_path`), stopped at the gap's end.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .isg import INF, IntervalStateGraph, build_graph, proc_window, sssp, tree_path
+from .isg import INF, IntervalStateGraph, build_graph, proc_window, shortest_path
+from .isg import sssp  # noqa: F401  (perfbench's tracer wraps spaces.sssp)
 from .model import (InfeasibleError, InputError, Instance, StatePair, instance_to_dict,
                     zero_time_closure)
 
@@ -104,23 +105,33 @@ class SpacesTable:
 
 
 def _sweep_rows(g: IntervalStateGraph, phi: np.ndarray) -> None:
-    """Fill phi rows 1..h-1. Row i is the sweep from the start of the gap
-    after interval i, which enters at interval i + 1 (in off for i = 1, in
-    proc after), so interval k relaxes rows 1..k-1 only.
+    """Fill phi rows 1..h-1 by one backward sweep, k = h down to 2. At
+    interval k each zero-time class holds a cost-to-go row: the cheapest
+    cost from that class at the start of interval k to the end of every
+    gap ip >= k at once (proc at the start of ip, off for ip = h). The gap
+    after interval k - 1 starts there, in proc (in off for k = 2), so that
+    class's row is row k - 1 of phi.
 
     The sweep runs over zero-time classes, not states: a class is a set of
     states that reach each other by time-0 transitions, so once the
-    closure at an interval is done all of its states hold one distance,
-    and it is one row of the ring. Positive-time steps between the same
-    two classes with the same time merge into one at the cheapest power,
-    which gives the cheapest weight since costs are non-negative. A class
-    reaching another by time-0 chains in one direction only passes its
-    distance on once per interval, over the transitively closed pairs, so
-    no ordering of the passes matters. Every distance stays at or below
-    INF, and each phi column is clamped to INF as it is written."""
+    closure at an interval is done all of its states hold one row.
+    Positive-time steps between the same two classes with the same time
+    merge into one at the cheapest power, which gives the cheapest weight
+    since costs are non-negative. Each row pulls the class's outgoing
+    steps from the rows of later intervals: the first step writes the row
+    and later ones are min-ed into it, and a step of weight 0 (power 0, or
+    intervals that cost nothing) adds nothing. After the gap that ends at
+    k is set to 0, the zero-time closure runs backward: a class takes the
+    minimum of every class it reaches by time-0 chains, over the
+    transitively closed pairs, so no ordering of the passes matters.
+
+    Rows are never clamped. A column with no path holds INF plus the
+    weight of a path, and no path weighs as much as COST_LIMIT = 2^61
+    (`validate_instance` bounds the costs times every power), so each
+    value stays below INF + 2^61 < 2^63. Row k - 1 of phi is written
+    contiguously and clamped at INF."""
     inst = g.inst
     h = inst.horizon
-    C = inst.cost_prefix
     names = g.states
     reach = zero_time_closure(inst)
 
@@ -137,26 +148,44 @@ def _sweep_rows(g: IntervalStateGraph, phi: np.ndarray) -> None:
         if t >= 1:
             key = (cls[s], cls[sp], t)
             power[key] = min(pw, power.get(key, pw))
-    steps = [(c, cp, t, pw) for (c, cp, t), pw in power.items()]
-    slots = max(t for _c, _cp, t, _pw in steps) + 1
+    # each class's outgoing steps (time, class reached, weight at k in
+    # place k - 1), shortest first: those that complete by the last
+    # interval are a prefix
+    C = np.asarray(inst.cost_prefix, dtype=np.int64)
+    out: list[list[tuple[int, int, list[int]]]] = [[] for _ in class_id]
+    for (c, cp, t), pw in sorted(power.items(), key=lambda item: item[0][2]):
+        out[c].append((t, cp, ((C[t:] - C[:h + 1 - t]) * pw).tolist()))
+    slots = max(t for _c, _cp, t in power) + 1
 
-    # ring[k % slots, c, i] holds class c of row i at interval k; row 0 is padding
-    ring = np.full((slots, len(class_id), h), INF, dtype=np.int64)
-    for k in range(2, h + 1):
-        cur = ring[k % slots, :, :k]
-        cur[off if k == 2 else proc, k - 1] = 0
+    # ring[k % slots][c] holds class c's row at interval k in columns ip >= k;
+    # a slot's columns below its interval are never written and stay INF
+    ring = [[np.full(h + 1, INF, dtype=np.int64) for _ in class_id] for _ in range(slots)]
+    scratch = np.empty(h + 1, dtype=np.int64)
+    for k in range(h, 1, -1):
+        cur = [row[k:] for row in ring[k % slots]]
+        tmp = scratch[k:]
+        for row, steps in zip(cur, out):
+            first = True
+            for t, cp, weights in steps:
+                if k + t > h:  # transition would not complete by the last interval
+                    break
+                nxt, w = ring[(k + t) % slots][cp][k:], weights[k - 1]
+                if first:
+                    if w:
+                        np.add(nxt, w, out=row)
+                    else:
+                        row[:] = nxt
+                    first = False
+                elif w:
+                    np.minimum(row, np.add(nxt, w, out=tmp), out=row)
+                else:
+                    np.minimum(row, nxt, out=row)
+            if first:
+                row.fill(INF)
+        cur[proc if k < h else off][0] = 0
         for c, cp in zero_pairs:
-            np.minimum(cur[cp], cur[c], out=cur[cp])
-
-        np.minimum(cur[proc if k < h else off], INF, out=phi[:k, k])
-
-        for c, cp, t, pw in steps:
-            if k + t > h:  # transition would not complete by the last interval
-                continue
-            tgt = ring[(k + t) % slots, cp, :k]
-            np.minimum(tgt, cur[c] + (C[k + t - 1] - C[k - 1]) * pw, out=tgt)
-
-        cur[:] = INF  # slot is reused for interval k + slots
+            np.minimum(cur[c], cur[cp], out=cur[c])
+        np.minimum(cur[off if k == 2 else proc], INF, out=phi[k - 1, k:])
 
 
 def compute_spaces(inst: Instance, g: IntervalStateGraph) -> SpacesTable:
@@ -172,19 +201,19 @@ def switching_path(table: SpacesTable, i: int, ip: int) -> list[StatePair]:
     """A minimum-cost transition step sequence bridging the gap (i, ip).
 
     Steps are one entry per transition; instantaneous steps expand to no
-    interval. Raises when the pair has no switching.
+    interval. Raises when the pair has no switching. The path is the one
+    `isg.sssp` would give, walked back from the gap end's label of the
+    same sweep.
     """
     cost = table.phi(i, ip)
     if cost is None:
         raise InfeasibleError(f"no switching exists for ({i}, {ip})")
     g = table.graph
-    dm = sssp(g, g.source_vertex(i), last=ip)
-    target = g.target_vertex(ip)
-    steps = tree_path(dm, target)
-    if steps is None or dm.dist[target] != cost:
+    found = shortest_path(g, g.source_vertex(i), g.target_vertex(ip))
+    if found is None or found[0] != cost:
         raise InputError(f"phi({i}, {ip}) = {cost} is not the cheapest switching cost of "
                          f"the gap: the table does not match its instance")
-    return steps
+    return found[1]
 
 
 def expand_space(table: SpacesTable, i: int, ip: int) -> list[StatePair]:
@@ -299,9 +328,12 @@ def load_table(path, inst: Instance, graph: IntervalStateGraph | None = None) ->
     except (zipfile.BadZipFile, zlib.error, KeyError, ValueError, EOFError, OSError,
             NotImplementedError, RuntimeError) as exc:
         raise InputError(f"{path}: not a readable phi table ({exc})") from exc
-    if (phi < 0).any():
+    if phi.min(initial=0) < 0:
         raise InputError(f"{path}: phi holds negative switching costs")
-    unreachable = phi >= min(np.iinfo(phi.dtype).max, int(_UNREACHABLE))
-    phi = phi.astype(np.int64)
-    phi[unreachable] = INF
+    finite = phi < min(np.iinfo(phi.dtype).max, int(_UNREACHABLE))
+    if phi.dtype.kind == "u" and phi.dtype.itemsize == 8:
+        # np.where would meet uint64 and int64 in float64; the cast wraps
+        # only values that are not finite
+        phi = phi.astype(np.int64)
+    phi = np.where(finite, phi, INF)  # widened to int64 in the same pass
     return SpacesTable(phi, build_graph(inst) if graph is None else graph)

@@ -13,6 +13,7 @@ import pytest
 
 from tousched import (
     InputError,
+    TransitionSpec,
     apply_pruning,
     apsp_oracle,
     build_graph,
@@ -22,10 +23,12 @@ from tousched import (
     proc_window,
     save_table,
     solve_exact,
+    sssp,
     switching_path,
     write_phi_csv,
 )
 from tousched import datagen, spaces
+from tousched.isg import INF, tree_path
 from tousched.model import InfeasibleError, Instance, zero_time_closure
 
 from conftest import arbitrary_machine, nosby_instance, random_instance
@@ -165,6 +168,61 @@ def test_phi_matches_all_pairs_oracle_on_arbitrary_machines():
         seen.update(zero_time_shape(inst))
         seen["zero cost"] += 0 in costs
     assert min(seen["shared class"], seen["one-way"], seen["zero cost"]) >= 25, seen
+
+
+def test_switching_path_is_the_sssp_tree_path_on_arbitrary_machines():
+    # the machines of the oracle test above, drawn from the same seed: the
+    # path read off the sweep's labels is the shortest path tree's, tie
+    # break included, and a phi cell lowered below its path's cost is
+    # refused as a table that does not match its instance
+    rng = random.Random(23)
+    checked = 0
+    while checked < 200:
+        states, trans = arbitrary_machine(rng)
+        h = rng.randint(4, 18)
+        costs = tuple(0 if rng.random() < 0.15 else rng.randint(1, 9) for _ in range(h))
+        inst = Instance(h, costs, (1,), states, trans)
+        try:
+            tab = make_table(inst)
+        except (InputError, InfeasibleError):
+            continue
+        checked += 1
+        g = tab.graph
+        finite = []
+        for i in range(1, h):
+            for ip in range(i + 1, h + 1):
+                want = tree_path(sssp(g, g.source_vertex(i), last=ip), g.target_vertex(ip))
+                if tab.phi(i, ip) is None:
+                    assert want is None
+                    with pytest.raises(InfeasibleError):
+                        switching_path(tab, i, ip)
+                else:
+                    assert switching_path(tab, i, ip) == want, (i, ip)
+                    finite.append((i, ip))
+        i, ip = rng.choice(finite)
+        lowered = tab.phi_matrix.copy()
+        lowered[i, ip] -= 1
+        with pytest.raises(InputError, match="does not match its instance"):
+            switching_path(spaces.SpacesTable(lowered, g), i, ip)
+
+
+@pytest.mark.parametrize("off_power", [0, 1])
+def test_phi_of_costs_near_the_cost_limit_keeps_unreachable_at_inf(worked, off_power):
+    # costs << 51 put the worked example's paths just under COST_LIMIT =
+    # 2^61, the headroom the backward sweep's unclamped rows rely on: every
+    # finite cell scales exactly and every other cell is INF, not an
+    # overflowed or unclamped sum. A free off stay (the worked machine)
+    # keeps unreachable rows at INF exactly; at power 1 they carry INF plus
+    # the weight of a path until phi is written.
+    entries = {**worked.transitions.entries, ("off", "off"): (1, off_power)}
+    inst = dataclasses.replace(worked, transitions=TransitionSpec(entries))
+    base = make_table(inst).phi_matrix
+    big = make_table(dataclasses.replace(inst, costs=tuple(c << 51 for c in inst.costs)))
+    finite = base < spaces._UNREACHABLE
+    assert np.array_equal(big.phi_matrix[finite], base[finite] << 51)
+    assert (big.phi_matrix[~finite] == INF).all()
+    if off_power == 0:
+        assert big.phi(4, 10) == 48 << 51
 
 
 # The long-horizon benchmark stores a digest of phi and the pruning flags
