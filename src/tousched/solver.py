@@ -32,12 +32,12 @@ layer's F is one gather over H. H is kept as a ring of the last max(p)
 layers, and the min-plus runs in fixed-size chunks. The band holds
 prod(count_p + 1) * (s + 1) cells.
 
-The relaxation is the same fill (_fill) with one row per W instead of one
-per multiset, so a block may hold any sequence of job lengths: a
-state-space relaxation (Christofides, Mingozzi and Toth, Networks 11,
-1981) whose optimum is a lower bound. TEC depends only on which intervals
-process, so if the jobs split exactly into the relaxed optimum's merged
-blocks (_fit), that schedule proves the bound optimal.
+Every DP here is this fill over rows that count a set of the job lengths
+(_rows). Counting none, one row per W, lets a block hold any sequence of
+job lengths: a state-space relaxation (Christofides, Mingozzi and Toth,
+Networks 11, 1981) whose optimum is a lower bound. TEC depends only on
+which intervals process, so if the jobs split exactly into the relaxed
+optimum's merged blocks (_fit), that schedule proves the bound optimal.
 
 A band of at most _DP_ALONE_CELLS cells runs the DP alone. A larger one
 runs the relaxation and the fit first and, without a fit and at most
@@ -51,12 +51,12 @@ from the relaxed bound: in each layer, the one slice of offsets from the
 first such cell to the last (_spans). Every schedule below the next cut
 lies on a round's cells, so a round whose value is below it has the
 optimum and the full DP's walk; otherwise the bound rises to that cut.
+The steps update one search state and every answer leaves by one exit.
 A time limit picks none of this; it only stops the work.
 """
 
 from __future__ import annotations
 
-import bisect
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -317,24 +317,31 @@ def _band_optimum(band: _Band, rows, cols, expired, keep: bool = False):
     return value, pieces, states, values
 
 
-def _multiset_rows(ps: np.ndarray, counts: np.ndarray):
-    """The rows of the exact DP, in _fill's (first, succ) form: one per
-    multiset of the jobs. The multisets are codes in mixed radix, the
-    shortest length varying fastest, and layer W is the codes with W work
-    left in ascending order."""
-    radix = counts + 1
+def _rows(ps: np.ndarray, counts: np.ndarray, counted: np.ndarray):
+    """The rows of a band DP in _fill's (first, succ) form: one per (W, m),
+    m a multiset of the jobs of the counted lengths (a bool per length)
+    and work(m) <= W <= work(m) + the other jobs' total. All counted is the
+    exact DP, none the relaxation (one row per W, at position W), and a
+    subset a decremental state-space relaxation (Righini and Salani,
+    Networks 51, 2008). m is a code in mixed radix, the shortest length
+    varying fastest, and a layer holds its rows in ascending code."""
+    tally = np.where(counted, counts, 0)
+    # A row's code has one more digit, the fastest: the work it has left
+    # beyond its multiset's, up to the other jobs' total.
+    radix = np.concatenate(([int(ps @ (counts - tally)) + 1], tally + 1))
     stride = np.cumprod(radix) // radix
     work = np.zeros(1, dtype=np.int32)
-    for p, c in zip(ps[::-1].tolist(), counts[::-1].tolist()):
-        work = np.add.outer(work, np.arange(0, p * c + 1, p, dtype=np.int32)).ravel()
+    for p, r in zip(ps[::-1].tolist() + [1], radix[::-1].tolist()):
+        work = np.add.outer(work, np.arange(0, p * r, p, dtype=np.int32)).ravel()
     order = np.argsort(work, kind="stable").astype(np.int32)
     first = np.concatenate(([0], np.cumsum(np.bincount(work))))
     position = np.empty_like(order)  # each code's index in order
     position[order] = np.arange(order.size, dtype=np.int32)
     succ = np.full((len(ps), order.size), -1, dtype=np.int32)
-    for j in range(len(ps)):
-        has = order // stride[j] % radix[j] > 0  # the multiset holds a job of length ps[j]
-        succ[j, has] = position[order[has] - stride[j]]
+    for j, p in enumerate(ps.tolist()):
+        a, step = (j + 1, 1) if counted[j] else (0, p)  # the digit a job of length p takes from
+        has = order // stride[a] % radix[a] >= step  # the row holds a job of length p
+        succ[j, has] = position[order[has] - step * stride[a]]
     return first, succ
 
 
@@ -459,10 +466,12 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     lexicographically smallest sequence wins. More cells: the relaxation
     first, and the fit's schedule when the jobs fit its blocks (_fit);
     without a fit, at most _DP_CELL_LIMIT cells, the elimination rounds,
-    which end in the full DP's schedule. Over the cell limit, or once the
-    time limit expires, the answer has status "timeout": the cheaper of a
-    failed round's schedule and the one-block incumbent at t_on, under
-    the cut the rounds reached or the relaxed value (before the
+    which end in the full DP's schedule. The steps share one search state
+    and leave by one exit, stop, which assembles the answer and re-prices
+    it (RuntimeError when the price is off). Over the cell limit, or once
+    the time limit expires, the answer has status "timeout": the cheaper
+    of a failed round's schedule and the one-block incumbent at t_on,
+    under the cut the rounds reached or the relaxed value (before the
     relaxation completes, the cheapest root gap plus all work at the
     cheapest later price). A solve that ends within the time limit gives
     the untimed answer.
@@ -489,52 +498,47 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     ps, counts = np.unique(inst.jobs, return_counts=True)
     sum_p = sum(inst.jobs)
     R = t_off - t_on + 2 - sum_p  # band width: window slack + 1
+    # The search state: DP cells filled, rounds begun, the best lower
+    # bound and the cheapest (value, pieces) found, which a step that
+    # proves it optimal sets. Before the relaxed value, which is never
+    # below it, the bound is the cheapest root gap plus all work at the
+    # cheapest later price.
+    ends = np.arange(2, t_on + R)
+    suf_min = np.minimum.accumulate(np.diff(C[:t_off + 1])[::-1])[::-1]  # cheapest price from i on
+    bound = int(np.min(phi[1, ends] + sum_p * p_proc * suf_min[ends - 1], initial=_HUGE))
+    states, rounds, found = 0, 0, None
 
-    def done(status: str, tec=None, sched=None, states=0, lb=None, reason=None,
-             certifier=None, rounds=0) -> SolveResult:
-        return SolveResult(tec=tec, schedule=sched, status=status,
-                           stats=SolveStats(states=states, wall_time=time.monotonic() - t0,
-                                            lower_bound=lb, stop_reason=reason or status,
-                                            certifier=certifier, rounds=rounds))
+    def stop(reason: str) -> SolveResult:
+        """The answer of the search state, for "infeasible", a limit
+        ("time_limit" or "cell_limit") or what proved found optimal ("dp",
+        "fit" or "rounds"). At a limit: the cheaper of found and all jobs
+        in one block at t_on, shorter first, under bound."""
+        proved = reason in ("dp", "fit", "rounds")
+        status = "optimal" if proved else "infeasible" if reason == "infeasible" else "timeout"
+        tec = sched = lb = None
+        if proved:
+            value, pieces = found
+        elif status == "timeout":
+            pieces, at = [], t_on
+            for p in sorted(inst.jobs):
+                pieces.append((at, p))
+                at += p
+            value = int(phi[1, t_on] + phi[at - 1, h] + (C[at - 1] - C[t_on - 1]) * p_proc)
+            if found is not None and found[0] < value:
+                value, pieces = found
+        if status != "infeasible":
+            sched = assemble_schedule(inst, _job_assignment(inst, pieces), table)
+            tec, lb = value + const, (value if proved else bound) + const
+            check = compute_tec(inst, sched)
+            if check != tec:
+                raise RuntimeError(f"assembled schedule costs {check}, search found {tec}")
+        stats = SolveStats(states=states, wall_time=time.monotonic() - t0, lower_bound=lb,
+                           stop_reason="optimal" if proved else reason,
+                           certifier=reason if proved else None, rounds=rounds)
+        return SolveResult(tec=tec, schedule=sched, status=status, stats=stats)
 
     if R < 1:
-        return done("infeasible")
-
-    def incumbent(reason: str, states: int, bound: int | None = None, found=None,
-                  rounds: int = 0) -> SolveResult:
-        """The cheaper of found, the (value, pieces) of a schedule a round
-        found, and all jobs in one block at t_on, shorter first. The bound
-        is the round's or the relaxed value or, without one, the cheapest
-        root gap plus all work at the cheapest later price (the relaxed
-        value is never below it)."""
-        if bound is None:
-            ends = np.arange(2, t_on + R)
-            costs = np.asarray(inst.costs[:t_off], dtype=np.int64)
-            suf_min = np.minimum.accumulate(costs[::-1])[::-1]  # cheapest price from i on
-            bound = int(np.min(phi[1, ends] + sum_p * p_proc * suf_min[ends - 1], initial=_HUGE))
-        pieces, at = [], t_on
-        for p in sorted(inst.jobs):
-            pieces.append((at, p))
-            at += p
-        e = t_on + sum_p - 1
-        value = int(phi[1, t_on] + phi[e, h] + (C[e] - C[t_on - 1]) * p_proc)
-        if found is not None and found[0] < value:
-            value, pieces = found
-        sched = assemble_schedule(inst, _job_assignment(inst, pieces), table)
-        tec = compute_tec(inst, sched)
-        assert tec == const + value
-        return done("timeout", tec=tec, sched=sched, states=states, lb=bound + const,
-                    reason=reason, rounds=rounds)
-
-    def optimal(pieces: list[tuple[int, int]], value: int, states: int, certifier: str,
-                rounds: int = 0) -> SolveResult:
-        sched = assemble_schedule(inst, _job_assignment(inst, pieces), table)
-        tec = value + const
-        check = compute_tec(inst, sched)
-        if check != tec:
-            raise RuntimeError(f"assembled schedule costs {check}, search found {tec}")
-        return done("optimal", tec=tec, sched=sched, states=states, lb=tec,
-                    certifier=certifier, rounds=rounds)
+        return stop("infeasible")
 
     def expired() -> bool:
         return deadline is not None and time.monotonic() >= deadline
@@ -551,43 +555,39 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     def whole(W: int):
         return slice(0, R), slice(0, R)
 
+    every = np.ones(len(ps), dtype=bool)
     cells = int(np.prod(counts + 1, dtype=object)) * R
-    if cells > _DP_ALONE_CELLS:
-        # One row per remaining work W, at position W: a block may hold any
-        # sequence of job lengths, so the value is a lower bound.
-        left = np.arange(sum_p + 1)
-        relaxed_rows = (np.arange(sum_p + 2), np.where(left >= ps[:, None], left - ps[:, None], -1))
-        relaxed, pieces, states, layers = _band_optimum(band, relaxed_rows, whole, expired,
-                                                        keep=True)
-        if relaxed is None:
-            return incumbent("time_limit", states)
-        if relaxed >= _HUGE:
-            return done("infeasible", states=states)
-        blocks: list[list[int]] = []  # [start, length] of the merged blocks
-        for a, p in pieces:
-            if blocks and sum(blocks[-1]) == a:
-                blocks[-1][1] += p
-            else:
-                blocks.append([a, p])
-        split = _fit(ps, counts, [L for _a, L in blocks], expired)
-        if split is not None:
-            fitted = [(a + sum(held[:k]), p) for (a, _L), held in zip(blocks, split)
-                      for k, p in enumerate(held)]
-            return optimal(fitted, relaxed, states, "fit")
-        if expired():
-            return incumbent("time_limit", states, relaxed)
-        if cells > _DP_CELL_LIMIT:
-            return incumbent("cell_limit", states, relaxed)
-
-    rows = _multiset_rows(ps, counts)
-
     if cells <= _DP_ALONE_CELLS:
-        value, pieces, filled, _ = _band_optimum(band, rows, whole, expired)
+        value, pieces, states, _ = _band_optimum(band, _rows(ps, counts, every), whole, expired)
         if value is None:
-            return incumbent("time_limit", filled)
+            return stop("time_limit")
         if value >= _HUGE:
-            return done("infeasible", states=filled)
-        return optimal(pieces, value, filled, "dp")
+            return stop("infeasible")
+        found = (value, pieces)
+        return stop("dp")
+
+    relaxed_rows = _rows(ps, counts, ~every)
+    relaxed, pieces, states, layers = _band_optimum(band, relaxed_rows, whole, expired, keep=True)
+    if relaxed is None:
+        return stop("time_limit")
+    if relaxed >= _HUGE:
+        return stop("infeasible")
+    bound = relaxed
+    blocks: list[list[int]] = []  # [start, length] of the merged blocks
+    for a, p in pieces:
+        if blocks and sum(blocks[-1]) == a:
+            blocks[-1][1] += p
+        else:
+            blocks.append([a, p])
+    split = _fit(ps, counts, [L for _a, L in blocks], expired)
+    if split is not None:
+        found = (relaxed, [(a + sum(held[:k]), p) for (a, _L), held in zip(blocks, split)
+                           for k, p in enumerate(held)])
+        return stop("fit")
+    if expired():
+        return stop("time_limit")
+    if cells > _DP_CELL_LIMIT:
+        return stop("cell_limit")
 
     # Reduced-cost elimination: a cell whose cheapest relaxed schedule
     # costs more than ub lies on no schedule of cost ub or less. Each round
@@ -604,39 +604,38 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     F_rev, _, _, filled, mirror = _fill(_reversed(band), relaxed_rows, whole, expired, keep=True)
     states += filled
     if F_rev is None:
-        return incumbent("time_limit", states, relaxed)
+        return stop("time_limit")
     A, B = mirror[1, ::-1, ::-1].copy(), mirror[0, ::-1, ::-1]
     A[sum_p] = phi[1, t_on:t_on + R]
     through = (A + layers[0], B + layers[1])
     alive = np.sort(np.concatenate([via.ravel() for via in through]))
     alive = alive[:np.searchsorted(alive, _HUGE)]
     cuts = alive[np.diff(alive, prepend=alive[0] - 1) > 0].tolist()  # the relaxed value first
-
-    def kept(k: int) -> int:
-        return int(np.searchsorted(alive, cuts[k], side="right"))
-
-    k, bound, found, spent, rounds = 0, relaxed, None, 0, 0
+    below = np.searchsorted(alive, cuts, side="right")  # the cells at or below each cut
+    rows = _rows(ps, counts, every)
+    k = spent = 0
     while True:
         cols = list(zip(*(_spans(via <= cuts[k]) for via in through)))
         value, pieces, filled, _ = _band_optimum(band, rows, cols.__getitem__, expired)
         states, spent, rounds = states + filled, spent + filled, rounds + 1
         if value is None:
-            return incumbent("time_limit", states, bound, found, rounds)
+            return stop("time_limit")
         # Every schedule below the next cut lies on this round's cells, so a
         # value below it is the optimum, reached by the full DP's walk.
         bound = cuts[k + 1] if k + 1 < len(cuts) else _HUGE
         if value < bound:
-            return optimal(pieces, value, states, "rounds", rounds)
+            found = (value, pieces)
+            return stop("rounds")
         if bound >= _HUGE:
-            return done("infeasible", states=states, rounds=rounds)
+            return stop("infeasible")
         if value < _HUGE and (found is None or value < found[0]):
             found = (value, pieces)
         k += 1
         if spent >= 2 * cells:
             k = len(cuts) - 1
         elif found is not None:
-            last = bisect.bisect_right(cuts, found[0]) - 1
-            if kept(last) <= 2 * kept(k):
+            last = int(np.searchsorted(cuts, found[0], side="right")) - 1
+            if below[last] <= 2 * below[k]:
                 k = last
 
 

@@ -1,5 +1,7 @@
 import functools
+import itertools
 import json
+import math
 import random
 import time
 import types
@@ -223,6 +225,22 @@ def test_timeout_returns_valid_incumbent():
     assert res.stats.lower_bound <= res.tec
 
 
+@pytest.mark.parametrize("alone", [solver._DP_ALONE_CELLS, 0])
+def test_a_schedule_priced_off_the_search_raises_at_a_limit_and_at_an_optimum(
+        worked, alone, monkeypatch):
+    # Every answer's schedule is re-priced: one that costs more than the
+    # search found is a fault, reported alike whether the solve ended at
+    # the time limit (the one-block incumbent) or at an optimum (the DP's
+    # or the fit's), and not by an assert, which python -O strips.
+    tab = make_table(worked)
+    real = solver.compute_tec
+    monkeypatch.setattr(solver, "_DP_ALONE_CELLS", alone)
+    monkeypatch.setattr(solver, "compute_tec", lambda inst, sched: real(inst, sched) + 1)
+    for limit in (0.0, None):
+        with pytest.raises(RuntimeError, match="assembled schedule costs"):
+            solve_exact(worked, tab, time_limit=limit)
+
+
 def test_generous_time_limit_still_optimal(worked):
     res = solve_exact(worked, make_table(worked), time_limit=60.0)
     assert res.status == "optimal" and res.tec == WORKED_TEC
@@ -350,6 +368,60 @@ def test_a_time_limit_only_stops_work(machine_seed, jobs, data):
         untimed, timed = ((r.status, r.tec, r.stats.lower_bound, r.stats.stop_reason,
                            r.stats.certifier, r.stats.rounds, r.schedule) for r in answers)
         assert untimed == timed
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(machine_seed=st.integers(0, 2 ** 32 - 1),
+       jobs=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+       data=st.data())
+def test_a_deadline_at_any_clock_reading_leaves_a_valid_answer(machine_seed, jobs, data):
+    # A fake clock that ticks once per reading puts the deadline after a
+    # drawn number of readings, in whichever step of either order the band
+    # picks, the rounds included (with the fit off). Every answer is a
+    # valid schedule that compute_tec prices as stated, under a bound no
+    # higher than the optimum; only an optimal answer names a certifier,
+    # and it is the untimed answer.
+    states, trans = random_machine(random.Random(machine_seed), max_extra=3)
+    h = data.draw(st.integers(min(24, sum(jobs) + 6), 24))
+    costs = data.draw(st.lists(st.integers(0, 6), min_size=h, max_size=h))
+    inst = Instance(h, tuple(costs), tuple(jobs), states, trans)
+    try:
+        tab = make_table(inst)
+    except InfeasibleError:
+        return
+    readings = [0]
+
+    def tick():
+        readings[0] += 1
+        return readings[0]
+
+    def fields(r):
+        s = r.stats
+        return (r.status, r.tec, r.schedule, s.lower_bound, s.stop_reason, s.certifier,
+                s.rounds, s.states)
+
+    configs = ((solver._DP_ALONE_CELLS, solver._fit), (0, solver._fit),
+               (0, lambda *args: None))  # the last with the fit off
+    for alone, fit in configs:
+        with mock.patch.object(solver, "_DP_ALONE_CELLS", alone), \
+                mock.patch.object(solver, "_fit", fit):
+            untimed = solve_exact(inst, tab)
+            with mock.patch.object(solver, "time", types.SimpleNamespace(monotonic=tick)):
+                readings[0] = 0
+                solve_exact(inst, tab, time_limit=1e9)
+                deadline = data.draw(st.integers(1, readings[0]))
+                readings[0] = 0
+                res = solve_exact(inst, tab, time_limit=deadline - 0.5)
+        if untimed.status == "infeasible":
+            assert fields(res) == fields(untimed)
+            continue
+        assert validate_schedule(inst, res.schedule) == []
+        assert compute_tec(inst, res.schedule) == res.tec
+        assert res.stats.lower_bound <= untimed.tec <= res.tec
+        if res.status == "optimal":
+            assert fields(res) == fields(untimed)
+        else:
+            assert (res.status, res.stats.certifier) == ("timeout", None)
 
 
 def test_deadline_mid_fill_gives_the_same_answer(monkeypatch):
@@ -486,6 +558,106 @@ def test_a_round_at_the_next_cut_is_not_final(monkeypatch):
 def test_spans_run_from_the_first_held_offset_to_the_last():
     mask = np.array([[0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 1, 0], [0, 1, 0, 1]], dtype=bool)
     assert solver._spans(mask) == [slice(0, 0), slice(0, 4), slice(2, 3), slice(1, 4)]
+
+
+def rows_by_enumeration(ps, counts, counted):
+    """The rows of _rows one at a time: every multiset of the counted
+    lengths, as its mixed-radix code (the shortest length fastest), at
+    every W from its work to its work plus the other jobs' total, sorted
+    by W and then code; returns (first, succ) as lists."""
+    radix = [c + 1 if k else 1 for c, k in zip(counts, counted)]
+    spare = sum(p * c for p, c, k in zip(ps, counts, counted) if not k)
+    rows = []
+    for m in itertools.product(*(range(r) for r in radix)):
+        code = sum(d * math.prod(radix[:a]) for a, d in enumerate(m))
+        work = sum(d * p for d, p in zip(m, ps))
+        rows += [(work + r, code, m) for r in range(spare + 1)]
+    rows.sort()
+    where = {(W, m): pos for pos, (W, _code, m) in enumerate(rows)}
+    top = sum(p * c for p, c in zip(ps, counts))
+    first = [sum(W < w for W, _code, _m in rows) for w in range(top + 2)]
+    succ = []
+    for j, p in enumerate(ps):
+        succ.append([])
+        for W, _code, m in rows:
+            if counted[j]:
+                nxt = m[:j] + (m[j] - 1,) + m[j + 1:]
+            else:  # the job comes out of the work beyond m's
+                nxt = m if W - p >= sum(d * q for d, q in zip(m, ps)) else None
+            succ[-1].append(where.get((W - p, nxt), -1))
+    return first, succ
+
+
+def test_rows_are_every_multiset_of_the_counted_lengths_at_every_work_it_allows():
+    rng = random.Random(17)
+    for _ in range(300):
+        jobs = [rng.randint(1, 5) for _ in range(rng.randint(1, 7))]
+        ps, counts = np.unique(jobs, return_counts=True)
+        counted = np.array([rng.random() < 0.5 for _ in ps])
+        for mask in (counted, np.ones(len(ps), dtype=bool), np.zeros(len(ps), dtype=bool)):
+            first, succ = solver._rows(ps, counts, mask)
+            want_first, want_succ = rows_by_enumeration(ps.tolist(), counts.tolist(),
+                                                        mask.tolist())
+            assert (first.tolist(), succ.tolist()) == (want_first, want_succ)
+        # all counted: each multiset once, at W = its work; none: one row per W
+        all_first, _ = solver._rows(ps, counts, np.ones(len(ps), dtype=bool))
+        assert all_first[-1] == np.prod(counts + 1)
+        none_first, none_succ = solver._rows(ps, counts, np.zeros(len(ps), dtype=bool))
+        left = np.arange(sum(jobs) + 1)
+        assert np.array_equal(none_first, np.arange(sum(jobs) + 2))
+        assert np.array_equal(none_succ, np.where(left >= ps[:, None], left - ps[:, None], -1))
+
+
+def band_of(inst, tab):
+    """The band that solve_exact fills for the instance."""
+    bands = []
+    real = solver._band_optimum
+
+    def record(band, *args, **kwargs):
+        bands.append(band)
+        return real(band, *args, **kwargs)
+
+    with mock.patch.object(solver, "_band_optimum", record):
+        solve_exact(inst, tab)
+    return bands[0]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(machine_seed=st.integers(0, 2 ** 32 - 1),
+       jobs=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+       data=st.data())
+def test_counting_more_lengths_raises_the_bound_from_the_relaxation_to_the_optimum(
+        machine_seed, jobs, data):
+    # Rows that count a set of the lengths relax the DP less as the set
+    # grows: the band optimum starts at the relaxed value, never falls as
+    # lengths are added in any order, and ends at the optimum.
+    states, trans = random_machine(random.Random(machine_seed), max_extra=3)
+    h = data.draw(st.integers(min(24, sum(jobs) + 2), 24))
+    costs = data.draw(st.lists(st.integers(0, 6), min_size=h, max_size=h))
+    inst = Instance(h, tuple(costs), tuple(jobs), states, trans)
+    try:
+        tab = make_table(inst)
+    except InfeasibleError:
+        return
+    full = solve_exact(inst, tab)
+    if full.status == "infeasible":
+        return
+    with mock.patch.object(solver, "_DP_CELL_LIMIT", 0), \
+            mock.patch.object(solver, "_DP_ALONE_CELLS", 0):
+        relaxed = solve_exact(inst, tab).stats.lower_bound
+    band = band_of(inst, tab)
+    ps, counts = np.unique(jobs, return_counts=True)
+    counted = np.zeros(len(ps), dtype=bool)
+    values = []
+    for j in [None] + data.draw(st.permutations(range(len(ps)))):
+        if j is not None:
+            counted[j] = True
+        rows = solver._rows(ps, counts, counted)
+        values.append(solver._band_optimum(band, rows, lambda W: (slice(0, band.R),) * 2,
+                                           lambda: False)[0])
+    const = solver._boundary_constant(inst)
+    assert values == sorted(values)
+    assert (values[0] + const, values[-1] + const) == (relaxed, full.tec)
 
 
 def test_a_round_whose_start_and_end_spans_do_not_overlap(monkeypatch):
