@@ -16,7 +16,9 @@ for tests and oracles, and `shortest_path` walks it back from one target,
 which is how `spaces.switching_path` bridges a gap. The phi table
 is the same recurrence run the other way: `spaces.compute_spaces` sweeps
 backward from every gap end at once, over zero-time classes, the sets of
-states that reach each other by time-0 edges.
+states that reach each other by time-0 edges. The classes, their time-0
+pairs and their merged steps are one cached `class_plan`, which the
+solver's relaxation sweeps as well.
 
 Which vertices a path reaches depends only on transition times, never on
 prices: inside the horizon, v(k, s) reaches v(k+d, sp) exactly when some
@@ -29,17 +31,90 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import (InfeasibleError, InputError, Instance, MachineStateSet, StatePair,
-                    require_valid, switch_times)
+                    require_valid, switch_times, zero_time_closure)
 
 Vertex = tuple[int, str]
 OFF, PROC = MachineStateSet.off_state, MachineStateSet.proc_state
 
 INF = np.int64(2) ** 62  # unreachable sentinel; far above any real distance
 _APSP_INF = np.int64(2) ** 61  # halved so sentinel + sentinel cannot overflow
+
+
+class ClassPlan(NamedTuple):
+    """What a backward sweep over zero-time classes reads of the machine
+    (`IntervalStateGraph.class_plan`). A class is a set of states that
+    reach each other by time-0 transitions, so once the closure at an
+    interval is done all of its states hold one cost."""
+
+    off: int  # the class of off
+    proc: int  # the class of proc
+    # (c, cp) where c reaches cp by time-0 chains and not back: transitively
+    # closed, so one minimum per pair closes an interval in any order
+    zero: list[tuple[int, int]]
+    # each class's positive-time steps (time, class reached, weights),
+    # shortest first, where weights[k - 1] is the cost of a step that
+    # starts at interval k; steps between the same two classes with the
+    # same time are merged at their cheapest power
+    out: list[list[tuple[int, int, list[int]]]]
+
+    def reversed(self) -> ClassPlan:
+        """The plan of the time-reversed machine, interval k becoming
+        h + 1 - k: every step and time-0 pair turned round, and a step's
+        weights read backwards."""
+        out: list[list[tuple[int, int, list[int]]]] = [[] for _ in self.out]
+        for c, steps in enumerate(self.out):
+            for t, cp, weights in steps:
+                out[cp].append((t, c, weights[::-1]))
+        for steps in out:
+            steps.sort(key=lambda step: step[0])
+        return self._replace(zero=sorted((cp, c) for c, cp in self.zero), out=out)
+
+    def ring(self, width: int) -> list[list[np.ndarray]]:
+        """Cost rows for a backward sweep, all INF: ring[k % len(ring)][c]
+        is class c's row at interval k, kept while a step can reach it."""
+        slots = max(t for steps in self.out for t, _cp, _w in steps) + 1
+        return [[np.full(width, INF, dtype=np.int64) for _ in self.out] for _ in range(slots)]
+
+    def pull(self, ring: list[list[np.ndarray]], k: int, cols: slice, last: int,
+             tmp: np.ndarray) -> list[np.ndarray]:
+        """Every class's row at interval k over cols, written in place in
+        the ring: the cheapest of its steps that end by interval last,
+        each read from the row of the class it reaches where it ends, INF
+        where none does. The first step writes the row and later ones are
+        min-ed into it, and a step of weight 0 (power 0, or intervals that
+        cost nothing) adds nothing. tmp is scratch as long as the rows."""
+        slots = len(ring)
+        cur = [row[cols] for row in ring[k % slots]]
+        for row, steps in zip(cur, self.out):
+            first = True
+            for t, cp, weights in steps:
+                if k + t > last:
+                    break
+                nxt, w = ring[(k + t) % slots][cp][cols], weights[k - 1]
+                if first:
+                    if w:
+                        np.add(nxt, w, out=row)
+                    else:
+                        row[:] = nxt
+                    first = False
+                elif w:
+                    np.minimum(row, np.add(nxt, w, out=tmp), out=row)
+                else:
+                    np.minimum(row, nxt, out=row)
+            if first:
+                row.fill(INF)
+        return cur
+
+    def close(self, cur: list[np.ndarray]) -> None:
+        """The time-0 closure at one interval: each class takes the
+        minimum of every class it reaches by time-0 chains."""
+        for c, cp in self.zero:
+            np.minimum(cur[c], cur[cp], out=cur[c])
 
 
 @dataclass
@@ -103,6 +178,32 @@ class IntervalStateGraph:
         boundary = [(1, off, off, self.inst.transitions.power(OFF, OFF))]
         inner = zero + [step for step in steps if step[0] >= 1]
         return names, rank, (boundary, inner, zero + boundary)
+
+    @cached_property
+    def class_plan(self) -> ClassPlan:
+        """The machine's zero-time classes, the time-0 pairs between them
+        and their merged positive-time steps, weighted at every interval:
+        what the phi sweep and the solver's relaxation read. Two states
+        share a class exactly when they reach the same states at time 0.
+        Costs and powers are non-negative, so merging steps at their
+        cheapest power keeps the cheapest weight."""
+        reach = zero_time_closure(self.inst)
+        class_id: dict[frozenset[str], int] = {}
+        cls = [class_id.setdefault(frozenset(reach[s]), len(class_id)) for s in self.states]
+        index = self.inst.state_set.index
+        zero = sorted({(cls[index(s)], cls[index(sp)]) for s in self.states for sp in reach[s]
+                       if cls[index(s)] != cls[index(sp)]})
+        power: dict[tuple[int, int, int], int] = {}
+        for s, sp, t, pw in self.steps:
+            if t >= 1:
+                key = (cls[s], cls[sp], t)
+                power[key] = min(pw, power.get(key, pw))
+        h = self.horizon
+        C = np.asarray(self.inst.cost_prefix, dtype=np.int64)
+        out: list[list[tuple[int, int, list[int]]]] = [[] for _ in class_id]
+        for (c, cp, t), pw in sorted(power.items(), key=lambda item: item[0][2]):
+            out[c].append((t, cp, ((C[t:] - C[:h + 1 - t]) * pw).tolist()))
+        return ClassPlan(cls[self.off_index], cls[self.proc_index], zero, out)
 
     def source_vertex(self, i: int) -> Vertex:
         """Start vertex of the gap after interval i: on the off boundary for

@@ -32,23 +32,29 @@ layer's F is one gather over H. H is kept as a ring of the last max(p)
 layers, and the min-plus runs in fixed-size chunks. The band holds
 prod(count_p + 1) * (s + 1) cells.
 
-Every DP here is this fill over rows that count a set of the job lengths
-(_rows). Counting none, one row per W, lets a block hold any sequence of
-job lengths: a state-space relaxation (Christofides, Mingozzi and Toth,
-Networks 11, 1981) whose optimum is a lower bound. TEC depends only on
+The exact DP and its rounds are this fill over rows that count a set of
+the job lengths (_rows). Counting none, one row per W, lets a block hold
+any sequence of job lengths: a state-space relaxation (Christofides,
+Mingozzi and Toth, Networks 11, 1981) whose optimum is a lower bound.
+With one row per W, the relaxation's cell (W, d) lies at interval
+t_end - W + d, and a gap is a shortest path in the interval-state graph,
+so the relaxation is no fill: it is one backward sweep over intervals
+and the machine's zero-time classes (_relaxation), as phi itself is
+(`spaces._sweep_rows`), and its walk re-derives the pieces from the
+values with the fill's tie rules (_relaxed_optimum). TEC depends only on
 which intervals process, so if the jobs split exactly into the relaxed
 optimum's merged blocks (_fit), that schedule proves the bound optimal.
 
 A band of at most _DP_ALONE_CELLS cells runs the DP alone. A larger one
 runs the relaxation and the fit first and, without a fit and at most
 _DP_CELL_LIMIT cells, eliminates cells by reduced cost. The
-relaxation's values are costs to the horizon; the same relaxation of the
-time-reversed band (_reversed), read at the mirrored cells, gives the
-costs from the root, and the two sum to the cheapest relaxed schedule
-through every cell. Deepening rounds fill the DP on the cells whose
-value is at most a cut ub, the distinct values taken in ascending order
-from the relaxed bound: in each layer, the one slice of offsets from the
-first such cell to the last (_spans). Every schedule below the next cut
+relaxation's values are costs to the horizon; the same sweep over the
+time-reversed band and class plan (_reversed), read at the mirrored
+cells, gives the costs from the root, and the two sum to the cheapest
+relaxed schedule through every cell. Deepening rounds fill the DP on
+the cells whose value is at most a cut ub, the distinct values taken in
+ascending order from the relaxed bound: in each layer, the one slice of
+offsets from the first such cell to the last (_spans). Every schedule below the next cut
 lies on a round's cells, so a round whose value is below it has the
 optimum and the full DP's walk; otherwise the bound rises to that cut.
 The steps update one search state and every answer leaves by one exit.
@@ -63,7 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .isg import build_graph
+from .isg import ClassPlan, build_graph
 from .model import (InfeasibleError, InputError, Instance, Schedule, StatePair,
                     compute_tec, validate_schedule)
 from .spaces import SpacesTable, _UNREACHABLE, compute_spaces, expand_space
@@ -187,18 +193,22 @@ class _Band(NamedTuple):
     work left starts at interval t_end - W + d, band offset d in 0..R-1,
     where t_end = t_on + sum(p)."""
 
-    phi: np.ndarray  # capped at _HUGE, and _HUGE at ip < i + 2 below row 1 and left of column h
+    # capped at _HUGE, and _HUGE at ip < i + 2 below row 1 and left of
+    # column h; None in the time-reversed band, which only the relaxation reads
+    phi: np.ndarray | None
     runs: np.ndarray  # runs[j, i]: processing cost of a job of length ps[j] from interval i
+    tail: np.ndarray  # tail[d]: the trailing gap after a block that ends at t_end - 1 + d
+    plan: ClassPlan  # the machine's zero-time classes, which the relaxation sweeps
     t_on: int
     t_end: int
     R: int
     ps: np.ndarray  # the distinct job lengths, ascending
 
 
-def _fill(band: _Band, rows, cols, expired, keep: bool = False):
+def _fill(band: _Band, rows, cols, expired):
     """Fill the layers W = 1..sum(p) of a band DP; returns (F, f_arg,
-    g_arg, states, values) with F the top layer's, or None when the
-    deadline expired first.
+    g_arg, states) with F the top layer's, or None when the deadline
+    expired first.
 
     rows = (first, succ) gives every row of the DP a position: layer W
     holds positions first[W] .. first[W + 1] - 1, position 0 alone is
@@ -210,9 +220,7 @@ def _fill(band: _Band, rows, cols, expired, keep: bool = False):
     _HUGE. The choices of every layer are stored for those columns only:
     the job length index of F, and the band offset of the gap end where a
     gap beats merging, 0 where it does not (a real gap ends at offset 1 or
-    later). With keep, which needs one row per layer and every column,
-    values[0][W] and values[1][W] are F_W and H_W of W = 1..sum(p) - 1
-    (F of sum(p) too), _HUGE elsewhere; without, values is None.
+    later).
 
     H is one ring of rows over the last max(p) layers, a position at row
     pos % size, where size is the most positions any max(p) + 1
@@ -222,17 +230,15 @@ def _fill(band: _Band, rows, cols, expired, keep: bool = False):
     it like any other successor.
     """
     phi, R, ps = band.phi, band.R, band.ps
-    h = phi.shape[0] - 1
     first, succ = rows
     top = band.t_end - band.t_on
     back = first[np.maximum(np.arange(top + 1) - int(ps[-1]), 0)]
     size = int((first[1:] - back).max())
     hbuf = np.full((size + 1, R), _HUGE, dtype=np.int64)
-    hbuf[0] = phi[band.t_end - 1:band.t_end - 1 + R, h]
+    hbuf[0] = band.tail
     ring = np.arange(first[-1] + 1, dtype=np.int32) % size  # the hbuf row of each position
     ring[-1] = size  # and of succ's -1, the _HUGE row
     slot = ring[succ]
-    values = np.full((2, top + 1, R), _HUGE, dtype=np.int64) if keep else None
     f_arg: dict[int, np.ndarray] = {}
     g_arg: dict[int, np.ndarray] = {}
     f_type, g_type = np.min_scalar_type(len(ps) - 1), np.min_scalar_type(R - 1)
@@ -240,7 +246,7 @@ def _fill(band: _Band, rows, cols, expired, keep: bool = False):
     states = 0
     for W in range(1, top + 1):
         if expired():
-            return None, f_arg, g_arg, states, values
+            return None, f_arg, g_arg, states
         r0, r1 = int(first[W]), int(first[W + 1])
         n_rows = r1 - r0
         if n_rows == 0:
@@ -250,7 +256,7 @@ def _fill(band: _Band, rows, cols, expired, keep: bool = False):
         f0, f1, h0, h1 = fc.start, fc.stop, hc.start, hc.stop
         cand = hbuf[slot[:, r0:r1], f0:f1]
         cand += band.runs[:, None, s0 + f0:s0 + f1]
-        F = np.minimum(cand.min(axis=0), _HUGE, out=values[0][W:W + 1] if keep else None)
+        F = np.minimum(cand.min(axis=0), _HUGE)
         f_arg[W] = cand.argmin(axis=0).astype(f_type)  # the shortest length wins ties
         states += F.size
         if W == top:
@@ -269,7 +275,7 @@ def _fill(band: _Band, rows, cols, expired, keep: bool = False):
             step = max(1, _CHUNK // blk.size)
             for a in range(0, n_rows, step):
                 if expired():
-                    return None, f_arg, g_arg, states, values
+                    return None, f_arg, g_arg, states
                 part = F[a:a + step, None, b:]
                 out = buf[:len(part) * blk.size].reshape(len(part), *blk.shape)
                 tot = np.add(part, blk, out=out)
@@ -286,20 +292,20 @@ def _fill(band: _Band, rows, cols, expired, keep: bool = False):
         np.copyto(g_arg[W], 0, where=G >= F_g)
         if h1 - h0 < R:  # H at G's columns only: a block ends nowhere else
             hbuf[ring[r0:r1]] = _HUGE
-        hbuf[ring[r0:r1], h0:h1] = np.minimum(F_g, G, out=values[1][W:W + 1] if keep else None)
-    return F, f_arg, g_arg, states, values
+        hbuf[ring[r0:r1], h0:h1] = np.minimum(F_g, G)
+    return F, f_arg, g_arg, states
 
 
-def _band_optimum(band: _Band, rows, cols, expired, keep: bool = False):
+def _band_optimum(band: _Band, rows, cols, expired):
     """Fill a band DP and walk its choices from the cheapest root, the gap
-    after interval 1; returns (value, pieces, states, values). value is
-    None when the deadline expired first and _HUGE or more when no
-    schedule exists; pieces are the (start, length) of every job in start
-    order. rows, cols, keep and values are _fill's; the walk moves from
-    position to position along rows' succ."""
-    F, f_arg, g_arg, states, values = _fill(band, rows, cols, expired, keep)
+    after interval 1; returns (value, pieces, states). value is None when
+    the deadline expired first and _HUGE or more when no schedule exists;
+    pieces are the (start, length) of every job in start order. rows and
+    cols are _fill's; the walk moves from position to position along
+    rows' succ."""
+    F, f_arg, g_arg, states = _fill(band, rows, cols, expired)
     if F is None:
-        return None, [], states, values
+        return None, [], states
     first, succ = rows
     W = band.t_end - band.t_on
     pos = int(first[W])  # the top layer has one row
@@ -314,7 +320,100 @@ def _band_optimum(band: _Band, rows, cols, expired, keep: bool = False):
         pos, W = int(succ[j, pos]), W - int(band.ps[j])
         if W:
             slot = int(g_arg[W][pos - first[W], slot - cols(W)[1].start]) or slot
-    return value, pieces, states, values
+    return value, pieces, states
+
+
+def _relaxation(band: _Band, expired):
+    """The relaxation's costs to the horizon by one backward sweep over
+    intervals; returns (F, H, states), F and H None when the deadline
+    expired first. F[W, d] and H[W, d] are the cheapest relaxed costs from a block
+    start and from a block boundary at band cell (W, d), _fill's F_W and
+    H_W over rows that count no length, capped at _HUGE: F is _HUGE at
+    W = 0, H is the trailing gap there and _HUGE at W = sum(p). states
+    counts the cells as _fill does, an F and (below the top) a G each.
+
+    Cell (W, d) lies at interval k = t_end - W + d, so the cells of one
+    interval are one diagonal of each table, a strided slice. From the
+    last interval a block may start at down to t_on, each step fills that
+    diagonal: F from H at k + p, a job of length p done, one gather over
+    every length; then each zero-time class of the band's plan takes its
+    cheapest cost from the start of k for every W of the diagonal, as in
+    `spaces._sweep_rows`: its steps pull the costs of the classes they
+    reach at k + t, proc's class takes F at k, where a block may start,
+    and the time-0 closure follows. Proc's cost is then H at k, the gap
+    or the block start, whichever is cheaper. The clock is read once per
+    interval.
+
+    Class costs are never clamped: they hold INF, or F plus the weight of
+    a path, and no path weighs as much as COST_LIMIT = 2^61, so each stays
+    below 2^63."""
+    plan, R, t_end, ps = band.plan, band.R, band.t_end, band.ps
+    top = t_end - band.t_on
+    stride = R + 1  # from (W, d) to (W + 1, d + 1), the next cell of a diagonal
+    # H(W - p, d) lies p * R before (W, d) in the flat tables; H has max(p)
+    # rows of _HUGE above it, which a length longer than W reads
+    pad = int(ps[-1]) * R
+    hp = np.full(pad + (top + 1) * R, _HUGE, dtype=np.int64)
+    F = np.full((top + 1, R), _HUGE, dtype=np.int64)
+    H = hp[pad:].reshape(top + 1, R)
+    H[0] = band.tail
+    f = F.reshape(-1)
+    back = pad - ps[:, None] * R + np.arange(min(R, top)) * stride  # H of each length, in hp
+    runs = band.runs.T[:, :, None]  # runs[k, j]: a job of length ps[j] from interval k
+    last = t_end + R - 2  # the last interval a block may start at
+    # ring[k % slots][c][W]: class c's cost at interval k, at the W of its
+    # diagonal; entries above them belong to later intervals and stay INF
+    ring = plan.ring(top)
+    scratch = np.empty(top, dtype=np.int64)
+    states = 0
+    for k in range(last, band.t_on - 1, -1):
+        if expired():
+            return None, None, states
+        w0, w1 = max(1, t_end - k), min(top, last + 1 - k)  # the W of k's diagonal
+        at, n = k - t_end + w0 * stride, w1 - w0 + 1  # (w0, d) in the flat tables; cells
+        diag = f[at:at + n * stride - R:stride]
+        np.minimum(diag, (hp[back[:, :n] + at] + runs[k]).min(axis=0), out=diag)
+        states += n
+        m = min(w1, top - 1) - w0 + 1  # the cells with a G: not the top layer
+        if m <= 0:
+            continue
+        cur = plan.pull(ring, k, slice(w0, w0 + m), last, scratch[:m])
+        np.minimum(cur[plan.proc], diag[:m], out=cur[plan.proc])
+        plan.close(cur)
+        hp[pad + at:pad + at + m * stride - R:stride] = cur[plan.proc]
+        states += m
+    return F, H, states
+
+
+def _relaxed_optimum(band: _Band, F: np.ndarray, H: np.ndarray):
+    """The relaxation's (value, pieces) from its costs to the horizon,
+    walked from the cheapest root as _band_optimum walks _fill's choices:
+    the first cheapest job length, shortest first; a gap only where it is
+    cheaper than merging; and the nearest of its cheapest ends, priced by
+    phi. A gap that phi prices off the sweep's cost raises InputError:
+    the table does not match its instance. Returns (value, pieces) as
+    _band_optimum does."""
+    phi, R, t_end, ps = band.phi, band.R, band.t_end, band.ps.tolist()
+    W = t_end - band.t_on
+    root = phi[1, band.t_on:band.t_on + R] + F[W]
+    d = int(root.argmin())
+    value = int(root[d])
+    pieces: list[tuple[int, int]] = []
+    while W and value < _HUGE:
+        k = t_end - W + d  # the block starts at interval k
+        j = min((int(band.runs[j, k] + H[W - p, d]), j) for j, p in enumerate(ps) if p <= W)[1]
+        pieces.append((k, ps[j]))
+        W -= ps[j]
+        if W and H[W, d] < F[W, d]:
+            i = k + ps[j] - 1  # the gap starts after interval i
+            ends = phi[i, t_end - W:t_end - W + R] + F[W]
+            e = int(ends.argmin())
+            if ends[e] != H[W, d]:
+                raise InputError(f"the gap after interval {i} costs {int(ends[e] - F[W, e])} in "
+                                 f"phi, not its cheapest switching cost: the table does not "
+                                 f"match its instance")
+            d = e
+    return value, pieces
 
 
 def _rows(ps: np.ndarray, counts: np.ndarray, counted: np.ndarray):
@@ -356,19 +455,21 @@ def _spans(mask: np.ndarray) -> list[slice]:
 
 def _reversed(band: _Band) -> _Band:
     """The band of the time-reversed instance, interval k becoming
-    h + 1 - k: the gap (i, ip) costs phi[h + 1 - ip, h + 1 - i], a job run
-    is read backwards, t_on becomes h + 1 - t_off, and R stays. A block
-    start at offset d with W work left becomes a block end just before
-    offset R - 1 - d with sum(p) - W left, and a block end just before d
-    a block start at R - 1 - d."""
-    h = band.phi.shape[0] - 1
-    phi = np.full_like(band.phi, _HUGE)
-    phi[1:, 1:] = band.phi[:0:-1, :0:-1].T
+    h + 1 - k, for the relaxation alone: a job run is read backwards,
+    the machine's plan is turned round (`ClassPlan.reversed`), t_on
+    becomes h + 1 - t_off, R stays, and the trailing gap of a block end
+    at offset d is the root gap to offset R - 1 - d. It has no phi. A
+    block start at offset d with W work left becomes a block end just
+    before offset R - 1 - d with sum(p) - W left, and a block end just
+    before d a block start at R - 1 - d."""
+    h = band.runs.shape[1] - 1
     runs = np.full_like(band.runs, _HUGE)
     for j, p in enumerate(band.ps.tolist()):
         runs[j, 1:h + 2 - p] = band.runs[j, h + 1 - p:0:-1]
     t_on = h + 3 - band.t_end - band.R  # h + 1 - t_off
-    return band._replace(phi=phi, runs=runs, t_on=t_on, t_end=t_on + band.t_end - band.t_on)
+    return band._replace(phi=None, runs=runs, tail=band.phi[1, band.t_on:band.t_on + band.R][::-1],
+                         plan=band.plan.reversed(), t_on=t_on,
+                         t_end=t_on + band.t_end - band.t_on)
 
 
 def _fit(ps: np.ndarray, counts: np.ndarray, lengths: list[int], expired) -> list[list[int]] | None:
@@ -464,9 +565,10 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     the root, the gap after interval 1. Among equal-cost schedules the
     one whose (start, length) pieces, sorted by start, form the
     lexicographically smallest sequence wins. More cells: the relaxation
-    first, and the fit's schedule when the jobs fit its blocks (_fit);
-    without a fit, at most _DP_CELL_LIMIT cells, the elimination rounds,
-    which end in the full DP's schedule. The steps share one search state
+    first, one sweep over intervals and the machine's zero-time classes
+    (_relaxation), and the fit's schedule when the jobs fit its blocks
+    (_fit); without a fit, at most _DP_CELL_LIMIT cells, the elimination
+    rounds, which end in the full DP's schedule. The steps share one search state
     and leave by one exit, stop, which assembles the answer and re-prices
     it (RuntimeError when the price is off). Over the cell limit, or once
     the time limit expires, the answer has status "timeout": the cheaper
@@ -478,8 +580,10 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     stats.stop_reason says which limit stopped the solve, stats.certifier
     what proved an optimum ("dp", "fit" or "rounds"), stats.rounds how
     many rounds began, and stats.states the DP cells filled, the
-    relaxation's included. A time limit must be >= 0; inf, like None,
-    sets no limit.
+    relaxation's included, counted as the fill counts them (an F and,
+    below the top layer, a G per cell). A time limit must be >= 0; inf,
+    like None, sets no limit. The relaxation reads the clock once per
+    interval, the fill once per layer and per min-plus chunk.
     """
     if time_limit is not None and not time_limit >= 0:  # NaN fails this test too
         raise InputError(f"time limit must be >= 0, got {time_limit}")
@@ -550,15 +654,13 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     runs = np.full((len(ps), h + 1), _HUGE, dtype=np.int64)
     for j, p in enumerate(ps.tolist()):
         runs[j, 1:h + 2 - p] = (C[p:] - C[:h + 1 - p]) * p_proc
-    band = _Band(phi=phi, runs=runs, t_on=t_on, t_end=t_on + sum_p, R=R, ps=ps)
-
-    def whole(W: int):
-        return slice(0, R), slice(0, R)
-
+    band = _Band(phi=phi, runs=runs, tail=phi[t_on + sum_p - 1:t_on + sum_p - 1 + R, h],
+                 plan=table.graph.class_plan, t_on=t_on, t_end=t_on + sum_p, R=R, ps=ps)
     every = np.ones(len(ps), dtype=bool)
     cells = int(np.prod(counts + 1, dtype=object)) * R
     if cells <= _DP_ALONE_CELLS:
-        value, pieces, states, _ = _band_optimum(band, _rows(ps, counts, every), whole, expired)
+        value, pieces, states = _band_optimum(band, _rows(ps, counts, every),
+                                              lambda W: (slice(0, R),) * 2, expired)
         if value is None:
             return stop("time_limit")
         if value >= _HUGE:
@@ -566,10 +668,10 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
         found = (value, pieces)
         return stop("dp")
 
-    relaxed_rows = _rows(ps, counts, ~every)
-    relaxed, pieces, states, layers = _band_optimum(band, relaxed_rows, whole, expired, keep=True)
-    if relaxed is None:
+    F, H, states = _relaxation(band, expired)
+    if F is None:
         return stop("time_limit")
+    relaxed, pieces = _relaxed_optimum(band, F, H)
     if relaxed >= _HUGE:
         return stop("infeasible")
     bound = relaxed
@@ -598,16 +700,17 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     # cut. Once the rounds have filled as many cells as the whole DP would
     # (an F and a G per band cell), the next round keeps every cell.
     # The cheapest relaxed cost from the root to a block start at (W, d),
-    # A_W[d], is the reversed relaxation's H at the start's mirror, and to
-    # a block end, B_W[d], its F there; at W = sum(p), A is the root gap.
-    # A + F and B + H are the cheapest relaxed schedules through each cell.
-    F_rev, _, _, filled, mirror = _fill(_reversed(band), relaxed_rows, whole, expired, keep=True)
+    # A_W[d], is the reversed relaxation's H at the start's mirror (at
+    # W = sum(p), its trailing gap: the root gap), and to a block end,
+    # B_W[d], its F there. A + F and B + H are the cheapest relaxed
+    # schedules through each cell. H_0, the trailing gap, is no cell of a
+    # round: every round fills it whole.
+    F_rev, H_rev, filled = _relaxation(_reversed(band), expired)
     states += filled
     if F_rev is None:
         return stop("time_limit")
-    A, B = mirror[1, ::-1, ::-1].copy(), mirror[0, ::-1, ::-1]
-    A[sum_p] = phi[1, t_on:t_on + R]
-    through = (A + layers[0], B + layers[1])
+    through = (H_rev[::-1, ::-1] + F, F_rev[::-1, ::-1] + H)
+    through[1][0] = _HUGE
     alive = np.sort(np.concatenate([via.ravel() for via in through]))
     alive = alive[:np.searchsorted(alive, _HUGE)]
     cuts = alive[np.diff(alive, prepend=alive[0] - 1) > 0].tolist()  # the relaxed value first
@@ -616,7 +719,7 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     k = spent = 0
     while True:
         cols = list(zip(*(_spans(via <= cuts[k]) for via in through)))
-        value, pieces, filled, _ = _band_optimum(band, rows, cols.__getitem__, expired)
+        value, pieces, filled = _band_optimum(band, rows, cols.__getitem__, expired)
         states, spent, rounds = states + filled, spent + filled, rounds + 1
         if value is None:
             return stop("time_limit")

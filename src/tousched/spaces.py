@@ -32,8 +32,7 @@ import numpy as np
 
 from .isg import INF, IntervalStateGraph, build_graph, proc_window, shortest_path
 from .isg import sssp  # noqa: F401  (perfbench's tracer wraps spaces.sssp)
-from .model import (InfeasibleError, InputError, Instance, StatePair, instance_to_dict,
-                    zero_time_closure)
+from .model import InfeasibleError, InputError, Instance, StatePair, instance_to_dict
 
 _UNREACHABLE = np.int64(INF) // 2  # values at or above this mean "no path"
 
@@ -112,79 +111,29 @@ def _sweep_rows(g: IntervalStateGraph, phi: np.ndarray) -> None:
     after interval k - 1 starts there, in proc (in off for k = 2), so that
     class's row is row k - 1 of phi.
 
-    The sweep runs over zero-time classes, not states: a class is a set of
-    states that reach each other by time-0 transitions, so once the
-    closure at an interval is done all of its states hold one row.
-    Positive-time steps between the same two classes with the same time
-    merge into one at the cheapest power, which gives the cheapest weight
-    since costs are non-negative. Each row pulls the class's outgoing
-    steps from the rows of later intervals: the first step writes the row
-    and later ones are min-ed into it, and a step of weight 0 (power 0, or
-    intervals that cost nothing) adds nothing. After the gap that ends at
-    k is set to 0, the zero-time closure runs backward: a class takes the
-    minimum of every class it reaches by time-0 chains, over the
-    transitively closed pairs, so no ordering of the passes matters.
+    The classes and their merged steps are the graph's `class_plan`. Each
+    row pulls the class's outgoing steps from the rows of later intervals
+    (`ClassPlan.pull`). After the gap that ends at k is set to 0, the
+    zero-time closure runs backward: a class takes the minimum of every
+    class it reaches by time-0 chains, over the transitively closed
+    pairs, so no ordering of the passes matters.
 
     Rows are never clamped. A column with no path holds INF plus the
     weight of a path, and no path weighs as much as COST_LIMIT = 2^61
     (`validate_instance` bounds the costs times every power), so each
     value stays below INF + 2^61 < 2^63. Row k - 1 of phi is written
     contiguously and clamped at INF."""
-    inst = g.inst
-    h = inst.horizon
-    names = g.states
-    reach = zero_time_closure(inst)
-
-    # two states share a class exactly when they reach the same states at time 0
-    class_id: dict[frozenset[str], int] = {}
-    class_of = {s: class_id.setdefault(frozenset(reach[s]), len(class_id)) for s in names}
-    cls = [class_of[s] for s in names]
-    off, proc = cls[g.off_index], cls[g.proc_index]
-
-    zero_pairs = sorted({(class_of[s], class_of[sp]) for s in names for sp in reach[s]
-                         if class_of[s] != class_of[sp]})
-    power: dict[tuple[int, int, int], int] = {}
-    for s, sp, t, pw in g.steps:
-        if t >= 1:
-            key = (cls[s], cls[sp], t)
-            power[key] = min(pw, power.get(key, pw))
-    # each class's outgoing steps (time, class reached, weight at k in
-    # place k - 1), shortest first: those that complete by the last
-    # interval are a prefix
-    C = np.asarray(inst.cost_prefix, dtype=np.int64)
-    out: list[list[tuple[int, int, list[int]]]] = [[] for _ in class_id]
-    for (c, cp, t), pw in sorted(power.items(), key=lambda item: item[0][2]):
-        out[c].append((t, cp, ((C[t:] - C[:h + 1 - t]) * pw).tolist()))
-    slots = max(t for _c, _cp, t in power) + 1
-
+    h = g.horizon
+    plan = g.class_plan
+    off, proc = plan.off, plan.proc
     # ring[k % slots][c] holds class c's row at interval k in columns ip >= k;
     # a slot's columns below its interval are never written and stay INF
-    ring = [[np.full(h + 1, INF, dtype=np.int64) for _ in class_id] for _ in range(slots)]
+    ring = plan.ring(h + 1)
     scratch = np.empty(h + 1, dtype=np.int64)
     for k in range(h, 1, -1):
-        cur = [row[k:] for row in ring[k % slots]]
-        tmp = scratch[k:]
-        for row, steps in zip(cur, out):
-            first = True
-            for t, cp, weights in steps:
-                if k + t > h:  # transition would not complete by the last interval
-                    break
-                nxt, w = ring[(k + t) % slots][cp][k:], weights[k - 1]
-                if first:
-                    if w:
-                        np.add(nxt, w, out=row)
-                    else:
-                        row[:] = nxt
-                    first = False
-                elif w:
-                    np.minimum(row, np.add(nxt, w, out=tmp), out=row)
-                else:
-                    np.minimum(row, nxt, out=row)
-            if first:
-                row.fill(INF)
+        cur = plan.pull(ring, k, slice(k, None), h, scratch[k:])
         cur[proc if k < h else off][0] = 0
-        for c, cp in zero_pairs:
-            np.minimum(cur[c], cur[cp], out=cur[c])
+        plan.close(cur)
         np.minimum(cur[off if k == 2 else proc], INF, out=phi[k - 1, k:])
 
 

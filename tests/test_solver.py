@@ -426,8 +426,9 @@ def test_a_deadline_at_any_clock_reading_leaves_a_valid_answer(machine_seed, job
 
 def test_deadline_mid_fill_gives_the_same_answer(monkeypatch):
     # A fake clock that ticks once per reading makes the deadline fall
-    # after a fixed number of checks: before, between and inside layers,
-    # first of the relaxation, then of the fit and the DP.
+    # after a fixed number of checks: before and between the intervals of
+    # the relaxation's sweep (readings 1 to 115), then inside the fit
+    # (116 to 122) and the DP's layers.
     inst = fourteen_jobs_h120()
     tab = make_table(inst)
     no_fit, no_fit_tab = no_fit_member()
@@ -440,14 +441,14 @@ def test_deadline_mid_fill_gives_the_same_answer(monkeypatch):
     ticks = iter(range(10 ** 6))
     monkeypatch.setattr(solver, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
     filled = []
-    for checks in (1, 2, 5, 40):  # inside the relaxation
+    for checks in (1, 2, 5, 70):  # inside the relaxation
         res = solve_exact(inst, tab, time_limit=checks - 0.5)
         assert (res.status, res.stats.stop_reason) == ("timeout", "time_limit")
         assert (res.tec, res.stats.lower_bound) == (expired.tec, expired.stats.lower_bound)
         filled.append(res.stats.states)
     assert filled[0] == 0 and 0 < filled[-1] < relaxed_cells(inst, tab) < full.stats.states
     assert filled == sorted(filled)
-    res = solve_exact(inst, tab, time_limit=70 - 0.5)  # inside the fit
+    res = solve_exact(inst, tab, time_limit=122 - 0.5)  # inside the fit
     assert (res.status, res.stats.stop_reason) == ("timeout", "time_limit")
     assert (res.tec, res.stats.lower_bound) == (expired.tec, full.tec)
     res = solve_exact(inst, tab, time_limit=200 - 0.5)  # past the fit
@@ -456,26 +457,26 @@ def test_deadline_mid_fill_gives_the_same_answer(monkeypatch):
     # limit: the solve stops there, with the relaxed bound.
     with monkeypatch.context() as m:
         m.setattr(solver, "_DP_CELL_LIMIT", 1000)
-        res = solve_exact(inst, tab, time_limit=70 - 0.5)
+        res = solve_exact(inst, tab, time_limit=122 - 0.5)
     assert (res.status, res.stats.stop_reason) == ("timeout", "time_limit")
     assert (res.tec, res.stats.lower_bound) == (expired.tec, full.tec)
     assert res.stats.states == relaxed_cells(inst, tab)
     # After a relaxation without a fit: one check after the fit, the
-    # relaxation of the reversed instance (readings 214 to 406), then the
-    # first elimination round (readings 407 to 521). A deadline at either
+    # relaxation of the reversed instance (readings 146 to 270), then the
+    # first elimination round (readings 271 to 385). A deadline at either
     # of the first two has filled nothing more; one inside the reversed
     # relaxation keeps the relaxed bound.
-    for checks in (213, 214):
+    for checks in (145, 146):
         res = solve_exact(no_fit, no_fit_tab, time_limit=checks - 0.5)
         assert (res.status, res.stats.stop_reason, res.stats.rounds) == ("timeout", "time_limit", 0)
         assert (res.tec, res.stats.lower_bound) == (no_fit_expired.tec, NO_FIT_RELAXED)
         assert res.stats.states == relaxed_cells(no_fit, no_fit_tab)
-    res = solve_exact(no_fit, no_fit_tab, time_limit=300 - 0.5)
+    res = solve_exact(no_fit, no_fit_tab, time_limit=210 - 0.5)
     assert (res.status, res.stats.stop_reason, res.stats.rounds) == ("timeout", "time_limit", 0)
     assert (res.tec, res.stats.lower_bound) == (no_fit_expired.tec, NO_FIT_RELAXED)
     assert 1 < res.stats.states / relaxed_cells(no_fit, no_fit_tab) < 2
     filled = []
-    for checks in (430, 470, 510):  # inside the first round
+    for checks in (294, 334, 374):  # inside the first round
         res = solve_exact(no_fit, no_fit_tab, time_limit=checks - 0.5)
         assert (res.status, res.stats.stop_reason) == ("timeout", "time_limit")
         assert (res.tec, res.stats.lower_bound) == (no_fit_expired.tec, NO_FIT_RELAXED)
@@ -489,12 +490,12 @@ def test_deadline_mid_fill_gives_the_same_answer(monkeypatch):
 def test_deadline_in_the_second_round_keeps_the_raised_bound(monkeypatch):
     # The first round, at the relaxed value 3022, keeps no schedule below
     # the next cut, 3026: that is the bound from then on, and its best
-    # schedule (3034) an incumbent. The second round starts at reading 522.
+    # schedule (3034) an incumbent. The second round starts at reading 386.
     inst, tab = no_fit_member()
     expired = solve_exact(inst, tab, time_limit=0.0)
     ticks = iter(range(10 ** 6))
     monkeypatch.setattr(solver, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
-    res = solve_exact(inst, tab, time_limit=600 - 0.5)
+    res = solve_exact(inst, tab, time_limit=464 - 0.5)
     assert (res.status, res.stats.stop_reason, res.stats.rounds) == ("timeout", "time_limit", 2)
     assert res.stats.lower_bound == NO_FIT_OPTIMUM > NO_FIT_RELAXED
     assert res.tec == min(expired.tec, 3034)
@@ -714,7 +715,7 @@ def test_the_reversed_relaxation_gives_the_cheapest_costs_from_the_root(monkeypa
     # A block start at (W, d) is a block end just before (sum(p) - W,
     # R - 1 - d) of the reversed band and the other way round, so H and F
     # of the reversed relaxation are A and B mirrored; at W = sum(p), A is
-    # the root gap, which the reversed band has no layer for.
+    # the root gap, the reversed band's trailing gap.
     monkeypatch.setattr(solver, "_DP_ALONE_CELLS", 0)
     rng = random.Random(29)
     checked = 0
@@ -724,28 +725,116 @@ def test_the_reversed_relaxation_gives_the_cheapest_costs_from_the_root(monkeypa
             tab = make_table(inst)
         except InfeasibleError:
             continue
-        kept = []
+        swept = []
 
-        def record(band, rows, cols, expired, keep=False):
-            out = real_fill(band, rows, cols, expired, keep)
-            if keep:
-                kept.append((band, out[4]))
+        def record(band, expired):
+            out = real_relaxation(band, expired)
+            swept.append((band, out))
             return out
 
-        real_fill = solver._fill
+        real_relaxation = solver._relaxation
         with mock.patch.object(solver, "_fit", lambda *args: None), \
-                mock.patch.object(solver, "_fill", record):
+                mock.patch.object(solver, "_relaxation", record):
             solve_exact(inst, tab, time_limit=1e6)
-        if len(kept) < 2:
+        if len(swept) < 2:
             continue  # no relaxed schedule, so no rounds
-        (band, _), (mirrored, mirror) = kept
+        (band, _), (mirrored, (F_rev, H_rev, _)) = swept
         assert (mirrored.R, mirrored.t_end - mirrored.t_on) == (band.R, band.t_end - band.t_on)
         A, B = relaxed_costs_from_the_root(band)
         top = band.t_end - band.t_on
-        assert np.array_equal(mirror[1, top - 1:0:-1, ::-1], A[1:top])
-        assert np.array_equal(mirror[0, top - 1::-1, ::-1], B[1:])
+        assert np.array_equal(H_rev[top - 1:0:-1, ::-1], A[1:top])
+        assert np.array_equal(F_rev[top - 1::-1, ::-1], B[1:])
         checked += 1
     assert checked >= 40
+
+
+def relaxed_costs_to_the_horizon(band):
+    """F[W][d] and H[W][d] of the relaxation, one cell at a time over W
+    ascending, with every gap priced by phi: the cheapest relaxed cost
+    from a block that starts at offset d with W work left to the horizon,
+    and from a block that ends just before it (H[0] is the trailing gap)."""
+    phi, runs, R, huge = band.phi.tolist(), band.runs.tolist(), band.R, solver._HUGE
+    top = band.t_end - band.t_on
+    h = len(phi) - 1
+    F = [[huge] * R for _ in range(top + 1)]
+    H = [[huge] * R for _ in range(top + 1)]
+    H[0] = [phi[band.t_end - 1 + d][h] for d in range(R)]
+    for W in range(1, top + 1):
+        s0 = band.t_end - W  # the block starts at interval s0 + d
+        F[W] = [min([huge] + [runs[j][s0 + d] + H[W - p][d]
+                              for j, p in enumerate(band.ps.tolist()) if p <= W])
+                for d in range(R)]
+        if W < top:  # merge, or a gap to a later start
+            H[W] = [min([F[W][d]] + [phi[s0 - 1 + d][s0 + e] + F[W][e] for e in range(d + 1, R)])
+                    for d in range(R)]
+    return np.minimum(F, huge), np.minimum(H, huge)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(machine_seed=st.integers(0, 2 ** 32 - 1),
+       jobs=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+       off_power=st.integers(0, 2),
+       one_way=st.sampled_from([None, "into proc", "out of proc"]),
+       data=st.data())
+def test_the_relaxation_sweep_gives_the_cheapest_costs_to_the_horizon(
+        machine_seed, jobs, off_power, one_way, data):
+    # The sweep over the machine's zero-time classes fills the relaxation's
+    # F and H as the recurrence over phi does, cell by cell, and the walk
+    # over them gives the relaxed band optimum's value and pieces. The
+    # machine's off state may draw power, and a standby state may reach
+    # proc at time 0 one way only, a time-0 pair between two classes.
+    states, trans = random_machine(random.Random(machine_seed), max_extra=3)
+    entries = dict(trans.entries)
+    entries[("off", "off")] = (1, off_power)
+    if one_way is not None and "sb1" in states.states:
+        power = data.draw(st.integers(0, 4))
+        into, out = ((0, 0), (1, power)) if one_way == "into proc" else ((1, power), (0, 0))
+        entries[("sb1", "proc")], entries[("proc", "sb1")] = into, out
+    h = data.draw(st.integers(min(24, sum(jobs) + 2), 24))
+    costs = data.draw(st.lists(st.integers(0, 6), min_size=h, max_size=h))
+    inst = Instance(h, tuple(costs), tuple(jobs), states, TransitionSpec(entries))
+    try:
+        tab = make_table(inst)
+    except InfeasibleError:
+        return
+    t_on, t_off = tab.window
+    if t_off - t_on + 1 < sum(jobs):
+        return  # no band
+    band = band_of(inst, tab)
+    F, H, states_filled = solver._relaxation(band, lambda: False)
+    want_F, want_H = relaxed_costs_to_the_horizon(band)
+    assert np.array_equal(F, want_F) and np.array_equal(H, want_H)
+    top = band.t_end - band.t_on
+    assert states_filled == (2 * top - 1) * band.R
+    ps, counts = np.unique(jobs, return_counts=True)
+    rows = solver._rows(ps, counts, np.zeros(len(ps), dtype=bool))
+    value, pieces, _ = solver._band_optimum(band, rows, lambda W: (slice(0, band.R),) * 2,
+                                            lambda: False)
+    assert solver._relaxed_optimum(band, F, H) == (value, pieces)
+
+
+# nosby/120/12001 at 2.2 (h=800), proved by the fit, as the solver first
+# answered it; its long band diagonals are the relaxation sweep's longest
+# in tier-1.
+PAPER_SCALE_SIGMA = [
+    84, 76, 88, 69, 66, 118, 94, 245, 123, 80, 225, 100, 268, 257, 315, 320, 323, 327, 72,
+    104, 342, 74, 391, 451, 248, 263, 107, 348, 363, 358, 111, 524, 304, 372, 552, 444,
+    309, 537, 555, 335, 584, 594, 550, 618, 675, 352, 115, 379, 384, 403, 128, 683, 222,
+    431, 250, 397, 686, 253, 694, 531, 605, 439, 697, 265, 298, 446, 526, 673, 717, 735,
+    729, 737, 301, 539, 761, 544, 558, 567, 763, 345, 360, 578, 765, 563, 573, 779, 369,
+    587, 767, 769, 596, 394, 782, 789, 771, 408, 773, 776, 791, 412, 621, 653, 688, 658,
+    795, 667, 677, 699, 436, 704, 784, 601, 786, 709, 792, 664, 725, 731, 720, 739
+]
+
+
+def test_a_paper_scale_member_solves_as_pinned():
+    inst = generate_family(120, preset_nosby(), 12001)[3]
+    res = solve_exact(inst, make_table(inst))
+    s = res.stats
+    assert (res.status, s.certifier, s.rounds) == ("optimal", "fit", 0)
+    assert (res.tec, s.lower_bound, s.states) == (9800, 9800, 313_782)
+    assert list(res.schedule.sigma) == PAPER_SCALE_SIGMA
+    assert validate_schedule(inst, res.schedule) == []
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -792,6 +881,17 @@ def test_pruning_flags_on_used_gaps_are_not_read(worked):
     res = solve_exact(worked, tab)
     assert (res.status, res.tec, res.stats.lower_bound) == ("optimal", WORKED_TEC, WORKED_TEC)
     assert res.schedule.sigma == WORKED_SIGMA
+
+
+def test_a_relaxed_gap_that_phi_prices_off_its_machine_is_an_input_error(worked, monkeypatch):
+    # The relaxation sweeps the machine itself and reads phi only to walk
+    # its gaps, so a table edited by hand on a gap of the relaxed optimum
+    # is refused there, as the assembly refuses one on a gap of an answer.
+    tab = make_table(worked)
+    tab.phi_matrix[4, 10] += 1  # the optimum's interior gap
+    monkeypatch.setattr(solver, "_DP_ALONE_CELLS", 0)
+    with pytest.raises(InputError, match="after interval 4 costs 49 in phi.*does not match"):
+        solve_exact(worked, tab)
 
 
 def test_flagged_root_gaps_still_solve(worked):
