@@ -31,9 +31,10 @@ inst = generate_instance(6, preset_nosby(), "1.6", seed=5)
 table = apply_pruning(compute_spaces(inst, build_graph(inst)), inst)
 
 artifact = emit_ilp_spaces(inst, table)
-# the columns: one x per job and admissible start, one y per gap
-n_columns = sum(hi - lo + 1 for _j, lo, hi in artifact.x) + len(artifact.y[0])
-print(f"model: {n_columns} binary variables, "
+# the columns: one x per job and admissible start, one y per gap; both
+# are stored as rows [j or i, first, last] of consecutive starts or ends
+n_columns = sum(hi - lo + 1 for _a, lo, hi in artifact.x + artifact.gaps)
+print(f"model: {n_columns} binary variables ({len(artifact.gaps)} runs of gaps), "
       f"constant term {artifact.constant_term}")
 print("first lines:")
 for line in artifact.lp_text.splitlines()[:4]:

@@ -225,12 +225,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("emit-lp", help="write the integer program")
     p.add_argument("--instance", required=True)
     p.add_argument("--phi", default=None)
-    p.add_argument("--out", required=True, help="LP file; sidecar gains .varmap.json")
+    p.add_argument("--out", required=True,
+                   help="LP file; its sidecar, the path plus .varmap.json, holds the columns "
+                        "as JSON: x [j, first start, last start] per job, gaps [i, first ip, "
+                        "last ip] per run of consecutive gap ends, and constant_term")
     p.set_defaults(func=cmd_emit_lp)
 
     p = sub.add_parser("import-solution", help="turn a solver dump into a schedule")
     p.add_argument("--instance", required=True)
-    p.add_argument("--model-map", required=True, help="the .varmap.json sidecar")
+    p.add_argument("--model-map", required=True,
+                   help="the .varmap.json sidecar emit-lp wrote: x [j, first start, last "
+                        "start] rows, gaps [i, first ip, last ip] runs and constant_term; "
+                        "one in an older format exits 2")
     p.add_argument("--solution", required=True, help="name value lines")
     p.add_argument("--phi", default=None)
     p.add_argument("--out", default=None)

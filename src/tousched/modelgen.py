@@ -18,7 +18,9 @@ bound are those of the covering rows.
 The two boundary off intervals contribute a constant that is deliberately
 kept out of the LP text and reported in the sidecar instead, so any
 LP-format reader consumes the file unchanged. The sidecar stores the
-columns as arrays; the import looks up only the names the assignment sets.
+columns as runs [a, first, last] of consecutive second indices: x per job,
+and the gaps of one start i whose ends follow each other. The import
+looks up only the names the assignment sets.
 """
 
 from __future__ import annotations
@@ -44,18 +46,20 @@ _COLUMN = re.compile(r"([xy])_(0|-?[1-9]\d*)_(0|-?[1-9]\d*)", re.ASCII)  # as f"
 @dataclass
 class IlpModelArtifact:
     """The LP text, the objective constant and the columns in order: in x
-    [j, first start, last start] per job, in y the gaps' i and ip lists."""
+    [j, first start, last start] per job, in gaps [i, first ip, last ip]
+    per run of consecutive gap ends, a start holding one run or more."""
     lp_text: str
     constant_term: int
     x: list[list[int]]
-    y: list[list[int]]
+    gaps: list[list[int]]
 
     @property
     def varmap(self) -> dict[str, dict]:
         """Every column name, in column order, with its kind and indices."""
         out = {f"x_{j}_{i}": {"kind": "x", "j": j, "i": i}
                for j, lo, hi in self.x for i in range(lo, hi + 1)}
-        out.update((f"y_{i}_{ip}", {"kind": "y", "i": i, "ip": ip}) for i, ip in zip(*self.y))
+        out.update((f"y_{i}_{ip}", {"kind": "y", "i": i, "ip": ip})
+                   for i, lo, hi in self.gaps for ip in range(lo, hi + 1))
         return out
 
 
@@ -146,8 +150,16 @@ def emit_ilp_spaces(inst: Instance, table: SpacesTable) -> IlpModelArtifact:
     firsts.append(gi + 1)
     ends.append(gip)
     costs += phi[gi, gip].tolist()
-    ys = [gi.tolist(), gip.tolist()]
-    names += [f"y_{num[i]}_{num[ip]}" for i, ip in zip(*ys)]
+    # the gaps as runs of consecutive ends: a run starts at the first gap
+    # and wherever the start changes or the end jumps
+    opens = np.ones(gi.size, dtype=bool)
+    opens[1:] = (gi[1:] != gi[:-1]) | (gip[1:] != gip[:-1] + 1)
+    head = np.flatnonzero(opens)
+    first_ip = gip[head]
+    gaps = np.stack((gi[head], first_ip, first_ip + np.diff(head, append=gi.size) - 1),
+                    axis=1).tolist()
+    for i, lo, hi in gaps:
+        names += map(f"y_{i}_".__add__, num[lo:hi + 1])
 
     # the window and the gap bodies keep every column inside 2..h-1, so
     # interval k is open to the columns with first <= k < end
@@ -160,7 +172,7 @@ def emit_ilp_spaces(inst: Instance, table: SpacesTable) -> IlpModelArtifact:
     obj = _wrap_terms(" obj: ", [f" + {c} {name}" for c, name in zip(costs, names)], "")
     lines = ["Minimize", obj, "Subject To", *assign, *_flow_rows(h, names, first, end),
              "Binary", " " + "\n ".join(names), "End"]
-    return IlpModelArtifact("\n".join([*lines, ""]), _boundary_constant(inst), xs, ys)
+    return IlpModelArtifact("\n".join([*lines, ""]), _boundary_constant(inst), xs, gaps)
 
 
 def write_artifact(artifact: IlpModelArtifact, lp_path) -> tuple[str, str]:
@@ -172,31 +184,35 @@ def write_artifact(artifact: IlpModelArtifact, lp_path) -> tuple[str, str]:
         fh.write(artifact.lp_text)
     with open(map_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"constant_term": artifact.constant_term,
-                             "x": artifact.x, "y": artifact.y}) + "\n")
+                             "x": artifact.x, "gaps": artifact.gaps}) + "\n")
     return lp_path, map_path
+
+
+def _runs_ok(rows) -> bool:
+    """rows is a list of [a, first, last] rows of integers (a bool is not one)."""
+    return type(rows) is list and all(
+        type(row) is list and len(row) == 3 and set(map(type, row)) <= {int} for row in rows)
 
 
 def load_varmap(map_path) -> IlpModelArtifact:
     """Read a sidecar written by write_artifact: constant_term, in x one
-    [j, first start, last start] row per job and in y the gaps' i and ip as
-    two lists of equal length, all integers (a bool is not one)."""
+    [j, first start, last start] row per job and in gaps [i, first ip,
+    last ip] runs, all integers (a bool is not one)."""
     doc = read_json(map_path)
-    if "variables" in doc:
-        raise InputError(f"{map_path}: a variable map in the old format, one object per "
-                         "variable; re-run emit-lp to write the current one")
+    if "variables" in doc or "y" in doc:
+        old = "one object per variable" if "variables" in doc else "gaps as two lists under y"
+        raise InputError(f"{map_path}: a variable map in the old format, {old}; re-run "
+                         "emit-lp to write the current one")
     try:
-        x, y = doc["x"], doc["y"]
+        x, gaps = doc["x"], doc["gaps"]
         constant = _integer(doc["constant_term"], "constant_term")
-        rows_ok = type(x) is list and all(
-            type(row) is list and len(row) == 3 and set(map(type, row)) <= {int} for row in x)
-        if not rows_ok or len({row[0] for row in x}) < len(x):
+        if not _runs_ok(x) or len({row[0] for row in x}) < len(x):
             raise TypeError("x must hold one [j, first start, last start] integer row per job")
-        if type(y) is not list or list(map(type, y)) != [list, list] \
-                or len(y[0]) != len(y[1]) or not set(map(type, y[0] + y[1])) <= {int}:
-            raise TypeError("y must be two integer lists of equal length, i and ip")
+        if not _runs_ok(gaps):
+            raise TypeError("gaps must hold [i, first ip, last ip] integer runs")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{map_path}: malformed variable map: {exc}") from exc
-    return IlpModelArtifact("", constant, x, y)
+    return IlpModelArtifact("", constant, x, gaps)
 
 
 def parse_solution_text(text: str) -> dict[str, float]:
@@ -226,35 +242,21 @@ def import_solution(inst: Instance, table: SpacesTable, artifact: IlpModelArtifa
     tol = 1e-6
 
     # the assignment's non-zero columns, checked below in column order; other
-    # names are ignored: a column is x_j_i, i in j's start range, or a stored y_i_ip
-    x_rows = {j: (k, lo, hi) for k, (j, lo, hi) in enumerate(artifact.x)}
-    # a stored pair's key is i * (h + 2) + ip, or -1 outside 0..h + 1; the
-    # keys sorted stably, so a pair stored twice is found at its later column
-    h2 = inst.horizon + 2
-    try:
-        y_i, y_ip = (np.fromiter(v, np.int64, len(v)) for v in artifact.y)
-    except OverflowError:  # a hand-edited sidecar's ints past int64
-        y_i, y_ip = (np.array(v, dtype=object) for v in artifact.y)
-    inside = (y_i >= 0) & (y_i < h2) & (y_ip >= 0) & (y_ip < h2)
-    keys = np.where(inside, y_i * h2 + y_ip, -1).astype(np.int64)
-    by_key = np.argsort(keys, kind="stable")
-    keys = keys[by_key]
-
-    def y_col(a: int, b: int) -> int | None:
-        if 0 <= a < h2 and 0 <= b < h2:
-            at = int(np.searchsorted(keys, a * h2 + b, side="right")) - 1
-            found = by_key[at:at + 1] if at >= 0 and keys[at] == a * h2 + b else []
-        else:  # a pair outside the keys, matched one by one
-            found = np.flatnonzero((y_i == a) & (y_ip == b))
-        return len(artifact.x) + int(found[-1]) if len(found) else None
+    # names are ignored. A column is x_j_i with i in job j's row or y_i_ip
+    # with ip in one of i's runs. Rows are numbered x first, then the runs,
+    # and a name is found in the last row that holds it, so a pair listed
+    # twice is found at its later column
+    rows: dict[tuple[str, int], list[tuple[int, int, int]]] = {}
+    for k, (a, lo, hi) in enumerate(artifact.x + artifact.gaps):
+        rows.setdefault(("x" if k < len(artifact.x) else "y", a), []).append((k, lo, hi))
 
     hits = []
     for name, val in assignment.items():
         if abs(val) <= tol or not (m := _COLUMN.fullmatch(name)):
             continue
         kind, a, b = m[1], int(m[2]), int(m[3])
-        k, lo, hi = x_rows.get(a, (None, 0, 0)) if kind == "x" else (y_col(a, b), b, b)
-        if k is not None and lo <= b <= hi:
+        k = next((k for k, lo, hi in reversed(rows.get((kind, a), ())) if lo <= b <= hi), None)
+        if k is not None:
             hits.append(((k, b), name, val, kind, a, b))
 
     starts, gaps, objective = {}, [], 0

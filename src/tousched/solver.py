@@ -399,20 +399,25 @@ def _relaxed_optimum(band: _Band, F: np.ndarray, H: np.ndarray):
     d = int(root.argmin())
     value = int(root[d])
     pieces: list[tuple[int, int]] = []
+    Hd = None  # H and F at offset d and W or less, as lists, read again after each gap
     while W and value < _HUGE:
+        if Hd is None:
+            Hd, Fd = H[:W + 1, d].tolist(), F[:W + 1, d].tolist()
         k = t_end - W + d  # the block starts at interval k
-        j = min((int(band.runs[j, k] + H[W - p, d]), j) for j, p in enumerate(ps) if p <= W)[1]
+        run = band.runs[:, k].tolist()
+        cost = [run[j] + Hd[W - p] for j, p in enumerate(ps) if p <= W]
+        j = cost.index(min(cost))
         pieces.append((k, ps[j]))
         W -= ps[j]
-        if W and H[W, d] < F[W, d]:
+        if W and Hd[W] < Fd[W]:
             i = k + ps[j] - 1  # the gap starts after interval i
             ends = phi[i, t_end - W:t_end - W + R] + F[W]
             e = int(ends.argmin())
-            if ends[e] != H[W, d]:
+            if ends[e] != Hd[W]:
                 raise InputError(f"the gap after interval {i} costs {int(ends[e] - F[W, e])} in "
                                  f"phi, not its cheapest switching cost: the table does not "
                                  f"match its instance")
-            d = e
+            d, Hd = e, None
     return value, pieces
 
 

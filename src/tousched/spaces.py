@@ -71,6 +71,13 @@ class SpacesTable:
         processing and counts as 0. A gap is flagged when the longest job
         fits on neither side, or when the two sides together cannot hold
         the total processing time.
+
+        Below column h, right falls as ip grows, so each test flags a
+        suffix of every row: PC2 from t_off + 2 - sum(p) + left on, PC1
+        (when the longest job does not fit left) from t_off + 2 - max(p)
+        on, and the row is one comparison against the nearer cut, kept
+        past the diagonal. In column h, right is 0 and both tests reduce
+        to left < sum(p).
         """
         h = self.horizon
         t_on, t_off = self.window
@@ -80,13 +87,11 @@ class SpacesTable:
         idx = np.arange(h + 1, dtype=np.int64)
         left = idx - t_on + 1
         left[1] = 0
-        right = t_off - idx + 1
-        right[h] = 0
-
-        mask = right[None, :] < (sum_p - left)[:, None]  # PC2
-        mask |= (max_p > left)[:, None] & (max_p > right)[None, :]  # PC1
-        mask &= idx[None, :] > idx[:, None]
-        mask[0] = False
+        pc1 = np.where(max_p > left, t_off + 2 - max_p, h + 1)
+        cut = np.maximum(np.minimum(t_off + 2 - sum_p + left, pc1), idx + 1)
+        cut[0] = h + 1
+        mask = idx[None, :] >= cut[:, None]
+        mask[:, h] = (left < sum_p) & (idx >= 1) & (idx < h)
         return mask
 
     def phi(self, i: int, ip: int) -> int | None:

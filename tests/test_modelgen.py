@@ -349,7 +349,7 @@ def import_by_walking_the_varmap(inst, table, varmap, constant_term, assignment)
 def varmap_by_last_occurrence(art):
     """art.varmap, with a y pair listed twice at its later column, the one
     the import takes it for."""
-    ys = list(zip(*art.y))
+    ys = [(i, ip) for i, lo, hi in art.gaps for ip in range(lo, hi + 1)]
     last = {pair: k for k, pair in enumerate(ys)}
     out = {name: meta for name, meta in art.varmap.items() if meta["kind"] == "x"}
     out.update((f"y_{i}_{ip}", {"kind": "y", "i": i, "ip": ip})
@@ -372,6 +372,12 @@ def out_of_range_pairs(h):
     return [(-3, 4), (2, h + 3), (2 ** 70, 1)]
 
 
+def out_of_range_runs(h):
+    """Gap runs no model has: the out-of-range pairs one run each, a run
+    from h on past h + 1, and an empty run, last ip before first."""
+    return [[a, b, b] for a, b in out_of_range_pairs(h)] + [[2, h, h + 4], [1, h, 3]]
+
+
 # exact and noisy 0s and 1s, a fraction, NaN and a value past 1
 _VALUES = st.sampled_from([0, 1, 1 + 3e-7, 1 - 3e-7, 1e-9, -1e-9, 0.5, float("nan"), 2])
 
@@ -384,7 +390,7 @@ def test_import_matches_the_varmap_walk(tmp_path_factory, seed, nosby, data):
     # assignment: an optimum's columns with up to three edits, each a
     # model column set to a value, an assigned column dropped, or a name
     # outside the model set to a value. The sidecar is as written, or its
-    # y pairs shuffled, or one of them listed again further on, or pairs
+    # gap runs shuffled, or part of one listed again further on, or runs
     # outside the horizon added; the oracle then walks the edited columns,
     # a pair listed twice at its later one.
     rng = random.Random(seed)
@@ -396,7 +402,7 @@ def test_import_matches_the_varmap_walk(tmp_path_factory, seed, nosby, data):
     _lp, map_path = write_artifact(art, tmp_path_factory.mktemp("lp") / "model.lp")
 
     columns = list(art.varmap)
-    pairs = set(zip(*art.y))
+    pairs = {(m["i"], m["ip"]) for m in art.varmap.values() if m["kind"] == "y"}
     j, lo, hi = art.x[rng.randrange(len(art.x))]
     i = rng.randint(1, inst.horizon - 2)
     outside = ["x_0_3", "x_01_5", f"x_{j}_{lo - 1}", f"x_{j}_{hi + 1}", f"x_{j}_0{lo}",
@@ -413,18 +419,19 @@ def test_import_matches_the_varmap_walk(tmp_path_factory, seed, nosby, data):
         elif kind == "outside":
             assignment[data.draw(st.sampled_from(outside))] = data.draw(_VALUES)
     assignment = dict(data.draw(st.permutations(list(assignment.items()))))
-    sidecar = data.draw(st.sampled_from(["as written", "y shuffled", "a y pair twice",
-                                         "y out of range"]))
+    sidecar = data.draw(st.sampled_from(["as written", "runs shuffled", "part of a run twice",
+                                         "runs out of range"]))
     doc = json.loads(Path(map_path).read_text())
-    ys = list(zip(*doc["y"]))
-    if sidecar == "y shuffled":
-        rng.shuffle(ys)
-    elif sidecar == "a y pair twice" and ys:
-        k = rng.randrange(len(ys))
-        ys.insert(rng.randint(k + 1, len(ys)), ys[k])
-    elif sidecar == "y out of range":
-        ys += out_of_range_pairs(inst.horizon)
-    doc["y"] = [[i for i, _ip in ys], [ip for _i, ip in ys]]
+    runs = doc["gaps"]
+    if sidecar == "runs shuffled":
+        rng.shuffle(runs)
+    elif sidecar == "part of a run twice" and runs:
+        k = rng.randrange(len(runs))
+        i, lo, hi = runs[k]
+        lo = rng.randint(lo, hi)
+        runs.insert(rng.randint(k + 1, len(runs)), [i, lo, rng.randint(lo, hi)])
+    elif sidecar == "runs out of range":
+        runs += out_of_range_runs(inst.horizon)
     Path(map_path).write_text(json.dumps(doc))
     loaded = load_varmap(map_path)
     varmap = varmap_by_last_occurrence(loaded)
@@ -446,12 +453,12 @@ def test_import_takes_a_pair_listed_twice_at_its_later_column(tmp_path, worked):
     art = emit_ilp_spaces(worked, make_table(worked))
     _lp, map_path = write_artifact(art, tmp_path / "model.lp")
     doc = json.loads(Path(map_path).read_text())
-    (a, c), (b, d) = doc["y"][0][:2], doc["y"][1][:2]  # the first two pairs, (a, b) and (c, d)
+    a, b, _last = doc["gaps"][0]
+    c, d = a, b + 1  # the first two pairs, (a, b) and (c, d), in the first run
     assignment = {f"y_{a}_{b}": 0.5, f"y_{c}_{d}": 0.5}
     with pytest.raises(InputError, match=f"non-integral assignment: y_{a}_{b} = 0.5"):
         import_solution(worked, make_table(worked), load_varmap(map_path), assignment)
-    doc["y"][0].append(a)
-    doc["y"][1].append(b)
+    doc["gaps"].append([a, b, b])
     Path(map_path).write_text(json.dumps(doc))
     with pytest.raises(InputError, match=f"non-integral assignment: y_{c}_{d} = 0.5"):
         import_solution(worked, make_table(worked), load_varmap(map_path), assignment)
@@ -464,15 +471,53 @@ def test_write_artifact_and_load_varmap(tmp_path, worked):
     assert lp_path.endswith("model.lp")
     assert map_path.endswith("model.lp.varmap.json")
     doc = json.loads(Path(map_path).read_text())
-    assert set(doc) == {"constant_term", "x", "y"}
+    assert set(doc) == {"constant_term", "x", "gaps"}
     assert doc["x"] == [[1, 4, 13], [2, 4, 14], [3, 4, 13]]  # [j, first start, last start]
-    assert len(doc["y"]) == 2 and len(doc["y"][0]) == len(doc["y"][1]) == 71
+    # [i, first ip, last ip]: 71 gaps in 14 runs, one per start
+    assert doc["gaps"][:3] == [[1, 4, 10], [2, 4, 9], [3, 5, 10]]
+    assert len(doc["gaps"]) == 14 and sum(hi - lo + 1 for _i, lo, hi in doc["gaps"]) == 71
     back = load_varmap(map_path)
     assert back.varmap == art.varmap
-    assert (back.x, back.y) == (art.x, art.y)
+    assert (back.x, back.gaps) == (art.x, art.gaps)
     assert back.constant_term == art.constant_term
     with pytest.raises(TypeError):  # the sidecar path is not settable
         write_artifact(art, tmp_path / "other.lp", map_path=tmp_path / "elsewhere.json")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), nosby=st.booleans())
+def test_the_sidecar_gives_back_every_column(tmp_path_factory, seed, nosby):
+    # emit, write and load give the varmap back; each column set alone is
+    # found as that column, the fraction naming it, and a name in no row
+    # or run is ignored, so that no job is assigned. About half the
+    # random_instance models have a start whose gaps form two runs.
+    rng = random.Random(seed)
+    inst = nosby_instance(rng, n_max=5, h_max=30) if nosby else \
+        random_instance(rng, n_max=5, h_max=30)
+    table = make_table(inst)
+    try:
+        art = emit_ilp_spaces(inst, table)
+    except InfeasibleError:
+        assume(False)
+    _lp, map_path = write_artifact(art, tmp_path_factory.mktemp("lp") / "model.lp")
+    loaded = load_varmap(map_path)
+    varmap = art.varmap
+    assert json.dumps(loaded.varmap) == json.dumps(varmap)
+    found = []
+    for name in varmap:
+        try:
+            import_solution(inst, table, loaded, {name: 0.5})
+        except InputError as exc:
+            found.append(str(exc))
+    assert found == [f"non-integral assignment: {name} = 0.5" for name in varmap]
+    h = inst.horizon
+    outside = {f"{kind}_{a}_{b}": 0.5 for kind in "xy" for a in range(-1, h + 3)
+               for b in range(-1, h + 3)}
+    outside = {name: v for name, v in outside.items() if name not in varmap}
+    outside[f"y_{2 ** 70}_{h}"] = 0.5
+    unassigned = re.escape(f"jobs {list(range(1, inst.n_jobs + 1))} unassigned")
+    with pytest.raises(InfeasibleError, match=unassigned):
+        import_solution(inst, table, loaded, outside)
 
 
 def test_load_varmap_rejects_junk(tmp_path):
@@ -483,14 +528,14 @@ def test_load_varmap_rejects_junk(tmp_path):
     for path, reason in write_each_non_object(tmp_path):
         with pytest.raises(InputError, match=re.escape(f"{path}: {reason}")):
             load_varmap(path)
-    good = {"constant_term": 0, "x": [[1, 4, 13], [2, 4, 14]], "y": [[1, 4], [4, 10]]}
+    good = {"constant_term": 0, "x": [[1, 4, 13], [2, 4, 14]], "gaps": [[1, 4, 4], [4, 10, 10]]}
     bad.write_text(json.dumps(good))
     assert load_varmap(bad).varmap == {
         **{f"x_1_{i}": {"kind": "x", "j": 1, "i": i} for i in range(4, 14)},
         **{f"x_2_{i}": {"kind": "x", "j": 2, "i": i} for i in range(4, 15)},
         "y_1_4": {"kind": "y", "i": 1, "ip": 4}, "y_4_10": {"kind": "y", "i": 4, "ip": 10}}
     x_rows = "x must hold one [j, first start, last start] integer row per job"
-    y_lists = "y must be two integer lists of equal length, i and ip"
+    gap_runs = "gaps must hold [i, first ip, last ip] integer runs"
     for edit, reason in [
             # an object of rows by job would convert to a list; x must be one
             ({"x": {"1": [4, 13], "2": [4, 14]}}, x_rows),
@@ -501,14 +546,14 @@ def test_load_varmap_rejects_junk(tmp_path):
             ({"x": [[1, 4, 13, 1], [2, 4, 14]]}, x_rows),
             ({"x": [7, [2, 4, 14]]}, x_rows),
             ({"x": [[1, 4, 13], [1, 5, 14]]}, x_rows),  # job 1 twice
-            ({"y": {"i": [1, 4], "ip": [4, 10]}}, y_lists),
-            ({"y": [[1, 4], [4, True]]}, y_lists),
-            ({"y": [["1", 4], [4, 10]]}, y_lists),
-            ({"y": [[1, 4], [4, 10], [2, 3]]}, y_lists),
-            ({"y": [[1, 4], [4]]}, y_lists),
-            ({"y": [[1, 4], 4]}, y_lists),
-            ({"y": [[1, 4]]}, y_lists),
-            ({"y": [[1, 4.0], [4, 10]]}, y_lists),
+            ({"gaps": {"1": [4, 4], "4": [10, 10]}}, gap_runs),
+            ({"gaps": [[1, 4, 4], [4, 10, True]]}, gap_runs),
+            ({"gaps": [["1", 4, 4], [4, 10, 10]]}, gap_runs),
+            ({"gaps": [[1, 4, 4], [4, 10, 10, 11]]}, gap_runs),
+            ({"gaps": [[1, 4, 4], [4, 10]]}, gap_runs),
+            ({"gaps": [[1, 4, 4], 4]}, gap_runs),
+            ({"gaps": [[1, 4, 4], [[4], 10, 10]]}, gap_runs),
+            ({"gaps": [[1, 4.0, 4], [4, 10, 10]]}, gap_runs),
             ({"constant_term": 3.5}, "constant_term must be an integer"),
             ({"constant_term": False}, "constant_term must be an integer")]:
         bad.write_text(json.dumps({**good, **edit}))
@@ -526,6 +571,11 @@ def test_load_varmap_rejects_junk(tmp_path):
             as err:
         load_varmap(bad)
     assert "re-run emit-lp" in str(err.value)
+    # so is one that lists the gaps as two lists, i and ip, under y
+    bad.write_text(json.dumps({"constant_term": 0, "x": good["x"], "y": [[1, 4], [4, 10]]}))
+    with pytest.raises(InputError, match=re.escape(f"{bad}: a variable map in the old format, "
+                                                   "gaps as two lists under y; re-run emit-lp")):
+        load_varmap(bad)
 
 
 def test_parse_solution_text():

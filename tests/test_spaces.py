@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tousched import (
     InputError,
@@ -268,6 +269,38 @@ def test_pruning_matches_plain_loop_oracle():
                 pc1 = max_p > left and max_p > right
                 pc2 = left + right < sum_p
                 assert tab.is_pruned(i, ip) == (pc1 or pc2), (i, ip)
+
+
+def pruned_mask_in_five_passes(table):
+    """The PC1/PC2 flags as five whole-table passes over left and right:
+    the oracle for SpacesTable.pruned_mask."""
+    h = table.horizon
+    t_on, t_off = table.window
+    jobs = table.graph.inst.jobs
+    max_p, sum_p = max(jobs), sum(jobs)
+    idx = np.arange(h + 1, dtype=np.int64)
+    left = idx - t_on + 1
+    left[1] = 0
+    right = t_off - idx + 1
+    right[h] = 0
+    mask = right[None, :] < (sum_p - left)[:, None]  # PC2
+    mask |= (max_p > left)[:, None] & (max_p > right)[None, :]  # PC1
+    mask &= idx[None, :] > idx[:, None]
+    mask[0] = False
+    return mask
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), nosby=st.booleans(), h_max=st.sampled_from([8, 18, 40]))
+def test_pruned_mask_matches_the_five_pass_formula(seed, nosby, h_max):
+    rng = random.Random(seed)
+    inst = nosby_instance(rng, n_max=5, h_max=h_max) if nosby else \
+        random_instance(rng, n_max=5, h_max=h_max)
+    try:
+        tab = make_table(inst)
+    except InfeasibleError:
+        assume(False)
+    assert np.array_equal(tab.pruned_mask, pruned_mask_in_five_passes(tab))
 
 
 def test_pruning_shares_phi_values(worked):
