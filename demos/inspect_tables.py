@@ -7,7 +7,6 @@ all be dumped to plain files for inspection: CSV for the costs, DOT for
 the graph, a compressed archive for reuse across runs.
 """
 
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,8 @@ from tousched import (
 inst = generate_instance(4, preset_nosby(), "1.9", seed=11)
 g = build_graph(inst)
 table = apply_pruning(compute_spaces(inst, g), inst)
-workdir = Path(tempfile.mkdtemp(prefix="inspect_"))
+workdir = Path("inspect_tables_files")  # under the working directory, kept for a look
+workdir.mkdir(exist_ok=True)
 
 # 1. the graph as DOT text, ready for graphviz
 dot_path = workdir / "graph.dot"

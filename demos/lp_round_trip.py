@@ -9,7 +9,6 @@ consume it; a name-value dump of the optimum imports back into a
 checked schedule.
 """
 
-import tempfile
 from pathlib import Path
 
 from tousched import (
@@ -40,7 +39,8 @@ print("first lines:")
 for line in artifact.lp_text.splitlines()[:4]:
     print("   ", line)
 
-workdir = Path(tempfile.mkdtemp(prefix="lp_round_trip_"))
+workdir = Path("lp_round_trip_files")  # under the working directory, kept for a look
+workdir.mkdir(exist_ok=True)
 lp_path, map_path = write_artifact(artifact, workdir / "model.lp")
 print("wrote", lp_path)
 print("wrote", map_path)

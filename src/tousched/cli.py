@@ -98,8 +98,7 @@ def cmd_solve(args) -> int:
         return 1
     if args.out:
         stats = {"status": result.status, "stop_reason": result.stats.stop_reason,
-                 "certifier": result.stats.certifier, "rounds": result.stats.rounds,
-                 "states": result.stats.states,
+                 "certifier": result.stats.certifier, "states": result.stats.states,
                  "wall_time": round(result.stats.wall_time, 6),
                  "lower_bound": result.stats.lower_bound}
         model.save_schedule(result.schedule, result.tec, args.out, stats=stats)
@@ -187,10 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     time_limit_help = ("seconds (>= 0; inf for none). It only stops the search: a solve that "
                        "ends in time gives the untimed answer, one that does not its best "
-                       "schedule and bound. Ties: a band of at most 2^14 cells runs the DP "
-                       "alone and takes the lexicographically smallest (start, length) "
-                       "pieces; a larger one the relaxation's block split (the fit) or "
-                       "the DP's walk through the elimination rounds")
+                       "schedule and bound. Ties: the DP takes the lexicographically "
+                       "smallest (start, length) pieces; a band of more than 2^14 cells "
+                       "whose jobs fit the relaxation's blocks takes that split (the fit)")
 
     p = sub.add_parser("gen", help="generate benchmark instances")
     p.add_argument("--jobs", type=int, required=True)

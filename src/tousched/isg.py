@@ -18,7 +18,7 @@ is the same recurrence run the other way: `spaces.compute_spaces` sweeps
 backward from every gap end at once, over zero-time classes, the sets of
 states that reach each other by time-0 edges. The classes, their time-0
 pairs and their merged steps are one cached `class_plan`, which the
-solver's relaxation sweeps as well.
+solver's band DP sweeps as well.
 
 Which vertices a path reaches depends only on transition times, never on
 prices: inside the horizon, v(k, s) reaches v(k+d, sp) exactly when some
@@ -61,18 +61,6 @@ class ClassPlan(NamedTuple):
     # starts at interval k; steps between the same two classes with the
     # same time are merged at their cheapest power
     out: list[list[tuple[int, int, list[int]]]]
-
-    def reversed(self) -> ClassPlan:
-        """The plan of the time-reversed machine, interval k becoming
-        h + 1 - k: every step and time-0 pair turned round, and a step's
-        weights read backwards."""
-        out: list[list[tuple[int, int, list[int]]]] = [[] for _ in self.out]
-        for c, steps in enumerate(self.out):
-            for t, cp, weights in steps:
-                out[cp].append((t, c, weights[::-1]))
-        for steps in out:
-            steps.sort(key=lambda step: step[0])
-        return self._replace(zero=sorted((cp, c) for c, cp in self.zero), out=out)
 
     def ring(self, width: int) -> list[list[np.ndarray]]:
         """Cost rows for a backward sweep, all INF: ring[k % len(ring)][c]
@@ -183,7 +171,7 @@ class IntervalStateGraph:
     def class_plan(self) -> ClassPlan:
         """The machine's zero-time classes, the time-0 pairs between them
         and their merged positive-time steps, weighted at every interval:
-        what the phi sweep and the solver's relaxation read. Two states
+        what the phi sweep and the solver's band DP read. Two states
         share a class exactly when they reach the same states at time 0.
         Costs and powers are non-negative, so merging steps at their
         cheapest power keeps the cheapest weight."""

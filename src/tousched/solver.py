@@ -3,62 +3,51 @@
 Within one contiguous processing block the job order never changes the
 cost (the same intervals are covered either way), so only the multiset of
 remaining processing times matters, not which job is which. Blocks either
-continue back to back or are separated by a gap whose cost comes from the
-phi table.
+continue back to back or are separated by a gap, a shortest path in the
+interval-state graph, which phi prices.
 
-The search is a bottom-up DP over remaining multisets, encoded in mixed
-radix over the distinct processing times and filled in increasing
-remaining work W. Let the window be (t_on, t_off) and its slack
-s = t_off - t_on + 1 - sum(p). A block that begins with W work left
-starts at interval t_on + sum(p) - W + d for a band offset d in 0..s, so
-every table is indexed by (multiset m, offset d):
+The search is a band DP over remaining multisets, encoded in mixed radix
+over the distinct processing times. Let the window be (t_on, t_off) and
+its slack s = t_off - t_on + 1 - sum(p). A block that begins with W work
+left starts at interval t_end - W + d, t_end = t_on + sum(p), for a band
+offset d in 0..s, so every table is indexed by a row, a multiset at its
+W, and an offset d:
 
-- F_W[m, d], a block starts there: the first minimum over job lengths p
-  ascending of the block cost plus the merged next block F_{W-p}[m-p, d],
-  then plus the gap G_{W-p}[m-p, d]. Both successors sit at the same
-  (m-p, d), so a layer only keeps H_W = min(F_W, G_W), merged on ties.
-  Layer 0, the empty multiset, is the trailing gap from the block's end
-  to the horizon, so the last block is no special case.
-- G_W[m, d], a gap follows the block that ended just before offset d: a
-  min-plus product of F_W[m, .] with the band's block of phi, unreachable
-  gaps left out; the nearer end wins ties.
+- F[m, d], a block starts there: the cheapest over job lengths p of the
+  block cost plus H[m - p, d], where the next block starts or a gap
+  begins.
+- H[m, d] = min(F[m, d], G[m, d]), G a gap that follows the block ending
+  just before offset d and ends where a later block of m starts. Layer
+  0, the empty multiset, is the trailing gap to the horizon, so the last
+  block is no special case.
 
-The root is the gap after interval 1 against F of all jobs. Every cell
-stores its choice, so the schedule is a walk over the choices, and ties
-go to the lexicographically smallest sequence of (start, length) pieces.
-Rows are positions: each layer's rows are consecutive, and one table
-gives the position a row continues in after each job length, so a
-layer's F is one gather over H. H is kept as a ring of the last max(p)
-layers, and the min-plus runs in fixed-size chunks. The band holds
-prod(count_p + 1) * (s + 1) cells.
+Rows are positions (_rows): each layer's rows are consecutive, and one
+table gives the position a row continues in after each job length. Rows
+that count a set of the job lengths let a block hold any sequence of the
+others: counting all is the exact DP, and counting none, one row per W,
+a state-space relaxation (Christofides, Mingozzi and Toth, Networks 11,
+1981) whose optimum is a lower bound.
 
-The exact DP and its rounds are this fill over rows that count a set of
-the job lengths (_rows). Counting none, one row per W, lets a block hold
-any sequence of job lengths: a state-space relaxation (Christofides,
-Mingozzi and Toth, Networks 11, 1981) whose optimum is a lower bound.
-With one row per W, the relaxation's cell (W, d) lies at interval
-t_end - W + d, and a gap is a shortest path in the interval-state graph,
-so the relaxation is no fill: it is one backward sweep over intervals
-and the machine's zero-time classes (_relaxation), as phi itself is
-(`spaces._sweep_rows`), and its walk re-derives the pieces from the
-values with the fill's tie rules (_relaxed_optimum). TEC depends only on
-which intervals process, so if the jobs split exactly into the relaxed
-optimum's merged blocks (_fit), that schedule proves the bound optimal.
+Every band DP is one backward sweep over intervals (_sweep). Cell (m, d)
+lies at interval t_end - W + d, so the cells of one interval are the
+consecutive positions of the layers on its diagonal; F there is one
+gather of H, and the gaps come from the machine's zero-time classes, as
+phi's do (`spaces._sweep_rows`). Only H is stored, capped at one more
+than the one-block incumbent, which no cell of an optimal schedule
+passes, in the narrowest integer type that holds the cap. The walk
+(_walk) re-derives F where it goes and reads the schedule with these tie
+rules: the shortest length first, a gap only where it is strictly
+cheaper than merging, and the nearest of its cheapest ends, priced by
+phi. So ties go to the lexicographically smallest sequence of (start,
+length) pieces, and a phi that disagrees with the sweep is refused.
 
-A band of at most _DP_ALONE_CELLS cells runs the DP alone. A larger one
-runs the relaxation and the fit first and, without a fit and at most
-_DP_CELL_LIMIT cells, eliminates cells by reduced cost. The
-relaxation's values are costs to the horizon; the same sweep over the
-time-reversed band and class plan (_reversed), read at the mirrored
-cells, gives the costs from the root, and the two sum to the cheapest
-relaxed schedule through every cell. Deepening rounds fill the DP on
-the cells whose value is at most a cut ub, the distinct values taken in
-ascending order from the relaxed bound: in each layer, the one slice of
-offsets from the first such cell to the last (_spans). Every schedule below the next cut
-lies on a round's cells, so a round whose value is below it has the
-optimum and the full DP's walk; otherwise the bound rises to that cut.
-The steps update one search state and every answer leaves by one exit.
-A time limit picks none of this; it only stops the work.
+A band of at most _DP_ALONE_CELLS cells runs the exact DP alone. A larger
+one runs the relaxation first. TEC depends only on which intervals
+process, so if the jobs split exactly into the relaxed optimum's merged
+blocks (_fit), that schedule proves the bound optimal. Without a fit, and
+at most _DP_CELL_LIMIT cells, the exact DP follows. The steps update one
+search state and every answer leaves by one exit. A time limit picks
+none of this; it only stops the work.
 """
 
 from __future__ import annotations
@@ -78,8 +67,6 @@ _HUGE = int(_UNREACHABLE)
 _DP_CELL_LIMIT = 2 ** 23  # band cells the DP may fill, prod(count_p + 1) * (slack + 1)
 _DP_ALONE_CELLS = 2 ** 14  # band cells up to which the DP alone is faster than relaxation first
 _FIT_BYTES = 2 ** 28  # the fit's packed sets kept, plus 16 bytes per lattice cell walking back
-_CHUNK = 2 ** 16  # int64 elements per min-plus chunk
-_BAND_ROWS = 16  # fewest gap starts per min-plus strip; strips skip most ends before their starts
 
 
 @dataclass
@@ -88,8 +75,7 @@ class SolveStats:
     wall_time: float = 0.0
     lower_bound: int | None = None
     stop_reason: str | None = None  # optimal | infeasible | time_limit | cell_limit
-    certifier: str | None = None  # what proved an optimum: dp | fit | rounds
-    rounds: int = 0  # elimination rounds begun
+    certifier: str | None = None  # what proved an optimum: dp | fit
 
 
 @dataclass
@@ -189,155 +175,44 @@ def _job_assignment(inst: Instance, block_jobs: list[tuple[int, int]]) -> list[t
 
 
 class _Band(NamedTuple):
-    """What every layer of a band DP shares. A block that begins with W
-    work left starts at interval t_end - W + d, band offset d in 0..R-1,
-    where t_end = t_on + sum(p)."""
+    """What every band DP shares. A block that begins with W work left
+    starts at interval t_end - W + d, band offset d in 0..R-1, where
+    t_end = t_on + sum(p)."""
 
-    # capped at _HUGE, and _HUGE at ip < i + 2 below row 1 and left of
-    # column h; None in the time-reversed band, which only the relaxation reads
-    phi: np.ndarray | None
+    # the table's, INF = 2^62 where no switching exists; F is a run plus at
+    # most cap, both below COST_LIMIT = 2^61, so phi + F stays below 2^63
+    phi: np.ndarray
     runs: np.ndarray  # runs[j, i]: processing cost of a job of length ps[j] from interval i
     tail: np.ndarray  # tail[d]: the trailing gap after a block that ends at t_end - 1 + d
-    plan: ClassPlan  # the machine's zero-time classes, which the relaxation sweeps
+    plan: ClassPlan  # the machine's zero-time classes, which the sweep runs over
     t_on: int
     t_end: int
     R: int
     ps: np.ndarray  # the distinct job lengths, ascending
 
 
-def _fill(band: _Band, rows, cols, expired):
-    """Fill the layers W = 1..sum(p) of a band DP; returns (F, f_arg,
-    g_arg, states) with F the top layer's, or None when the deadline
-    expired first.
+def _sweep(band: _Band, rows, cap: int, expired):
+    """H of the band DP over rows by one backward sweep over intervals;
+    returns (H, states), H None when the deadline expired first.
 
     rows = (first, succ) gives every row of the DP a position: layer W
     holds positions first[W] .. first[W + 1] - 1, position 0 alone is
     layer 0, and succ[j, pos] is the position a row continues in after a
-    job of length ps[j], or -1 where it holds no such job. cols(W) gives
-    the band offsets of layer W that are filled, two slices with explicit
-    bounds: where a block may start (F) and where one may have just ended
-    (H), slice(0, R) for all. Every other cell is left out as if it cost
-    _HUGE. The choices of every layer are stored for those columns only:
-    the job length index of F, and the band offset of the gap end where a
-    gap beats merging, 0 where it does not (a real gap ends at offset 1 or
-    later).
+    job of length ps[j], or -1 where it holds no such job. H[pos, d] is
+    the cheapest cost from a block boundary at cell (pos, d) to the
+    horizon, at most cap, in the narrowest signed integer type that holds
+    cap: the trailing gap at layer 0, and cap in the top layer, which has
+    no boundary, and in an extra last row, which succ's -1 reads. states
+    counts an F per cell and, below the top layer, a G.
 
-    H is one ring of rows over the last max(p) layers, a position at row
-    pos % size, where size is the most positions any max(p) + 1
-    consecutive layers hold; its extra last row is all _HUGE and stands
-    for "no successor". Layer 0 is the trailing gap from a block ending at
-    t_end - 1 + d to the horizon, so a block that ends the schedule pays
-    it like any other successor.
-    """
-    phi, R, ps = band.phi, band.R, band.ps
-    first, succ = rows
-    top = band.t_end - band.t_on
-    back = first[np.maximum(np.arange(top + 1) - int(ps[-1]), 0)]
-    size = int((first[1:] - back).max())
-    hbuf = np.full((size + 1, R), _HUGE, dtype=np.int64)
-    hbuf[0] = band.tail
-    ring = np.arange(first[-1] + 1, dtype=np.int32) % size  # the hbuf row of each position
-    ring[-1] = size  # and of succ's -1, the _HUGE row
-    slot = ring[succ]
-    f_arg: dict[int, np.ndarray] = {}
-    g_arg: dict[int, np.ndarray] = {}
-    f_type, g_type = np.min_scalar_type(len(ps) - 1), np.min_scalar_type(R - 1)
-    buf = np.empty(max(_CHUNK, _BAND_ROWS * R), dtype=np.int64)
-    states = 0
-    for W in range(1, top + 1):
-        if expired():
-            return None, f_arg, g_arg, states
-        r0, r1 = int(first[W]), int(first[W + 1])
-        n_rows = r1 - r0
-        if n_rows == 0:
-            continue
-        s0 = band.t_end - W  # the block starts at interval s0 + d
-        fc, hc = cols(W)
-        f0, f1, h0, h1 = fc.start, fc.stop, hc.start, hc.stop
-        cand = hbuf[slot[:, r0:r1], f0:f1]
-        cand += band.runs[:, None, s0 + f0:s0 + f1]
-        F = np.minimum(cand.min(axis=0), _HUGE)
-        f_arg[W] = cand.argmin(axis=0).astype(f_type)  # the shortest length wins ties
-        states += F.size
-        if W == top:
-            break
-        e0 = s0 - 1  # gap starts e0 + d, ends e0 + 1 + d''
-        phi_blk = phi[e0:, e0 + 1:][hc, fc]
-        G = np.full((n_rows, h1 - h0), _HUGE, dtype=np.int64)
-        g_arg[W] = np.zeros(G.shape, dtype=g_type)
-        # taller strips for few rows
-        strip = max(_BAND_ROWS, _CHUNK // (n_rows * max(f1 - f0, 1)))
-        some = max(0, min(h1, f1 - 1) - h0)  # the starts with an end past them
-        for lo in range(0, some, strip):
-            hi = min(lo + strip, some)
-            b = max(0, h0 + lo + 1 - f0)  # one strip's ends all lie past its first start
-            blk = phi_blk[lo:hi, b:]
-            step = max(1, _CHUNK // blk.size)
-            for a in range(0, n_rows, step):
-                if expired():
-                    return None, f_arg, g_arg, states
-                part = F[a:a + step, None, b:]
-                out = buf[:len(part) * blk.size].reshape(len(part), *blk.shape)
-                tot = np.add(part, blk, out=out)
-                g_arg[W][a:a + step, lo:hi] = tot.argmin(axis=2) + (b + f0)
-                G[a:a + step, lo:hi] = tot.min(axis=2)
-        states += G.size
-        if fc == hc:
-            F_g = F
-        else:  # F at G's columns: _HUGE off the overlap, which may be empty
-            F_g = np.full(G.shape, _HUGE, dtype=np.int64)
-            x0, x1 = max(f0, h0), min(f1, h1)
-            if x0 < x1:
-                F_g[:, x0 - h0:x1 - h0] = F[:, x0 - f0:x1 - f0]
-        np.copyto(g_arg[W], 0, where=G >= F_g)
-        if h1 - h0 < R:  # H at G's columns only: a block ends nowhere else
-            hbuf[ring[r0:r1]] = _HUGE
-        hbuf[ring[r0:r1], h0:h1] = np.minimum(F_g, G)
-    return F, f_arg, g_arg, states
-
-
-def _band_optimum(band: _Band, rows, cols, expired):
-    """Fill a band DP and walk its choices from the cheapest root, the gap
-    after interval 1; returns (value, pieces, states). value is None when
-    the deadline expired first and _HUGE or more when no schedule exists;
-    pieces are the (start, length) of every job in start order. rows and
-    cols are _fill's; the walk moves from position to position along
-    rows' succ."""
-    F, f_arg, g_arg, states = _fill(band, rows, cols, expired)
-    if F is None:
-        return None, [], states
-    first, succ = rows
-    W = band.t_end - band.t_on
-    pos = int(first[W])  # the top layer has one row
-    fc = cols(W)[0]
-    root = band.phi[1, band.t_on:][fc] + F[0]
-    k = int(root.argmin())
-    value, slot = int(root[k]), fc.start + k
-    pieces: list[tuple[int, int]] = []
-    while W and value < _HUGE:
-        j = int(f_arg[W][pos - first[W], slot - cols(W)[0].start])
-        pieces.append((band.t_end - W + slot, int(band.ps[j])))
-        pos, W = int(succ[j, pos]), W - int(band.ps[j])
-        if W:
-            slot = int(g_arg[W][pos - first[W], slot - cols(W)[1].start]) or slot
-    return value, pieces, states
-
-
-def _relaxation(band: _Band, expired):
-    """The relaxation's costs to the horizon by one backward sweep over
-    intervals; returns (F, H, states), F and H None when the deadline
-    expired first. F[W, d] and H[W, d] are the cheapest relaxed costs from a block
-    start and from a block boundary at band cell (W, d), _fill's F_W and
-    H_W over rows that count no length, capped at _HUGE: F is _HUGE at
-    W = 0, H is the trailing gap there and _HUGE at W = sum(p). states
-    counts the cells as _fill does, an F and (below the top) a G each.
-
-    Cell (W, d) lies at interval k = t_end - W + d, so the cells of one
-    interval are one diagonal of each table, a strided slice. From the
-    last interval a block may start at down to t_on, each step fills that
-    diagonal: F from H at k + p, a job of length p done, one gather over
-    every length; then each zero-time class of the band's plan takes its
-    cheapest cost from the start of k for every W of the diagonal, as in
+    Cell (pos, d) of layer W lies at interval k = t_end - W + d, so the
+    cells of one interval are the consecutive positions of the layers on
+    its diagonal, and a row lies one offset further at each later
+    interval. From the last interval a block may start at down to t_on,
+    each step fills that diagonal below the top layer: F from H of the
+    successors at k + p, a job of length p done, one gather over every
+    length, capped at cap; then each zero-time class of the band's plan
+    takes its cheapest cost from the start of k for every position, as in
     `spaces._sweep_rows`: its steps pull the costs of the classes they
     reach at k + t, proc's class takes F at k, where a block may start,
     and the time-0 closure follows. Proc's cost is then H at k, the gap
@@ -346,83 +221,108 @@ def _relaxation(band: _Band, expired):
 
     Class costs are never clamped: they hold INF, or F plus the weight of
     a path, and no path weighs as much as COST_LIMIT = 2^61, so each stays
-    below 2^63."""
-    plan, R, t_end, ps = band.plan, band.R, band.t_end, band.ps
+    below 2^63. The cap changes no value below it: every F and H is
+    min(its cost, cap)."""
+    plan, R, t_end = band.plan, band.R, band.t_end
+    first, succ = rows
     top = t_end - band.t_on
-    stride = R + 1  # from (W, d) to (W + 1, d + 1), the next cell of a diagonal
-    # H(W - p, d) lies p * R before (W, d) in the flat tables; H has max(p)
-    # rows of _HUGE above it, which a length longer than W reads
-    pad = int(ps[-1]) * R
-    hp = np.full(pad + (top + 1) * R, _HUGE, dtype=np.int64)
-    F = np.full((top + 1, R), _HUGE, dtype=np.int64)
-    H = hp[pad:].reshape(top + 1, R)
-    H[0] = band.tail
-    f = F.reshape(-1)
-    back = pad - ps[:, None] * R + np.arange(min(R, top)) * stride  # H of each length, in hp
+    n = int(first[-1])  # positions
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= cap)
+    # H lies in hp after top leading cells, so that the cells of interval
+    # k, (pos, d = k - t_end + W), are at[k][pos * R + W] for at[k] = hp
+    # from k - t_on on, and their successors' cells at at[k][after[:, pos]]
+    hp = np.full(top + (n + 1) * R, cap, dtype=dtype)
+    H = hp[top:].reshape(n + 1, R)
+    H[0] = np.minimum(band.tail, cap)
+    W = np.repeat(np.arange(top + 1), np.diff(first))
+    cell = np.arange(n, dtype=np.int64) * R + W
+    after = np.where(succ < 0, n, succ) * np.int64(R) + W  # no successor: the last row
     runs = band.runs.T[:, :, None]  # runs[k, j]: a job of length ps[j] from interval k
     last = t_end + R - 2  # the last interval a block may start at
-    # ring[k % slots][c][W]: class c's cost at interval k, at the W of its
-    # diagonal; entries above them belong to later intervals and stay INF
-    ring = plan.ring(top)
-    scratch = np.empty(top, dtype=np.int64)
+    # ring[k % slots][c][pos]: class c's cost at interval k at the cell of
+    # pos on its diagonal. A diagonal's positions rise as k falls, so a
+    # position that interval k + t does not hold reads INF there
+    ring = plan.ring(n)
+    scratch = np.empty(n, dtype=np.int64)
+    first = first.tolist()
     states = 0
     for k in range(last, band.t_on - 1, -1):
         if expired():
-            return None, None, states
+            return None, states
         w0, w1 = max(1, t_end - k), min(top, last + 1 - k)  # the W of k's diagonal
-        at, n = k - t_end + w0 * stride, w1 - w0 + 1  # (w0, d) in the flat tables; cells
-        diag = f[at:at + n * stride - R:stride]
-        np.minimum(diag, (hp[back[:, :n] + at] + runs[k]).min(axis=0), out=diag)
-        states += n
-        m = min(w1, top - 1) - w0 + 1  # the cells with a G: not the top layer
-        if m <= 0:
+        a, b = first[w0], first[min(w1, top - 1) + 1]  # the positions with a G
+        states += first[w1 + 1] - a + max(b - a, 0)
+        if b <= a:
             continue
-        cur = plan.pull(ring, k, slice(w0, w0 + m), last, scratch[:m])
-        np.minimum(cur[plan.proc], diag[:m], out=cur[plan.proc])
+        at = hp[k - band.t_on:]
+        F = (at[after[:, a:b]] + runs[k]).min(axis=0, initial=cap)
+        cur = plan.pull(ring, k, slice(a, b), last, scratch[:b - a])
+        proc = cur[plan.proc]
+        np.minimum(proc, F, out=proc)  # at most cap: the closure only lowers it
         plan.close(cur)
-        hp[pad + at:pad + at + m * stride - R:stride] = cur[plan.proc]
-        states += m
-    return F, H, states
+        at[cell[a:b]] = proc
+    return H, states
 
 
-def _relaxed_optimum(band: _Band, F: np.ndarray, H: np.ndarray):
-    """The relaxation's (value, pieces) from its costs to the horizon,
-    walked from the cheapest root as _band_optimum walks _fill's choices:
-    the first cheapest job length, shortest first; a gap only where it is
-    cheaper than merging; and the nearest of its cheapest ends, priced by
-    phi. A gap that phi prices off the sweep's cost raises InputError:
-    the table does not match its instance. Returns (value, pieces) as
-    _band_optimum does."""
-    phi, R, t_end, ps = band.phi, band.R, band.t_end, band.ps.tolist()
+def _walk(band: _Band, rows, H: np.ndarray):
+    """The band DP's (value, pieces) from its H (_sweep), walked from the
+    cheapest root, the gap after interval 1, with F re-derived from H at
+    the cells the walk visits: the first cheapest job length, shortest
+    first; a gap only where it is strictly cheaper than merging; and the
+    nearest of its cheapest ends, priced by phi. A gap that phi prices off
+    the sweep's cost raises InputError: the table does not match its
+    instance. pieces are the (start, length) of every job in start order;
+    value is H's cap or more when no schedule exists."""
+    phi, runs, R, t_end = band.phi, band.runs, band.R, band.t_end
+    first, succ = rows
+    ps = band.ps.tolist()
+    cap = H.item(-1, 0)
     W = t_end - band.t_on
-    root = phi[1, band.t_on:band.t_on + R] + F[W]
+    pos = int(first[W])  # the top layer has one row
+    runs_at = np.ascontiguousarray(runs.T)  # runs_at[k]: a job of each length from interval k
+
+    def f_row(lo: int) -> np.ndarray:
+        """F at the offsets lo.. of row pos."""
+        return (runs[:, t_end - W + lo:t_end - W + R] + H[succ[:, pos], lo:]).min(axis=0)
+
+    def f_cell(k: int) -> list[int]:
+        """F at cell (pos, d), which lies at interval k, one cost per job
+        length over the row's successors nxt."""
+        return [r + H.item(s, d) for r, s in zip(runs_at[k].tolist(), nxt)]
+
+    root = phi[1, band.t_on:band.t_on + R] + f_row(0)
     d = int(root.argmin())
     value = int(root[d])
     pieces: list[tuple[int, int]] = []
-    Hd = None  # H and F at offset d and W or less, as lists, read again after each gap
-    while W and value < _HUGE:
-        if Hd is None:
-            Hd, Fd = H[:W + 1, d].tolist(), F[:W + 1, d].tolist()
-        k = t_end - W + d  # the block starts at interval k
-        run = band.runs[:, k].tolist()
-        cost = [run[j] + Hd[W - p] for j, p in enumerate(ps) if p <= W]
+    nxt = succ[:, pos].tolist()
+    cost = f_cell(band.t_on + d)
+    while W and value < cap:
         j = cost.index(min(cost))
+        k = t_end - W + d  # the block starts at interval k
         pieces.append((k, ps[j]))
-        W -= ps[j]
-        if W and Hd[W] < Fd[W]:
-            i = k + ps[j] - 1  # the gap starts after interval i
-            ends = phi[i, t_end - W:t_end - W + R] + F[W]
+        k += ps[j]  # where a merged block would start
+        pos, W = nxt[j], W - ps[j]
+        if not W:
+            break
+        nxt = succ[:, pos].tolist()
+        cost = f_cell(k)
+        if H.item(pos, d) < min(cost):  # a gap after interval k - 1 is cheaper than merging
+            i = k - 1
+            ends = phi[i, k + 1:t_end - W + R] + f_row(d + 1)  # a gap ends two or more past i
             e = int(ends.argmin())
-            if ends[e] != Hd[W]:
-                raise InputError(f"the gap after interval {i} costs {int(ends[e] - F[W, e])} in "
-                                 f"phi, not its cheapest switching cost: the table does not "
-                                 f"match its instance")
-            d, Hd = e, None
+            if ends[e] != H.item(pos, d):
+                raise InputError(f"the gap after interval {i} costs {int(phi[i, k + 1 + e])} in "
+                                 f"phi at ({i}, {k + 1 + e}), its cheapest end there: "
+                                 f"{int(ends[e])} to the horizon, against {H.item(pos, d)} by "
+                                 f"the machine's own switching; the table does not match its "
+                                 f"instance")
+            d += 1 + e
+            cost = f_cell(k + 1 + e)
     return value, pieces
 
 
 def _rows(ps: np.ndarray, counts: np.ndarray, counted: np.ndarray):
-    """The rows of a band DP in _fill's (first, succ) form: one per (W, m),
+    """The rows of a band DP in _sweep's (first, succ) form: one per (W, m),
     m a multiset of the jobs of the counted lengths (a bool per length)
     and work(m) <= W <= work(m) + the other jobs' total. All counted is the
     exact DP, none the relaxation (one row per W, at position W), and a
@@ -447,34 +347,6 @@ def _rows(ps: np.ndarray, counts: np.ndarray, counted: np.ndarray):
         has = order // stride[a] % radix[a] >= step  # the row holds a job of length p
         succ[j, has] = position[order[has] - step * stride[a]]
     return first, succ
-
-
-def _spans(mask: np.ndarray) -> list[slice]:
-    """For each row of mask, the slice from its first held offset to its
-    last, or an empty slice where it holds nowhere."""
-    held = mask.any(axis=1)
-    first = np.where(held, mask.argmax(axis=1), 0).tolist()
-    stop = np.where(held, mask.shape[1] - mask[:, ::-1].argmax(axis=1), 0).tolist()
-    return [slice(a, b) for a, b in zip(first, stop)]
-
-
-def _reversed(band: _Band) -> _Band:
-    """The band of the time-reversed instance, interval k becoming
-    h + 1 - k, for the relaxation alone: a job run is read backwards,
-    the machine's plan is turned round (`ClassPlan.reversed`), t_on
-    becomes h + 1 - t_off, R stays, and the trailing gap of a block end
-    at offset d is the root gap to offset R - 1 - d. It has no phi. A
-    block start at offset d with W work left becomes a block end just
-    before offset R - 1 - d with sum(p) - W left, and a block end just
-    before d a block start at R - 1 - d."""
-    h = band.runs.shape[1] - 1
-    runs = np.full_like(band.runs, _HUGE)
-    for j, p in enumerate(band.ps.tolist()):
-        runs[j, 1:h + 2 - p] = band.runs[j, h + 1 - p:0:-1]
-    t_on = h + 3 - band.t_end - band.R  # h + 1 - t_off
-    return band._replace(phi=None, runs=runs, tail=band.phi[1, band.t_on:band.t_on + band.R][::-1],
-                         plan=band.plan.reversed(), t_on=t_on,
-                         t_end=t_on + band.t_end - band.t_on)
 
 
 def _fit(ps: np.ndarray, counts: np.ndarray, lengths: list[int], expired) -> list[list[int]] | None:
@@ -566,29 +438,25 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     """Provably optimal schedule for the instance, or infeasible.
 
     The band's cell count alone picks the order. At most _DP_ALONE_CELLS
-    cells: the band DP of the module docstring, its choices walked from
-    the root, the gap after interval 1. Among equal-cost schedules the
-    one whose (start, length) pieces, sorted by start, form the
+    cells: the exact band DP of the module docstring, swept and walked
+    from the root, the gap after interval 1. Among equal-cost schedules
+    the one whose (start, length) pieces, sorted by start, form the
     lexicographically smallest sequence wins. More cells: the relaxation
-    first, one sweep over intervals and the machine's zero-time classes
-    (_relaxation), and the fit's schedule when the jobs fit its blocks
-    (_fit); without a fit, at most _DP_CELL_LIMIT cells, the elimination
-    rounds, which end in the full DP's schedule. The steps share one search state
+    first, the same sweep over rows that count no length, and the fit's
+    schedule when the jobs fit its blocks (_fit); without a fit, at most
+    _DP_CELL_LIMIT cells, the exact DP. The steps share one search state
     and leave by one exit, stop, which assembles the answer and re-prices
     it (RuntimeError when the price is off). Over the cell limit, or once
-    the time limit expires, the answer has status "timeout": the cheaper
-    of a failed round's schedule and the one-block incumbent at t_on,
-    under the cut the rounds reached or the relaxed value (before the
-    relaxation completes, the cheapest root gap plus all work at the
+    the time limit expires, the answer has status "timeout": all jobs in
+    one block at t_on, shortest first, under the relaxed value (before
+    the relaxation completes, the cheapest root gap plus all work at the
     cheapest later price). A solve that ends within the time limit gives
     the untimed answer.
     stats.stop_reason says which limit stopped the solve, stats.certifier
-    what proved an optimum ("dp", "fit" or "rounds"), stats.rounds how
-    many rounds began, and stats.states the DP cells filled, the
-    relaxation's included, counted as the fill counts them (an F and,
-    below the top layer, a G per cell). A time limit must be >= 0; inf,
-    like None, sets no limit. The relaxation reads the clock once per
-    interval, the fill once per layer and per min-plus chunk.
+    what proved an optimum ("dp" or "fit"), and stats.states the cells
+    filled, the relaxation's included: an F and, below the top layer, a G
+    per cell. A time limit must be >= 0; inf, like None, sets no limit.
+    The sweep reads the clock once per interval, the fit once per block.
     """
     if time_limit is not None and not time_limit >= 0:  # NaN fails this test too
         raise InputError(f"time limit must be >= 0, got {time_limit}")
@@ -599,7 +467,7 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     # The pruning flags are not read: every gap the band reaches has the
     # work already done on its left and the rest on its right, and
     # pruned_mask flags no such gap.
-    phi = np.minimum(table.phi_matrix, _HUGE)  # an unreachable gap costs _HUGE
+    phi = table.phi_matrix
     proc = inst.state_set.proc_state
     p_proc = inst.transitions.power(proc, proc)
     C = np.asarray(inst.cost_prefix, dtype=np.int64)
@@ -607,35 +475,25 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     ps, counts = np.unique(inst.jobs, return_counts=True)
     sum_p = sum(inst.jobs)
     R = t_off - t_on + 2 - sum_p  # band width: window slack + 1
-    # The search state: DP cells filled, rounds begun, the best lower
-    # bound and the cheapest (value, pieces) found, which a step that
-    # proves it optimal sets. Before the relaxed value, which is never
-    # below it, the bound is the cheapest root gap plus all work at the
-    # cheapest later price.
+    # The search state: cells filled, the best lower bound and found, the
+    # (value, pieces) answered: all jobs in one block at t_on, shortest
+    # first, until a step proves a schedule optimal. Before the relaxed
+    # value, which is never below it, the bound is the cheapest root gap
+    # plus all work at the cheapest later price.
     ends = np.arange(2, t_on + R)
     suf_min = np.minimum.accumulate(np.diff(C[:t_off + 1])[::-1])[::-1]  # cheapest price from i on
     bound = int(np.min(phi[1, ends] + sum_p * p_proc * suf_min[ends - 1], initial=_HUGE))
-    states, rounds, found = 0, 0, None
+    states = 0
 
     def stop(reason: str) -> SolveResult:
         """The answer of the search state, for "infeasible", a limit
-        ("time_limit" or "cell_limit") or what proved found optimal ("dp",
-        "fit" or "rounds"). At a limit: the cheaper of found and all jobs
-        in one block at t_on, shorter first, under bound."""
-        proved = reason in ("dp", "fit", "rounds")
+        ("time_limit" or "cell_limit") or what proved found optimal ("dp"
+        or "fit")."""
+        proved = reason in ("dp", "fit")
         status = "optimal" if proved else "infeasible" if reason == "infeasible" else "timeout"
         tec = sched = lb = None
-        if proved:
-            value, pieces = found
-        elif status == "timeout":
-            pieces, at = [], t_on
-            for p in sorted(inst.jobs):
-                pieces.append((at, p))
-                at += p
-            value = int(phi[1, t_on] + phi[at - 1, h] + (C[at - 1] - C[t_on - 1]) * p_proc)
-            if found is not None and found[0] < value:
-                value, pieces = found
         if status != "infeasible":
+            value, pieces = found
             sched = assemble_schedule(inst, _job_assignment(inst, pieces), table)
             tec, lb = value + const, (value if proved else bound) + const
             check = compute_tec(inst, sched)
@@ -643,108 +501,68 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
                 raise RuntimeError(f"assembled schedule costs {check}, search found {tec}")
         stats = SolveStats(states=states, wall_time=time.monotonic() - t0, lower_bound=lb,
                            stop_reason="optimal" if proved else reason,
-                           certifier=reason if proved else None, rounds=rounds)
+                           certifier=reason if proved else None)
         return SolveResult(tec=tec, schedule=sched, status=status, stats=stats)
 
     if R < 1:
         return stop("infeasible")
+    pieces, at = [], t_on
+    for p in sorted(inst.jobs):
+        pieces.append((at, p))
+        at += p
+    found = (int(phi[1, t_on]) + int(phi[at - 1, h]) + int(C[at - 1] - C[t_on - 1]) * p_proc, pieces)
 
     def expired() -> bool:
         return deadline is not None and time.monotonic() >= deadline
 
-    # A gap between blocks ends at least two past its start; the root gaps
-    # (row 1) and the trailing gaps (column h) keep every entry.
-    for i in range(2, h):
-        phi[i, :min(i + 2, h)] = _HUGE
     runs = np.full((len(ps), h + 1), _HUGE, dtype=np.int64)
     for j, p in enumerate(ps.tolist()):
         runs[j, 1:h + 2 - p] = (C[p:] - C[:h + 1 - p]) * p_proc
     band = _Band(phi=phi, runs=runs, tail=phi[t_on + sum_p - 1:t_on + sum_p - 1 + R, h],
                  plan=table.graph.class_plan, t_on=t_on, t_end=t_on + sum_p, R=R, ps=ps)
+    # No cell of a schedule as cheap as found costs more than found.
+    cap = min(found[0] + 1, _HUGE)
+
+    def optimum(counted: np.ndarray):
+        """The band DP's (value, pieces) over rows that count the lengths
+        flagged, or None when the deadline expired first."""
+        nonlocal states
+        rows = _rows(ps, counts, counted)
+        H, filled = _sweep(band, rows, cap, expired)
+        states += filled
+        return None if H is None else _walk(band, rows, H)
+
     every = np.ones(len(ps), dtype=bool)
     cells = int(np.prod(counts + 1, dtype=object)) * R
-    if cells <= _DP_ALONE_CELLS:
-        value, pieces, states = _band_optimum(band, _rows(ps, counts, every),
-                                              lambda W: (slice(0, R),) * 2, expired)
-        if value is None:
+    if cells > _DP_ALONE_CELLS:
+        relaxed = optimum(~every)
+        if relaxed is None:
             return stop("time_limit")
-        if value >= _HUGE:
+        if relaxed[0] >= cap:
             return stop("infeasible")
-        found = (value, pieces)
-        return stop("dp")
-
-    F, H, states = _relaxation(band, expired)
-    if F is None:
+        bound = relaxed[0]
+        blocks: list[list[int]] = []  # [start, length] of the merged blocks
+        for a, p in relaxed[1]:
+            if blocks and sum(blocks[-1]) == a:
+                blocks[-1][1] += p
+            else:
+                blocks.append([a, p])
+        split = _fit(ps, counts, [L for _a, L in blocks], expired)
+        if split is not None:
+            found = (bound, [(a + sum(held[:k]), p) for (a, _L), held in zip(blocks, split)
+                             for k, p in enumerate(held)])
+            return stop("fit")
+        if expired():
+            return stop("time_limit")
+        if cells > _DP_CELL_LIMIT:
+            return stop("cell_limit")
+    best = optimum(every)
+    if best is None:
         return stop("time_limit")
-    relaxed, pieces = _relaxed_optimum(band, F, H)
-    if relaxed >= _HUGE:
+    if best[0] >= cap:
         return stop("infeasible")
-    bound = relaxed
-    blocks: list[list[int]] = []  # [start, length] of the merged blocks
-    for a, p in pieces:
-        if blocks and sum(blocks[-1]) == a:
-            blocks[-1][1] += p
-        else:
-            blocks.append([a, p])
-    split = _fit(ps, counts, [L for _a, L in blocks], expired)
-    if split is not None:
-        found = (relaxed, [(a + sum(held[:k]), p) for (a, _L), held in zip(blocks, split)
-                           for k, p in enumerate(held)])
-        return stop("fit")
-    if expired():
-        return stop("time_limit")
-    if cells > _DP_CELL_LIMIT:
-        return stop("cell_limit")
-
-    # Reduced-cost elimination: a cell whose cheapest relaxed schedule
-    # costs more than ub lies on no schedule of cost ub or less. Each round
-    # fills the DP on the cells at or below a cut, one of those costs,
-    # ascending from the relaxed value; the rounds share the rows. A
-    # round at the cut of a schedule already found cannot fail, and is
-    # taken next unless it keeps more than twice the cells of the next
-    # cut. Once the rounds have filled as many cells as the whole DP would
-    # (an F and a G per band cell), the next round keeps every cell.
-    # The cheapest relaxed cost from the root to a block start at (W, d),
-    # A_W[d], is the reversed relaxation's H at the start's mirror (at
-    # W = sum(p), its trailing gap: the root gap), and to a block end,
-    # B_W[d], its F there. A + F and B + H are the cheapest relaxed
-    # schedules through each cell. H_0, the trailing gap, is no cell of a
-    # round: every round fills it whole.
-    F_rev, H_rev, filled = _relaxation(_reversed(band), expired)
-    states += filled
-    if F_rev is None:
-        return stop("time_limit")
-    through = (H_rev[::-1, ::-1] + F, F_rev[::-1, ::-1] + H)
-    through[1][0] = _HUGE
-    alive = np.sort(np.concatenate([via.ravel() for via in through]))
-    alive = alive[:np.searchsorted(alive, _HUGE)]
-    cuts = alive[np.diff(alive, prepend=alive[0] - 1) > 0].tolist()  # the relaxed value first
-    below = np.searchsorted(alive, cuts, side="right")  # the cells at or below each cut
-    rows = _rows(ps, counts, every)
-    k = spent = 0
-    while True:
-        cols = list(zip(*(_spans(via <= cuts[k]) for via in through)))
-        value, pieces, filled = _band_optimum(band, rows, cols.__getitem__, expired)
-        states, spent, rounds = states + filled, spent + filled, rounds + 1
-        if value is None:
-            return stop("time_limit")
-        # Every schedule below the next cut lies on this round's cells, so a
-        # value below it is the optimum, reached by the full DP's walk.
-        bound = cuts[k + 1] if k + 1 < len(cuts) else _HUGE
-        if value < bound:
-            found = (value, pieces)
-            return stop("rounds")
-        if bound >= _HUGE:
-            return stop("infeasible")
-        if value < _HUGE and (found is None or value < found[0]):
-            found = (value, pieces)
-        k += 1
-        if spent >= 2 * cells:
-            k = len(cuts) - 1
-        elif found is not None:
-            last = int(np.searchsorted(cuts, found[0], side="right")) - 1
-            if below[last] <= 2 * below[k]:
-                k = last
+    found = best
+    return stop("dp")
 
 
 def brute_force_switching(inst: Instance, i: int, ip: int, s: str, sp: str) -> int | None:

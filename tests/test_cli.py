@@ -446,6 +446,23 @@ def test_phi_table_with_a_lowered_cost_is_exit_2(tmp_path, capsys, worked_file):
     assert "(4, 10)" in stderr and "does not match its instance" in stderr
 
 
+def test_phi_table_with_a_raised_cost_is_exit_2(tmp_path, capsys, worked_file):
+    # phi(4, 10) = 48 prices the optimum's interior gap; 1000 needs an int16
+    # table, whose own maximum still means no switching
+    tab = tmp_path / "tab.npz"
+    run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))
+    with np.load(tab) as doc:
+        kept = {k: doc[k] for k in doc.files}
+    narrow = kept["phi"]
+    kept["phi"] = narrow.astype(np.int16)
+    kept["phi"][narrow == np.iinfo(narrow.dtype).max] = np.iinfo(np.int16).max
+    kept["phi"][4, 10] = 1000
+    np.savez(tab, **kept)
+    code, stdout, stderr = run(capsys, "solve", "--instance", worked_file, "--phi", str(tab))
+    assert (code, stdout) == (2, "")
+    assert "after interval 4" in stderr and "does not match its instance" in stderr
+
+
 def test_phi_table_with_a_negative_cost_is_exit_2(tmp_path, capsys, worked_file):
     tab = edited_phi_table(tmp_path, capsys, worked_file, (4, 6), -5)
     code, _, stderr = run(capsys, "solve", "--instance", worked_file, "--phi", tab)
@@ -600,28 +617,28 @@ def test_solve_out_records_the_stop_reason(tmp_path, capsys, worked_file, monkey
     assert code == 0 and stderr == ""
     stats = json.loads(out.read_text(encoding="utf-8"))["stats"]
     assert (stats["status"], stats["stop_reason"]) == ("optimal", "optimal")
-    assert (stats["certifier"], stats["rounds"]) == ("dp", 0)
+    assert stats["certifier"] == "dp" and "rounds" not in stats
     code, _, stderr = run(capsys, "solve", "--instance", worked_file, "--time-limit", "0.0",
                           "--out", str(out))
     assert code == 0 and "time limit reached" in stderr
     stats = json.loads(out.read_text(encoding="utf-8"))["stats"]
     assert (stats["status"], stats["stop_reason"]) == ("timeout", "time_limit")
-    assert (stats["certifier"], stats["rounds"]) == (None, 0)
+    assert stats["certifier"] is None
     # a time limit picks no order: the worked band is small enough for the DP
     code, _, stderr = run(capsys, "solve", "--instance", worked_file, "--time-limit", "60",
                           "--out", str(out))
     stats = json.loads(out.read_text(encoding="utf-8"))["stats"]
-    assert (code, stats["status"], stats["certifier"], stats["rounds"]) == (0, "optimal", "dp", 0)
+    assert (code, stats["status"], stats["certifier"]) == (0, "optimal", "dp")
     monkeypatch.setattr(solver, "_DP_ALONE_CELLS", 0)
     code, _, stderr = run(capsys, "solve", "--instance", worked_file, "--time-limit", "60",
                           "--out", str(out))
     stats = json.loads(out.read_text(encoding="utf-8"))["stats"]
-    assert (code, stats["status"], stats["certifier"], stats["rounds"]) == (0, "optimal", "fit", 0)
+    assert (code, stats["status"], stats["certifier"]) == (0, "optimal", "fit")
 
 
 def test_solve_out_records_the_elimination_rounds(tmp_path, capsys):
-    # nosby/30/3001 at 1.3 has no fit; the rounds prove 3026, at the cuts
-    # 3022 and 3026.
+    # nosby/30/3001 at 1.3 has no fit: the relaxation gives 3022, and the
+    # exact DP after it proves 3026.
     no_fit = gen_one(capsys, tmp_path / "insts", "nosby", 30, 3001, "1.3")
     out = tmp_path / "sched.json"
     code, stdout, stderr = run(capsys, "solve", "--instance", no_fit, "--time-limit", "60",
@@ -629,7 +646,7 @@ def test_solve_out_records_the_elimination_rounds(tmp_path, capsys):
     assert (code, stdout, stderr) == (0, "TEC 3026\n", "")
     stats = json.loads(out.read_text(encoding="utf-8"))["stats"]
     assert (stats["status"], stats["stop_reason"]) == ("optimal", "optimal")
-    assert (stats["certifier"], stats["rounds"], stats["lower_bound"]) == ("rounds", 2, 3026)
+    assert (stats["certifier"], stats["lower_bound"]) == ("dp", 3026)
 
 
 def gen_one(capsys, out, preset, jobs, seed, multiple):
@@ -651,7 +668,7 @@ def test_solve_names_the_cell_limit(tmp_path, capsys, worked_file, monkeypatch):
     assert (doc["stats"]["status"], doc["stats"]["stop_reason"]) == ("timeout", "cell_limit")
     assert doc["stats"]["lower_bound"] <= doc["tec"]
     assert doc["stats"]["lower_bound"] == 3022
-    assert (doc["stats"]["certifier"], doc["stats"]["rounds"]) == (None, 0)
+    assert doc["stats"]["certifier"] is None
     # the worked example fits: its relaxed value is the optimum
     code, stdout, stderr = run(capsys, "solve", "--instance", worked_file, "--out", str(out))
     assert (code, stdout, stderr) == (0, "TEC 177\n", "")

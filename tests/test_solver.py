@@ -80,7 +80,7 @@ def test_the_benchmark_solver_families_solve_as_pinned():
                 s = res.stats
                 got[f"{fam['preset']}/{fam['n']}/{fam['seed']}/{float(multiple)}"] = {
                     "status": res.status, "tec": res.tec, "lower_bound": s.lower_bound,
-                    "states": s.states, "certifier": s.certifier, "rounds": s.rounds,
+                    "states": s.states, "certifier": s.certifier,
                     "sigma": list(res.schedule.sigma)}
     assert got == pins
 
@@ -366,7 +366,7 @@ def test_a_time_limit_only_stops_work(machine_seed, jobs, data):
         with mock.patch.object(solver, "_DP_ALONE_CELLS", alone):
             answers = [solve_exact(inst, tab, time_limit=limit) for limit in (None, 1e6)]
         untimed, timed = ((r.status, r.tec, r.stats.lower_bound, r.stats.stop_reason,
-                           r.stats.certifier, r.stats.rounds, r.schedule) for r in answers)
+                           r.stats.certifier, r.schedule) for r in answers)
         assert untimed == timed
 
 
@@ -377,7 +377,7 @@ def test_a_time_limit_only_stops_work(machine_seed, jobs, data):
 def test_a_deadline_at_any_clock_reading_leaves_a_valid_answer(machine_seed, jobs, data):
     # A fake clock that ticks once per reading puts the deadline after a
     # drawn number of readings, in whichever step of either order the band
-    # picks, the rounds included (with the fit off). Every answer is a
+    # picks, the DP after the relaxation included (with the fit off). Every answer is a
     # valid schedule that compute_tec prices as stated, under a bound no
     # higher than the optimum; only an optimal answer names a certifier,
     # and it is the untimed answer.
@@ -398,7 +398,7 @@ def test_a_deadline_at_any_clock_reading_leaves_a_valid_answer(machine_seed, job
     def fields(r):
         s = r.stats
         return (r.status, r.tec, r.schedule, s.lower_bound, s.stop_reason, s.certifier,
-                s.rounds, s.states)
+                s.states)
 
     configs = ((solver._DP_ALONE_CELLS, solver._fit), (0, solver._fit),
                (0, lambda *args: None))  # the last with the fit off
@@ -428,7 +428,7 @@ def test_deadline_mid_fill_gives_the_same_answer(monkeypatch):
     # A fake clock that ticks once per reading makes the deadline fall
     # after a fixed number of checks: before and between the intervals of
     # the relaxation's sweep (readings 1 to 115), then inside the fit
-    # (116 to 122) and the DP's layers.
+    # (116 to 122) and, on a member without a fit, the exact DP's sweep.
     inst = fourteen_jobs_h120()
     tab = make_table(inst)
     no_fit, no_fit_tab = no_fit_member()
@@ -461,53 +461,37 @@ def test_deadline_mid_fill_gives_the_same_answer(monkeypatch):
     assert (res.status, res.stats.stop_reason) == ("timeout", "time_limit")
     assert (res.tec, res.stats.lower_bound) == (expired.tec, full.tec)
     assert res.stats.states == relaxed_cells(inst, tab)
-    # After a relaxation without a fit: one check after the fit, the
-    # relaxation of the reversed instance (readings 146 to 270), then the
-    # first elimination round (readings 271 to 385). A deadline at either
-    # of the first two has filled nothing more; one inside the reversed
-    # relaxation keeps the relaxed bound.
+    # After a relaxation without a fit: one check after the fit, then the
+    # exact DP's sweep (readings 146 to 270). A deadline at either of the
+    # first two has filled nothing more; one inside the sweep keeps the
+    # relaxed bound and the one-block incumbent, and one past it is the
+    # optimum.
     for checks in (145, 146):
-        res = solve_exact(no_fit, no_fit_tab, time_limit=checks - 0.5)
-        assert (res.status, res.stats.stop_reason, res.stats.rounds) == ("timeout", "time_limit", 0)
-        assert (res.tec, res.stats.lower_bound) == (no_fit_expired.tec, NO_FIT_RELAXED)
-        assert res.stats.states == relaxed_cells(no_fit, no_fit_tab)
-    res = solve_exact(no_fit, no_fit_tab, time_limit=210 - 0.5)
-    assert (res.status, res.stats.stop_reason, res.stats.rounds) == ("timeout", "time_limit", 0)
-    assert (res.tec, res.stats.lower_bound) == (no_fit_expired.tec, NO_FIT_RELAXED)
-    assert 1 < res.stats.states / relaxed_cells(no_fit, no_fit_tab) < 2
-    filled = []
-    for checks in (294, 334, 374):  # inside the first round
         res = solve_exact(no_fit, no_fit_tab, time_limit=checks - 0.5)
         assert (res.status, res.stats.stop_reason) == ("timeout", "time_limit")
         assert (res.tec, res.stats.lower_bound) == (no_fit_expired.tec, NO_FIT_RELAXED)
-        assert res.stats.rounds == 1
+        assert res.stats.states == relaxed_cells(no_fit, no_fit_tab)
+    filled = []
+    for checks in (147, 210, 270):  # inside the DP's sweep
+        res = solve_exact(no_fit, no_fit_tab, time_limit=checks - 0.5)
+        assert (res.status, res.stats.stop_reason) == ("timeout", "time_limit")
+        assert (res.tec, res.stats.lower_bound) == (no_fit_expired.tec, NO_FIT_RELAXED)
         filled.append(res.stats.states)
-    assert 2 * relaxed_cells(no_fit, no_fit_tab) < filled[0]
+    assert relaxed_cells(no_fit, no_fit_tab) < filled[0] < filled[-1]
     assert filled[-1] < relaxed_cells(no_fit, no_fit_tab) + no_fit_full.stats.states
-    assert filled == sorted(filled)
-
-
-def test_deadline_in_the_second_round_keeps_the_raised_bound(monkeypatch):
-    # The first round, at the relaxed value 3022, keeps no schedule below
-    # the next cut, 3026: that is the bound from then on, and its best
-    # schedule (3034) an incumbent. The second round starts at reading 386.
-    inst, tab = no_fit_member()
-    expired = solve_exact(inst, tab, time_limit=0.0)
-    ticks = iter(range(10 ** 6))
-    monkeypatch.setattr(solver, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
-    res = solve_exact(inst, tab, time_limit=464 - 0.5)
-    assert (res.status, res.stats.stop_reason, res.stats.rounds) == ("timeout", "time_limit", 2)
-    assert res.stats.lower_bound == NO_FIT_OPTIMUM > NO_FIT_RELAXED
-    assert res.tec == min(expired.tec, 3034)
-    assert validate_schedule(inst, res.schedule) == []
-    assert compute_tec(inst, res.schedule) == res.tec
-    assert res.stats.certifier is None
+    res = solve_exact(no_fit, no_fit_tab, time_limit=271 - 0.5)  # past the sweep
+    assert (res.status, res.stats.certifier) == ("optimal", "dp")
+    assert (res.tec, res.schedule) == (no_fit_full.tec, no_fit_full.schedule)
+    assert res.tec == NO_FIT_OPTIMUM
+    assert res.stats.states == relaxed_cells(no_fit, no_fit_tab) + no_fit_full.stats.states
 
 
 @pytest.mark.parametrize("member, tec", [(0, NO_FIT_OPTIMUM), (1, 3001)])
 def test_elimination_rounds_match_the_full_dp(member, tec, monkeypatch):
     # nosby/30/3001 at 1.3 and 1.6: no fit, so the band, over
-    # _DP_ALONE_CELLS, runs the rounds; raised, the constant gives the full DP
+    # _DP_ALONE_CELLS, runs the relaxation and then the exact DP; raised,
+    # the constant runs the DP alone. Both give one answer, and the first
+    # fills the relaxation's cells on top of the DP's.
     inst = generate_family(30, preset_nosby(), 3001)[member]
     tab = make_table(inst)
     with monkeypatch.context() as m:
@@ -515,50 +499,22 @@ def test_elimination_rounds_match_the_full_dp(member, tec, monkeypatch):
         full = solve_exact(inst, tab)
     res = solve_exact(inst, tab, time_limit=60.0)
     assert (full.status, full.tec, full.stats.certifier) == ("optimal", tec, "dp")
-    assert (res.status, res.stats.stop_reason) == ("optimal", "optimal")
-    assert res.stats.certifier == "rounds"
+    assert (res.status, res.stats.stop_reason, res.stats.certifier) == ("optimal", "optimal", "dp")
     assert (res.tec, res.stats.lower_bound) == (full.tec, full.stats.lower_bound)
     assert res.schedule == full.schedule
-    assert res.stats.rounds == 2
-    assert res.stats.states < full.stats.states / 2
+    assert res.stats.states == relaxed_cells(inst, tab) + full.stats.states
 
 
 def test_the_cell_limit_counts_the_whole_band_before_the_rounds():
     # nosby/60/6001 at 1.9: no fit, and the band is over the cell limit,
-    # so no round runs even under a time limit; the bound is the relaxed
-    # value, which is the optimum.
+    # so the exact DP does not run even under a time limit; the bound is
+    # the relaxed value, which is the optimum.
     inst = generate_family(60, preset_nosby(), 6001)[2]
-    res = solve_exact(inst, make_table(inst), time_limit=60.0)
-    assert (res.status, res.stats.stop_reason, res.stats.rounds) == ("timeout", "cell_limit", 0)
-    assert (res.stats.lower_bound, res.tec, res.stats.certifier) == (5324, 6152, None)
-
-
-def test_a_round_at_the_next_cut_is_not_final(monkeypatch):
-    # The first round's value, 348, equals the next cut and so is optimal,
-    # but an equal schedule that the tie-break prefers passes a cell at
-    # that cut: the second round must run to find it.
-    states = MachineStateSet(("off", "proc", "sb1", "sb2", "sb3"))
-    trans = TransitionSpec({("off", "off"): (1, 1), ("proc", "proc"): (1, 6),
-                            ("off", "proc"): (2, 3), ("proc", "off"): (2, 2),
-                            ("sb1", "sb1"): (1, 1), ("proc", "sb1"): (0, 0),
-                            ("sb1", "proc"): (0, 0), ("sb2", "sb2"): (1, 5),
-                            ("proc", "sb2"): (0, 0), ("sb2", "proc"): (0, 0),
-                            ("sb3", "sb3"): (1, 2), ("proc", "sb3"): (0, 0),
-                            ("sb3", "proc"): (0, 0)})
-    inst = Instance(16, (5, 2, 8, 7, 9, 7, 4, 4, 9, 7, 11, 11, 3, 1, 9, 6), (2, 1, 4),
-                    states, trans)
     tab = make_table(inst)
-    full = solve_exact(inst, tab)
-    monkeypatch.setattr(solver, "_DP_ALONE_CELLS", 0)
-    with mock.patch.object(solver, "_fit", lambda *args: None):
-        res = solve_exact(inst, tab, time_limit=1e6)
-    assert (full.tec, full.schedule.sigma) == (348, (3, 12, 5))
-    assert (res.tec, res.schedule, res.stats.rounds) == (full.tec, full.schedule, 2)
-
-
-def test_spans_run_from_the_first_held_offset_to_the_last():
-    mask = np.array([[0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 1, 0], [0, 1, 0, 1]], dtype=bool)
-    assert solver._spans(mask) == [slice(0, 0), slice(0, 4), slice(2, 3), slice(1, 4)]
+    res = solve_exact(inst, tab, time_limit=60.0)
+    assert (res.status, res.stats.stop_reason) == ("timeout", "cell_limit")
+    assert res.stats.states == relaxed_cells(inst, tab)
+    assert (res.stats.lower_bound, res.tec, res.stats.certifier) == (5324, 6152, None)
 
 
 def rows_by_enumeration(ps, counts, counted):
@@ -610,17 +566,23 @@ def test_rows_are_every_multiset_of_the_counted_lengths_at_every_work_it_allows(
 
 
 def band_of(inst, tab):
-    """The band that solve_exact fills for the instance."""
-    bands = []
-    real = solver._band_optimum
+    """The band and the cap that solve_exact sweeps for the instance."""
+    swept = []
+    real = solver._sweep
 
-    def record(band, *args, **kwargs):
-        bands.append(band)
-        return real(band, *args, **kwargs)
+    def record(band, rows, cap, expired):
+        swept.append((band, cap))
+        return real(band, rows, cap, expired)
 
-    with mock.patch.object(solver, "_band_optimum", record):
+    with mock.patch.object(solver, "_sweep", record):
         solve_exact(inst, tab)
-    return bands[0]
+    return swept[0]
+
+
+def band_optimum(band, rows, cap):
+    """The band DP's (value, pieces) over rows: one sweep and its walk."""
+    H, _ = solver._sweep(band, rows, cap, lambda: False)
+    return solver._walk(band, rows, H)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -646,113 +608,24 @@ def test_counting_more_lengths_raises_the_bound_from_the_relaxation_to_the_optim
     with mock.patch.object(solver, "_DP_CELL_LIMIT", 0), \
             mock.patch.object(solver, "_DP_ALONE_CELLS", 0):
         relaxed = solve_exact(inst, tab).stats.lower_bound
-    band = band_of(inst, tab)
+    band, cap = band_of(inst, tab)
     ps, counts = np.unique(jobs, return_counts=True)
     counted = np.zeros(len(ps), dtype=bool)
     values = []
     for j in [None] + data.draw(st.permutations(range(len(ps)))):
         if j is not None:
             counted[j] = True
-        rows = solver._rows(ps, counts, counted)
-        values.append(solver._band_optimum(band, rows, lambda W: (slice(0, band.R),) * 2,
-                                           lambda: False)[0])
+        values.append(band_optimum(band, solver._rows(ps, counts, counted), cap)[0])
     const = solver._boundary_constant(inst)
     assert values == sorted(values)
     assert (values[0] + const, values[-1] + const) == (relaxed, full.tec)
 
 
-def test_a_round_whose_start_and_end_spans_do_not_overlap(monkeypatch):
-    # In the one round of this instance, layer 6 keeps block starts at
-    # offsets 4-8 and block ends at offset 0 alone, so G reads F at no
-    # column of its own.
-    states = MachineStateSet(("off", "proc"))
-    trans = TransitionSpec({("off", "off"): (1, 0), ("proc", "proc"): (1, 9),
-                            ("off", "proc"): (1, 3), ("proc", "off"): (1, 3)})
-    costs = (9, 9, 1, 10, 5, 1, 1, 4, 9, 12, 11, 7, 5, 11, 6, 12, 1, 4, 10, 12, 7, 4, 12, 8,
-             9, 1, 3, 9)
-    inst = Instance(28, costs, (4, 1, 2, 1, 4), states, trans)
-    tab = make_table(inst)
-    full = solve_exact(inst, tab)
-    spans = []
-
-    def record(mask):
-        spans.append(real_spans(mask))
-        return spans[-1]
-
-    real_spans = solver._spans
-    monkeypatch.setattr(solver, "_DP_ALONE_CELLS", 0)
-    with mock.patch.object(solver, "_fit", lambda *args: None), \
-            mock.patch.object(solver, "_spans", record):
-        res = solve_exact(inst, tab, time_limit=1e6)
-    assert (res.status, res.tec, res.schedule, res.stats.rounds) == ("optimal", full.tec,
-                                                                     full.schedule, 1)
-    assert (spans[0][6], spans[1][6]) == (slice(4, 9), slice(0, 1))
-
-
-def relaxed_costs_from_the_root(band):
-    """A[W][d] and B[W][d] of the relaxation, one cell at a time in a
-    forward sweep: the cheapest relaxed cost from the root to a block that
-    starts at offset d with W work left, and to a block that ends just
-    before it."""
-    phi, runs, R, huge = band.phi.tolist(), band.runs.tolist(), band.R, solver._HUGE
-    top = band.t_end - band.t_on
-    A = [[huge] * R for _ in range(top + 1)]
-    B = [[huge] * R for _ in range(top + 1)]
-    A[top] = phi[1][band.t_on:band.t_on + R]  # the root gap
-    for W in range(top, 0, -1):
-        s0 = band.t_end - W  # the block starts at interval s0 + d
-        if W < top:  # merge, or a gap from an earlier end
-            A[W] = [min([B[W][d]] + [B[W][e] + phi[s0 - 1 + e][s0 + d] for e in range(d)])
-                    for d in range(R)]
-        for j, p in enumerate(band.ps.tolist()):
-            if p < W:
-                B[W - p] = [min(b, a + runs[j][s0 + d])
-                            for d, (a, b) in enumerate(zip(A[W], B[W - p]))]
-    return np.minimum(A, huge), np.minimum(B, huge)
-
-
-def test_the_reversed_relaxation_gives_the_cheapest_costs_from_the_root(monkeypatch):
-    # A block start at (W, d) is a block end just before (sum(p) - W,
-    # R - 1 - d) of the reversed band and the other way round, so H and F
-    # of the reversed relaxation are A and B mirrored; at W = sum(p), A is
-    # the root gap, the reversed band's trailing gap.
-    monkeypatch.setattr(solver, "_DP_ALONE_CELLS", 0)
-    rng = random.Random(29)
-    checked = 0
-    for _ in range(400):
-        inst = random_instance(rng, n_max=5, h_max=24, max_extra=3)
-        try:
-            tab = make_table(inst)
-        except InfeasibleError:
-            continue
-        swept = []
-
-        def record(band, expired):
-            out = real_relaxation(band, expired)
-            swept.append((band, out))
-            return out
-
-        real_relaxation = solver._relaxation
-        with mock.patch.object(solver, "_fit", lambda *args: None), \
-                mock.patch.object(solver, "_relaxation", record):
-            solve_exact(inst, tab, time_limit=1e6)
-        if len(swept) < 2:
-            continue  # no relaxed schedule, so no rounds
-        (band, _), (mirrored, (F_rev, H_rev, _)) = swept
-        assert (mirrored.R, mirrored.t_end - mirrored.t_on) == (band.R, band.t_end - band.t_on)
-        A, B = relaxed_costs_from_the_root(band)
-        top = band.t_end - band.t_on
-        assert np.array_equal(H_rev[top - 1:0:-1, ::-1], A[1:top])
-        assert np.array_equal(F_rev[top - 1::-1, ::-1], B[1:])
-        checked += 1
-    assert checked >= 40
-
-
 def relaxed_costs_to_the_horizon(band):
-    """F[W][d] and H[W][d] of the relaxation, one cell at a time over W
-    ascending, with every gap priced by phi: the cheapest relaxed cost
-    from a block that starts at offset d with W work left to the horizon,
-    and from a block that ends just before it (H[0] is the trailing gap)."""
+    """H[W][d] of the relaxation, one cell at a time over W ascending, with
+    every gap priced by phi: the cheapest relaxed cost from a block that
+    ends just before offset d with W work left to the horizon (H[0] is the
+    trailing gap), through F, that from a block that starts there."""
     phi, runs, R, huge = band.phi.tolist(), band.runs.tolist(), band.R, solver._HUGE
     top = band.t_end - band.t_on
     h = len(phi) - 1
@@ -767,7 +640,75 @@ def relaxed_costs_to_the_horizon(band):
         if W < top:  # merge, or a gap to a later start
             H[W] = [min([F[W][d]] + [phi[s0 - 1 + d][s0 + e] + F[W][e] for e in range(d + 1, R)])
                     for d in range(R)]
-    return np.minimum(F, huge), np.minimum(H, huge)
+    return np.minimum(H, huge)
+
+
+def band_dp_by_cells(band, rows):
+    """The band DP over rows one cell at a time, every gap priced by phi;
+    returns (value, pieces). F at a cell is the first cheapest job length,
+    shortest first, over the successors' H; G the first cheapest gap end,
+    the nearest; H takes G only where it is strictly cheaper than F. The
+    root is the first cheapest gap after interval 1, and the pieces are
+    walked from it over the cells' choices."""
+    phi, runs, R, huge = band.phi.tolist(), band.runs.tolist(), band.R, solver._HUGE
+    ps = band.ps.tolist()
+    first, succ = rows[0].tolist(), rows[1].T.tolist()
+    top = band.t_end - band.t_on
+    h = len(phi) - 1
+    F = [[huge] * R for _ in range(first[-1])]
+    H = [[huge] * R for _ in range(first[-1])]
+    f_arg = [[0] * R for _ in range(first[-1])]
+    g_arg = [[0] * R for _ in range(first[-1])]
+    H[0] = [min(phi[band.t_end - 1 + d][h], huge) for d in range(R)]
+    for W in range(1, top + 1):
+        s0 = band.t_end - W  # the block starts at interval s0 + d
+        for pos in range(first[W], first[W + 1]):
+            for d in range(R):
+                cost = [runs[j][s0 + d] + (H[s][d] if s >= 0 else huge)
+                        for j, s in enumerate(succ[pos])]
+                F[pos][d], f_arg[pos][d] = min(min(cost), huge), cost.index(min(cost))
+            for d in range(R if W < top else 0):
+                ends = [phi[s0 - 1 + d][s0 + e] + F[pos][e] for e in range(d + 1, R)]
+                if ends and min(ends) < F[pos][d]:
+                    H[pos][d], g_arg[pos][d] = min(ends), d + 1 + ends.index(min(ends))
+                else:
+                    H[pos][d] = F[pos][d]
+    pos, W = first[top], top
+    root = [phi[1][band.t_on + d] + F[pos][d] for d in range(R)]
+    value = min(root)
+    d = root.index(value)
+    pieces = []
+    while W and value < huge:
+        j = f_arg[pos][d]
+        pieces.append((band.t_end - W + d, ps[j]))
+        pos, W = succ[pos][j], W - ps[j]
+        if W:
+            d = g_arg[pos][d] or d
+    return value, pieces
+
+
+def assert_walk_is_the_band_optimum(band, rows, cap, walked):
+    """The sweep and walk's (value, pieces) against band_dp_by_cells: equal
+    where a schedule exists, and cap or more with no pieces where none does."""
+    value, pieces = band_dp_by_cells(band, rows)
+    if value >= solver._HUGE:
+        assert walked[0] >= cap and walked[1] == []
+    else:
+        assert walked == (value, pieces)
+
+
+def machine_with_off_power_and_one_way_pairs(machine_seed, off_power, one_way, data):
+    """A random machine whose off state may draw power and whose standby
+    state sb1, where it has one, may reach proc at time 0 one way only, a
+    time-0 pair between two classes."""
+    states, trans = random_machine(random.Random(machine_seed), max_extra=3)
+    entries = dict(trans.entries)
+    entries[("off", "off")] = (1, off_power)
+    if one_way is not None and "sb1" in states.states:
+        power = data.draw(st.integers(0, 4))
+        into, out = ((0, 0), (1, power)) if one_way == "into proc" else ((1, power), (0, 0))
+        entries[("sb1", "proc")], entries[("proc", "sb1")] = into, out
+    return states, TransitionSpec(entries)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -778,21 +719,15 @@ def relaxed_costs_to_the_horizon(band):
        data=st.data())
 def test_the_relaxation_sweep_gives_the_cheapest_costs_to_the_horizon(
         machine_seed, jobs, off_power, one_way, data):
-    # The sweep over the machine's zero-time classes fills the relaxation's
-    # F and H as the recurrence over phi does, cell by cell, and the walk
-    # over them gives the relaxed band optimum's value and pieces. The
-    # machine's off state may draw power, and a standby state may reach
-    # proc at time 0 one way only, a time-0 pair between two classes.
-    states, trans = random_machine(random.Random(machine_seed), max_extra=3)
-    entries = dict(trans.entries)
-    entries[("off", "off")] = (1, off_power)
-    if one_way is not None and "sb1" in states.states:
-        power = data.draw(st.integers(0, 4))
-        into, out = ((0, 0), (1, power)) if one_way == "into proc" else ((1, power), (0, 0))
-        entries[("sb1", "proc")], entries[("proc", "sb1")] = into, out
+    # Over rows that count no length, the sweep over the machine's
+    # zero-time classes fills the relaxation's H as the recurrence over phi
+    # does, cell by cell, capped at the solve's cap, and the walk over it
+    # gives the relaxed band optimum's value and pieces.
+    states, trans = machine_with_off_power_and_one_way_pairs(machine_seed, off_power, one_way,
+                                                             data)
     h = data.draw(st.integers(min(24, sum(jobs) + 2), 24))
     costs = data.draw(st.lists(st.integers(0, 6), min_size=h, max_size=h))
-    inst = Instance(h, tuple(costs), tuple(jobs), states, TransitionSpec(entries))
+    inst = Instance(h, tuple(costs), tuple(jobs), states, trans)
     try:
         tab = make_table(inst)
     except InfeasibleError:
@@ -800,17 +735,50 @@ def test_the_relaxation_sweep_gives_the_cheapest_costs_to_the_horizon(
     t_on, t_off = tab.window
     if t_off - t_on + 1 < sum(jobs):
         return  # no band
-    band = band_of(inst, tab)
-    F, H, states_filled = solver._relaxation(band, lambda: False)
-    want_F, want_H = relaxed_costs_to_the_horizon(band)
-    assert np.array_equal(F, want_F) and np.array_equal(H, want_H)
-    top = band.t_end - band.t_on
-    assert states_filled == (2 * top - 1) * band.R
+    band, cap = band_of(inst, tab)
     ps, counts = np.unique(jobs, return_counts=True)
     rows = solver._rows(ps, counts, np.zeros(len(ps), dtype=bool))
-    value, pieces, _ = solver._band_optimum(band, rows, lambda W: (slice(0, band.R),) * 2,
-                                            lambda: False)
-    assert solver._relaxed_optimum(band, F, H) == (value, pieces)
+    H, states_filled = solver._sweep(band, rows, cap, lambda: False)
+    top = band.t_end - band.t_on
+    assert np.array_equal(H[:top], np.minimum(relaxed_costs_to_the_horizon(band)[:top], cap))
+    assert (H[top:] == cap).all()  # the top layer, and the row of no successor
+    assert states_filled == (2 * top - 1) * band.R
+    assert_walk_is_the_band_optimum(band, rows, cap, solver._walk(band, rows, H))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(machine_seed=st.integers(0, 2 ** 32 - 1),
+       jobs=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+       off_power=st.integers(0, 2),
+       one_way=st.sampled_from([None, "into proc", "out of proc"]),
+       data=st.data())
+def test_the_sweep_and_its_walk_give_the_band_optimum_cell_by_cell(
+        machine_seed, jobs, off_power, one_way, data):
+    # Over rows that count no length, a drawn set of lengths and every
+    # length, one sweep capped at the solve's cap, and one capped at
+    # _HUGE in int64, and its walk give the value and the pieces of the
+    # band DP filled one cell at a time, uncapped, ties included. Prices
+    # scaled by up to 10^4 put the cap in int8, int16 or int32.
+    states, trans = machine_with_off_power_and_one_way_pairs(machine_seed, off_power, one_way,
+                                                             data)
+    h = data.draw(st.integers(sum(jobs) + 4, sum(jobs) + 12))
+    scale = data.draw(st.sampled_from([1, 100, 10 ** 4]))
+    costs = [scale * c for c in data.draw(st.lists(st.integers(0, 6), min_size=h, max_size=h))]
+    inst = Instance(h, tuple(costs), tuple(jobs), states, trans)
+    try:
+        tab = make_table(inst)
+    except InfeasibleError:
+        return
+    t_on, t_off = tab.window
+    if t_off - t_on + 1 < sum(jobs):
+        return  # no band
+    band, cap = band_of(inst, tab)
+    ps, counts = np.unique(jobs, return_counts=True)
+    drawn = np.array(data.draw(st.lists(st.booleans(), min_size=len(ps), max_size=len(ps))))
+    for counted in (np.zeros(len(ps), dtype=bool), drawn, np.ones(len(ps), dtype=bool)):
+        rows = solver._rows(ps, counts, counted)
+        for limit in (cap, solver._HUGE):
+            assert_walk_is_the_band_optimum(band, rows, limit, band_optimum(band, rows, limit))
 
 
 # nosby/120/12001 at 2.2 (h=800), proved by the fit, as the solver first
@@ -831,7 +799,7 @@ def test_a_paper_scale_member_solves_as_pinned():
     inst = generate_family(120, preset_nosby(), 12001)[3]
     res = solve_exact(inst, make_table(inst))
     s = res.stats
-    assert (res.status, s.certifier, s.rounds) == ("optimal", "fit", 0)
+    assert (res.status, s.certifier) == ("optimal", "fit")
     assert (res.tec, s.lower_bound, s.states) == (9800, 9800, 313_782)
     assert list(res.schedule.sigma) == PAPER_SCALE_SIGMA
     assert validate_schedule(inst, res.schedule) == []
@@ -842,8 +810,9 @@ def test_a_paper_scale_member_solves_as_pinned():
        jobs=st.lists(st.integers(1, 4), min_size=1, max_size=6),
        data=st.data())
 def test_elimination_rounds_without_a_fit_match_the_full_dp(machine_seed, jobs, data):
-    # With the fit switched off every timed solve ends in the rounds: the
-    # same status, TEC, sigma and omega as the untimed DP, ties included.
+    # With the fit switched off every timed solve runs the relaxation and
+    # then the exact DP: the same status, TEC, bound, sigma and omega as
+    # the DP alone, ties included.
     states, trans = random_machine(random.Random(machine_seed), max_extra=3)
     h = data.draw(st.integers(min(24, sum(jobs) + 2), 24))
     costs = data.draw(st.lists(st.integers(0, 6), min_size=h, max_size=h))
@@ -860,7 +829,7 @@ def test_elimination_rounds_without_a_fit_match_the_full_dp(machine_seed, jobs, 
                                                            full.stats.lower_bound)
     assert res.schedule == full.schedule
     if res.status == "optimal":
-        assert res.stats.certifier == "rounds" and res.stats.rounds >= 1
+        assert res.stats.certifier == "dp"
 
 
 def test_fifteen_hundred_unit_jobs():
@@ -1022,8 +991,9 @@ def test_solver_matches_brute_force_on_random_machines(machine_seed, jobs, data)
 
 def test_deadline_in_the_rounds_leaves_a_valid_answer(monkeypatch):
     # With the fit off and a fake clock, a deadline at any reading of a
-    # solve gives the full DP's answer or a valid incumbent, that of a
-    # failed round included, with lb <= optimum <= tec.
+    # solve that runs the relaxation and then the exact DP gives the DP
+    # alone's answer or the one-block incumbent, with lb <= optimum <= tec;
+    # inside the DP's sweep, the bound is the relaxed value.
     monkeypatch.setattr(solver, "_fit", lambda *args: None)
     monkeypatch.setattr(solver, "_DP_ALONE_CELLS", 0)
     rng = random.Random(11)
@@ -1033,7 +1003,7 @@ def test_deadline_in_the_rounds_leaves_a_valid_answer(monkeypatch):
         readings[0] += 1
         return readings[0]
 
-    incumbents = 0
+    in_the_dp = 0
     for _ in range(120):
         inst = random_instance(rng, n_max=7, h_max=32, max_extra=3)
         try:
@@ -1042,6 +1012,8 @@ def test_deadline_in_the_rounds_leaves_a_valid_answer(monkeypatch):
             continue
         with mock.patch.object(solver, "_DP_ALONE_CELLS", solver._DP_CELL_LIMIT):
             full = solve_exact(inst, tab)
+        with mock.patch.object(solver, "_DP_CELL_LIMIT", 0):
+            relaxed = solve_exact(inst, tab).stats.lower_bound
         one_block = solve_exact(inst, tab, time_limit=0.0)
         monkeypatch.setattr(solver, "time", types.SimpleNamespace(monotonic=tick))
         readings[0] = 0
@@ -1054,11 +1026,14 @@ def test_deadline_in_the_rounds_leaves_a_valid_answer(monkeypatch):
                 continue
             assert validate_schedule(inst, res.schedule) == []
             assert compute_tec(inst, res.schedule) == res.tec
+            assert (res.tec, res.schedule) == (one_block.tec, one_block.schedule)
             if full.status == "optimal":
                 assert res.stats.lower_bound <= full.tec <= res.tec
-            incumbents += res.tec < one_block.tec
+            if res.stats.states > relaxed_cells(inst, tab):
+                assert res.stats.lower_bound == relaxed
+                in_the_dp += 1
         monkeypatch.setattr(solver, "time", time)
-    assert incumbents >= 5
+    assert in_the_dp >= 20
 
 
 def split_exists(jobs, lengths):
