@@ -129,6 +129,15 @@ def cmd_validate(args) -> int:
 def cmd_emit_lp(args) -> int:
     inst = model.load_instance(args.instance)
     table = _table_for(inst, args.phi)
+    if args.phi:
+        # the model prices every gap from phi and no walk reads it here, so
+        # a loaded table must be the instance's own
+        own = spaces.compute_spaces(inst, table.graph).phi_matrix
+        rows, cols = (table.phi_matrix != own).nonzero()
+        if rows.size:
+            raise model.InputError(f"{args.phi}: phi at ({rows[0]}, {cols[0]}) differs from the "
+                                   "switching cost of the instance; the table does not match "
+                                   "its instance")
     lp_path, map_path = modelgen.write_artifact(modelgen.emit_ilp_spaces(inst, table), args.out)
     print(lp_path)
     print(map_path)

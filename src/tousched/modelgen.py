@@ -15,6 +15,13 @@ is not written); the right-hand side is 1 in flow_2 and 0 after. The
 transform is invertible over the integers, so the feasible set and the LP
 bound are those of the covering rows.
 
+Each section (the objective, the assignment rows, the flow rows) is one
+list of sign, coefficient and name pieces joined once. One rule breaks its
+lines: over the running total cum of the term lengths, a row's head in its
+first term, a line opening at term b ends before term max(b + 1, k), k the
+last term with cum[k] <= cum[b] + _WRAP - 2, + 2 on a row's first line (a
+continuation line opens with two spaces); one search finds every k.
+
 The two boundary off intervals contribute a constant that is deliberately
 kept out of the LP text and reported in the sidecar instead, so any
 LP-format reader consumes the file unchanged. The sidecar stores the
@@ -28,9 +35,7 @@ from __future__ import annotations
 import json
 import re
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -63,64 +68,30 @@ class IlpModelArtifact:
         return out
 
 
-def _wrap(text: str, cuts: list[int]) -> str:
-    """Break one row, written on a single line, into lines of at most _WRAP
-    characters where it can.
-
-    cuts[b] is where piece b starts in text, and cuts[-1] where the last
-    piece ends; a tail may follow it. Every piece after the first starts
-    with a space and its sign. A line takes the next piece unless that
-    would take it past _WRAP characters, and always takes at least one; a
-    continuation line is three spaces and its first piece without the
-    leading space."""
-    lines, b, start, room = [], 0, 0, _WRAP
-    while True:
-        b = max(b + 1, bisect_right(cuts, room) - 1)
-        if b >= len(cuts) - 1:
-            lines.append(text[start:])
-            return "\n  ".join(lines)
-        lines.append(text[start:cuts[b]])
-        start = cuts[b]
-        room = start + _WRAP - 2
-
-
-def _wrap_terms(head: str, pieces: list[str], tail: str) -> str:
-    """One row of signed pieces (" + term" or " - term"), wrapped. The
-    first piece is written without its " + " or its leading space; it is
-    replaced in the list."""
-    first = pieces[0]
-    pieces[0] = head + (first[3:] if first.startswith(" + ") else first[1:])
-    return _wrap("".join(pieces) + tail, list(accumulate(map(len, pieces), initial=0)))
-
-
-def _flow_rows(h: int, names: list[str], first: np.ndarray, end: np.ndarray) -> list[str]:
-    """The flow rows 2..h-1, wrapped, of columns that cover first..end-1.
-
-    Flow term 2c is +column c in row first[c] and 2c + 1 is -column c in
-    row end[c]; one stable sort by row keeps each row's terms in column
-    order. A row without terms would state 0 = 0 and is not written."""
-    rows = np.stack((first, end), axis=1).ravel()
-    order = np.argsort(rows, kind="stable")
-    bounds = np.searchsorted(rows[order], np.arange(2, h + 1))
-    # a term is its sign and its column's name: " + ", " - ", or for the
-    # first term of a row "" and "- "
-    sign = order & 1
-    sign[bounds[:-1][bounds[:-1] < bounds[1:]]] += 2
-    col = order >> 1
-    size = np.array([3, 3, 0, 2])[sign] + np.fromiter(map(len, names), np.int64, len(names))[col]
-    cum = np.concatenate(([0], np.cumsum(size)))  # length of the terms before each term
-    parts = np.empty(2 * len(order), dtype=object)
-    parts[0::2] = np.array([" + ", " - ", "", "- "], dtype=object)[sign]
-    parts[1::2] = np.array(names, dtype=object)[col]
-    bounds = bounds.tolist()
-    out = []
-    for k in range(2, h):
-        lo, hi = bounds[k - 2], bounds[k - 1]
-        if lo < hi:
-            head = f" flow_{k}: "
-            text = head + "".join(parts[2 * lo:2 * hi].tolist()) + (" = 1" if k == 2 else " = 0")
-            out.append(_wrap(text, (cum[lo:hi + 1] - (cum[lo] - len(head))).tolist()))
-    return out
+def _text(heads: list[str], tails: list[str], starts: list[int], sign: list[str],
+          size: np.ndarray, *words: list[str]) -> str:
+    """Rows of terms, wrapped as the module docstring says, one row after
+    another. Row r is heads[r], terms starts[r] .. starts[r + 1] - 1 (the
+    last row runs to the last term) and tails[r], which no break counts.
+    Term t is sign[t] (" + " or " - ") and words[0][t], words[1][t], ...;
+    size[t] is its length; a head replaces its row's first sign. A line
+    takes the next term unless that would take it past _WRAP characters,
+    and always takes at least one. sign and size are edited in place."""
+    size[starts] += np.fromiter(map(len, heads), np.int64, len(heads)) - 3
+    cum = np.concatenate(([0], np.cumsum(size)))
+    reach = np.searchsorted(cum, cum[:-1] + (_WRAP - 2), "right") - 1
+    np.maximum(reach, np.arange(1, size.size + 1), out=reach)
+    first = np.maximum(np.add(starts, 1), np.searchsorted(cum, cum[starts] + _WRAP, "right") - 1)
+    for r, (b, end) in enumerate(zip(first.tolist(), [*starts[1:], size.size])):
+        sign[starts[r]] = heads[r] if r == 0 else tails[r - 1] + "\n" + heads[r]
+        while b < end:
+            sign[b] = "\n  " + sign[b]
+            b = reach.item(b)
+    del cum, reach
+    parts = [""] * ((1 + len(words)) * size.size)
+    for k, column in enumerate((sign, *words)):
+        parts[k::1 + len(words)] = column
+    return "".join(parts) + tails[-1]
 
 
 def emit_ilp_spaces(inst: Instance, table: SpacesTable) -> IlpModelArtifact:
@@ -129,27 +100,29 @@ def emit_ilp_spaces(inst: Instance, table: SpacesTable) -> IlpModelArtifact:
     t_on, t_off = table.window
     phi = table.phi_matrix
     pw = inst.transitions.power(inst.state_set.proc_state, inst.state_set.proc_state)
-    C = inst.cost_prefix
+    C = np.asarray(inst.cost_prefix, dtype=np.int64)
     num = [str(k) for k in range(h + 1)]  # interval numbers as text, formatted once
+    digits = np.fromiter(map(len, num), np.int64, h + 1)
 
-    # the columns in order, x per job and start, then y per gap: name,
-    # cost, first covered interval and end = last covered interval + 1
-    names, costs, xs, firsts, ends, assign = [], [], [], [], [], []
+    # the columns in order, x per job and start, then y per gap: name, its
+    # length, cost, and first covered interval and end = last covered one + 1
+    names, sizes, costs, spans, xs, job_starts = [], [], [], [], [], []
     for j, p in enumerate(inst.jobs, start=1):
         if t_on > t_off - p + 1:
             raise InfeasibleError(f"infeasible window: job {j} has no admissible start")
-        starts = range(t_on, t_off - p + 2)
-        job_names = list(map(f"x_{j}_".__add__, num[t_on:t_off - p + 2]))
-        names += job_names
-        costs += [(C[i + p - 1] - C[i - 1]) * pw for i in starts]
+        starts = np.arange(t_on, t_off - p + 2)
+        job_starts.append(len(names))
+        names += map(f"x_{j}_".__add__, num[t_on:t_off - p + 2])
+        sizes.append(len(f"x_{j}_") + digits[starts])
+        costs.append((C[starts + p - 1] - C[starts - 1]) * pw)
+        spans.append(np.stack((starts, starts + p), axis=1))
         xs.append([j, t_on, t_off - p + 1])
-        firsts.append(np.arange(t_on, t_off - p + 2))
-        ends.append(firsts[-1] + p)
-        assign.append(_wrap_terms(f" assign_{j}: ", [" + " + name for name in job_names], " = 1"))
+    assign = _text([f" assign_{j}: " for j, _lo, _hi in xs], [" = 1"] * len(xs), job_starts,
+                   [" + "] * len(names), 3 + np.concatenate(sizes), names)
     gi, gip = np.nonzero(np.triu(phi < _UNREACHABLE, 2) & ~table.pruned_mask)
-    firsts.append(gi + 1)
-    ends.append(gip)
-    costs += phi[gi, gip].tolist()
+    sizes.append(3 + digits[gi] + digits[gip])
+    costs.append(phi[gi, gip])
+    spans.append(np.stack((gi + 1, gip), axis=1))
     # the gaps as runs of consecutive ends: a run starts at the first gap
     # and wherever the start changes or the end jumps
     opens = np.ones(gi.size, dtype=bool)
@@ -158,20 +131,47 @@ def emit_ilp_spaces(inst: Instance, table: SpacesTable) -> IlpModelArtifact:
     first_ip = gip[head]
     gaps = np.stack((gi[head], first_ip, first_ip + np.diff(head, append=gi.size) - 1),
                     axis=1).tolist()
+    del gi, gip, opens, head, first_ip
     for i, lo, hi in gaps:
         names += map(f"y_{i}_".__add__, num[lo:hi + 1])
 
     # the window and the gap bodies keep every column inside 2..h-1, so
     # interval k is open to the columns with first <= k < end
-    first, end = np.concatenate(firsts), np.concatenate(ends)
-    open_cols = np.cumsum(np.bincount(first, minlength=h + 1) - np.bincount(end, minlength=h + 1))
+    rows = np.concatenate(spans).ravel()
+    open_cols = np.cumsum(np.bincount(rows[0::2], minlength=h + 1)
+                          - np.bincount(rows[1::2], minlength=h + 1))
     shut = np.flatnonzero(open_cols[2:h] == 0)
     if shut.size:
         raise InfeasibleError(f"interval {shut[0] + 2} can be neither processed nor bridged")
+    name_size = np.concatenate(sizes)
+    del spans, sizes
 
-    obj = _wrap_terms(" obj: ", [f" + {c} {name}" for c, name in zip(costs, names)], "")
-    lines = ["Minimize", obj, "Subject To", *assign, *_flow_rows(h, names, first, end),
-             "Binary", " " + "\n ".join(names), "End"]
+    # each distinct cost is formatted once, with the space that follows it
+    values, which = np.unique(np.concatenate(costs), return_inverse=True)
+    del costs
+    coef = np.array([f"{c} " for c in values.tolist()], dtype=object)
+    size = 3 + np.fromiter(map(len, coef), np.int64, coef.size)[which] + name_size
+    obj = _text([" obj: "], [""], [0], [" + "] * len(names), size, coef[which].tolist(), names)
+    del which, size
+
+    # flow term 2c is +column c in row first[c] and 2c + 1 is -column c in
+    # row end[c]; one stable sort by row keeps each row's terms in column
+    # order. Terms in row h are not written, nor is a row without terms,
+    # which would state 0 = 0
+    order = np.argsort(rows, kind="stable")
+    bounds = np.searchsorted(rows[order], np.arange(2, h + 1))
+    del rows
+    order = order[:bounds[-1]]
+    kept = np.flatnonzero(bounds[:-1] < bounds[1:])
+    row_starts = bounds[kept].tolist()
+    heads = [f" flow_{k}: " + ("- " if m else "")
+             for k, m in zip((kept + 2).tolist(), (order[row_starts] & 1).tolist())]
+    flow = _text(heads, [" = 1" if k == 0 else " = 0" for k in kept.tolist()], row_starts,
+                 np.array([" + ", " - "], dtype=object)[order & 1].tolist(),
+                 3 + name_size[order >> 1], np.array(names, dtype=object)[order >> 1].tolist())
+    del order
+
+    lines = ["Minimize", obj, "Subject To", assign, flow, "Binary", " " + "\n ".join(names), "End"]
     return IlpModelArtifact("\n".join([*lines, ""]), _boundary_constant(inst), xs, gaps)
 
 

@@ -446,9 +446,9 @@ def test_phi_table_with_a_lowered_cost_is_exit_2(tmp_path, capsys, worked_file):
     assert "(4, 10)" in stderr and "does not match its instance" in stderr
 
 
-def test_phi_table_with_a_raised_cost_is_exit_2(tmp_path, capsys, worked_file):
-    # phi(4, 10) = 48 prices the optimum's interior gap; 1000 needs an int16
-    # table, whose own maximum still means no switching
+def raised_phi_table(tmp_path, capsys, worked_file, gap):
+    """The worked table with phi at gap raised to 1000, which needs an
+    int16 table, whose own maximum still means no switching."""
     tab = tmp_path / "tab.npz"
     run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))
     with np.load(tab) as doc:
@@ -456,11 +456,30 @@ def test_phi_table_with_a_raised_cost_is_exit_2(tmp_path, capsys, worked_file):
     narrow = kept["phi"]
     kept["phi"] = narrow.astype(np.int16)
     kept["phi"][narrow == np.iinfo(narrow.dtype).max] = np.iinfo(np.int16).max
-    kept["phi"][4, 10] = 1000
+    kept["phi"][gap] = 1000
     np.savez(tab, **kept)
-    code, stdout, stderr = run(capsys, "solve", "--instance", worked_file, "--phi", str(tab))
+    return str(tab)
+
+
+def test_phi_table_with_a_raised_cost_is_exit_2(tmp_path, capsys, worked_file):
+    # phi(4, 10) = 48 prices the optimum's interior gap
+    tab = raised_phi_table(tmp_path, capsys, worked_file, (4, 10))
+    code, stdout, stderr = run(capsys, "solve", "--instance", worked_file, "--phi", tab)
     assert (code, stdout) == (2, "")
     assert "after interval 4" in stderr and "does not match its instance" in stderr
+
+
+@pytest.mark.parametrize("gap", [(1, 4), (4, 10)])
+def test_emit_lp_refuses_a_raised_phi(tmp_path, capsys, worked_file, gap):
+    # the model would price the gap at 1000: the root gap (1, 4) as well as
+    # the interior gap (4, 10) of the optimum, 24 and 48 by the machine
+    tab = raised_phi_table(tmp_path, capsys, worked_file, gap)
+    lp = tmp_path / "model.lp"
+    code, stdout, stderr = run(capsys, "emit-lp", "--instance", worked_file, "--phi", tab,
+                               "--out", str(lp))
+    assert (code, stdout) == (2, "")
+    assert f"{tab}: phi at {gap}" in stderr and "does not match its instance" in stderr
+    assert not lp.exists()
 
 
 def test_phi_table_with_a_negative_cost_is_exit_2(tmp_path, capsys, worked_file):

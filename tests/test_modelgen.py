@@ -25,11 +25,12 @@ from tousched import (
     write_artifact,
 )
 from tousched.model import InfeasibleError, compute_tec, job_cost
-from tousched.modelgen import _WRAP, _wrap_terms
+from tousched.modelgen import _WRAP, _text
 from tousched.solver import assemble_schedule
 
 from conftest import (WORKED_TEC, lp_to_arrays, nosby_instance, random_instance,
                       write_each_non_object)
+import emit_oracle
 
 WORKED_OPTIMAL_ASSIGNMENT = {
     "x_1_10": 1, "x_2_4": 1, "x_3_13": 1,
@@ -68,6 +69,11 @@ def test_export_is_pinned(worked):
         (generate_instance(6, preset_nosby(), "1.3", seed=5),
          "16367dc06e97606a7caef59511c1e4f5a83cc2ca4c31857dcdd2b5ed4357bff2",
          "af79948b0c9a4ef130728c5f9247685ecc5525e1295794e2fd2080fd25c59508"),
+        # h=339, 60,470 variables, 3.1 MB of text: the largest lp-roundtrip
+        # member of the benchmark
+        (generate_instance(60, preset_twosby(), "1.9", seed=6002),
+         "5490186effd7b6c64a124e3473ab57786331d7aa2ae86a541902ea6bf575028f",
+         "70f5aca6d17c42cceb985798ab8ced2391f91d8caaa82f4382a4bf9d5902363b"),
     ]
     for inst, lp_digest, varmap_digest in pinned:
         art = emit_ilp_spaces(inst, make_table(inst))
@@ -77,8 +83,8 @@ def test_export_is_pinned(worked):
 
 
 def wrap_terms_one_piece_at_a_time(head, terms, tail):
-    """The line wrap as a loop that adds one piece at a time: the oracle
-    for _wrap_terms."""
+    """The line wrap of one row as a loop that adds one piece at a time:
+    the oracle for _text."""
     lines = []
     cur = head
     for k, term in enumerate(terms):
@@ -98,14 +104,45 @@ _NAMES = st.builds(lambda c, k: c * k, st.sampled_from("xy_7"),
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(head=st.sampled_from([" obj: ", " assign_3: ", " flow_1273: "]),
-       terms=st.lists(st.tuples(st.booleans(), _NAMES), min_size=1, max_size=60),
-       tail=st.sampled_from(["", " = 0", " = 1"]))
-def test_wrap_terms_matches_the_piece_by_piece_loop(head, terms, tail):
-    terms = [("- " if minus else "") + name for minus, name in terms]
-    pieces = [" " + t if t[0] == "-" else " + " + t for t in terms]
-    assert _wrap_terms(head, pieces, tail) == \
-        "\n".join(wrap_terms_one_piece_at_a_time(head, terms, tail))
+@given(rows=st.lists(st.tuples(st.sampled_from([" obj: ", " assign_3: ", " flow_1273: "]),
+                               st.lists(st.tuples(st.booleans(), _NAMES), min_size=1,
+                                        max_size=60),
+                               st.sampled_from(["", " = 0", " = 1"])),
+                     min_size=1, max_size=4))
+def test_wrap_terms_matches_the_piece_by_piece_loop(rows):
+    # _text over several rows at once, each row against the loop; a row
+    # that opens with a minus term carries its "- " in the head, as flow
+    # rows do
+    heads, tails, starts, sign, words, want = [], [], [], [], [], []
+    for head, terms, tail in rows:
+        heads.append(head + ("- " if terms[0][0] else ""))
+        tails.append(tail)
+        starts.append(len(words))
+        sign += [" - " if minus else " + " for minus, _ in terms]
+        words += [name for _, name in terms]
+        want += wrap_terms_one_piece_at_a_time(
+            head, [("- " if minus else "") + name for minus, name in terms], tail)
+    size = np.array([3 + len(name) for name in words])
+    assert _text(heads, tails, starts, sign, size, words) == "\n".join(want)
+
+
+def test_emit_matches_the_emitter_it_replaced():
+    # the emitter kept in emit_oracle: a bisect per wrapped line and one
+    # string operation per term; the text, the columns and the gap runs
+    # must come out the same
+    rng = random.Random(26)
+    minus_first = jumps = 0
+    for _ in range(100):
+        preset = rng.choice([preset_nosby, preset_twosby])()
+        multiple = rng.choice(["1.3", "1.6", "1.9", "2.2"])
+        inst = generate_instance(rng.randint(3, 25), preset, multiple, seed=rng.randrange(10 ** 6))
+        table = make_table(inst)
+        art, want = emit_ilp_spaces(inst, table), emit_oracle.emit_ilp_spaces(inst, table)
+        assert (art.lp_text, art.x, art.gaps, art.constant_term) == \
+            (want.lp_text, want.x, want.gaps, want.constant_term)
+        minus_first += len(re.findall(r"^ flow_\d+: - ", art.lp_text, re.M))
+        jumps += sum(a[0] == b[0] for a, b in zip(art.gaps, art.gaps[1:]))
+    assert minus_first > 0 and jumps > 0  # rows that open with -x, gap ends that jump
 
 
 def test_worked_objective_coefficients(worked):
