@@ -98,7 +98,8 @@ def cmd_solve(args) -> int:
         return 1
     if args.out:
         stats = {"status": result.status, "stop_reason": result.stats.stop_reason,
-                 "certifier": result.stats.certifier, "states": result.stats.states,
+                 "certifier": result.stats.certifier, "counted": result.stats.counted,
+                 "states": result.stats.states,
                  "wall_time": round(result.stats.wall_time, 6),
                  "lower_bound": result.stats.lower_bound}
         model.save_schedule(result.schedule, result.tec, args.out, stats=stats)

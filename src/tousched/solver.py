@@ -44,10 +44,16 @@ length) pieces, and a phi that disagrees with the sweep is refused.
 A band of at most _DP_ALONE_CELLS cells runs the exact DP alone. A larger
 one runs the relaxation first. TEC depends only on which intervals
 process, so if the jobs split exactly into the relaxed optimum's merged
-blocks (_fit), that schedule proves the bound optimal. Without a fit, and
-at most _DP_CELL_LIMIT cells, the exact DP follows. The steps update one
-search state and every answer leaves by one exit. A time limit picks
-none of this; it only stops the work.
+blocks (_fit), that schedule proves the bound optimal. Without a fit, the
+rows count one more length, the shortest not yet counted, and the fit is
+tried on that optimum's blocks: a decremental state-space relaxation
+(Righini and Salani, Networks 51, 2008; Boland, Dethridge and Dumitrescu,
+Oper. Res. Lett. 34, 2006), whose bound never falls as lengths are
+counted. The sets grow while the cells they fill stay within
+1/_SUBSET_SHARE of the exact DP's and each set's within _DP_CELL_LIMIT.
+Then, at most _DP_CELL_LIMIT cells, the exact DP follows. The steps
+update one search state and every answer leaves by one exit. A time
+limit picks none of this; it only stops the work.
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ from .spaces import SpacesTable, _UNREACHABLE, compute_spaces, expand_space
 _HUGE = int(_UNREACHABLE)
 _DP_CELL_LIMIT = 2 ** 23  # band cells the DP may fill, prod(count_p + 1) * (slack + 1)
 _DP_ALONE_CELLS = 2 ** 14  # band cells up to which the DP alone is faster than relaxation first
+_SUBSET_SHARE = 32  # relaxations that count a subset of the lengths may fill 1/32 of the DP's cells
 _FIT_BYTES = 2 ** 28  # the fit's packed sets kept, plus 16 bytes per lattice cell walking back
 
 
@@ -76,6 +83,7 @@ class SolveStats:
     lower_bound: int | None = None
     stop_reason: str | None = None  # optimal | infeasible | time_limit | cell_limit
     certifier: str | None = None  # what proved an optimum: dp | fit
+    counted: list[int] | None = None  # the job lengths counted by the step that gave lower_bound
 
 
 @dataclass
@@ -443,19 +451,29 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     the one whose (start, length) pieces, sorted by start, form the
     lexicographically smallest sequence wins. More cells: the relaxation
     first, the same sweep over rows that count no length, and the fit's
-    schedule when the jobs fit its blocks (_fit); without a fit, at most
-    _DP_CELL_LIMIT cells, the exact DP. The steps share one search state
-    and leave by one exit, stop, which assembles the answer and re-prices
-    it (RuntimeError when the price is off). Over the cell limit, or once
-    the time limit expires, the answer has status "timeout": all jobs in
-    one block at t_on, shortest first, under the relaxed value (before
+    schedule when the jobs fit its blocks (_fit). Without a fit, the rows
+    count the shortest uncounted length too, and the fit is tried again,
+    until the next set's cells, (uncounted work + 1) * prod over the
+    counted of (count + 1) * R, would pass _DP_CELL_LIMIT or take the
+    cells filled by these sets past 1/_SUBSET_SHARE of the exact DP's. A
+    bound that meets the one-block incumbent needs no stop of its own:
+    the walk then merges every piece into that block, which the fit
+    takes within its memory budget. Then, at most _DP_CELL_LIMIT
+    cells, the exact DP. The steps share one search state and leave by
+    one exit, stop, which assembles the answer and re-prices it
+    (RuntimeError when the price is off). Over the cell limit, or once the
+    time limit expires, the answer has status "timeout": all jobs in one
+    block at t_on, shortest first, under the last relaxed value (before
     the relaxation completes, the cheapest root gap plus all work at the
     cheapest later price). A solve that ends within the time limit gives
     the untimed answer.
     stats.stop_reason says which limit stopped the solve, stats.certifier
-    what proved an optimum ("dp" or "fit"), and stats.states the cells
-    filled, the relaxation's included: an F and, below the top layer, a G
-    per cell. A time limit must be >= 0; inf, like None, sets no limit.
+    what proved an optimum ("dp" or "fit"), stats.counted the job lengths
+    counted by the step that gave the lower bound ([] for the relaxation,
+    every length for the exact DP, None before a step completes), and
+    stats.states the cells filled, the relaxations' included: an F and,
+    below the top layer, a G per cell. A time limit must be >= 0; inf,
+    like None, sets no limit.
     The sweep reads the clock once per interval, the fit once per block.
     """
     if time_limit is not None and not time_limit >= 0:  # NaN fails this test too
@@ -483,6 +501,7 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     ends = np.arange(2, t_on + R)
     suf_min = np.minimum.accumulate(np.diff(C[:t_off + 1])[::-1])[::-1]  # cheapest price from i on
     bound = int(np.min(phi[1, ends] + sum_p * p_proc * suf_min[ends - 1], initial=_HUGE))
+    bound_counted = None  # the lengths counted by the step that gave bound
     states = 0
 
     def stop(reason: str) -> SolveResult:
@@ -501,7 +520,8 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
                 raise RuntimeError(f"assembled schedule costs {check}, search found {tec}")
         stats = SolveStats(states=states, wall_time=time.monotonic() - t0, lower_bound=lb,
                            stop_reason="optimal" if proved else reason,
-                           certifier=reason if proved else None)
+                           certifier=reason if proved else None,
+                           counted=None if lb is None else bound_counted)
         return SolveResult(tec=tec, schedule=sched, status=status, stats=stats)
 
     if R < 1:
@@ -532,28 +552,46 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
         states += filled
         return None if H is None else _walk(band, rows, H)
 
+    def size(counted: np.ndarray) -> int:
+        """The cells of the band DP over rows that count the lengths flagged:
+        (uncounted work + 1) * prod over the counted of (count + 1) * R."""
+        tally = np.where(counted, counts, 0)
+        return (int(ps @ (counts - tally)) + 1) * int(np.prod(tally + 1, dtype=object)) * R
+
     every = np.ones(len(ps), dtype=bool)
-    cells = int(np.prod(counts + 1, dtype=object)) * R
+    cells = size(every)
     if cells > _DP_ALONE_CELLS:
-        relaxed = optimum(~every)
-        if relaxed is None:
-            return stop("time_limit")
-        if relaxed[0] >= cap:
-            return stop("infeasible")
-        bound = relaxed[0]
-        blocks: list[list[int]] = []  # [start, length] of the merged blocks
-        for a, p in relaxed[1]:
-            if blocks and sum(blocks[-1]) == a:
-                blocks[-1][1] += p
-            else:
-                blocks.append([a, p])
-        split = _fit(ps, counts, [L for _a, L in blocks], expired)
-        if split is not None:
-            found = (bound, [(a + sum(held[:k]), p) for (a, _L), held in zip(blocks, split)
-                             for k, p in enumerate(held)])
-            return stop("fit")
-        if expired():
-            return stop("time_limit")
+        # The relaxation, then ever more counted lengths, the shortest
+        # uncounted first, while the cells spent on these subsets stay
+        # within 1/_SUBSET_SHARE of the exact DP's and each one within
+        # the cell limit.
+        counted, spent = ~every, 0
+        while True:
+            relaxed = optimum(counted)
+            if relaxed is None:
+                return stop("time_limit")
+            if relaxed[0] >= cap:
+                return stop("infeasible")
+            bound, bound_counted = relaxed[0], ps[counted].tolist()
+            blocks: list[list[int]] = []  # [start, length] of the merged blocks
+            for a, p in relaxed[1]:
+                if blocks and sum(blocks[-1]) == a:
+                    blocks[-1][1] += p
+                else:
+                    blocks.append([a, p])
+            split = _fit(ps, counts, [L for _a, L in blocks], expired)
+            if split is not None:
+                found = (bound, [(a + sum(held[:k]), p) for (a, _L), held in zip(blocks, split)
+                                 for k, p in enumerate(held)])
+                return stop("fit")
+            if expired():
+                return stop("time_limit")
+            spent += size(counted)
+            counted = counted.copy()
+            counted[counted.argmin()] = True
+            step = size(counted)
+            if step > _DP_CELL_LIMIT or (spent + step) * _SUBSET_SHARE > cells:
+                break
         if cells > _DP_CELL_LIMIT:
             return stop("cell_limit")
     best = optimum(every)
@@ -561,7 +599,7 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
         return stop("time_limit")
     if best[0] >= cap:
         return stop("infeasible")
-    found = best
+    found, bound_counted = best, ps.tolist()
     return stop("dp")
 
 

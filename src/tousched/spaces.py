@@ -145,8 +145,14 @@ def _sweep_rows(g: IntervalStateGraph, phi: np.ndarray) -> None:
 def compute_spaces(inst: Instance, g: IntervalStateGraph) -> SpacesTable:
     """The full phi table; raises InfeasibleError without a processing window."""
     h = inst.horizon
-    table = SpacesTable(np.full((h + 1, h + 1), INF, dtype=np.int64), g)
+    table = SpacesTable(np.empty((h + 1, h + 1), dtype=np.int64), g)
     phi = table.phi_matrix
+    # The sweep writes row k - 1 from column k on. INF goes to rows 0 and
+    # h and, in bands of 64 rows, up to each band's last diagonal cell, so
+    # the (h + 1)^2 cells are not all written twice.
+    phi[[0, h]] = INF
+    for r in range(1, h, 64):
+        phi[r:r + 64, :r + 64] = INF
     _sweep_rows(g, phi)
     return table
 

@@ -637,12 +637,13 @@ def test_solve_out_records_the_stop_reason(tmp_path, capsys, worked_file, monkey
     stats = json.loads(out.read_text(encoding="utf-8"))["stats"]
     assert (stats["status"], stats["stop_reason"]) == ("optimal", "optimal")
     assert stats["certifier"] == "dp" and "rounds" not in stats
+    assert stats["counted"] == [1, 2]  # the exact DP counts every job length
     code, _, stderr = run(capsys, "solve", "--instance", worked_file, "--time-limit", "0.0",
                           "--out", str(out))
     assert code == 0 and "time limit reached" in stderr
     stats = json.loads(out.read_text(encoding="utf-8"))["stats"]
     assert (stats["status"], stats["stop_reason"]) == ("timeout", "time_limit")
-    assert stats["certifier"] is None
+    assert (stats["certifier"], stats["counted"]) == (None, None)  # no step completed
     # a time limit picks no order: the worked band is small enough for the DP
     code, _, stderr = run(capsys, "solve", "--instance", worked_file, "--time-limit", "60",
                           "--out", str(out))
@@ -653,6 +654,7 @@ def test_solve_out_records_the_stop_reason(tmp_path, capsys, worked_file, monkey
                           "--out", str(out))
     stats = json.loads(out.read_text(encoding="utf-8"))["stats"]
     assert (code, stats["status"], stats["certifier"]) == (0, "optimal", "fit")
+    assert stats["counted"] == []  # the relaxation counts no length
 
 
 def test_solve_out_records_the_elimination_rounds(tmp_path, capsys):
@@ -666,6 +668,18 @@ def test_solve_out_records_the_elimination_rounds(tmp_path, capsys):
     stats = json.loads(out.read_text(encoding="utf-8"))["stats"]
     assert (stats["status"], stats["stop_reason"]) == ("optimal", "optimal")
     assert (stats["certifier"], stats["lower_bound"]) == ("dp", 3026)
+    assert stats["counted"] == [1, 2, 3, 4, 5]
+
+
+def test_solve_out_records_the_lengths_counted_for_the_bound(tmp_path, capsys):
+    # nosby/45/4 at 1.6 does not fit the relaxed blocks (4277); counting
+    # the jobs of length 1 gives 4281, and the jobs fit those blocks.
+    inst_file = gen_one(capsys, tmp_path / "insts", "nosby", 45, 4, "1.6")
+    out = tmp_path / "sched.json"
+    code, stdout, stderr = run(capsys, "solve", "--instance", inst_file, "--out", str(out))
+    assert (code, stdout, stderr) == (0, "TEC 4281\n", "")
+    stats = json.loads(out.read_text(encoding="utf-8"))["stats"]
+    assert (stats["certifier"], stats["counted"], stats["lower_bound"]) == ("fit", [1], 4281)
 
 
 def gen_one(capsys, out, preset, jobs, seed, multiple):
@@ -687,7 +701,7 @@ def test_solve_names_the_cell_limit(tmp_path, capsys, worked_file, monkeypatch):
     assert (doc["stats"]["status"], doc["stats"]["stop_reason"]) == ("timeout", "cell_limit")
     assert doc["stats"]["lower_bound"] <= doc["tec"]
     assert doc["stats"]["lower_bound"] == 3022
-    assert doc["stats"]["certifier"] is None
+    assert (doc["stats"]["certifier"], doc["stats"]["counted"]) == (None, [])
     # the worked example fits: its relaxed value is the optimum
     code, stdout, stderr = run(capsys, "solve", "--instance", worked_file, "--out", str(out))
     assert (code, stdout, stderr) == (0, "TEC 177\n", "")

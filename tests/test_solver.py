@@ -24,6 +24,7 @@ from tousched import (
     compute_spaces,
     compute_tec,
     generate_family,
+    generate_instance,
     job_cost,
     solve_exact,
     validate_schedule,
@@ -506,15 +507,17 @@ def test_elimination_rounds_match_the_full_dp(member, tec, monkeypatch):
 
 
 def test_the_cell_limit_counts_the_whole_band_before_the_rounds():
-    # nosby/60/6001 at 1.9: no fit, and the band is over the cell limit,
-    # so the exact DP does not run even under a time limit; the bound is
-    # the relaxed value, which is the optimum.
-    inst = generate_family(60, preset_nosby(), 6001)[2]
+    # nosby/250/25001 at 1.6 (h=1172): no fit, the band is over the cell
+    # limit, and so is the relaxation that counts the shortest length
+    # alone (14,380,416 cells), so neither it nor the exact DP runs, even
+    # under a time limit; the bound is the relaxed value.
+    inst = generate_family(250, preset_nosby(), 25001)[1]
     tab = make_table(inst)
     res = solve_exact(inst, tab, time_limit=60.0)
     assert (res.status, res.stats.stop_reason) == ("timeout", "cell_limit")
     assert res.stats.states == relaxed_cells(inst, tab)
-    assert (res.stats.lower_bound, res.tec, res.stats.certifier) == (5324, 6152, None)
+    assert (res.stats.lower_bound, res.tec, res.stats.certifier) == (22787, 24694, None)
+    assert res.stats.counted == []
 
 
 def rows_by_enumeration(ps, counts, counted):
@@ -803,6 +806,28 @@ def test_a_paper_scale_member_solves_as_pinned():
     assert (res.tec, s.lower_bound, s.states) == (9800, 9800, 313_782)
     assert list(res.schedule.sigma) == PAPER_SCALE_SIGMA
     assert validate_schedule(inst, res.schedule) == []
+
+
+@pytest.mark.parametrize("n, seed, multiple, relaxed, tec, states", [
+    (45, 4, "1.6", 4277, 4281, 163_370),
+    (60, 10, "1.9", 5745, 5749, 567_720),  # 5749 is also the HiGHS optimum
+])
+def test_counting_the_shortest_length_proves_what_the_relaxation_does_not(
+        n, seed, multiple, relaxed, tec, states, monkeypatch):
+    # nosby/45/4 at 1.6 and nosby/60/10 at 1.9: the jobs do not fit the
+    # relaxed blocks, but they fit the blocks of the relaxation that counts
+    # the jobs of length 1, whose bound is the optimum.
+    inst = generate_instance(n, preset_nosby(), multiple, seed=seed)
+    tab = make_table(inst)
+    res = solve_exact(inst, tab)
+    s = res.stats
+    assert (res.status, s.certifier, s.counted) == ("optimal", "fit", [1])
+    assert (res.tec, s.lower_bound, s.states) == (tec, tec, states)
+    assert validate_schedule(inst, res.schedule) == []
+    monkeypatch.setattr(solver, "_DP_CELL_LIMIT", 0)  # the relaxation alone
+    res = solve_exact(inst, tab)
+    assert (res.stats.stop_reason, res.stats.lower_bound, res.stats.counted) == (
+        "cell_limit", relaxed, [])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -1113,3 +1138,70 @@ def test_relaxation_bounds_the_optimum_and_its_fit_is_optimal(machine_seed, jobs
         assert compute_tec(inst, relaxed.schedule) == relaxed.tec
     else:
         assert relaxed.stats.stop_reason == "cell_limit"
+
+
+def merged_blocks(pieces):
+    """[start, length] of the blocks that back-to-back pieces form."""
+    blocks = []
+    for a, p in pieces:
+        if blocks and sum(blocks[-1]) == a:
+            blocks[-1][1] += p
+        else:
+            blocks.append([a, p])
+    return blocks
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(machine_seed=st.integers(0, 2 ** 32 - 1), seed=st.integers(0, 2 ** 32 - 1))
+def test_every_set_of_the_shortest_lengths_bounds_the_optimum_and_its_fit_is_optimal(
+        machine_seed, seed):
+    # Rows that count the k shortest lengths, k = 0 up to all of them, the
+    # sets the solve grows: each band optimum is at most the brute-force
+    # optimum, and where the jobs fit its merged blocks the fitted
+    # schedule costs the untimed TEC. A band optimum as costly as all jobs
+    # in one block at t_on is walked as that block, which always fits, so
+    # the solve needs no stop for a bound that meets the one-block
+    # incumbent. A solve whose subsets may spend any share of the DP's
+    # cells stops at the first fit and says which set gave its bound.
+    # Prices of 0 or 9 make short blocks in cheap spells pay, which the
+    # relaxation fills with more short jobs than exist.
+    states, trans = random_machine(random.Random(machine_seed), max_extra=3)
+    rng = random.Random(seed)
+    jobs = [rng.randint(1, 4) for _ in range(rng.randint(2, 5))]
+    h = rng.randint(min(20, sum(jobs) + 4), 20)
+    costs = [rng.choice((0, 9)) for _ in range(h)]
+    inst = Instance(h, tuple(costs), tuple(jobs), states, trans)
+    try:
+        tab = make_table(inst)
+    except InfeasibleError:
+        return
+    want = brute_force_schedule(inst, tab)
+    if want.status == "infeasible":
+        return
+    untimed = solve_exact(inst, tab)
+    one_block = solve_exact(inst, tab, time_limit=0.0).tec
+    band, cap = band_of(inst, tab)
+    ps, counts = np.unique(jobs, return_counts=True)
+    const = solver._boundary_constant(inst)
+    expected = None  # the (certifier, counted) of the grown solve
+    for k in range(len(ps) + 1):
+        counted = np.arange(len(ps)) < k
+        value, pieces = band_optimum(band, solver._rows(ps, counts, counted), cap)
+        assert value + const <= want.tec
+        blocks = merged_blocks(pieces)
+        if value + const == one_block:
+            assert blocks == [[band.t_on, sum(jobs)]]
+        split = solver._fit(ps, counts, [L for _a, L in blocks], lambda: False)
+        if split is not None:
+            fitted = [(a + sum(held[:i]), p) for (a, _L), held in zip(blocks, split)
+                      for i, p in enumerate(held)]
+            sched = assemble_schedule(inst, solver._job_assignment(inst, fitted), tab)
+            assert validate_schedule(inst, sched) == []
+            assert compute_tec(inst, sched) == value + const == untimed.tec == want.tec
+            expected = expected or ("fit", ps[:k].tolist())
+    with mock.patch.object(solver, "_DP_ALONE_CELLS", 0), \
+            mock.patch.object(solver, "_SUBSET_SHARE", 0):
+        grown = solve_exact(inst, tab)
+    assert (grown.status, grown.tec, grown.stats.lower_bound) == ("optimal", want.tec, want.tec)
+    assert (grown.stats.certifier, grown.stats.counted) == expected
+    assert compute_tec(inst, grown.schedule) == grown.tec
