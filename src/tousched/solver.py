@@ -44,9 +44,12 @@ length) pieces, and a phi that disagrees with the sweep is refused.
 A band of at most _DP_ALONE_CELLS cells runs the exact DP alone. A larger
 one runs the relaxation first. TEC depends only on which intervals
 process, so if the jobs split exactly into the relaxed optimum's merged
-blocks (_fit), that schedule proves the bound optimal. Without a fit, the
-rows count one more length, the shortest not yet counted, and the fit is
-tried on that optimum's blocks: a decremental state-space relaxation
+blocks (_fit), that schedule proves the bound optimal. The fit is a
+decreasing fit, longest job first (_decreasing_fit), and where that finds
+no split an exact knapsack over count vectors, which alone has a memory
+budget (_FIT_BYTES) and reads the clock. Without a fit, the rows count
+one more length, the shortest not yet counted, and the fit is tried on
+that optimum's blocks: a decremental state-space relaxation
 (Righini and Salani, Networks 51, 2008; Boland, Dethridge and Dumitrescu,
 Oper. Res. Lett. 34, 2006), whose bound never falls as lengths are
 counted. The sets grow while the cells they fill stay within
@@ -59,6 +62,7 @@ limit picks none of this; it only stops the work.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -73,7 +77,7 @@ _HUGE = int(_UNREACHABLE)
 _DP_CELL_LIMIT = 2 ** 23  # band cells the DP may fill, prod(count_p + 1) * (slack + 1)
 _DP_ALONE_CELLS = 2 ** 14  # band cells up to which the DP alone is faster than relaxation first
 _SUBSET_SHARE = 32  # relaxations that count a subset of the lengths may fill 1/32 of the DP's cells
-_FIT_BYTES = 2 ** 28  # the fit's packed sets kept, plus 16 bytes per lattice cell walking back
+_FIT_BYTES = 2 ** 28  # the lattice fit's packed sets kept, plus 16 bytes per cell walking back
 
 
 @dataclass
@@ -242,9 +246,13 @@ def _sweep(band: _Band, rows, cap: int, expired):
     hp = np.full(top + (n + 1) * R, cap, dtype=dtype)
     H = hp[top:].reshape(n + 1, R)
     H[0] = np.minimum(band.tail, cap)
-    W = np.repeat(np.arange(top + 1), np.diff(first))
-    cell = np.arange(n, dtype=np.int64) * R + W
-    after = np.where(succ < 0, n, succ) * np.int64(R) + W  # no successor: the last row
+    index = np.int32 if hp.size <= np.iinfo(np.int32).max else np.int64  # holds every index of hp
+    W = np.repeat(np.arange(top + 1, dtype=index), np.diff(first))
+    cell = np.arange(n, dtype=index) * index(R) + W
+    # no successor: the last row
+    after = np.where(succ < 0, index(n), succ.astype(index, copy=False))
+    after *= index(R)
+    after += W
     runs = band.runs.T[:, :, None]  # runs[k, j]: a job of length ps[j] from interval k
     last = t_end + R - 2  # the last interval a block may start at
     # ring[k % slots][c][pos]: class c's cost at interval k at the cell of
@@ -263,7 +271,7 @@ def _sweep(band: _Band, rows, cap: int, expired):
         if b <= a:
             continue
         at = hp[k - band.t_on:]
-        F = (at[after[:, a:b]] + runs[k]).min(axis=0, initial=cap)
+        F = (at.take(after[:, a:b]) + runs[k]).min(axis=0, initial=cap)
         cur = plan.pull(ring, k, slice(a, b), last, scratch[:b - a])
         proc = cur[plan.proc]
         np.minimum(proc, F, out=proc)  # at most cap: the closure only lowers it
@@ -357,27 +365,65 @@ def _rows(ps: np.ndarray, counts: np.ndarray, counted: np.ndarray):
     return first, succ
 
 
-def _fit(ps: np.ndarray, counts: np.ndarray, lengths: list[int], expired) -> list[list[int]] | None:
-    """Split the jobs into blocks of the given lengths: for each block, the
-    lengths of the jobs it holds. None when no split exists, its memory
-    would pass _FIT_BYTES, or the deadline expired.
+def _decreasing_fit(ps: np.ndarray, counts: np.ndarray,
+                    lengths: list[int]) -> list[list[int]] | None:
+    """_fit's split by a decreasing fit (Johnson, J. Comput. Syst. Sci. 8,
+    1974), or None where it finds none: the jobs longer than the shortest
+    length q, longest first, each go into a block whose room they fill,
+    else the least roomy block that keeps room for the second-shortest
+    length, else the least roomy that takes them and leaves a multiple of
+    q. When every room left is a multiple of q, jobs of length q fill
+    them."""
+    q, others, c = int(ps[0]), ps[1:].tolist(), counts[1:].tolist()
+    room = sorted((L, b) for b, L in enumerate(lengths))  # (room left, block), ascending
+    held: list[list[int]] = [[] for _ in lengths]
+    for p in [p for p, k in zip(others[::-1], c[::-1]) for _ in range(k)]:
+        at = bisect_left(room, (p,))  # the least roomy block that takes p
+        spare = bisect_left(room, (p + others[0],), at)  # ... and keeps room for a longer job
+        if at < len(room) and room[at][0] == p:
+            k = at
+        elif spare < len(room):
+            k = spare
+        else:
+            k = next((k for k in range(at, len(room)) if (room[k][0] - p) % q == 0), None)
+            if k is None:
+                return None
+        L, b = room.pop(k)
+        held[b].append(p)
+        insort(room, (L - p, b))
+    if any(L % q for L, _b in room):
+        return None
+    return [[q] * ((L - sum(h)) // q) + h[::-1] for L, h in zip(lengths, held)]
 
-    A knapsack over the lattice of count vectors of every length but the
-    shortest, q: block by block, layer[l] = layer[l - q] | (layer[l - p]
-    one step along p's axis) for every other length p, from layer[0] = the
-    vectors reachable before the block. The jobs fill the blocks exactly
-    when the full count vector is reachable after the last one. The
-    longest length's axis is packed 64 counts to a word, and only the set
-    before each block is kept. Walking back, a block holds what takes the
-    current vector down to any vector of that set with no more work than
-    the block's length. Jobs of length q fill the rest, always a multiple
-    of q: every vector of a set is reached with the work before its block.
+
+def _fit(ps: np.ndarray, counts: np.ndarray, lengths: list[int], expired) -> list[list[int]] | None:
+    """Split the jobs into blocks of the given lengths, which sum to the
+    jobs' work: for each block, the lengths of the jobs it holds, those of
+    the shortest length q first, then the others ascending. None when no
+    split exists, or when the lattice below would pass _FIT_BYTES or the
+    deadline expired.
+
+    The decreasing fit (_decreasing_fit) runs first, with no budget and no
+    clock. Where it finds no split, a knapsack over the lattice of count
+    vectors of every length but q: block by block, layer[l] = layer[l - q]
+    | (layer[l - p] one step along p's axis) for every other length p,
+    from layer[0] = the vectors reachable before the block. The jobs fill
+    the blocks exactly when the full count vector is reachable after the
+    last one. The longest length's axis is packed 64 counts to a word, and
+    only the set before each block is kept. Walking back, a block holds
+    what takes the current vector down to any vector of that set with no
+    more work than the block's length. Jobs of length q fill the rest,
+    always a multiple of q: every vector of a set is reached with the work
+    before its block. The lattice reads the clock once per block.
     """
     q, others, c = int(ps[0]), ps[1:].tolist(), counts[1:].tolist()
     if not others:
         if any(L % q for L in lengths):
             return None
         return [[q] * (L // q) for L in lengths]
+    split = _decreasing_fit(ps, counts, lengths)
+    if split is not None:
+        return split
     shape = tuple(k + 1 for k in c[:-1]) + (c[-1] // 64 + 1,)
     longest = others[-1]
     cells = int(np.prod([k + 1 for k in c], dtype=object))
@@ -451,17 +497,18 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     the one whose (start, length) pieces, sorted by start, form the
     lexicographically smallest sequence wins. More cells: the relaxation
     first, the same sweep over rows that count no length, and the fit's
-    schedule when the jobs fit its blocks (_fit). Without a fit, the rows
-    count the shortest uncounted length too, and the fit is tried again,
-    until the next set's cells, (uncounted work + 1) * prod over the
+    schedule when the jobs fit its blocks (_fit): the decreasing fit's
+    split, else the lattice's, each block's jobs ascending. Without a fit,
+    the rows count the shortest uncounted length too, and the fit is tried
+    again, until the next set's cells, (uncounted work + 1) * prod over the
     counted of (count + 1) * R, would pass _DP_CELL_LIMIT or take the
     cells filled by these sets past 1/_SUBSET_SHARE of the exact DP's. A
     bound that meets the one-block incumbent needs no stop of its own:
-    the walk then merges every piece into that block, which the fit
-    takes within its memory budget. Then, at most _DP_CELL_LIMIT
-    cells, the exact DP. The steps share one search state and leave by
-    one exit, stop, which assembles the answer and re-prices it
-    (RuntimeError when the price is off). Over the cell limit, or once the
+    the walk then merges every piece into that block, which the decreasing
+    fit always splits. Then, at most _DP_CELL_LIMIT cells, the exact DP.
+    The steps share one search state and leave by one exit, stop, which
+    assembles the answer and re-prices it (RuntimeError when the price is
+    off). Over the cell limit, or once the
     time limit expires, the answer has status "timeout": all jobs in one
     block at t_on, shortest first, under the last relaxed value (before
     the relaxation completes, the cheapest root gap plus all work at the
@@ -474,7 +521,8 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     stats.states the cells filled, the relaxations' included: an F and,
     below the top layer, a G per cell. A time limit must be >= 0; inf,
     like None, sets no limit.
-    The sweep reads the clock once per interval, the fit once per block.
+    The sweep reads the clock once per interval, the fit's lattice once per
+    block; the decreasing fit before it reads none.
     """
     if time_limit is not None and not time_limit >= 0:  # NaN fails this test too
         raise InputError(f"time limit must be >= 0, got {time_limit}")

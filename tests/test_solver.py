@@ -428,9 +428,11 @@ def test_a_deadline_at_any_clock_reading_leaves_a_valid_answer(machine_seed, job
 def test_deadline_mid_fill_gives_the_same_answer(monkeypatch):
     # A fake clock that ticks once per reading makes the deadline fall
     # after a fixed number of checks: before and between the intervals of
-    # the relaxation's sweep (readings 1 to 115), then inside the fit
-    # (116 to 122) and, on a member without a fit, the exact DP's sweep.
-    inst = fourteen_jobs_h120()
+    # the relaxation's sweep (readings 1 to 183), then inside the fit's
+    # lattice (184 to 200, one per block) and, on a member without a fit,
+    # the exact DP's sweep. nosby/30/3001 at 1.9 (h=188): the decreasing
+    # fit does not split its 17 relaxed blocks, so the lattice does.
+    inst = generate_family(30, preset_nosby(), 3001)[2]
     tab = make_table(inst)
     no_fit, no_fit_tab = no_fit_member()
     monkeypatch.setattr(solver, "_DP_ALONE_CELLS", solver._DP_CELL_LIMIT)  # the full DP
@@ -449,16 +451,17 @@ def test_deadline_mid_fill_gives_the_same_answer(monkeypatch):
         filled.append(res.stats.states)
     assert filled[0] == 0 and 0 < filled[-1] < relaxed_cells(inst, tab) < full.stats.states
     assert filled == sorted(filled)
-    res = solve_exact(inst, tab, time_limit=122 - 0.5)  # inside the fit
-    assert (res.status, res.stats.stop_reason) == ("timeout", "time_limit")
-    assert (res.tec, res.stats.lower_bound) == (expired.tec, full.tec)
-    res = solve_exact(inst, tab, time_limit=200 - 0.5)  # past the fit
+    for checks in (184, 200):  # inside the fit
+        res = solve_exact(inst, tab, time_limit=checks - 0.5)
+        assert (res.status, res.stats.stop_reason) == ("timeout", "time_limit")
+        assert (res.tec, res.stats.lower_bound) == (expired.tec, full.tec)
+    res = solve_exact(inst, tab, time_limit=201 - 0.5)  # past the fit
     assert (res.status, res.tec) == ("optimal", full.tec)
     # Over the cell limit, a deadline inside the fit is still a time
     # limit: the solve stops there, with the relaxed bound.
     with monkeypatch.context() as m:
         m.setattr(solver, "_DP_CELL_LIMIT", 1000)
-        res = solve_exact(inst, tab, time_limit=122 - 0.5)
+        res = solve_exact(inst, tab, time_limit=200 - 0.5)
     assert (res.status, res.stats.stop_reason) == ("timeout", "time_limit")
     assert (res.tec, res.stats.lower_bound) == (expired.tec, full.tec)
     assert res.stats.states == relaxed_cells(inst, tab)
@@ -507,16 +510,16 @@ def test_elimination_rounds_match_the_full_dp(member, tec, monkeypatch):
 
 
 def test_the_cell_limit_counts_the_whole_band_before_the_rounds():
-    # nosby/250/25001 at 1.6 (h=1172): no fit, the band is over the cell
+    # nosby/250/3 at 2.2 (h=1636): no fit, the band is over the cell
     # limit, and so is the relaxation that counts the shortest length
-    # alone (14,380,416 cells), so neither it nor the exact DP runs, even
+    # alone (31,455,270 cells), so neither it nor the exact DP runs, even
     # under a time limit; the bound is the relaxed value.
-    inst = generate_family(250, preset_nosby(), 25001)[1]
+    inst = generate_family(250, preset_nosby(), 3)[3]
     tab = make_table(inst)
     res = solve_exact(inst, tab, time_limit=60.0)
     assert (res.status, res.stats.stop_reason) == ("timeout", "cell_limit")
     assert res.stats.states == relaxed_cells(inst, tab)
-    assert (res.stats.lower_bound, res.tec, res.stats.certifier) == (22787, 24694, None)
+    assert (res.stats.lower_bound, res.tec, res.stats.certifier) == (21531, 23957, None)
     assert res.stats.counted == []
 
 
@@ -784,17 +787,17 @@ def test_the_sweep_and_its_walk_give_the_band_optimum_cell_by_cell(
             assert_walk_is_the_band_optimum(band, rows, limit, band_optimum(band, rows, limit))
 
 
-# nosby/120/12001 at 2.2 (h=800), proved by the fit, as the solver first
-# answered it; its long band diagonals are the relaxation sweep's longest
+# nosby/120/12001 at 2.2 (h=800), proved by the fit with the decreasing
+# fit's split; its long band diagonals are the relaxation sweep's longest
 # in tier-1.
 PAPER_SCALE_SIGMA = [
-    84, 76, 88, 69, 66, 118, 94, 245, 123, 80, 225, 100, 268, 257, 315, 320, 323, 327, 72,
-    104, 342, 74, 391, 451, 248, 263, 107, 348, 363, 358, 111, 524, 304, 372, 552, 444,
-    309, 537, 555, 335, 584, 594, 550, 618, 675, 352, 115, 379, 384, 403, 128, 683, 222,
-    431, 250, 397, 686, 253, 694, 531, 605, 439, 697, 265, 298, 446, 526, 673, 717, 735,
-    729, 737, 301, 539, 761, 544, 558, 567, 763, 345, 360, 578, 765, 563, 573, 779, 369,
-    587, 767, 769, 596, 394, 782, 789, 771, 408, 773, 776, 791, 412, 621, 653, 688, 658,
-    795, 667, 677, 699, 436, 704, 784, 601, 786, 709, 792, 664, 725, 731, 720, 739
+    106, 76, 123, 69, 66, 252, 87, 104, 315, 80, 94, 84, 327, 117, 349, 115, 245, 353,
+    72, 100, 250, 74, 265, 320, 248, 263, 111, 403, 431, 298, 128, 323, 225, 446, 342,
+    358, 257, 444, 345, 267, 347, 360, 537, 369, 391, 335, 222, 362, 371, 526, 299, 436,
+    302, 558, 305, 379, 451, 308, 524, 384, 550, 563, 552, 311, 394, 573, 596, 605, 555,
+    584, 673, 594, 408, 397, 618, 438, 621, 531, 653, 412, 601, 539, 675, 655, 659, 729,
+    664, 544, 683, 686, 688, 725, 779, 782, 694, 731, 697, 704, 789, 735, 699, 567, 706,
+    578, 795, 587, 667, 710, 763, 677, 717, 766, 761, 738, 776, 769, 772, 791, 720, 784
 ]
 
 
@@ -1096,16 +1099,47 @@ def test_fit_splits_the_jobs_exactly_when_they_fit():
         assert (split is not None) == split_exists(jobs, lengths)
         found += split is not None
     assert 100 <= found <= 300
-    # 70 jobs of the longest length: its packed axis spans two 64-bit words
-    jobs = [1] * 3 + [2] * 5 + [3] * 70
-    assert fit(jobs, [3 * 65 + 2 + 1, 3 * 5 + 2 * 4 + 1 * 2]) is not None
-    assert fit(jobs[3:], [1, 3 * 70 + 2 * 5 - 1]) is None
-    # its budget: 6 x 2 words per set, kept for 2 blocks and 3 + 1 layers,
+    # 70 jobs of the longest length: its packed axis spans two 64-bit words.
+    # The decreasing fit puts a 7 in the block of 15, and the 8 left needs
+    # four 2s or a 5 and 3, so these blocks are split by the lattice
+    jobs = [2] * 3 + [5] * 5 + [7] * 70
+    lengths = [5 * 3, 7 * 70 + 5 * 2 + 2 * 3]
+    assert fit(jobs, lengths) == [[5, 5, 5], [2] * 3 + [5] * 2 + [7] * 70]
+    assert fit(jobs[3:], [1, 7 * 70 + 5 * 5 - 1]) is None
+    # its budget: 6 x 2 words per set, kept for 2 blocks and 7 + 1 layers,
     # and 16 bytes for each of the 6 x 71 count vectors
-    need = 8 * 6 * 2 * (2 + 3 + 1) + 16 * 6 * 71
+    need = 8 * 6 * 2 * (2 + 7 + 1) + 16 * 6 * 71
     for budget, fits in ((need, True), (need - 1, False)):
         with mock.patch.object(solver, "_FIT_BYTES", budget):
-            assert (fit(jobs, [3 * 65 + 2 + 1, 3 * 5 + 2 * 4 + 1 * 2]) is not None) == fits
+            assert (fit(jobs, lengths) is not None) == fits
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(jobs=st.lists(st.integers(1, 5), min_size=1, max_size=14)
+       | st.lists(st.sampled_from((2, 3, 5, 7)), min_size=1, max_size=14),
+       data=st.data())
+def test_the_decreasing_fit_splits_only_what_the_lattice_splits(jobs, data):
+    # Random cuts of the jobs' work, shortest length 1 or above it: a
+    # split of the decreasing fit means the lattice alone splits too, and
+    # every split holds exactly the jobs, its blocks' own lengths, each
+    # block's jobs in ascending order. One block of all the work is split
+    # with no lattice budget at all.
+    total = sum(jobs)
+    cuts = sorted(data.draw(st.sets(st.integers(1, total - 1), max_size=5))) if total > 1 else []
+    lengths = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    ps, counts = np.unique(jobs, return_counts=True)
+    greedy = solver._decreasing_fit(ps, counts, lengths)
+    with mock.patch.object(solver, "_decreasing_fit", lambda *args: None):
+        lattice = fit(jobs, lengths)
+    for split in (greedy, lattice):
+        if split is not None:
+            assert [sum(held) for held in split] == lengths
+            assert sorted(p for held in split for p in held) == sorted(jobs)
+            assert all(held == sorted(held) for held in split)
+    assert greedy is None or lattice is not None
+    assert (lattice is not None) == split_exists(jobs, lengths)
+    with mock.patch.object(solver, "_FIT_BYTES", 0):
+        assert fit(jobs, [total]) == [sorted(jobs)]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
