@@ -49,10 +49,21 @@ def _resolve_preset(name: str) -> datagen.MachinePreset:
 
 
 def _table_for(inst: model.Instance, phi_path: str | None) -> spaces.SpacesTable:
+    """The instance's phi table, computed, or loaded from phi_path and
+    refused unless it equals the computed one: the solver's root and
+    trailing gaps and bounds and every gap of the LP export are priced
+    from phi, so a loaded table must be the instance's own."""
     g = isg.build_graph(inst)
-    if phi_path:
-        return spaces.load_table(phi_path, inst, graph=g)
-    return spaces.compute_spaces(inst, g)
+    if not phi_path:
+        return spaces.compute_spaces(inst, g)
+    table = spaces.load_table(phi_path, inst, graph=g)
+    own = spaces.compute_spaces(inst, g).phi_matrix
+    rows, cols = (table.phi_matrix != own).nonzero()
+    if rows.size:
+        raise model.InputError(f"{phi_path}: phi at ({rows[0]}, {cols[0]}) differs from the "
+                               "switching cost of the instance; the table does not match "
+                               "its instance")
+    return table
 
 
 def cmd_gen(args) -> int:
@@ -130,15 +141,6 @@ def cmd_validate(args) -> int:
 def cmd_emit_lp(args) -> int:
     inst = model.load_instance(args.instance)
     table = _table_for(inst, args.phi)
-    if args.phi:
-        # the model prices every gap from phi and no walk reads it here, so
-        # a loaded table must be the instance's own
-        own = spaces.compute_spaces(inst, table.graph).phi_matrix
-        rows, cols = (table.phi_matrix != own).nonzero()
-        if rows.size:
-            raise model.InputError(f"{args.phi}: phi at ({rows[0]}, {cols[0]}) differs from the "
-                                   "switching cost of the instance; the table does not match "
-                                   "its instance")
     lp_path, map_path = modelgen.write_artifact(modelgen.emit_ilp_spaces(inst, table), args.out)
     print(lp_path)
     print(map_path)

@@ -16,9 +16,10 @@ for tests and oracles, and `shortest_path` walks it back from one target,
 which is how `spaces.switching_path` bridges a gap. The phi table
 is the same recurrence run the other way: `spaces.compute_spaces` sweeps
 backward from every gap end at once, over zero-time classes, the sets of
-states that reach each other by time-0 edges. The classes, their time-0
-pairs and their merged steps are one cached `class_plan`, which the
-solver's band DP sweeps as well.
+states that reach each other by time-0 edges, in blocks of intervals
+whose min-plus steps it composes. The classes, their time-0 pairs and
+their merged steps are one cached `class_plan`, which the solver's band
+DP sweeps one interval at a time (`ClassPlan.pull`).
 
 Which vertices a path reaches depends only on transition times, never on
 prices: inside the horizon, v(k, s) reaches v(k+d, sp) exactly when some

@@ -32,7 +32,7 @@ Every band DP is one backward sweep over intervals (_sweep). Cell (m, d)
 lies at interval t_end - W + d, so the cells of one interval are the
 consecutive positions of the layers on its diagonal; F there is one
 gather of H, and the gaps come from the machine's zero-time classes, as
-phi's do (`spaces._sweep_rows`). Only H is stored, capped at one more
+phi's do (`spaces._sweep_blocks`). Only H is stored, capped at one more
 than the one-block incumbent, which no cell of an optimal schedule
 passes, in the narrowest integer type that holds the cap. The walk
 (_walk) re-derives F where it goes and reads the schedule with these tie
@@ -225,9 +225,12 @@ def _sweep(band: _Band, rows, cap: int, expired):
     successors at k + p, a job of length p done, one gather over every
     length, capped at cap; then each zero-time class of the band's plan
     takes its cheapest cost from the start of k for every position, as in
-    `spaces._sweep_rows`: its steps pull the costs of the classes they
-    reach at k + t, proc's class takes F at k, where a block may start,
-    and the time-0 closure follows. Proc's cost is then H at k, the gap
+    phi's sweep (`spaces._sweep_blocks`): its steps pull the costs of the
+    classes they reach at k + t (`ClassPlan.pull`), proc's class takes F
+    at k, where a block may start, and the time-0 closure follows. F
+    reads H of later intervals, so unlike phi's steps these do not
+    compose over a block of intervals, and the sweep runs one interval
+    at a time. Proc's cost is then H at k, the gap
     or the block start, whichever is cheaper. The clock is read once per
     interval.
 

@@ -7,15 +7,17 @@ with the off boundary taking the place of proc when i = 1 or ip = h.
 The table is a backward dynamic program over the interval axis that
 serves every gap end at once: at each interval, from the last down, one
 cost-to-go row per zero-time class covers all gap ends, and the row of
-the class a gap starts in is that gap's row of phi, written whole. The
-classes are the sets of states that reach each other by time-0
-transitions and so hold one row once the instantaneous closure at an
-interval is done; that closure is one pass over the classes joined in
-one direction only, and positive-time steps between two classes with the
-same time merge at their cheapest power. Step weights depend only on the
-interval and the step, never on the gap end, so each step is one
-vectorized add and minimum. A switching path is read off `isg`'s
-single-source sweep (`isg.shortest_path`), stopped at the gap's end.
+the class a gap starts in is that gap's row of phi. The classes are the
+sets of states that reach each other by time-0 transitions and so hold
+one row once the instantaneous closure at an interval is done; that
+closure is one pass over the classes joined in one direction only, and
+positive-time steps between two classes with the same time merge at
+their cheapest power. Step weights depend only on the interval and the
+step, never on the gap end, so the steps compose: the sweep runs over
+blocks of intervals, all blocks at once inside them and then block by
+block across them (`_sweep_blocks`). A switching path is read off
+`isg`'s single-source sweep (`isg.shortest_path`), stopped at the gap's
+end.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .isg import INF, IntervalStateGraph, build_graph, proc_window, shortest_path
+from .isg import INF, ClassPlan, IntervalStateGraph, build_graph, proc_window, shortest_path
 from .isg import sssp  # noqa: F401  (perfbench's tracer wraps spaces.sssp)
 from .model import InfeasibleError, InputError, Instance, StatePair, instance_to_dict
 
@@ -108,38 +110,130 @@ class SpacesTable:
         return [(int(i), int(ip)) for i, ip in np.argwhere(self.pruned_mask)]
 
 
-def _sweep_rows(g: IntervalStateGraph, phi: np.ndarray) -> None:
-    """Fill phi rows 1..h-1 by one backward sweep, k = h down to 2. At
-    interval k each zero-time class holds a cost-to-go row: the cheapest
-    cost from that class at the start of interval k to the end of every
-    gap ip >= k at once (proc at the start of ip, off for ip = h). The gap
-    after interval k - 1 starts there, in proc (in off for k = 2), so that
-    class's row is row k - 1 of phi.
+def _blocks(plan: ClassPlan, h: int) -> tuple[int, dict[tuple[int, int], int]]:
+    """The block size B of phi's sweep over intervals 2..h, and the index
+    j of each boundary state (u, c): class c at u intervals past a
+    block's last, for every u up to the longest step that reaches c. The
+    local phase makes a few numpy calls per offset and the block phase
+    about 4J per block, so B + hJ / B calls are fewest at B = sqrt(hJ);
+    B is at least the longest step, so that a step leaves a block only
+    into the next."""
+    slot = {end: j for j, end in enumerate(sorted(
+        {(u, cp) for steps in plan.out for t, cp, _w in steps for u in range(1, t + 1)}))}
+    longest = max(u for u, _c in slot)
+    return min(h - 1, max(longest, math.isqrt(h * len(slot)))), slot
 
-    The classes and their merged steps are the graph's `class_plan`. Each
-    row pulls the class's outgoing steps from the rows of later intervals
-    (`ClassPlan.pull`). After the gap that ends at k is set to 0, the
-    zero-time closure runs backward: a class takes the minimum of every
-    class it reaches by time-0 chains, over the transitively closed
-    pairs, so no ordering of the passes matters.
 
-    Rows are never clamped. A column with no path holds INF plus the
-    weight of a path, and no path weighs as much as COST_LIMIT = 2^61
-    (`validate_instance` bounds the costs times every power), so each
-    value stays below INF + 2^61 < 2^63. Row k - 1 of phi is written
-    contiguously and clamped at INF."""
+def _sweep_blocks(g: IntervalStateGraph, phi: np.ndarray) -> None:
+    """Fill phi rows 1..h-1, every column, by a backward sweep over blocks
+    of B consecutive intervals (`_blocks`), block b from interval 2 + bB,
+    the top block cut at h. At interval k each zero-time class holds a
+    cost-to-go row: the cheapest cost from that class at the start of k
+    to the end of every gap ip >= k (proc at the start of ip, off for
+    ip = h). The gap after interval k - 1 starts there, in proc (in off
+    for k = 2), so that class's row is row k - 1 of phi. Step weights
+    depend only on the interval, so the recurrence's min-plus steps
+    compose, and the sweep runs in two levels, as a two-level scan does
+    (Blelloch, Prefix sums and their applications, CMU-CS-90-190, 1990):
+
+    - Local phase: one backward pass over the offset r = B - 1 .. 0 runs
+      every block at once. Each class row holds, per block, the block's
+      B gap ends and one column per boundary state. The classes and
+      their merged steps are the graph's `class_plan`: a step that stays
+      in the block reads the row of the class it reaches, a step that
+      leaves it the unit row of the boundary state it lands on, each
+      plus its weight in every block. The gap that ends at the interval
+      is set to 0, and the zero-time closure follows: a class takes the
+      minimum of every class it reaches by time-0 chains, over the
+      transitively closed pairs, so no ordering of the passes matters.
+      That gives each row's phi inside its block and its costs to the
+      boundary states, where a path out of the block first lands.
+    - Block phase: from the top block down, each row's columns past its
+      block are the minimum over the boundary states j of its cost to j
+      plus j's row, which the block above gave: one pass over the
+      block's rows per state, straight into phi. The boundary rows for
+      the block below come out the same way.
+
+    Local rows are never clamped. A column with no path holds INF plus
+    the weight of a path, and no path weighs as much as COST_LIMIT = 2^61
+    (`validate_instance` bounds the costs times every power; intervals
+    past h weigh 0), so each value stays below INF + 2^61 < 2^63. The
+    block phase clamps both factors of each sum at INF = 2^62 and adds
+    them in uint64, whose bits are int64's for non-negative values: two
+    finite costs sum to a path's weight, below 2^61, and a sum with an
+    INF factor lies in [INF, 2^63], inside uint64. So the minimum,
+    clamped at INF again, is the cost or exactly INF."""
     h = g.horizon
-    plan = g.class_plan
-    off, proc = plan.off, plan.proc
-    # ring[k % slots][c] holds class c's row at interval k in columns ip >= k;
-    # a slot's columns below its interval are never written and stay INF
-    ring = plan.ring(h + 1)
-    scratch = np.empty(h + 1, dtype=np.int64)
-    for k in range(h, 1, -1):
-        cur = plan.pull(ring, k, slice(k, None), h, scratch[k:])
-        cur[proc if k < h else off][0] = 0
-        plan.close(cur)
-        np.minimum(cur[off if k == 2 else proc], INF, out=phi[k - 1, k:])
+    off, proc, zero, out = g.class_plan
+    B, slot = _blocks(g.class_plan, h)
+    J, nb, width = len(slot), -(-(h - 1) // B), B + len(slot)
+    unit = np.full((J, width), INF, dtype=np.int64)  # unit[j]: 0 at boundary state j
+    np.fill_diagonal(unit[:, B:], 0)
+
+    def by_offset(weights: list[int]) -> np.ndarray:
+        """A step's weights as [r][b]: at offset r of block b, 0 past h."""
+        padded = np.zeros(nb * B + 1, dtype=np.int64)
+        padded[:len(weights)] = weights
+        return padded[1:].reshape(nb, B).T.copy()[:, :, None]
+
+    plan = [[(t, cp, by_offset(weights)) for t, cp, weights in steps] for steps in out]
+    # ring[r % slots][c][b]: class c's row at offset r of block b
+    slots = max(u for u, _c in slot) + 1
+    ring = [[np.empty((nb, width), dtype=np.int64) for _ in out] for _ in range(slots)]
+    tmp = np.empty((nb, width), dtype=np.int64)
+    rows = np.empty((nb, B, width), dtype=np.int64)  # the row of phi at each offset
+    bounds = np.empty((nb, J, width), dtype=np.int64)  # each boundary state's row
+    last = (h - 2) % B  # the offset of h, in the top block
+    for r in range(B - 1, -1, -1):
+        cur = ring[r % slots]
+        for row, steps in zip(cur, plan):  # every class has a step: its time-1 stay
+            for x, (t, cp, w) in enumerate(steps):
+                nxt = ring[(r + t) % slots][cp] if r + t < B else unit[slot[r + t + 1 - B, cp]]
+                if x:
+                    np.minimum(row, np.add(nxt, w[r], out=tmp), out=row)
+                else:
+                    np.add(nxt, w[r], out=row)
+        if r == last:
+            cur[proc][:-1, r] = 0
+            cur[off][-1, r] = 0
+        else:
+            cur[proc][:, r] = 0
+        for c, cp in zero:
+            np.minimum(cur[c], cur[cp], out=cur[c])
+        rows[:, r] = cur[proc]
+        if r == 0:
+            rows[0, 0] = cur[off][0]
+        for (u, c), j in slot.items():
+            if u == r + 1:
+                bounds[:, j] = cur[c]
+    np.minimum(rows, INF, out=rows)
+    np.minimum(bounds, INF, out=bounds)
+
+    rows, bounds, phi_u = rows.view(np.uint64), bounds.view(np.uint64), phi.view(np.uint64)
+    above, below = np.empty((2, J, h + 1), dtype=np.uint64)  # boundary rows, all columns
+    scratch = np.empty(max(B, J) * h, dtype=np.uint64)
+
+    def past(costs: np.ndarray, ahead: np.ndarray, acc: np.ndarray) -> None:
+        """acc = min over j of costs[:, j] + ahead[j], clamped at INF."""
+        tmp = scratch[:acc.size].reshape(acc.shape)
+        np.add(costs[:, :1], ahead[0], out=acc)
+        for j in range(1, J):
+            np.minimum(acc, np.add(costs[:, j:j + 1], ahead[j], out=tmp), out=acc)
+        np.minimum(acc, np.uint64(INF), out=acc)
+
+    for b in range(nb - 1, -1, -1):
+        lo = 2 + b * B
+        hi = min(lo + B, h + 1)  # one past the block's last interval
+        m = hi - lo
+        phi[lo - 1:hi - 1, :lo] = INF
+        phi_u[lo - 1:hi - 1, lo:hi] = rows[b, :m, :m]
+        if b < nb - 1:
+            past(rows[b, :, B:], above[:, hi:], phi_u[lo - 1:hi - 1, hi:])
+        if b:
+            below[:, lo:hi] = bounds[b, :, :m]
+            if b < nb - 1:
+                past(bounds[b, :, B:], above[:, hi:], below[:, hi:])
+            above, below = below, above
 
 
 def compute_spaces(inst: Instance, g: IntervalStateGraph) -> SpacesTable:
@@ -147,13 +241,8 @@ def compute_spaces(inst: Instance, g: IntervalStateGraph) -> SpacesTable:
     h = inst.horizon
     table = SpacesTable(np.empty((h + 1, h + 1), dtype=np.int64), g)
     phi = table.phi_matrix
-    # The sweep writes row k - 1 from column k on. INF goes to rows 0 and
-    # h and, in bands of 64 rows, up to each band's last diagonal cell, so
-    # the (h + 1)^2 cells are not all written twice.
-    phi[[0, h]] = INF
-    for r in range(1, h, 64):
-        phi[r:r + 64, :r + 64] = INF
-    _sweep_rows(g, phi)
+    phi[[0, h]] = INF  # the sweep writes every other row whole
+    _sweep_blocks(g, phi)
     return table
 
 

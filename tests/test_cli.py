@@ -461,12 +461,32 @@ def raised_phi_table(tmp_path, capsys, worked_file, gap):
     return str(tab)
 
 
-def test_phi_table_with_a_raised_cost_is_exit_2(tmp_path, capsys, worked_file):
-    # phi(4, 10) = 48 prices the optimum's interior gap
-    tab = raised_phi_table(tmp_path, capsys, worked_file, (4, 10))
+@pytest.mark.parametrize("gap", [(1, 4), (4, 10), (14, 16)])
+def test_phi_table_with_a_raised_cost_is_exit_2(tmp_path, capsys, worked_file, gap):
+    # the optimum's root gap (1, 4), interior gap (4, 10) and trailing gap
+    # (14, 16), 24, 48 and 1 by the machine: raised to 1000, the first and
+    # the last would steer the solve to TEC 179 and 194, and import-solution
+    # prices gaps from phi too
+    tab = raised_phi_table(tmp_path, capsys, worked_file, gap)
     code, stdout, stderr = run(capsys, "solve", "--instance", worked_file, "--phi", tab)
     assert (code, stdout) == (2, "")
-    assert "after interval 4" in stderr and "does not match its instance" in stderr
+    assert f"{tab}: phi at {gap}" in stderr and "does not match its instance" in stderr
+
+
+@pytest.mark.parametrize("gap", [(1, 4), (4, 10), (14, 16)])
+def test_import_solution_refuses_a_raised_phi(tmp_path, capsys, worked_file, gap):
+    # the model of the instance's own table and its optimal solution, read
+    # back over a table with one gap of the optimum raised
+    lp = tmp_path / "model.lp"
+    assert run(capsys, "emit-lp", "--instance", worked_file, "--out", str(lp))[0] == 0
+    sol = tmp_path / "sol.txt"
+    sol.write_text(WORKED_SOLUTION)
+    tab = raised_phi_table(tmp_path, capsys, worked_file, gap)
+    code, stdout, stderr = run(capsys, "import-solution", "--instance", worked_file,
+                               "--model-map", str(tmp_path / "model.lp.varmap.json"),
+                               "--solution", str(sol), "--phi", tab)
+    assert (code, stdout) == (2, "")
+    assert f"{tab}: phi at {gap}" in stderr and "does not match its instance" in stderr
 
 
 @pytest.mark.parametrize("gap", [(1, 4), (4, 10)])

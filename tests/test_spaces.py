@@ -30,7 +30,7 @@ from tousched import (
 )
 from tousched import datagen, spaces
 from tousched.isg import INF, tree_path
-from tousched.model import InfeasibleError, Instance, zero_time_closure
+from tousched.model import InfeasibleError, Instance, MachineStateSet, zero_time_closure
 
 from conftest import arbitrary_machine, nosby_instance, random_instance
 
@@ -224,6 +224,106 @@ def test_phi_of_costs_near_the_cost_limit_keeps_unreachable_at_inf(worked, off_p
     assert (big.phi_matrix[~finite] == INF).all()
     if off_power == 0:
         assert big.phi(4, 10) == 48 << 51
+
+
+@pytest.mark.parametrize("off_power", [0, 1])
+def test_phi_of_costs_near_the_cost_limit_keeps_unreachable_at_inf_across_blocks(worked, off_power):
+    # the worked costs eight times over, h = 128: seven blocks of 19
+    # intervals on this machine, so a row's cells past its block are sums
+    # of its cost to a boundary state and that state's row, both of them
+    # INF where no path exists. Scaled << 48, the paths come just under
+    # COST_LIMIT = 2^61 again; every finite cell scales exactly and every
+    # other cell is exactly INF, not a wrapped or unclamped sum
+    entries = {**worked.transitions.entries, ("off", "off"): (1, off_power)}
+    inst = dataclasses.replace(worked, horizon=8 * worked.horizon, costs=worked.costs * 8,
+                               transitions=TransitionSpec(entries))
+    g = build_graph(inst)
+    B = spaces._blocks(g.class_plan, inst.horizon)[0]
+    assert -(-(inst.horizon - 1) // B) >= 3
+    base = compute_spaces(inst, g).phi_matrix
+    scaled = dataclasses.replace(inst, costs=tuple(c << 48 for c in inst.costs))
+    assert 2 ** 60 < sum(scaled.costs) * 8 < 2 ** 61  # 8, the machine's highest power
+    big = make_table(scaled)
+    finite = base < spaces._UNREACHABLE
+    assert 0 < finite.sum() < finite.size
+    assert np.array_equal(big.phi_matrix[finite], base[finite] << 48)
+    assert (big.phi_matrix[~finite] == INF).all()
+
+
+def phi_from_sssp(g):
+    """The full phi matrix from one `sssp` per gap start, INF where no
+    path reaches the gap end."""
+    h = g.horizon
+    want = np.full((h + 1, h + 1), INF)
+    for i in range(1, h):
+        dist = sssp(g, g.source_vertex(i))
+        for ip in range(i + 1, h + 1):
+            d = dist.get(g.target_vertex(ip))
+            if d is not None:
+                want[i, ip] = d
+    return want
+
+
+def test_phi_in_blocks_matches_per_source_sssp_on_arbitrary_machines():
+    # horizons of three blocks or more under the sweep's block size: every
+    # cell of phi is the distance one `sssp` from its gap's start gives at
+    # the gap's end, INF where it gives none, and sssp shares no code with
+    # the sweep. The machines have steps of every time up to 4, so steps
+    # leave a block from each of its last four offsets, and one-way
+    # time-0 chains, several zero-time classes and intervals that cost
+    # nothing. Half the horizons leave the top block one interval, h alone:
+    # where that is shorter than the switch-off, the block below holds
+    # rows that reach no gap end at h, INF as sums over every boundary state
+    rng = random.Random(29)
+    seen = Counter()
+    while seen["checked"] < 60:
+        states, trans = arbitrary_machine(rng)
+        h = rng.randint(60, 150)
+        try:
+            if rng.random() < 0.5:
+                plan = build_graph(Instance(h, (1,) * h, (1,), states, trans)).class_plan
+                while (h - 2) % spaces._blocks(plan, h)[0]:
+                    h += 1
+            costs = tuple(0 if rng.random() < 0.15 else rng.randint(1, 9) for _ in range(h))
+            inst = Instance(h, costs, (1,), states, trans)
+            g = build_graph(inst)
+            phi = compute_spaces(inst, g).phi_matrix
+        except (InputError, InfeasibleError):
+            continue  # no switch-on or switch-off chain, or no window
+        B, slot = spaces._blocks(g.class_plan, h)
+        if -(-(h - 1) // B) < 3:
+            continue
+        assert np.array_equal(phi, phi_from_sssp(g))
+        seen["checked"] += 1
+        seen.update(zero_time_shape(inst))
+        seen["several classes"] += len(g.class_plan.out) >= 3
+        seen["zero cost"] += 0 in costs
+        seen["longest step 4"] += max(u for u, _c in slot) == 4
+        seen["short top block"] += (h - 2) % B + 1 < h - 1 - proc_window(g)[1]
+    assert min(seen["shared class"], seen["one-way"], seen["several classes"],
+               seen["zero cost"], seen["longest step 4"], seen["short top block"]) >= 5, seen
+
+
+def test_phi_past_a_block_with_no_path_is_inf():
+    # switching off takes three intervals, proc -> cool -> cold -> off,
+    # staying off costs, and the top block holds h - 1 and h: the gap
+    # after h - 3 reaches the horizon's off from no state, and its cell at
+    # h, past the block below, is a minimum of sums that each pass INF (a
+    # positive cost and INF, or INF and the cost of staying off from
+    # h - 1), clamped back to INF
+    names = ("off", "proc", "cool", "cold")
+    entries = {(s, s): (1, 1) for s in names}
+    entries.update({("off", "proc"): (1, 2), ("proc", "cool"): (1, 1), ("cool", "cold"): (1, 1),
+                    ("cold", "off"): (1, 1)})
+    h = 103
+    inst = Instance(h, tuple(1 + k % 7 for k in range(h)), (1, 2), MachineStateSet(names),
+                    TransitionSpec(entries))
+    g = build_graph(inst)
+    B = spaces._blocks(g.class_plan, h)[0]
+    assert (h - 2) % B == 1 and (h - 2) // B >= 3  # the top block is h - 1 and h
+    phi = compute_spaces(inst, g).phi_matrix
+    assert phi[h - 3, h] == INF and phi[h - 4, h] < INF
+    assert np.array_equal(phi, phi_from_sssp(g))
 
 
 # The long-horizon benchmark stores a digest of phi and the pruning flags
