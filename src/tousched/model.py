@@ -112,6 +112,13 @@ class Instance:
     def n_jobs(self) -> int:
         return len(self.jobs)
 
+    @property
+    def heaviest_path(self) -> int:
+        """sum(costs) times the largest transition power: no path over the
+        intervals weighs more."""
+        return sum(self.costs) * max((pw for _t, pw in self.transitions.entries.values()),
+                                     default=0)
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -182,8 +189,7 @@ def validate_instance(inst: Instance) -> list[Violation]:
         elif t != 1:
             out.append(Violation("instance", f"state {s}", "self entry must have time 1"))
 
-    max_power = max((pw for _t, pw in inst.transitions.entries.values()), default=0)
-    if sum(inst.costs) * max_power >= COST_LIMIT:
+    if inst.heaviest_path >= COST_LIMIT:
         out.append(Violation("instance", "costs", "total interval cost times the largest "
                              f"transition power must stay below {COST_LIMIT}"))
 

@@ -15,9 +15,15 @@ positive-time steps between two classes with the same time merge at
 their cheapest power. Step weights depend only on the interval and the
 step, never on the gap end, so the steps compose: the sweep runs over
 blocks of intervals, all blocks at once inside them and then block by
-block across them (`_sweep_blocks`). A switching path is read off
-`isg`'s single-source sweep (`isg.shortest_path`), stopped at the gap's
-end.
+block across them (`_sweep_blocks`). The sweep adds in the narrowest
+of 16, 32 and 64 bits whose 2^(w-3) is above the instance's heaviest
+path weight, sum(costs) * max power, with 2^(w-2) for "no path"
+(`_sweep_types`), so no sum leaves the type: the signed rows stay below
+2^(w-1) and the unsigned sums across blocks at most 2^(w-1). At 64
+bits the bound is COST_LIMIT = 2^61, which `validate_instance` checks,
+and "no path" is INF = 2^62; phi itself is int64 with INF at every
+width. A switching path is read off `isg`'s single-source sweep
+(`isg.shortest_path`), stopped at the gap's end.
 """
 
 from __future__ import annotations
@@ -124,6 +130,16 @@ def _blocks(plan: ClassPlan, h: int) -> tuple[int, dict[tuple[int, int], int]]:
     return min(h - 1, max(longest, math.isqrt(h * len(slot)))), slot
 
 
+def _sweep_types(inst: Instance) -> tuple[np.dtype, np.dtype, int]:
+    """The signed and unsigned integer types of phi's sweep and its
+    no-path value INF_w = 2^(w-2), for the narrowest width w of 16, 32
+    and 64 bits whose 2^(w-3) is above `Instance.heaviest_path`
+    (`_sweep_blocks` argues the bounds)."""
+    heaviest = inst.heaviest_path
+    w = next((w for w in (16, 32) if heaviest < 2 ** (w - 3)), 64)
+    return np.dtype(f"int{w}"), np.dtype(f"uint{w}"), 2 ** (w - 2)
+
+
 def _sweep_blocks(g: IntervalStateGraph, phi: np.ndarray) -> None:
     """Fill phi rows 1..h-1, every column, by a backward sweep over blocks
     of B consecutive intervals (`_blocks`), block b from interval 2 + bB,
@@ -151,38 +167,46 @@ def _sweep_blocks(g: IntervalStateGraph, phi: np.ndarray) -> None:
     - Block phase: from the top block down, each row's columns past its
       block are the minimum over the boundary states j of its cost to j
       plus j's row, which the block above gave: one pass over the
-      block's rows per state, straight into phi. The boundary rows for
-      the block below come out the same way.
+      block's rows per state, into a scratch buffer that one cast copy
+      puts into phi. The boundary rows for the block below come out the
+      same way.
 
-    Local rows are never clamped. A column with no path holds INF plus
-    the weight of a path, and no path weighs as much as COST_LIMIT = 2^61
-    (`validate_instance` bounds the costs times every power; intervals
-    past h weigh 0), so each value stays below INF + 2^61 < 2^63. The
-    block phase clamps both factors of each sum at INF = 2^62 and adds
-    them in uint64, whose bits are int64's for non-negative values: two
-    finite costs sum to a path's weight, below 2^61, and a sum with an
-    INF factor lies in [INF, 2^63], inside uint64. So the minimum,
-    clamped at INF again, is the cost or exactly INF."""
+    Both phases run in w bits (`_sweep_types`), the narrowest width whose
+    2^(w-3) is above the heaviest path weight W = sum(costs) * max power
+    (intervals past h weigh 0), and the no-path value is INF_w = 2^(w-2).
+    Local rows, in the signed type, are never clamped: a column with no
+    path holds INF_w plus the weight of a path, so each value stays below
+    INF_w + 2^(w-3) < 2^(w-1). The block phase clamps both factors of
+    each sum at INF_w and adds them in the unsigned type of the same
+    width, whose bits are the signed type's for non-negative values: two
+    finite costs sum to a path's weight, below 2^(w-3), and a sum with an
+    INF_w factor lies in [INF_w, 2^(w-1)], inside the type. So the
+    minimum is the cost, or INF_w or more where no path exists; a
+    boundary row is clamped at INF_w again before the block below reads
+    it, and the copy into the int64 phi turns every value from INF_w up
+    into INF = 2^62. At 64 bits INF_w is INF and W is below COST_LIMIT =
+    2^61, which `validate_instance` checks."""
     h = g.horizon
     off, proc, zero, out = g.class_plan
     B, slot = _blocks(g.class_plan, h)
+    sdt, udt, inf = _sweep_types(g.inst)
     J, nb, width = len(slot), -(-(h - 1) // B), B + len(slot)
-    unit = np.full((J, width), INF, dtype=np.int64)  # unit[j]: 0 at boundary state j
+    unit = np.full((J, width), inf, dtype=sdt)  # unit[j]: 0 at boundary state j
     np.fill_diagonal(unit[:, B:], 0)
 
     def by_offset(weights: list[int]) -> np.ndarray:
         """A step's weights as [r][b]: at offset r of block b, 0 past h."""
-        padded = np.zeros(nb * B + 1, dtype=np.int64)
+        padded = np.zeros(nb * B + 1, dtype=sdt)
         padded[:len(weights)] = weights
         return padded[1:].reshape(nb, B).T.copy()[:, :, None]
 
     plan = [[(t, cp, by_offset(weights)) for t, cp, weights in steps] for steps in out]
     # ring[r % slots][c][b]: class c's row at offset r of block b
     slots = max(u for u, _c in slot) + 1
-    ring = [[np.empty((nb, width), dtype=np.int64) for _ in out] for _ in range(slots)]
-    tmp = np.empty((nb, width), dtype=np.int64)
-    rows = np.empty((nb, B, width), dtype=np.int64)  # the row of phi at each offset
-    bounds = np.empty((nb, J, width), dtype=np.int64)  # each boundary state's row
+    ring = [[np.empty((nb, width), dtype=sdt) for _ in out] for _ in range(slots)]
+    tmp = np.empty((nb, width), dtype=sdt)
+    rows = np.empty((nb, B, width), dtype=sdt)  # the row of phi at each offset
+    bounds = np.empty((nb, J, width), dtype=sdt)  # each boundary state's row
     last = (h - 2) % B  # the offset of h, in the top block
     for r in range(B - 1, -1, -1):
         cur = ring[r % slots]
@@ -206,33 +230,43 @@ def _sweep_blocks(g: IntervalStateGraph, phi: np.ndarray) -> None:
         for (u, c), j in slot.items():
             if u == r + 1:
                 bounds[:, j] = cur[c]
-    np.minimum(rows, INF, out=rows)
-    np.minimum(bounds, INF, out=bounds)
+    np.minimum(rows, sdt.type(inf), out=rows)
+    np.minimum(bounds, sdt.type(inf), out=bounds)
 
-    rows, bounds, phi_u = rows.view(np.uint64), bounds.view(np.uint64), phi.view(np.uint64)
-    above, below = np.empty((2, J, h + 1), dtype=np.uint64)  # boundary rows, all columns
-    scratch = np.empty(max(B, J) * h, dtype=np.uint64)
+    rows, bounds, cap = rows.view(udt), bounds.view(udt), udt.type(inf)
+    above, below = np.empty((2, J, h + 1), dtype=udt)  # boundary rows, all columns
+    scratch = np.empty((2, max(B, J) * h), dtype=udt)
 
     def past(costs: np.ndarray, ahead: np.ndarray, acc: np.ndarray) -> None:
-        """acc = min over j of costs[:, j] + ahead[j], clamped at INF."""
-        tmp = scratch[:acc.size].reshape(acc.shape)
+        """acc = min over j of costs[:, j] + ahead[j]: INF_w or more where
+        no path exists."""
+        tmp = scratch[1, :acc.size].reshape(acc.shape)
         np.add(costs[:, :1], ahead[0], out=acc)
         for j in range(1, J):
             np.minimum(acc, np.add(costs[:, j:j + 1], ahead[j], out=tmp), out=acc)
-        np.minimum(acc, np.uint64(INF), out=acc)
+
+    def put(cells: np.ndarray, values: np.ndarray) -> None:
+        """cells = values, widened to int64, with INF where they are INF_w
+        or more."""
+        cells[...] = values
+        if values.max() >= cap:
+            np.copyto(cells, INF, where=values >= cap)
 
     for b in range(nb - 1, -1, -1):
         lo = 2 + b * B
         hi = min(lo + B, h + 1)  # one past the block's last interval
         m = hi - lo
         phi[lo - 1:hi - 1, :lo] = INF
-        phi_u[lo - 1:hi - 1, lo:hi] = rows[b, :m, :m]
+        put(phi[lo - 1:hi - 1, lo:hi], rows[b, :m, :m])
         if b < nb - 1:
-            past(rows[b, :, B:], above[:, hi:], phi_u[lo - 1:hi - 1, hi:])
+            acc = scratch[0, :B * (h + 1 - hi)].reshape(B, h + 1 - hi)
+            past(rows[b, :, B:], above[:, hi:], acc)
+            put(phi[lo - 1:hi - 1, hi:], acc)
         if b:
             below[:, lo:hi] = bounds[b, :, :m]
             if b < nb - 1:
                 past(bounds[b, :, B:], above[:, hi:], below[:, hi:])
+                np.minimum(below[:, hi:], cap, out=below[:, hi:])
             above, below = below, above
 
 
@@ -309,16 +343,22 @@ def save_table(table: SpacesTable, path) -> str:
 
     phi is stored in the narrowest signed integer type (int8, int16, int32
     or int64) whose maximum is above every finite phi value, and that
-    maximum stands for "no switching"."""
+    maximum stands for "no switching". phi is narrowed in one pass, a
+    minimum with that maximum cast into the stored type: every cell
+    without switching is at least 2^61, above the maximum of each type
+    but int64, and an int64 table then sets those cells to its maximum,
+    since they hold INF = 2^62 or more, below it."""
     path = str(path)
     if not path.endswith(".npz"):
         path += ".npz"
     phi = table.phi_matrix
-    finite = phi < _UNREACHABLE
-    top = int(phi.max(where=finite, initial=0))
+    top = int(phi.max(where=phi < _UNREACHABLE, initial=0))
     dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max > top)
-    stored = phi.astype(dtype)
-    np.copyto(stored, np.iinfo(dtype).max, where=~finite)
+    mark = np.iinfo(dtype).max
+    stored = np.empty(phi.shape, dtype=dtype)
+    np.minimum(phi, np.int64(mark), out=stored, casting="unsafe")
+    if dtype is np.int64:
+        stored[stored >= _UNREACHABLE] = mark
     np.savez(path, phi=stored, fingerprint=np.asarray(_fingerprint(table.graph.inst)))
     return path
 

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +96,15 @@ def test_preprocess_extras(tmp_path, capsys, worked_file):
     assert "tab.npz" in stdout
     assert csv.read_text().startswith("i,ip,phi")
     assert dot.read_text().startswith("digraph")
+
+
+def test_preprocess_prints_build_and_save_cpu_ms(tmp_path, capsys, worked_file):
+    # the table's build and its write are timed apart, in CPU milliseconds
+    code, stdout, _ = run(capsys, "preprocess", "--instance", worked_file,
+                          "--out", str(tmp_path / "tab.npz"))
+    assert code == 0
+    assert re.search(r"compute_spaces \d+\.\d ms, save_table \d+\.\d ms CPU -> \S+tab\.npz$",
+                     stdout.strip()), stdout
 
 
 def test_validate_rejects_overlap(tmp_path, capsys, worked_file):

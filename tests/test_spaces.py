@@ -304,26 +304,72 @@ def test_phi_in_blocks_matches_per_source_sssp_on_arbitrary_machines():
                seen["zero cost"], seen["longest step 4"], seen["short top block"]) >= 5, seen
 
 
-def test_phi_past_a_block_with_no_path_is_inf():
-    # switching off takes three intervals, proc -> cool -> cold -> off,
-    # staying off costs, and the top block holds h - 1 and h: the gap
-    # after h - 3 reaches the horizon's off from no state, and its cell at
-    # h, past the block below, is a minimum of sums that each pass INF (a
-    # positive cost and INF, or INF and the cost of staying off from
-    # h - 1), clamped back to INF
+def three_interval_switch_off(costs, off_power=1):
+    """A machine that switches off in three intervals, proc -> cool ->
+    cold -> off, with every stay at power 1 but off's at off_power, and
+    switching on at power 2, over the given costs."""
     names = ("off", "proc", "cool", "cold")
     entries = {(s, s): (1, 1) for s in names}
-    entries.update({("off", "proc"): (1, 2), ("proc", "cool"): (1, 1), ("cool", "cold"): (1, 1),
-                    ("cold", "off"): (1, 1)})
-    h = 103
-    inst = Instance(h, tuple(1 + k % 7 for k in range(h)), (1, 2), MachineStateSet(names),
+    entries.update({("off", "off"): (1, off_power), ("off", "proc"): (1, 2),
+                    ("proc", "cool"): (1, 1), ("cool", "cold"): (1, 1), ("cold", "off"): (1, 1)})
+    return Instance(len(costs), tuple(costs), (1, 2), MachineStateSet(names),
                     TransitionSpec(entries))
+
+
+def test_phi_past_a_block_with_no_path_is_inf():
+    # switching off takes three intervals, staying off costs, and the top
+    # block holds h - 1 and h: the gap after h - 3 reaches the horizon's
+    # off from no state, and its cell at h, past the block below, is a
+    # minimum of sums that each pass INF (a positive cost and INF, or INF
+    # and the cost of staying off from h - 1), clamped back to INF
+    h = 103
+    inst = three_interval_switch_off([1 + k % 7 for k in range(h)])
     g = build_graph(inst)
     B = spaces._blocks(g.class_plan, h)[0]
     assert (h - 2) % B == 1 and (h - 2) // B >= 3  # the top block is h - 1 and h
     phi = compute_spaces(inst, g).phi_matrix
     assert phi[h - 3, h] == INF and phi[h - 4, h] < INF
     assert np.array_equal(phi, phi_from_sssp(g))
+
+
+@pytest.mark.parametrize("off_power", [0, 1])
+@pytest.mark.parametrize("heaviest, dtype", [
+    (2 ** 13 - 2, np.int16), (2 ** 13, np.int32), (2 ** 29 - 2, np.int32), (2 ** 29, np.int64),
+])
+def test_phi_at_each_sweep_width_boundary_matches_per_source_sssp(heaviest, dtype, off_power):
+    # the sweep runs in the narrowest of 16, 32 and 64 bits whose 2^(w-3)
+    # is above sum(costs) * max power (2 here), with no path at 2^(w-2):
+    # the machine above, its costs scaled so that the bound sits just below
+    # and at 2^13 and 2^29. Every cell equals one sssp's distance, and every
+    # cell with no path, the one past a block among them, is exactly INF
+    h = 103
+    base = [1 + k % 7 for k in range(h)]
+    scale, extra = divmod(heaviest // 2, sum(base))
+    costs = [c * scale for c in base]
+    costs[0] += extra
+    inst = three_interval_switch_off(costs, off_power)
+    assert inst.heaviest_path == heaviest
+    assert spaces._sweep_types(inst)[0] == dtype
+    g = build_graph(inst)
+    assert -(-(h - 1) // spaces._blocks(g.class_plan, h)[0]) >= 3
+    phi = compute_spaces(inst, g).phi_matrix
+    assert phi[h - 3, h] == INF
+    assert np.array_equal(phi, phi_from_sssp(g))
+    assert (phi[phi >= spaces._UNREACHABLE] == INF).all()
+
+
+def test_phi_in_64_bits_at_paper_scale_scales_exactly():
+    # nosby/190/19002/2.2 (h=1273) with its costs << 32: the sweep's bound
+    # passes 2^29, so it runs in 64 bits, and phi is the 32-bit sweep's
+    # phi << 32 on every finite cell and INF on every other
+    inst = datagen.generate_instance(190, datagen.preset_nosby(), "2.2", seed=19002)
+    big = dataclasses.replace(inst, costs=tuple(c << 32 for c in inst.costs))
+    assert [spaces._sweep_types(x)[0] for x in (inst, big)] == [np.int32, np.int64]
+    base = make_table(inst).phi_matrix
+    phi = make_table(big).phi_matrix
+    finite = base < spaces._UNREACHABLE
+    assert np.array_equal(phi[finite], base[finite] << 32)
+    assert (phi[~finite] == INF).all()
 
 
 # The long-horizon benchmark stores a digest of phi and the pruning flags
@@ -469,6 +515,34 @@ def test_table_round_trip_in_each_stored_type(tmp_path, worked, scale, dtype):
     assert np.array_equal(back.phi_matrix, tab.phi_matrix)
     assert np.array_equal(back.pruned_mask, tab.pruned_mask)
     assert back.phi(4, 10) == 48 * scale
+
+
+@pytest.mark.parametrize("dtype", STORED_TYPES)
+def test_cells_without_switching_are_stored_as_the_type_maximum(tmp_path, worked, dtype):
+    # save_table narrows phi in one pass, a minimum cast into the stored
+    # type: a cell without switching holds 2^61 or more, whatever its
+    # value, and is stored as the type's maximum, int64's included, which
+    # is above INF; it loads back as INF, and every finite cell unchanged.
+    # A finite cost at the next narrower type's maximum picks the type
+    tab = make_table(worked)
+    phi = tab.phi_matrix.copy()
+    k = STORED_TYPES.index(dtype)
+    if k:
+        phi[4, 10] = np.iinfo(STORED_TYPES[k - 1]).max
+    marks = [2 ** 61, 2 ** 61 + 1, int(INF), int(INF) + 2 ** 61, 2 ** 63 - 1]
+    cells = np.argwhere(np.triu(phi == INF, 1))
+    assert len(cells) >= len(marks)
+    for (i, ip), mark in zip(cells[::len(cells) // len(marks)], marks):
+        phi[i, ip] = mark
+    assert set(marks) <= set(phi.ravel().tolist())
+    out = save_table(spaces.SpacesTable(phi, tab.graph), tmp_path / "tab.npz")
+    stored = stored_phi(out)
+    assert stored.dtype == dtype
+    finite = phi < spaces._UNREACHABLE
+    assert np.array_equal(stored[finite], phi[finite])
+    assert (stored[~finite] == np.iinfo(dtype).max).all()
+    back = load_table(out, worked)
+    assert np.array_equal(back.phi_matrix, np.where(finite, phi, INF))
 
 
 def test_finite_phi_at_a_type_maximum_is_stored_wider(tmp_path, worked):
