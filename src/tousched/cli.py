@@ -202,9 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
                        "ends in time gives the untimed answer, one that does not its best "
                        "schedule and bound. Ties: the DP takes the lexicographically "
                        "smallest (start, length) pieces; a band of more than 2^14 cells "
-                       "whose jobs fit a relaxation's blocks takes the fit's split: a "
-                       "decreasing fit's (longest job first), else an exact knapsack's, "
-                       "each block's jobs by ascending length")
+                       "whose jobs fit a relaxation's blocks takes the fit's split: the "
+                       "blocks shortest first, each with the longest jobs that still leave "
+                       "a fill, each block's jobs by ascending length")
 
     p = sub.add_parser("gen", help="generate benchmark instances")
     p.add_argument("--jobs", type=int, required=True)

@@ -44,26 +44,25 @@ length) pieces, and a phi that disagrees with the sweep is refused.
 A band of at most _DP_ALONE_CELLS cells runs the exact DP alone. A larger
 one runs the relaxation first. TEC depends only on which intervals
 process, so if the jobs split exactly into the relaxed optimum's merged
-blocks (_fit), that schedule proves the bound optimal. The fit is a
-decreasing fit, longest job first (_decreasing_fit), and where that finds
-no split an exact knapsack over count vectors, which alone has a memory
-budget (_FIT_BYTES) and reads the clock. Without a fit, the rows count
-one more length, the shortest not yet counted, and the fit is tried on
-that optimum's blocks: a decremental state-space relaxation
+blocks (_fit), that schedule proves the bound optimal. The fit, an exact
+search under a node budget (_FIT_NODES), fills the blocks shortest first,
+each with the longest jobs that still leave a fill. Without a fit, the
+rows count one more length, the shortest not yet counted, and the fit is
+tried on that optimum's blocks: a decremental state-space relaxation
 (Righini and Salani, Networks 51, 2008; Boland, Dethridge and Dumitrescu,
 Oper. Res. Lett. 34, 2006), whose bound never falls as lengths are
 counted. The sets grow while the cells they fill stay within
 1/_SUBSET_SHARE of the exact DP's and each set's within _DP_CELL_LIMIT.
 Then, at most _DP_CELL_LIMIT cells, the exact DP follows. The steps
-update one search state and every answer leaves by one exit. A time
-limit picks none of this; it only stops the work.
+update one search state and every answer leaves by one exit. A time limit
+picks none of this; it only stops the work.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -77,7 +76,7 @@ _HUGE = int(_UNREACHABLE)
 _DP_CELL_LIMIT = 2 ** 23  # band cells the DP may fill, prod(count_p + 1) * (slack + 1)
 _DP_ALONE_CELLS = 2 ** 14  # band cells up to which the DP alone is faster than relaxation first
 _SUBSET_SHARE = 32  # relaxations that count a subset of the lengths may fill 1/32 of the DP's cells
-_FIT_BYTES = 2 ** 28  # the lattice fit's packed sets kept, plus 16 bytes per cell walking back
+_FIT_NODES = 10 ** 5  # nodes the fit may spend: vectors that fill a block, and dead ends
 
 
 @dataclass
@@ -368,127 +367,69 @@ def _rows(ps: np.ndarray, counts: np.ndarray, counted: np.ndarray):
     return first, succ
 
 
-def _decreasing_fit(ps: np.ndarray, counts: np.ndarray,
-                    lengths: list[int]) -> list[list[int]] | None:
-    """_fit's split by a decreasing fit (Johnson, J. Comput. Syst. Sci. 8,
-    1974), or None where it finds none: the jobs longer than the shortest
-    length q, longest first, each go into a block whose room they fill,
-    else the least roomy block that keeps room for the second-shortest
-    length, else the least roomy that takes them and leaves a multiple of
-    q. When every room left is a multiple of q, jobs of length q fill
-    them."""
-    q, others, c = int(ps[0]), ps[1:].tolist(), counts[1:].tolist()
-    room = sorted((L, b) for b, L in enumerate(lengths))  # (room left, block), ascending
-    held: list[list[int]] = [[] for _ in lengths]
-    for p in [p for p, k in zip(others[::-1], c[::-1]) for _ in range(k)]:
-        at = bisect_left(room, (p,))  # the least roomy block that takes p
-        spare = bisect_left(room, (p + others[0],), at)  # ... and keeps room for a longer job
-        if at < len(room) and room[at][0] == p:
-            k = at
-        elif spare < len(room):
-            k = spare
-        else:
-            k = next((k for k in range(at, len(room)) if (room[k][0] - p) % q == 0), None)
-            if k is None:
-                return None
-        L, b = room.pop(k)
-        held[b].append(p)
-        insort(room, (L - p, b))
-    if any(L % q for L, _b in room):
-        return None
-    return [[q] * ((L - sum(h)) // q) + h[::-1] for L, h in zip(lengths, held)]
-
-
-def _fit(ps: np.ndarray, counts: np.ndarray, lengths: list[int], expired) -> list[list[int]] | None:
+def _fit(ps: np.ndarray, counts: np.ndarray, lengths: list[int]) -> list[list[int]] | None:
     """Split the jobs into blocks of the given lengths, which sum to the
-    jobs' work: for each block, the lengths of the jobs it holds, those of
-    the shortest length q first, then the others ascending. None when no
-    split exists, or when the lattice below would pass _FIT_BYTES or the
-    deadline expired.
+    jobs' work: for each block, the lengths of the jobs it holds,
+    ascending. None when no split exists or the search spends its
+    _FIT_NODES nodes first.
 
-    The decreasing fit (_decreasing_fit) runs first, with no budget and no
-    clock. Where it finds no split, a knapsack over the lattice of count
-    vectors of every length but q: block by block, layer[l] = layer[l - q]
-    | (layer[l - p] one step along p's axis) for every other length p,
-    from layer[0] = the vectors reachable before the block. The jobs fill
-    the blocks exactly when the full count vector is reachable after the
-    last one. The longest length's axis is packed 64 counts to a word, and
-    only the set before each block is kept. Walking back, a block holds
-    what takes the current vector down to any vector of that set with no
-    more work than the block's length. Jobs of length q fill the rest,
-    always a multiple of q: every vector of a set is reached with the work
-    before its block. The lattice reads the clock once per block.
+    A depth-first search over the blocks, shortest first, on an explicit
+    stack. A block's count vectors come lazily, the longest length's count
+    first and descending, then the next longest's, so each block takes the
+    longest jobs that still leave a fill; a count that leaves more room than
+    the shorter lengths' jobs fill is skipped. Every (block, jobs left)
+    state whose vectors all failed is kept and not entered again. A node is
+    a vector that fills its block or a partial vector that can grow no
+    further, so the budget bounds all the work. No clock is read.
     """
-    q, others, c = int(ps[0]), ps[1:].tolist(), counts[1:].tolist()
-    if not others:
-        if any(L % q for L in lengths):
-            return None
-        return [[q] * (L // q) for L in lengths]
-    split = _decreasing_fit(ps, counts, lengths)
-    if split is not None:
-        return split
-    shape = tuple(k + 1 for k in c[:-1]) + (c[-1] // 64 + 1,)
-    longest = others[-1]
-    cells = int(np.prod([k + 1 for k in c], dtype=object))
-    words = cells // (c[-1] + 1) * shape[-1]
-    if 8 * words * (len(lengths) + longest + 1) + 16 * cells > _FIT_BYTES:
-        return None
+    ps, m = ps.tolist(), len(ps)
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    nodes = 0
 
-    def grow(S: np.ndarray, L: int) -> np.ndarray:
-        """The vectors reachable after a block of length L from those in S."""
-        layers = [S]
-        for l in range(1, L + 1):
-            cur = layers[l - q].copy() if l >= q else np.zeros_like(S)
-            for a, p in enumerate(others):
-                if p > l:
-                    break
-                src = layers[l - p]
-                if p < longest:
-                    lead = (slice(None),) * a
-                    cur[lead + (slice(1, None),)] |= src[lead + (slice(None, -1),)]
-                else:  # the packed axis: one bit up, carried across words
-                    cur |= src << 1
-                    cur[..., 1:] |= src[..., :-1] >> 63
-            layers.append(cur)
-            if l >= longest:
-                layers[l - longest] = None
-        return layers[L]
+    def fills(L: int, left: tuple[int, ...]):
+        """The count vectors that fill a block of length L from left, until
+        the budget is spent. room is what length j and the shorter ones
+        fill, below[j] the work of the jobs left shorter than ps[j]."""
+        nonlocal nodes
+        below = list(accumulate((p * k for p, k in zip(ps, left)), initial=0))
+        x, j, room = [0] * m, m - 1, L
+        x[j] = min(left[j], L // ps[j]) + 1
+        while nodes < _FIT_NODES:
+            x[j] -= 1
+            if x[j] < 0 or room - x[j] * ps[j] > below[j]:  # length j's counts are spent
+                nodes += 1
+                j += 1
+                if j == m:
+                    return
+                room += x[j] * ps[j]
+            elif j:
+                room -= x[j] * ps[j]
+                j -= 1
+                x[j] = min(left[j], room // ps[j]) + 1
+            else:  # below[0] = 0, so the room is filled exactly
+                nodes += 1
+                yield x
 
-    def box(S: np.ndarray, lo: list[int], hi: list[int]) -> np.ndarray:
-        """S unpacked to booleans over the count vectors from lo to hi."""
-        w0 = lo[-1] // 64
-        words = S[tuple(slice(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))
-                  + (slice(w0, hi[-1] // 64 + 1),)]
-        bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=-1,
-                             bitorder="little")
-        return bits[..., lo[-1] - 64 * w0:hi[-1] - 64 * w0 + 1].view(bool)
-
-    S = np.zeros(shape, dtype=np.uint64)
-    S[(0,) * len(shape)] = 1
-    before = []
-    for L in lengths:
-        if expired():
-            return None
-        before.append(S)
-        S = grow(S, L)
-        if not S.any():
-            return None
-    if not box(S, c, c).all():
-        return None
-
-    split = []
-    v = c
-    for S, L in zip(before[::-1], lengths[::-1]):
-        lo = [max(0, k - L // p) for k, p in zip(v, others)]
-        share = np.zeros((), dtype=np.int32)  # the work a step from lo + i to v puts in the block
-        for a, k, p in zip(lo, v, others):
-            share = np.add.outer(share, np.arange((k - a) * p, -1, -p, dtype=np.int32))
-        fits = box(S, lo, v) & (share <= L)
-        prev = [a + i for a, i in zip(lo, np.unravel_index(int(fits.argmax()), fits.shape))]
-        held = [p for p, k, a in zip(others, v, prev) for _ in range(k - a)]
-        split.append([q] * ((L - sum(held)) // q) + held)
-        v = prev
-    return split[::-1]
+    left = tuple(counts.tolist())
+    stack = [(left, fills(lengths[order[0]], left))]  # each block entered: jobs left, vectors
+    failed = set()  # (block, jobs left) whose vectors all failed
+    while stack and nodes < _FIT_NODES:
+        b = len(stack) - 1
+        left, vectors = stack[b]
+        x = next(vectors, None)
+        if x is None:
+            failed.add((b, left))
+            stack.pop()
+            continue
+        rest = tuple(k - a for k, a in zip(left, x))
+        if b + 1 == len(order):
+            lefts = [left for left, _vectors in stack] + [rest]
+            held = {block: [p for p, k, a in zip(ps, lefts[b], lefts[b + 1]) for _ in range(k - a)]
+                    for b, block in enumerate(order)}
+            return [held[block] for block in range(len(order))]
+        if (b + 1, rest) not in failed:
+            stack.append((rest, fills(lengths[order[b + 1]], rest)))
+    return None
 
 
 def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = None) -> SolveResult:
@@ -500,23 +441,23 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     the one whose (start, length) pieces, sorted by start, form the
     lexicographically smallest sequence wins. More cells: the relaxation
     first, the same sweep over rows that count no length, and the fit's
-    schedule when the jobs fit its blocks (_fit): the decreasing fit's
-    split, else the lattice's, each block's jobs ascending. Without a fit,
-    the rows count the shortest uncounted length too, and the fit is tried
-    again, until the next set's cells, (uncounted work + 1) * prod over the
-    counted of (count + 1) * R, would pass _DP_CELL_LIMIT or take the
-    cells filled by these sets past 1/_SUBSET_SHARE of the exact DP's. A
-    bound that meets the one-block incumbent needs no stop of its own:
-    the walk then merges every piece into that block, which the decreasing
-    fit always splits. Then, at most _DP_CELL_LIMIT cells, the exact DP.
+    schedule when the jobs fit its blocks (_fit): the blocks shortest
+    first, each taking the longest jobs that still leave a fill, each
+    block's jobs ascending. Without a fit, the rows count the shortest
+    uncounted length too, and the fit is tried again, until the next
+    set's cells, (uncounted work + 1) * prod over the counted of (count +
+    1) * R, would pass _DP_CELL_LIMIT or take the cells filled by these
+    sets past 1/_SUBSET_SHARE of the exact DP's. A bound that meets the
+    one-block incumbent needs no stop of its own: the walk then merges
+    every piece into that block, which the fit splits at its first node.
+    Then, at most _DP_CELL_LIMIT cells, the exact DP.
     The steps share one search state and leave by one exit, stop, which
     assembles the answer and re-prices it (RuntimeError when the price is
-    off). Over the cell limit, or once the
-    time limit expires, the answer has status "timeout": all jobs in one
-    block at t_on, shortest first, under the last relaxed value (before
-    the relaxation completes, the cheapest root gap plus all work at the
-    cheapest later price). A solve that ends within the time limit gives
-    the untimed answer.
+    off). Over the cell limit, or once the time limit expires, the answer
+    has status "timeout": all jobs in one block at t_on, shortest first,
+    under the last relaxed value (before the relaxation completes, the
+    cheapest root gap plus all work at the cheapest later price). A solve
+    that ends within the time limit gives the untimed answer.
     stats.stop_reason says which limit stopped the solve, stats.certifier
     what proved an optimum ("dp" or "fit"), stats.counted the job lengths
     counted by the step that gave the lower bound ([] for the relaxation,
@@ -524,8 +465,7 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     stats.states the cells filled, the relaxations' included: an F and,
     below the top layer, a G per cell. A time limit must be >= 0; inf,
     like None, sets no limit.
-    The sweep reads the clock once per interval, the fit's lattice once per
-    block; the decreasing fit before it reads none.
+    The sweep reads the clock once per interval; the fit reads none.
     """
     if time_limit is not None and not time_limit >= 0:  # NaN fails this test too
         raise InputError(f"time limit must be >= 0, got {time_limit}")
@@ -630,7 +570,7 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
                     blocks[-1][1] += p
                 else:
                     blocks.append([a, p])
-            split = _fit(ps, counts, [L for _a, L in blocks], expired)
+            split = _fit(ps, counts, [L for _a, L in blocks])
             if split is not None:
                 found = (bound, [(a + sum(held[:k]), p) for (a, _L), held in zip(blocks, split)
                                  for k, p in enumerate(held)])

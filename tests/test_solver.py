@@ -428,10 +428,9 @@ def test_a_deadline_at_any_clock_reading_leaves_a_valid_answer(machine_seed, job
 def test_deadline_mid_fill_gives_the_same_answer(monkeypatch):
     # A fake clock that ticks once per reading makes the deadline fall
     # after a fixed number of checks: before and between the intervals of
-    # the relaxation's sweep (readings 1 to 183), then inside the fit's
-    # lattice (184 to 200, one per block) and, on a member without a fit,
-    # the exact DP's sweep. nosby/30/3001 at 1.9 (h=188): the decreasing
-    # fit does not split its 17 relaxed blocks, so the lattice does.
+    # the relaxation's sweep (readings 1 to 183), then, on a member
+    # without a fit, the exact DP's sweep. nosby/30/3001 at 1.9 (h=188):
+    # the jobs fit its 17 relaxed blocks, and the fit reads no clock.
     inst = generate_family(30, preset_nosby(), 3001)[2]
     tab = make_table(inst)
     no_fit, no_fit_tab = no_fit_member()
@@ -444,46 +443,40 @@ def test_deadline_mid_fill_gives_the_same_answer(monkeypatch):
     ticks = iter(range(10 ** 6))
     monkeypatch.setattr(solver, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
     filled = []
-    for checks in (1, 2, 5, 70):  # inside the relaxation
+    for checks in (1, 2, 5, 70, 183):  # inside the relaxation
         res = solve_exact(inst, tab, time_limit=checks - 0.5)
         assert (res.status, res.stats.stop_reason) == ("timeout", "time_limit")
         assert (res.tec, res.stats.lower_bound) == (expired.tec, expired.stats.lower_bound)
         filled.append(res.stats.states)
     assert filled[0] == 0 and 0 < filled[-1] < relaxed_cells(inst, tab) < full.stats.states
     assert filled == sorted(filled)
-    for checks in (184, 200):  # inside the fit
-        res = solve_exact(inst, tab, time_limit=checks - 0.5)
-        assert (res.status, res.stats.stop_reason) == ("timeout", "time_limit")
-        assert (res.tec, res.stats.lower_bound) == (expired.tec, full.tec)
-    res = solve_exact(inst, tab, time_limit=201 - 0.5)  # past the fit
-    assert (res.status, res.tec) == ("optimal", full.tec)
-    # Over the cell limit, a deadline inside the fit is still a time
-    # limit: the solve stops there, with the relaxed bound.
-    with monkeypatch.context() as m:
-        m.setattr(solver, "_DP_CELL_LIMIT", 1000)
-        res = solve_exact(inst, tab, time_limit=200 - 0.5)
-    assert (res.status, res.stats.stop_reason) == ("timeout", "time_limit")
-    assert (res.tec, res.stats.lower_bound) == (expired.tec, full.tec)
-    assert res.stats.states == relaxed_cells(inst, tab)
+    # A deadline after the relaxation's sweep gives the fit's optimum,
+    # over the cell limit too.
+    for limit in (solver._DP_CELL_LIMIT, 1000):
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_DP_CELL_LIMIT", limit)
+            res = solve_exact(inst, tab, time_limit=184 - 0.5)
+        assert (res.status, res.stats.certifier, res.tec) == ("optimal", "fit", full.tec)
+        assert res.stats.states == relaxed_cells(inst, tab)
     # After a relaxation without a fit: one check after the fit, then the
-    # exact DP's sweep (readings 146 to 270). A deadline at either of the
+    # exact DP's sweep (readings 127 to 251). A deadline at either of the
     # first two has filled nothing more; one inside the sweep keeps the
     # relaxed bound and the one-block incumbent, and one past it is the
     # optimum.
-    for checks in (145, 146):
+    for checks in (126, 127):
         res = solve_exact(no_fit, no_fit_tab, time_limit=checks - 0.5)
         assert (res.status, res.stats.stop_reason) == ("timeout", "time_limit")
         assert (res.tec, res.stats.lower_bound) == (no_fit_expired.tec, NO_FIT_RELAXED)
         assert res.stats.states == relaxed_cells(no_fit, no_fit_tab)
     filled = []
-    for checks in (147, 210, 270):  # inside the DP's sweep
+    for checks in (128, 191, 251):  # inside the DP's sweep
         res = solve_exact(no_fit, no_fit_tab, time_limit=checks - 0.5)
         assert (res.status, res.stats.stop_reason) == ("timeout", "time_limit")
         assert (res.tec, res.stats.lower_bound) == (no_fit_expired.tec, NO_FIT_RELAXED)
         filled.append(res.stats.states)
     assert relaxed_cells(no_fit, no_fit_tab) < filled[0] < filled[-1]
     assert filled[-1] < relaxed_cells(no_fit, no_fit_tab) + no_fit_full.stats.states
-    res = solve_exact(no_fit, no_fit_tab, time_limit=271 - 0.5)  # past the sweep
+    res = solve_exact(no_fit, no_fit_tab, time_limit=252 - 0.5)  # past the sweep
     assert (res.status, res.stats.certifier) == ("optimal", "dp")
     assert (res.tec, res.schedule) == (no_fit_full.tec, no_fit_full.schedule)
     assert res.tec == NO_FIT_OPTIMUM
@@ -509,13 +502,21 @@ def test_elimination_rounds_match_the_full_dp(member, tec, monkeypatch):
     assert res.stats.states == relaxed_cells(inst, tab) + full.stats.states
 
 
-def test_the_cell_limit_counts_the_whole_band_before_the_rounds():
-    # nosby/250/3 at 2.2 (h=1636): no fit, the band is over the cell
-    # limit, and so is the relaxation that counts the shortest length
-    # alone (31,455,270 cells), so neither it nor the exact DP runs, even
-    # under a time limit; the bound is the relaxed value.
+def test_the_cell_limit_counts_the_whole_band_before_the_rounds(monkeypatch):
+    # nosby/250/3 at 2.2 (h=1636), 181 relaxed blocks: with the fit off,
+    # the band is over the cell limit, and so is the relaxation that
+    # counts the shortest length alone (31,455,270 cells), so neither it
+    # nor the exact DP runs, even under a time limit; the bound is the
+    # relaxed value. With the fit on, the jobs fit those blocks, and the
+    # relaxed value is the optimum.
     inst = generate_family(250, preset_nosby(), 3)[3]
     tab = make_table(inst)
+    res = solve_exact(inst, tab, time_limit=60.0)
+    assert (res.status, res.stats.certifier, res.stats.counted) == ("optimal", "fit", [])
+    assert (res.tec, res.stats.lower_bound) == (21531, 21531)
+    assert res.stats.states == relaxed_cells(inst, tab)
+    assert validate_schedule(inst, res.schedule) == []
+    monkeypatch.setattr(solver, "_fit", lambda *args: None)
     res = solve_exact(inst, tab, time_limit=60.0)
     assert (res.status, res.stats.stop_reason) == ("timeout", "cell_limit")
     assert res.stats.states == relaxed_cells(inst, tab)
@@ -787,17 +788,17 @@ def test_the_sweep_and_its_walk_give_the_band_optimum_cell_by_cell(
             assert_walk_is_the_band_optimum(band, rows, limit, band_optimum(band, rows, limit))
 
 
-# nosby/120/12001 at 2.2 (h=800), proved by the fit with the decreasing
-# fit's split; its long band diagonals are the relaxation sweep's longest
-# in tier-1.
+# nosby/120/12001 at 2.2 (h=800), proved by the fit on the relaxed
+# blocks; its long band diagonals are the relaxation sweep's longest in
+# tier-1.
 PAPER_SCALE_SIGMA = [
-    106, 76, 123, 69, 66, 252, 87, 104, 315, 80, 94, 84, 327, 117, 349, 115, 245, 353,
-    72, 100, 250, 74, 265, 320, 248, 263, 111, 403, 431, 298, 128, 323, 225, 446, 342,
-    358, 257, 444, 345, 267, 347, 360, 537, 369, 391, 335, 222, 362, 371, 526, 299, 436,
-    302, 558, 305, 379, 451, 308, 524, 384, 550, 563, 552, 311, 394, 573, 596, 605, 555,
-    584, 673, 594, 408, 397, 618, 438, 621, 531, 653, 412, 601, 539, 675, 655, 659, 729,
-    664, 544, 683, 686, 688, 725, 779, 782, 694, 731, 697, 704, 789, 735, 699, 567, 706,
-    578, 795, 587, 667, 710, 763, 677, 717, 766, 761, 738, 776, 769, 772, 791, 720, 784
+    123, 76, 252, 69, 66, 315, 87, 115, 327, 80, 94, 84, 345, 105, 349, 245, 250, 353, 72,
+    100, 265, 74, 298, 300, 104, 248, 111, 403, 431, 263, 128, 320, 117, 446, 323, 358,
+    225, 444, 342, 257, 360, 369, 537, 391, 436, 267, 222, 335, 362, 526, 302, 451, 305,
+    558, 308, 371, 524, 311, 539, 379, 550, 563, 552, 394, 408, 573, 596, 605, 555, 584,
+    673, 594, 412, 384, 618, 397, 621, 438, 653, 541, 601, 531, 675, 655, 659, 729, 664,
+    544, 683, 686, 688, 725, 779, 782, 694, 731, 697, 704, 789, 735, 699, 567, 706, 578,
+    795, 587, 667, 710, 763, 677, 717, 766, 761, 738, 776, 769, 772, 791, 720, 784
 ]
 
 
@@ -1080,11 +1081,14 @@ def split_exists(jobs, lengths):
 
 
 def fit(jobs, lengths):
+    """_fit's split of the jobs into blocks of the given lengths, checked:
+    exactly the jobs, at the blocks' own lengths, each block ascending."""
     ps, counts = np.unique(jobs, return_counts=True)
-    split = solver._fit(ps, counts, lengths, lambda: False)
+    split = solver._fit(ps, counts, lengths)
     if split is not None:
         assert [sum(held) for held in split] == lengths
         assert sorted(p for held in split for p in held) == sorted(jobs)
+        assert all(held == sorted(held) for held in split)
     return split
 
 
@@ -1099,47 +1103,64 @@ def test_fit_splits_the_jobs_exactly_when_they_fit():
         assert (split is not None) == split_exists(jobs, lengths)
         found += split is not None
     assert 100 <= found <= 300
-    # 70 jobs of the longest length: its packed axis spans two 64-bit words.
-    # The decreasing fit puts a 7 in the block of 15, and the 8 left needs
-    # four 2s or a 5 and 3, so these blocks are split by the lattice
-    jobs = [2] * 3 + [5] * 5 + [7] * 70
-    lengths = [5 * 3, 7 * 70 + 5 * 2 + 2 * 3]
-    assert fit(jobs, lengths) == [[5, 5, 5], [2] * 3 + [5] * 2 + [7] * 70]
-    assert fit(jobs[3:], [1, 7 * 70 + 5 * 5 - 1]) is None
-    # its budget: 6 x 2 words per set, kept for 2 blocks and 7 + 1 layers,
-    # and 16 bytes for each of the 6 x 71 count vectors
-    need = 8 * 6 * 2 * (2 + 7 + 1) + 16 * 6 * 71
-    for budget, fits in ((need, True), (need - 1, False)):
-        with mock.patch.object(solver, "_FIT_BYTES", budget):
+    # Blocks shortest first, each the longest jobs that leave a fill: the
+    # block of 6 takes the two 3s, after which no fill of 10 is left, then
+    # three 2s; each block of 10 takes a 3 and a 7. Nine nodes: these four
+    # vectors and five dead ends.
+    jobs, lengths = [2, 2, 2, 3, 3, 7, 7], [10, 6, 10]
+    assert fit(jobs, lengths) == [[3, 7], [2, 2, 2], [3, 7]]
+    # Twelve blocks of 7 after blocks of 2 and 6 split in 1458 nodes,
+    # which the failed states kept allow: without them, 10^5 nodes find
+    # no split.
+    jobs2 = [1] + [2] * 12 + [3] * 7 + [5] * 5 + [7] * 3
+    lengths2 = [7] * 12 + [2, 6]
+    for budget, fits in ((9, True), (8, False)):
+        with mock.patch.object(solver, "_FIT_NODES", budget):
             assert (fit(jobs, lengths) is not None) == fits
+    for budget, fits in ((1458, True), (1457, False)):
+        with mock.patch.object(solver, "_FIT_NODES", budget):
+            assert (fit(jobs2, lengths2) is not None) == fits
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(jobs=st.lists(st.integers(1, 5), min_size=1, max_size=14)
-       | st.lists(st.sampled_from((2, 3, 5, 7)), min_size=1, max_size=14),
+       | st.lists(st.sampled_from((2, 3, 5, 7)), min_size=1, max_size=14)
+       | st.lists(st.integers(1, 10), min_size=1, max_size=14),
        data=st.data())
-def test_the_decreasing_fit_splits_only_what_the_lattice_splits(jobs, data):
-    # Random cuts of the jobs' work, shortest length 1 or above it: a
-    # split of the decreasing fit means the lattice alone splits too, and
-    # every split holds exactly the jobs, its blocks' own lengths, each
-    # block's jobs in ascending order. One block of all the work is split
-    # with no lattice budget at all.
+def test_fit_finds_a_split_exactly_where_one_exists(jobs, data):
+    # Random cuts of the jobs' work, shortest length 1 or above it, with a
+    # split or without: _fit splits exactly where brute force finds a
+    # split, so a stop at its node budget fails too, and every split holds
+    # exactly the jobs, at its blocks' own lengths, each block ascending.
+    # One block of all the work is split within one node.
     total = sum(jobs)
-    cuts = sorted(data.draw(st.sets(st.integers(1, total - 1), max_size=5))) if total > 1 else []
+    cuts = sorted(data.draw(st.sets(st.integers(1, total - 1), max_size=6))) if total > 1 else []
     lengths = [b - a for a, b in zip([0] + cuts, cuts + [total])]
-    ps, counts = np.unique(jobs, return_counts=True)
-    greedy = solver._decreasing_fit(ps, counts, lengths)
-    with mock.patch.object(solver, "_decreasing_fit", lambda *args: None):
-        lattice = fit(jobs, lengths)
-    for split in (greedy, lattice):
-        if split is not None:
-            assert [sum(held) for held in split] == lengths
-            assert sorted(p for held in split for p in held) == sorted(jobs)
-            assert all(held == sorted(held) for held in split)
-    assert greedy is None or lattice is not None
-    assert (lattice is not None) == split_exists(jobs, lengths)
-    with mock.patch.object(solver, "_FIT_BYTES", 0):
+    assert (fit(jobs, lengths) is not None) == split_exists(jobs, lengths)
+    with mock.patch.object(solver, "_FIT_NODES", 1):
         assert fit(jobs, [total]) == [sorted(jobs)]
+
+
+def test_the_fit_reads_no_clock_and_needs_no_recursion(monkeypatch):
+    # Any clock reading raises while _fit runs. 2,100 jobs into 1,050
+    # blocks of 3 and 6, more than the default recursion limit of 1,000
+    # frames, split with one node per block: the blocks of 3 take the 3s, and
+    # those of 6, in order, 2s while three are left, then the last 2 with
+    # four 1s, then 1s. Jobs of lengths 2 and 3 fill no block of 1.
+    monkeypatch.setattr(solver, "time", None)
+    jobs = [1, 2, 3] * 700
+    lengths = [3, 6] * 350 + [3] * 350
+    with mock.patch.object(solver, "_FIT_NODES", len(lengths)):
+        split = fit(jobs, lengths)
+    assert split[:700:2] + split[700:] == [[3]] * 700
+    assert split[1:700:2] == [[2, 2, 2]] * 233 + [[1, 1, 1, 1, 2]] + [[1] * 6] * 116
+    assert fit([1, 2] * 800, [3] * 800) == [[1, 2]] * 800
+    assert fit([2, 3] * 600, [1] + [5] * 599 + [4]) is None
+    # Jobs of even lengths 2 to 20 fill no block of 301, and counting the
+    # partial vectors that can grow no further stops the search at the
+    # budget; the vectors that fill a block alone never reach it.
+    jobs = [p for p in range(2, 21, 2) for _ in range(30)]
+    assert fit(jobs, [301, sum(jobs) - 301]) is None
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -1225,7 +1246,7 @@ def test_every_set_of_the_shortest_lengths_bounds_the_optimum_and_its_fit_is_opt
         blocks = merged_blocks(pieces)
         if value + const == one_block:
             assert blocks == [[band.t_on, sum(jobs)]]
-        split = solver._fit(ps, counts, [L for _a, L in blocks], lambda: False)
+        split = solver._fit(ps, counts, [L for _a, L in blocks])
         if split is not None:
             fitted = [(a + sum(held[:i]), p) for (a, _L), held in zip(blocks, split)
                       for i, p in enumerate(held)]
