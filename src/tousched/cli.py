@@ -1,7 +1,8 @@
 """Command line front end tying the pipeline together.
 
 Exit codes: 0 success, 1 infeasible or failed validation, 2 bad input: a file
-that cannot be read, decoded, parsed or written, or data it rejects.
+that cannot be read, decoded, parsed or written, data it rejects, or an
+instance whose tables do not fit in memory.
 """
 
 from __future__ import annotations
@@ -48,6 +49,14 @@ def _resolve_preset(name: str) -> datagen.MachinePreset:
                            f"machine JSON file)")
 
 
+def _load_instance(args, path) -> model.Instance:
+    """The instance at path; its horizon goes on args for main's
+    out-of-memory message."""
+    inst = model.load_instance(path)
+    args.horizon = inst.horizon
+    return inst
+
+
 def _table_for(inst: model.Instance, phi_path: str | None) -> spaces.SpacesTable:
     """The instance's phi table, computed, or loaded from phi_path and
     refused unless it equals the computed one: the solver's root and
@@ -57,8 +66,11 @@ def _table_for(inst: model.Instance, phi_path: str | None) -> spaces.SpacesTable
     if not phi_path:
         return spaces.compute_spaces(inst, g)
     table = spaces.load_table(phi_path, inst, graph=g)
-    own = spaces.compute_spaces(inst, g).phi_matrix
-    rows, cols = (table.phi_matrix != own).nonzero()
+    own = spaces.compute_spaces(inst, g)
+    if table.stored.dtype == own.stored.dtype:
+        rows, cols = (table.stored != own.stored).nonzero()
+    else:  # a file in a wider type than its values need
+        rows, cols = (table.phi_matrix != own.phi_matrix).nonzero()
     if rows.size:
         raise model.InputError(f"{phi_path}: phi at ({rows[0]}, {cols[0]}) differs from the "
                                "switching cost of the instance; the table does not match "
@@ -83,14 +95,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    inst = model.load_instance(args.instance)
+    inst = _load_instance(args, args.instance)
     g = isg.build_graph(inst)
     t0 = time.process_time()
     table = spaces.compute_spaces(inst, g)
     t1 = time.process_time()
     out = spaces.save_table(table, args.out)
     t2 = time.process_time()
-    defined = int((table.phi_matrix < spaces._UNREACHABLE).sum())
+    defined = int((table.stored != table.mark).sum())
     print(f"window {table.window}, {defined} switching costs, "
           f"{int(table.pruned_mask.sum())} pruned, compute_spaces {1000 * (t1 - t0):.1f} ms, "
           f"save_table {1000 * (t2 - t1):.1f} ms CPU -> {out}")
@@ -104,7 +116,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    inst = model.load_instance(args.instance)
+    inst = _load_instance(args, args.instance)
     result = solver.solve_exact(inst, _table_for(inst, args.phi), time_limit=args.time_limit)
     if result.status == "infeasible":
         print("infeasible: no schedule fits the processing window", file=sys.stderr)
@@ -124,7 +136,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    inst = model.load_instance(args.instance)
+    inst = _load_instance(args, args.instance)
     sched, tec = model.load_schedule(args.schedule)
     problems = model.validate_schedule(inst, sched)
     if not problems and tec is not None:
@@ -141,7 +153,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_emit_lp(args) -> int:
-    inst = model.load_instance(args.instance)
+    inst = _load_instance(args, args.instance)
     table = _table_for(inst, args.phi)
     lp_path, map_path = modelgen.write_artifact(modelgen.emit_ilp_spaces(inst, table), args.out)
     print(lp_path)
@@ -150,7 +162,7 @@ def cmd_emit_lp(args) -> int:
 
 
 def cmd_import_solution(args) -> int:
-    inst = model.load_instance(args.instance)
+    inst = _load_instance(args, args.instance)
     table = _table_for(inst, args.phi)
     artifact = modelgen.load_varmap(args.model_map)
     assignment = modelgen.parse_solution_text(model.read_text(args.solution))
@@ -171,7 +183,7 @@ def cmd_bench(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["instance", "n", "h", "ub", "lb", "t", "gap"])
         for path in paths:
-            inst = model.load_instance(path)
+            inst = _load_instance(args, path)
             t0 = time.monotonic()
             try:
                 table = _table_for(inst, None)
@@ -276,6 +288,11 @@ def main(argv=None) -> int:
         return 1
     except (model.InputError, OSError) as exc:  # OSError: a file could not be read or written
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # phi alone holds (h + 1)^2 values
+        horizon = getattr(args, "horizon", None)
+        print(f"error: out of memory{'' if horizon is None else f' at horizon {horizon}'}",
+              file=sys.stderr)
         return 2
 
 

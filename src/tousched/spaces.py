@@ -15,15 +15,14 @@ positive-time steps between two classes with the same time merge at
 their cheapest power. Step weights depend only on the interval and the
 step, never on the gap end, so the steps compose: the sweep runs over
 blocks of intervals, all blocks at once inside them and then block by
-block across them (`_sweep_blocks`). The sweep adds in the narrowest
-of 16, 32 and 64 bits whose 2^(w-3) is above the instance's heaviest
-path weight, sum(costs) * max power, with 2^(w-2) for "no path"
-(`_sweep_types`), so no sum leaves the type: the signed rows stay below
-2^(w-1) and the unsigned sums across blocks at most 2^(w-1). At 64
-bits the bound is COST_LIMIT = 2^61, which `validate_instance` checks,
-and "no path" is INF = 2^62; phi itself is int64 with INF at every
-width. A switching path is read off `isg`'s single-source sweep
-(`isg.shortest_path`), stopped at the gap's end.
+block across them (`_sweep_blocks`), in the narrowest of 16, 32 and 64
+bits that holds every sum (`_sweep_types`). The sweep writes phi, the
+file holds it and a load keeps it in one form: the narrowest signed type
+whose maximum, the mark of "no switching", is above every finite value
+(`_stored_type`). Only the readers of the whole matrix widen it, once, to
+int64 with INF = 2^62 (`SpacesTable.phi_matrix`). A switching path is
+read off `isg`'s single-source sweep (`isg.shortest_path`), stopped at
+the gap's end.
 """
 
 from __future__ import annotations
@@ -43,23 +42,45 @@ from .isg import sssp  # noqa: F401  (perfbench's tracer wraps spaces.sssp)
 from .model import InfeasibleError, InputError, Instance, StatePair, instance_to_dict
 
 _UNREACHABLE = np.int64(INF) // 2  # values at or above this mean "no path"
+# phi's stored types, narrowest first, each with its maximum: "no switching"
+_STORED_TYPES = [(np.dtype(t), int(np.iinfo(t).max)) for t in (np.int8, np.int16, np.int32,
+                                                               np.int64)]
 
 
 @dataclass
 class SpacesTable:
     """phi values over the graph they were computed on.
 
-    phi_matrix[i, ip] holds phi(i, ip) for 1 <= i < ip <= h, with INF as
-    the absent sentinel; row 0 and column 0 are padding so indices match
-    the 1-based interval convention. The horizon, the window and the
-    pruning flags derive from the graph's instance, which must have a window.
+    stored[i, ip] holds phi(i, ip) for 1 <= i < ip <= h in its stored type
+    (`_stored_type`), read-only; row 0 and column 0 are padding so indices
+    match the 1-based interval convention. A signed array of 8, 16 or 32
+    bits is kept as given, any other converted, a cell at or above min(its
+    type's maximum, 2^61) meaning no switching: an int64 table with INF
+    builds too. The horizon, the window and the pruning flags derive from
+    the graph's instance, which must have a window.
     """
 
-    phi_matrix: np.ndarray
+    stored: np.ndarray
     graph: IntervalStateGraph
 
     def __post_init__(self) -> None:
+        if self.stored.dtype.kind != "i" or self.stored.dtype.itemsize == 8:
+            self.stored = _narrowest(self.stored)
+        self.stored.flags.writeable = False
         self.window  # raises InfeasibleError when there is no processing window
+
+    @cached_property
+    def mark(self) -> int:
+        """The stored type's maximum: no switching."""
+        return int(np.iinfo(self.stored.dtype).max)
+
+    @cached_property
+    def phi_matrix(self) -> np.ndarray:
+        """phi as int64 with INF where there is no switching, for the
+        readers of the whole matrix: widened once, read-only."""
+        phi = np.where(self.stored == self.mark, INF, self.stored)
+        phi.flags.writeable = False
+        return phi
 
     @property
     def horizon(self) -> int:
@@ -106,8 +127,8 @@ class SpacesTable:
         """Switching cost for the pair, or None when no switching exists."""
         if not 1 <= i < ip <= self.horizon:
             raise InputError(f"need 1 <= i < ip <= {self.horizon}, got ({i}, {ip})")
-        v = self.phi_matrix[i, ip]
-        return None if v >= _UNREACHABLE else int(v)
+        v = self.stored[i, ip]
+        return None if v == self.mark else int(v)
 
     def is_pruned(self, i: int, ip: int) -> bool:
         return bool(self.pruned_mask[i, ip])
@@ -140,17 +161,34 @@ def _sweep_types(inst: Instance) -> tuple[np.dtype, np.dtype, int]:
     return np.dtype(f"int{w}"), np.dtype(f"uint{w}"), 2 ** (w - 2)
 
 
-def _sweep_blocks(g: IntervalStateGraph, phi: np.ndarray) -> None:
-    """Fill phi rows 1..h-1, every column, by a backward sweep over blocks
-    of B consecutive intervals (`_blocks`), block b from interval 2 + bB,
-    the top block cut at h. At interval k each zero-time class holds a
-    cost-to-go row: the cheapest cost from that class at the start of k
-    to the end of every gap ip >= k (proc at the start of ip, off for
-    ip = h). The gap after interval k - 1 starts there, in proc (in off
-    for k = 2), so that class's row is row k - 1 of phi. Step weights
-    depend only on the interval, so the recurrence's min-plus steps
-    compose, and the sweep runs in two levels, as a two-level scan does
-    (Blelloch, Prefix sums and their applications, CMU-CS-90-190, 1990):
+def _stored_type(top: int) -> tuple[np.dtype, int]:
+    """The narrowest of int8, int16, int32 and int64 whose maximum is above
+    top, phi's largest finite value, and that maximum: "no switching"."""
+    return next((dtype, mark) for dtype, mark in _STORED_TYPES if mark > top)
+
+
+def _narrowest(phi: np.ndarray) -> np.ndarray:
+    """An integer phi in its stored type (`_stored_type`), where a cell at
+    or above min(phi's type maximum, 2^61) means no switching."""
+    finite = phi < min(np.iinfo(phi.dtype).max, int(_UNREACHABLE))
+    dtype, mark = _stored_type(int(phi.max(where=finite, initial=0)))
+    stored = phi.astype(dtype)  # wraps only the cells without switching, set next
+    stored[~finite] = mark
+    return stored
+
+
+def _sweep_blocks(g: IntervalStateGraph) -> np.ndarray:
+    """phi in its stored type (`_stored_type`), by a backward sweep over
+    blocks of B consecutive intervals (`_blocks`), block b from interval
+    2 + bB, the top block cut at h. At interval k each zero-time class
+    holds a cost-to-go row: the cheapest cost from that class at the
+    start of k to the end of every gap ip >= k (proc at the start of ip,
+    off for ip = h). The gap after interval k - 1 starts there, in proc
+    (in off for k = 2), so that class's row is row k - 1 of phi. Step
+    weights depend only on the interval, so the recurrence's min-plus
+    steps compose, and the sweep runs in two levels, as a two-level scan
+    does (Blelloch, Prefix sums and their applications, CMU-CS-90-190,
+    1990):
 
     - Local phase: one backward pass over the offset r = B - 1 .. 0 runs
       every block at once. Each class row holds, per block, the block's
@@ -166,26 +204,24 @@ def _sweep_blocks(g: IntervalStateGraph, phi: np.ndarray) -> None:
       boundary states, where a path out of the block first lands.
     - Block phase: from the top block down, each row's columns past its
       block are the minimum over the boundary states j of its cost to j
-      plus j's row, which the block above gave: one pass over the
-      block's rows per state, into a scratch buffer that one cast copy
-      puts into phi. The boundary rows for the block below come out the
-      same way.
+      plus j's row, which the block above gave, one pass over the block's
+      rows per state. The boundary rows come first, for every block: the
+      largest finite cost plus their largest finite value bounds phi and
+      picks its stored type before it is written, and the largest among
+      phi's own rows there confirms that type or leaves it to a check.
 
     Both phases run in w bits (`_sweep_types`), the narrowest width whose
     2^(w-3) is above the heaviest path weight W = sum(costs) * max power
     (intervals past h weigh 0), and the no-path value is INF_w = 2^(w-2).
     Local rows, in the signed type, are never clamped: a column with no
-    path holds INF_w plus the weight of a path, so each value stays below
-    INF_w + 2^(w-3) < 2^(w-1). The block phase clamps both factors of
-    each sum at INF_w and adds them in the unsigned type of the same
-    width, whose bits are the signed type's for non-negative values: two
-    finite costs sum to a path's weight, below 2^(w-3), and a sum with an
-    INF_w factor lies in [INF_w, 2^(w-1)], inside the type. So the
-    minimum is the cost, or INF_w or more where no path exists; a
-    boundary row is clamped at INF_w again before the block below reads
-    it, and the copy into the int64 phi turns every value from INF_w up
-    into INF = 2^62. At 64 bits INF_w is INF and W is below COST_LIMIT =
-    2^61, which `validate_instance` checks."""
+    path holds INF_w plus the weight of a path, below INF_w + 2^(w-3) <
+    2^(w-1), and is then set to M = 2^(w-1) - 1. The block phase adds in
+    the unsigned type of the same width, whose bits are the signed type's
+    for non-negative values: two finite costs sum below 2^(w-3), and a sum
+    with an M factor lies in [M, 2^w - 2], inside the type. A boundary row
+    is clamped at M again, and phi's cells at the stored type's maximum,
+    at most M. At 64 bits W is below COST_LIMIT = 2^61, which
+    `validate_instance` checks."""
     h = g.horizon
     off, proc, zero, out = g.class_plan
     B, slot = _blocks(g.class_plan, h)
@@ -230,54 +266,50 @@ def _sweep_blocks(g: IntervalStateGraph, phi: np.ndarray) -> None:
         for (u, c), j in slot.items():
             if u == r + 1:
                 bounds[:, j] = cur[c]
-    np.minimum(rows, sdt.type(inf), out=rows)
-    np.minimum(bounds, sdt.type(inf), out=bounds)
 
-    rows, bounds, cap = rows.view(udt), bounds.view(udt), udt.type(inf)
-    above, below = np.empty((2, J, h + 1), dtype=udt)  # boundary rows, all columns
+    rows, bounds, M = rows.view(udt), bounds.view(udt), udt.type(np.iinfo(sdt).max)
+    for x in (rows, bounds):  # no path: M, which each sum with it reaches
+        np.copyto(x, M, where=x >= inf)
+    # ahead[b]: the boundary rows of block b - 1, from block b's first interval on
+    ahead = np.full((nb, J, h + 1), M, dtype=udt)
     scratch = np.empty((2, max(B, J) * h), dtype=udt)
 
-    def past(costs: np.ndarray, ahead: np.ndarray, acc: np.ndarray) -> None:
-        """acc = min over j of costs[:, j] + ahead[j]: INF_w or more where
-        no path exists."""
+    def past(costs: np.ndarray, state_rows: np.ndarray, acc: np.ndarray) -> None:
+        """acc = min over j of costs[:, j] + state_rows[j]: M or more where no
+        path exists."""
         tmp = scratch[1, :acc.size].reshape(acc.shape)
-        np.add(costs[:, :1], ahead[0], out=acc)
+        np.add(costs[:, :1], state_rows[0], out=acc)
         for j in range(1, J):
-            np.minimum(acc, np.add(costs[:, j:j + 1], ahead[j], out=tmp), out=acc)
+            np.minimum(acc, np.add(costs[:, j:j + 1], state_rows[j], out=tmp), out=acc)
 
-    def put(cells: np.ndarray, values: np.ndarray) -> None:
-        """cells = values, widened to int64, with INF where they are INF_w
-        or more."""
-        cells[...] = values
-        if values.max() >= cap:
-            np.copyto(cells, INF, where=values >= cap)
+    def top(x: np.ndarray) -> int:
+        """The largest finite value of x, or 0: M + 1 wraps below 0."""
+        return int(np.add(x.view(sdt), 1).max(initial=1)) - 1
 
-    for b in range(nb - 1, -1, -1):
-        lo = 2 + b * B
-        hi = min(lo + B, h + 1)  # one past the block's last interval
-        m = hi - lo
-        phi[lo - 1:hi - 1, :lo] = INF
-        put(phi[lo - 1:hi - 1, lo:hi], rows[b, :m, :m])
+    spans = [(2 + b * B, min(2 + (b + 1) * B, h + 1)) for b in range(nb)]  # [lo, hi)
+    for b in range(nb - 1, 0, -1):
+        lo, hi = spans[b]
+        ahead[b, :, lo:hi] = bounds[b, :, :hi - lo]
+        if b < nb - 1:
+            past(bounds[b, :, B:], ahead[b + 1, :, hi:], ahead[b, :, hi:])
+            np.minimum(ahead[b, :, hi:], M, out=ahead[b, :, hi:])
+    dtype, mark = _stored_type(top(rows) + top(ahead))
+    phi = np.full((h + 1, h + 1), mark, dtype=dtype)
+    for b, (lo, hi) in enumerate(spans):
+        np.minimum(rows[b, :hi - lo, :hi - lo], mark, out=phi[lo - 1:hi - 1, lo:hi],
+                   casting="unsafe")
         if b < nb - 1:
             acc = scratch[0, :B * (h + 1 - hi)].reshape(B, h + 1 - hi)
-            past(rows[b, :, B:], above[:, hi:], acc)
-            put(phi[lo - 1:hi - 1, hi:], acc)
-        if b:
-            below[:, lo:hi] = bounds[b, :, :m]
-            if b < nb - 1:
-                past(bounds[b, :, B:], above[:, hi:], below[:, hi:])
-                np.minimum(below[:, hi:], cap, out=below[:, hi:])
-            above, below = below, above
+            past(rows[b, :, B:], ahead[b + 1, :, hi:], acc)
+            np.minimum(acc, mark, out=phi[lo - 1:hi - 1, hi:], casting="unsafe")
+    # the first row of every block above the lowest is a boundary row: proc's
+    least = top(ahead[1:, slot[1, proc]])
+    return phi if _stored_type(least)[0] == dtype else _narrowest(phi)
 
 
 def compute_spaces(inst: Instance, g: IntervalStateGraph) -> SpacesTable:
     """The full phi table; raises InfeasibleError without a processing window."""
-    h = inst.horizon
-    table = SpacesTable(np.empty((h + 1, h + 1), dtype=np.int64), g)
-    phi = table.phi_matrix
-    phi[[0, h]] = INF  # the sweep writes every other row whole
-    _sweep_blocks(g, phi)
-    return table
+    return SpacesTable(_sweep_blocks(g), g)
 
 
 def switching_path(table: SpacesTable, i: int, ip: int) -> list[StatePair]:
@@ -324,9 +356,8 @@ def apply_pruning(table: SpacesTable, inst: Instance) -> SpacesTable:
 
 def write_phi_csv(table: SpacesTable, path) -> None:
     """Debug dump of all defined phi values, one "i,ip,phi" row per pair."""
-    phi = table.phi_matrix
-    i, ip = np.argwhere(phi < _UNREACHABLE).T
-    rows = map("{},{},{}\n".format, i.tolist(), ip.tolist(), phi[i, ip].tolist())
+    i, ip = np.argwhere(table.stored != table.mark).T
+    rows = map("{},{},{}\n".format, i.tolist(), ip.tolist(), table.stored[i, ip].tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("i,ip,phi\n" + "".join(rows))
 
@@ -339,27 +370,14 @@ def _fingerprint(inst: Instance) -> str:
 def save_table(table: SpacesTable, path) -> str:
     """Write phi and the instance fingerprint as an .npz archive of
     uncompressed members, as np.savez writes it; returns the actual path,
-    which gains the .npz suffix when missing.
-
-    phi is stored in the narrowest signed integer type (int8, int16, int32
-    or int64) whose maximum is above every finite phi value, and that
-    maximum stands for "no switching". phi is narrowed in one pass, a
-    minimum with that maximum cast into the stored type: every cell
-    without switching is at least 2^61, above the maximum of each type
-    but int64, and an int64 table then sets those cells to its maximum,
-    since they hold INF = 2^62 or more, below it."""
+    which gains the .npz suffix when missing. phi is written as the table
+    stores it: in the narrowest signed integer type (int8, int16, int32 or
+    int64) whose maximum is above every finite phi value, with that
+    maximum for "no switching"."""
     path = str(path)
     if not path.endswith(".npz"):
         path += ".npz"
-    phi = table.phi_matrix
-    top = int(phi.max(where=phi < _UNREACHABLE, initial=0))
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max > top)
-    mark = np.iinfo(dtype).max
-    stored = np.empty(phi.shape, dtype=dtype)
-    np.minimum(phi, np.int64(mark), out=stored, casting="unsafe")
-    if dtype is np.int64:
-        stored[stored >= _UNREACHABLE] = mark
-    np.savez(path, phi=stored, fingerprint=np.asarray(_fingerprint(table.graph.inst)))
+    np.savez(path, phi=table.stored, fingerprint=np.asarray(_fingerprint(table.graph.inst)))
     return path
 
 
@@ -388,12 +406,10 @@ def load_table(path, inst: Instance, graph: IntervalStateGraph | None = None) ->
     beyond its shape only its integer type and its sign are checked; the
     pruned, window and horizon keys of older files are ignored. Stored
     and deflated members read alike, so the files of every older version
-    load.
-
-    A value at or above min(its type's maximum, 2^61) means no switching
-    and loads as INF, so narrow files and the int64 files of older
-    versions (INF = 2^62) read alike; a hand-edited cell equal to the
-    type's maximum reads as unreachable."""
+    load. phi is kept as read unless its type is other than signed 8, 16
+    or 32 bits, such as the int64 of older versions with INF = 2^62, which
+    `SpacesTable` converts; a hand-edited cell equal to its type's maximum
+    reads as unreachable."""
     h = inst.horizon
     other = f"{path}: phi table was computed for a different instance"
 
@@ -419,10 +435,4 @@ def load_table(path, inst: Instance, graph: IntervalStateGraph | None = None) ->
         raise InputError(f"{path}: not a readable phi table ({exc})") from exc
     if phi.min(initial=0) < 0:
         raise InputError(f"{path}: phi holds negative switching costs")
-    finite = phi < min(np.iinfo(phi.dtype).max, int(_UNREACHABLE))
-    if phi.dtype.kind == "u" and phi.dtype.itemsize == 8:
-        # np.where would meet uint64 and int64 in float64; the cast wraps
-        # only values that are not finite
-        phi = phi.astype(np.int64)
-    phi = np.where(finite, phi, INF)  # widened to int64 in the same pass
     return SpacesTable(phi, build_graph(inst) if graph is None else graph)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tousched import (build_graph, compute_spaces, load_schedule, save_instance, save_schedule,
-                      solver, validate_schedule)
+                      solver, spaces, validate_schedule)
 from tousched.cli import BenchRecord, main
 
 from conftest import (NON_INTEGERS, WORKED_SIGMA, WORKED_TEC, ZERO_POWER_MACHINE, limit_draws,
@@ -510,6 +510,62 @@ def test_emit_lp_refuses_a_raised_phi(tmp_path, capsys, worked_file, gap):
     assert (code, stdout) == (2, "")
     assert f"{tab}: phi at {gap}" in stderr and "does not match its instance" in stderr
     assert not lp.exists()
+
+
+def test_phi_table_in_a_wider_type_than_it_needs_solves(tmp_path, capsys, worked_file):
+    # the worked table, which save_table writes as int8, rewritten as int16
+    # with int16's maximum for no switching: the same costs, so accepted
+    tab = tmp_path / "tab.npz"
+    run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))
+    with np.load(tab) as doc:
+        kept = {k: doc[k] for k in doc.files}
+    narrow = kept["phi"]
+    kept["phi"] = narrow.astype(np.int16)
+    kept["phi"][narrow == np.iinfo(narrow.dtype).max] = np.iinfo(np.int16).max
+    np.savez(tab, **kept)
+    code, stdout, _ = run(capsys, "solve", "--instance", worked_file, "--phi", str(tab))
+    assert (code, stdout) == (0, f"TEC {WORKED_TEC}\n")
+
+
+def test_preprocess_and_import_solution_never_widen_phi(tmp_path, capsys, worked_file,
+                                                       monkeypatch):
+    # preprocess counts the defined cells and dumps them, and
+    # import-solution --phi compares the loaded table with the recomputed
+    # one and prices its gaps, all in the stored type: neither builds the
+    # int64 matrix
+    lp = tmp_path / "model.lp"
+    assert run(capsys, "emit-lp", "--instance", worked_file, "--out", str(lp))[0] == 0
+    sol = tmp_path / "sol.txt"
+    sol.write_text(WORKED_SOLUTION)
+
+    def widen(table):
+        raise AssertionError("phi widened to int64")
+
+    monkeypatch.setattr(spaces.SpacesTable, "phi_matrix", property(widen))
+    tab, csv = tmp_path / "tab.npz", tmp_path / "phi.csv"
+    code, stdout, _ = run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab),
+                          "--dump-csv", str(csv))
+    defined = len(csv.read_text().splitlines()) - 1
+    assert code == 0 and f"{defined} switching costs" in stdout
+    code, stdout, _ = run(capsys, "import-solution", "--instance", worked_file,
+                          "--model-map", str(tmp_path / "model.lp.varmap.json"),
+                          "--solution", str(sol), "--phi", str(tab))
+    assert (code, stdout) == (0, f"TEC {WORKED_TEC}\n")
+
+
+@pytest.mark.parametrize("command", ["preprocess", "solve"])
+def test_out_of_memory_is_exit_2_naming_the_horizon(tmp_path, capsys, worked_file, monkeypatch,
+                                                    command):
+    # phi holds (h + 1)^2 values: a table too large for memory is one line
+    # naming the horizon, not a traceback. No large table is allocated here
+    def compute_spaces(inst, g):
+        raise MemoryError
+
+    monkeypatch.setattr(spaces, "compute_spaces", compute_spaces)
+    argv = ["--out", str(tmp_path / "tab.npz")] if command == "preprocess" else []
+    code, stdout, stderr = run(capsys, command, "--instance", worked_file, *argv)
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: out of memory at horizon 16\n"
 
 
 def test_phi_table_with_a_negative_cost_is_exit_2(tmp_path, capsys, worked_file):

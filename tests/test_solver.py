@@ -16,6 +16,7 @@ from tousched import (
     Instance,
     InputError,
     MachineStateSet,
+    SpacesTable,
     TransitionSpec,
     assemble_schedule,
     brute_force_schedule,
@@ -885,8 +886,9 @@ def test_a_relaxed_gap_that_phi_prices_off_its_machine_is_an_input_error(worked,
     # The relaxation sweeps the machine itself and reads phi only to walk
     # its gaps, so a table edited by hand on a gap of the relaxed optimum
     # is refused there, as the assembly refuses one on a gap of an answer.
-    tab = make_table(worked)
-    tab.phi_matrix[4, 10] += 1  # the optimum's interior gap
+    phi = make_table(worked).phi_matrix.copy()
+    phi[4, 10] += 1  # the optimum's interior gap
+    tab = SpacesTable(phi, build_graph(worked))
     monkeypatch.setattr(solver, "_DP_ALONE_CELLS", 0)
     with pytest.raises(InputError, match="after interval 4 costs 49 in phi.*does not match"):
         solve_exact(worked, tab)

@@ -393,6 +393,85 @@ def test_phi_at_paper_scale_matches_the_benchmark_digest(preset, n, seed, multip
     assert digest.hexdigest() == ref["digest"]
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(4, 60),
+       scale=st.sampled_from([1, 20, 3000, 10**6, 10**9, 10**12]))
+def test_stored_phi_is_the_narrowest_and_agrees_with_phi_and_the_matrix(seed, h, scale):
+    # every cell of the stored array, phi(i, ip) and the widened matrix
+    # tell the same cost or its absence, and the stored type is the
+    # narrowest whose maximum is above every finite cost, that maximum
+    # marking the rest. The scales reach each of the four types
+    rng = random.Random(seed)
+    states, trans = arbitrary_machine(rng)
+    costs = tuple(0 if rng.random() < 0.15 else rng.randint(1, 9) * scale for _ in range(h))
+    try:
+        tab = make_table(Instance(h, costs, (1,), states, trans))
+    except (InputError, InfeasibleError):
+        assume(False)
+    stored, phi = tab.stored, tab.phi_matrix
+    mark = np.iinfo(stored.dtype).max
+    finite = stored != mark
+    assert np.array_equal(finite, phi != INF)
+    assert np.array_equal(stored[finite], phi[finite]) and (stored[finite] >= 0).all()
+    assert not finite[0].any() and not np.tril(finite).any()  # padding and ip <= i
+    top = int(stored[finite].max(initial=0))
+    k = STORED_TYPES.index(stored.dtype.type)
+    assert mark > top and (k == 0 or np.iinfo(STORED_TYPES[k - 1]).max <= top)
+    for i in range(1, h):
+        for ip in range(i + 1, h + 1):
+            assert tab.phi(i, ip) == (int(stored[i, ip]) if finite[i, ip] else None)
+
+
+def test_phi_matrix_is_widened_once_and_read_only(worked):
+    tab = make_table(worked)
+    phi = tab.phi_matrix
+    assert tab.phi_matrix is phi
+    assert (phi.dtype, tab.stored.dtype) == (np.int64, np.int8)
+    assert not phi.flags.writeable and not tab.stored.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        phi[4, 10] += 1
+    with pytest.raises(ValueError, match="read-only"):
+        tab.stored[4, 10] += 1
+
+
+def paper_member():
+    """nosby/190/19002/2.2, h=1273: the longest long-horizon member."""
+    return datagen.generate_instance(190, datagen.preset_nosby(), "2.2", seed=19002)
+
+
+@pytest.mark.parametrize("which, dtype, digest", [
+    ("worked", np.int8, "bb2d40c407d89daf4b679ed9085effda4b27a593ad95b0ddd053d6bbb35653aa"),
+    ("paper", np.int16, "f9c05a2537a644b1ece8f83e689d8c3cf0b1018f8245a7312832645dc4742bff"),
+])
+def test_saved_phi_member_is_pinned(tmp_path, worked, which, dtype, digest):
+    # the phi member's type and bytes as save_table wrote them when it
+    # narrowed an int64 phi in one pass: the stored table is written as it is
+    inst = worked if which == "worked" else paper_member()
+    stored = stored_phi(save_table(make_table(inst), tmp_path / "tab.npz"))
+    assert stored.dtype == dtype
+    assert hashlib.sha256(stored.tobytes()).hexdigest() == digest
+
+
+def test_table_round_trip_allocates_no_int64_matrix(tmp_path):
+    # compute, save and load keep phi in its stored type, int16 here: the
+    # traced peak stays below one (h + 1)^2 int64 array, which the first
+    # read of phi_matrix then allocates
+    inst = paper_member()
+    g = build_graph(inst)
+    size = 8 * (inst.horizon + 1) ** 2
+    tracemalloc.start()
+    try:
+        back = load_table(save_table(compute_spaces(inst, g), tmp_path / "tab.npz"), inst, graph=g)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back.phi_matrix
+        widened = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.stored.dtype == np.int16
+    assert peak < size <= widened, (peak, size, widened)
+
+
 def test_worked_pruning(worked):
     tab = make_table(worked)
     assert tab.is_pruned(2, 15)
