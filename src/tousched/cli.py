@@ -1,5 +1,9 @@
 """Command line front end tying the pipeline together.
 
+`solve`, `emit-lp`, `import-solution` and `bench` compute phi from the
+instance's own graph, so no command reads a table file: `preprocess`
+writes one for library callers, who read it with `spaces.load_table`.
+
 Exit codes: 0 success, 1 infeasible or failed validation, 2 bad input: a file
 that cannot be read, decoded, parsed or written, data it rejects, or an
 instance whose tables do not fit in memory.
@@ -57,27 +61,6 @@ def _load_instance(args, path) -> model.Instance:
     return inst
 
 
-def _table_for(inst: model.Instance, phi_path: str | None) -> spaces.SpacesTable:
-    """The instance's phi table, computed, or loaded from phi_path and
-    refused unless it equals the computed one: the solver's root and
-    trailing gaps and bounds and every gap of the LP export are priced
-    from phi, so a loaded table must be the instance's own."""
-    g = isg.build_graph(inst)
-    if not phi_path:
-        return spaces.compute_spaces(inst, g)
-    table = spaces.load_table(phi_path, inst, graph=g)
-    own = spaces.compute_spaces(inst, g)
-    if table.stored.dtype == own.stored.dtype:
-        rows, cols = (table.stored != own.stored).nonzero()
-    else:  # a file in a wider type than its values need
-        rows, cols = (table.phi_matrix != own.phi_matrix).nonzero()
-    if rows.size:
-        raise model.InputError(f"{phi_path}: phi at ({rows[0]}, {cols[0]}) differs from the "
-                               "switching cost of the instance; the table does not match "
-                               "its instance")
-    return table
-
-
 def cmd_gen(args) -> int:
     preset = _resolve_preset(args.preset)
     if args.multiple is not None:
@@ -117,7 +100,8 @@ def cmd_preprocess(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args, args.instance)
-    result = solver.solve_exact(inst, _table_for(inst, args.phi), time_limit=args.time_limit)
+    table = spaces.compute_spaces(inst, isg.build_graph(inst))
+    result = solver.solve_exact(inst, table, time_limit=args.time_limit)
     if result.status == "infeasible":
         print("infeasible: no schedule fits the processing window", file=sys.stderr)
         return 1
@@ -154,7 +138,7 @@ def cmd_validate(args) -> int:
 
 def cmd_emit_lp(args) -> int:
     inst = _load_instance(args, args.instance)
-    table = _table_for(inst, args.phi)
+    table = spaces.compute_spaces(inst, isg.build_graph(inst))
     lp_path, map_path = modelgen.write_artifact(modelgen.emit_ilp_spaces(inst, table), args.out)
     print(lp_path)
     print(map_path)
@@ -163,7 +147,7 @@ def cmd_emit_lp(args) -> int:
 
 def cmd_import_solution(args) -> int:
     inst = _load_instance(args, args.instance)
-    table = _table_for(inst, args.phi)
+    table = spaces.compute_spaces(inst, isg.build_graph(inst))
     artifact = modelgen.load_varmap(args.model_map)
     assignment = modelgen.parse_solution_text(model.read_text(args.solution))
     result = modelgen.import_solution(inst, table, artifact, assignment)
@@ -186,7 +170,7 @@ def cmd_bench(args) -> int:
             inst = _load_instance(args, path)
             t0 = time.monotonic()
             try:
-                table = _table_for(inst, None)
+                table = spaces.compute_spaces(inst, isg.build_graph(inst))
             except model.InfeasibleError:
                 result = solver.SolveResult(tec=None, schedule=None, status="infeasible")
             else:
@@ -238,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="find an optimal schedule")
     p.add_argument("--instance", required=True)
-    p.add_argument("--phi", default=None, help="precomputed table (.npz)")
     p.add_argument("--time-limit", type=float, default=None, help=time_limit_help)
     p.add_argument("--out", default=None, help="schedule output (JSON)")
     p.set_defaults(func=cmd_solve)
@@ -250,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("emit-lp", help="write the integer program")
     p.add_argument("--instance", required=True)
-    p.add_argument("--phi", default=None)
     p.add_argument("--out", required=True,
                    help="LP file; its sidecar, the path plus .varmap.json, holds the columns "
                         "as JSON: x [j, first start, last start] per job, gaps [i, first ip, "
@@ -264,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "start] rows, gaps [i, first ip, last ip] runs and constant_term; "
                         "one in an older format exits 2")
     p.add_argument("--solution", required=True, help="name value lines")
-    p.add_argument("--phi", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_import_solution)
 

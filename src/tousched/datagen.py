@@ -26,9 +26,11 @@ _GAMMA = 0x9E3779B97F4A7C15
 FAMILY_MULTIPLES = (Fraction(13, 10), Fraction(16, 10), Fraction(19, 10), Fraction(22, 10))
 
 # The longest horizon a generated instance may have. phi is an (h+1)^2
-# int64 matrix, 32 GiB at 2^16 intervals, and the paper's largest horizon
-# is 1277; below the cost limit a horizon is otherwise unbounded (a
-# machine whose powers are all 0 has no cost limit at all).
+# matrix, 8 GiB at 2^16 intervals in the int16 it is stored in there and
+# 32 GiB more once a reader of the whole matrix widens it to int64, and
+# the paper's largest horizon is 1277; below the cost limit a horizon is
+# otherwise unbounded (a machine whose powers are all 0 has no cost limit
+# at all).
 HORIZON_LIMIT = 1 << 16
 
 

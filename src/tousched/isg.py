@@ -43,7 +43,6 @@ Vertex = tuple[int, str]
 OFF, PROC = MachineStateSet.off_state, MachineStateSet.proc_state
 
 INF = np.int64(2) ** 62  # unreachable sentinel; far above any real distance
-_APSP_INF = np.int64(2) ** 61  # halved so sentinel + sentinel cannot overflow
 
 
 class ClassPlan(NamedTuple):
@@ -330,49 +329,6 @@ def proc_window(g: IntervalStateGraph) -> tuple[int, int]:
     if h < 2 or d_on is None or d_off is None or h - 1 - d_off < 2 + d_on:
         raise InfeasibleError("no feasible processing window")
     return 2 + d_on, h - 1 - d_off
-
-
-class ApspResult:
-    """All-pairs distances with mapping-style access; unreachable pairs
-    return None from get and raise KeyError from indexing."""
-
-    def __init__(self, index: dict[Vertex, int], dist: np.ndarray):
-        self._index = index
-        self._dist = dist
-
-    def get(self, u: Vertex, v: Vertex) -> int | None:
-        iu = self._index.get(u)
-        iv = self._index.get(v)
-        if iu is None or iv is None:
-            return None
-        d = self._dist[iu, iv]
-        return None if d >= _APSP_INF else int(d)
-
-    def __getitem__(self, pair: tuple[Vertex, Vertex]) -> int:
-        d = self.get(*pair)
-        if d is None:
-            raise KeyError(pair)
-        return d
-
-
-def apsp_oracle(g: IntervalStateGraph, max_vertices: int = 2000) -> ApspResult:
-    """All-pairs shortest distances by the cubic relaxation scheme; a
-    testing oracle, guarded against large graphs."""
-    n = len(g.vertices)
-    if n > max_vertices:
-        raise InputError(f"graph has {n} vertices, oracle limit is {max_vertices}")
-    index = {v: k for k, v in enumerate(g.vertices)}
-    # The sentinel is far above any real distance yet small enough that
-    # sentinel + sentinel stays inside int64 during the relaxation.
-    dist = np.full((n, n), _APSP_INF, dtype=np.int64)
-    np.fill_diagonal(dist, 0)
-    for u, v, w in g.edges:
-        iu, iv = index[u], index[v]
-        if w < dist[iu, iv]:
-            dist[iu, iv] = w
-    for k in range(n):
-        np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :], out=dist)
-    return ApspResult(index, dist)
 
 
 def to_dot(g: IntervalStateGraph) -> str:

@@ -12,9 +12,6 @@ import numpy as np
 import pytest
 
 from tousched import (
-    apsp_oracle,
-    brute_force_schedule,
-    brute_force_switching,
     build_graph,
     compute_spaces,
     emit_ilp_spaces,
@@ -31,6 +28,7 @@ from tousched import (
 from tousched.model import InfeasibleError
 
 from conftest import WORKED_TEC, lp_to_arrays, random_instance, worked_instance
+from oracles import apsp_oracle, brute_force_schedule, brute_force_switching
 
 
 def pipeline_table(inst):

@@ -4,15 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from tousched import (build_graph, compute_spaces, load_schedule, save_instance, save_schedule,
-                      solver, spaces, validate_schedule)
+from tousched import (compute_spaces, load_schedule, save_instance, save_schedule, solver,
+                      spaces, validate_schedule)
 from tousched.cli import BenchRecord, main
 
 from conftest import (NON_INTEGERS, WORKED_SIGMA, WORKED_TEC, ZERO_POWER_MACHINE, limit_draws,
-                      lp_to_arrays, plant_non_integer, worked_instance)
+                      plant_non_integer, worked_instance)
 
 
 @pytest.fixture()
@@ -62,8 +61,7 @@ def test_pipeline_closure(tmp_path, capsys, worked_file):
     assert code == 0 and tab.exists()
     assert "window (4, 14)" in stdout
 
-    code, stdout, _ = run(capsys, "solve", "--instance", worked_file,
-                          "--phi", str(tab), "--out", str(sched))
+    code, stdout, _ = run(capsys, "solve", "--instance", worked_file, "--out", str(sched))
     assert code == 0
     assert "TEC 177" in stdout
 
@@ -73,15 +71,6 @@ def test_pipeline_closure(tmp_path, capsys, worked_file):
     code, stdout, _ = run(capsys, "validate", "--instance", worked_file,
                           "--schedule", str(sched))
     assert code == 0 and "valid" in stdout
-
-
-def test_solve_without_phi_matches(tmp_path, capsys, worked_file):
-    tab = tmp_path / "tab.npz"
-    assert run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))[0] == 0
-    code1, out1, _ = run(capsys, "solve", "--instance", worked_file, "--phi", str(tab))
-    code2, out2, _ = run(capsys, "solve", "--instance", worked_file)
-    assert code1 == code2 == 0
-    assert out1.splitlines()[0] == out2.splitlines()[0] == "TEC 177"
 
 
 def test_preprocess_extras(tmp_path, capsys, worked_file):
@@ -303,10 +292,14 @@ def test_bench_into_a_directory_fails_before_solving(tmp_path, capsys):
     ["gen", "--jobs", "3", "--preset", "nosby", "--family", "--out", "{out}"],
     ["solve", "--instance", "{W}", "--method", "bruteforce"],
     ["bench", "--dir", "{dir}", "--method", "dp", "--out", "{out}"],
+    ["solve", "--instance", "{W}", "--phi", "{out}"],
+    ["emit-lp", "--instance", "{W}", "--phi", "{out}", "--out", "{out}"],
+    ["import-solution", "--instance", "{W}", "--model-map", "{out}", "--solution", "{out}",
+     "--phi", "{out}"],
 ])
 def test_removed_switches_are_rejected(tmp_path, capsys, worked_file, argv):
     files = {"out": str(tmp_path / "out"), "W": worked_file, "dir": str(tmp_path)}
-    flag = next(a for a in argv if a in ("--family", "--method"))
+    flag = next(a for a in argv if a in ("--family", "--method", "--phi"))
     with pytest.raises(SystemExit) as exc:
         main([a.format(**files) for a in argv])
     assert exc.value.code == 2
@@ -357,182 +350,11 @@ def test_missing_file_is_exit_2(capsys):
     assert "/nonexistent.json" in stderr
 
 
-def test_truncated_phi_table_is_exit_2(tmp_path, capsys, worked_file):
-    tab = tmp_path / "tab.npz"
-    run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))
-    tab.write_bytes(tab.read_bytes()[:200])
-    code, _, stderr = run(capsys, "solve", "--instance", worked_file, "--phi", str(tab))
-    assert code == 2
-    assert str(tab) in stderr
-
-
-def test_corrupt_deflated_phi_table_is_exit_2(tmp_path, capsys, worked_file):
-    # a table as older versions wrote it, deflated, with one byte of phi's
-    # compressed data flipped: the zlib error is reported, not raised
-    tab = tmp_path / "tab.npz"
-    run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))
-    with np.load(tab) as doc:
-        kept = {k: doc[k] for k in doc.files}
-    np.savez_compressed(tab, **kept)
-    data = bytearray(tab.read_bytes())
-    data[data.index(b"phi.npy") + len("phi.npy") + 20] ^= 0xFF
-    tab.write_bytes(bytes(data))
-    code, stdout, stderr = run(capsys, "solve", "--instance", worked_file, "--phi", str(tab))
-    assert (code, stdout) == (2, "")
-    assert str(tab) in stderr
-
-
-def test_phi_table_missing_key_is_exit_2(tmp_path, capsys, worked_file):
-    tab = tmp_path / "tab.npz"
-    run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))
-    with np.load(tab) as doc:
-        kept = {k: doc[k] for k in doc.files if k != "fingerprint"}
-    np.savez(tab, **kept)
-    code, _, stderr = run(capsys, "solve", "--instance", worked_file, "--phi", str(tab))
-    assert code == 2
-    assert str(tab) in stderr and "fingerprint" in stderr
-
-
-def old_format_table(tmp_path, capsys, worked_file, gap):
-    """A table file as older versions wrote it, with a pruned mask that
-    flags gap on top of the derived flags."""
-    tab = tmp_path / "tab.npz"
-    run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))
-    inst = worked_instance()
-    pruned = compute_spaces(inst, build_graph(inst)).pruned_mask.copy()
-    pruned[gap] = True
-    with np.load(tab) as doc:
-        kept = {k: doc[k] for k in doc.files}
-    np.savez(tab, **{**kept, "pruned": pruned})
-    return str(tab)
-
-
-def test_phi_table_with_extra_pruned_gap_solves(tmp_path, capsys, worked_file):
-    tab = old_format_table(tmp_path, capsys, worked_file, (4, 6))  # a gap the optimum does not use
-    code, stdout, _ = run(capsys, "solve", "--instance", worked_file, "--phi", tab)
-    assert code == 0
-    assert "TEC 177" in stdout
-
-
-def test_phi_table_with_the_optimum_gap_pruned_solves(tmp_path, capsys, worked_file):
-    tab = old_format_table(tmp_path, capsys, worked_file, (4, 10))  # a gap the optimum uses
-    code, stdout, _ = run(capsys, "solve", "--instance", worked_file, "--phi", tab)
-    assert code == 0
-    assert "TEC 177" in stdout
-
-
-def test_emit_lp_ignores_stored_pruning_flags(tmp_path, capsys, worked_file):
-    # an old file flags (4, 10), a gap the optimum uses; the exported
-    # model keeps it and solves to the optimum
-    tab = old_format_table(tmp_path, capsys, worked_file, (4, 10))
-    lp = tmp_path / "model.lp"
-    code, _, _ = run(capsys, "emit-lp", "--instance", worked_file, "--phi", tab,
-                     "--out", str(lp))
-    assert code == 0
-    varmap = json.loads((tmp_path / "model.lp.varmap.json").read_text())
-    assert any(i == 4 and lo <= 10 <= hi for i, lo, hi in varmap["gaps"])
-    scipy_opt = pytest.importorskip("scipy.optimize")
-    names, c, rows, rhs = lp_to_arrays(lp.read_text())
-    res = scipy_opt.milp(c=c, constraints=scipy_opt.LinearConstraint(rows, rhs, rhs),
-                         integrality=np.ones(len(names)), bounds=scipy_opt.Bounds(0, 1))
-    assert res.status == 0
-    assert round(res.fun) + varmap["constant_term"] == WORKED_TEC
-
-
-def edited_phi_table(tmp_path, capsys, worked_file, gap, value):
-    tab = tmp_path / "tab.npz"
-    run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))
-    with np.load(tab) as doc:
-        kept = {k: doc[k] for k in doc.files}
-    kept["phi"][gap] = value
-    np.savez(tab, **kept)
-    return str(tab)
-
-
-def test_phi_table_with_a_lowered_cost_is_exit_2(tmp_path, capsys, worked_file):
-    tab = edited_phi_table(tmp_path, capsys, worked_file, (4, 10), 1)
-    code, _, stderr = run(capsys, "solve", "--instance", worked_file, "--phi", tab)
-    assert code == 2
-    assert "(4, 10)" in stderr and "does not match its instance" in stderr
-
-
-def raised_phi_table(tmp_path, capsys, worked_file, gap):
-    """The worked table with phi at gap raised to 1000, which needs an
-    int16 table, whose own maximum still means no switching."""
-    tab = tmp_path / "tab.npz"
-    run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))
-    with np.load(tab) as doc:
-        kept = {k: doc[k] for k in doc.files}
-    narrow = kept["phi"]
-    kept["phi"] = narrow.astype(np.int16)
-    kept["phi"][narrow == np.iinfo(narrow.dtype).max] = np.iinfo(np.int16).max
-    kept["phi"][gap] = 1000
-    np.savez(tab, **kept)
-    return str(tab)
-
-
-@pytest.mark.parametrize("gap", [(1, 4), (4, 10), (14, 16)])
-def test_phi_table_with_a_raised_cost_is_exit_2(tmp_path, capsys, worked_file, gap):
-    # the optimum's root gap (1, 4), interior gap (4, 10) and trailing gap
-    # (14, 16), 24, 48 and 1 by the machine: raised to 1000, the first and
-    # the last would steer the solve to TEC 179 and 194, and import-solution
-    # prices gaps from phi too
-    tab = raised_phi_table(tmp_path, capsys, worked_file, gap)
-    code, stdout, stderr = run(capsys, "solve", "--instance", worked_file, "--phi", tab)
-    assert (code, stdout) == (2, "")
-    assert f"{tab}: phi at {gap}" in stderr and "does not match its instance" in stderr
-
-
-@pytest.mark.parametrize("gap", [(1, 4), (4, 10), (14, 16)])
-def test_import_solution_refuses_a_raised_phi(tmp_path, capsys, worked_file, gap):
-    # the model of the instance's own table and its optimal solution, read
-    # back over a table with one gap of the optimum raised
-    lp = tmp_path / "model.lp"
-    assert run(capsys, "emit-lp", "--instance", worked_file, "--out", str(lp))[0] == 0
-    sol = tmp_path / "sol.txt"
-    sol.write_text(WORKED_SOLUTION)
-    tab = raised_phi_table(tmp_path, capsys, worked_file, gap)
-    code, stdout, stderr = run(capsys, "import-solution", "--instance", worked_file,
-                               "--model-map", str(tmp_path / "model.lp.varmap.json"),
-                               "--solution", str(sol), "--phi", tab)
-    assert (code, stdout) == (2, "")
-    assert f"{tab}: phi at {gap}" in stderr and "does not match its instance" in stderr
-
-
-@pytest.mark.parametrize("gap", [(1, 4), (4, 10)])
-def test_emit_lp_refuses_a_raised_phi(tmp_path, capsys, worked_file, gap):
-    # the model would price the gap at 1000: the root gap (1, 4) as well as
-    # the interior gap (4, 10) of the optimum, 24 and 48 by the machine
-    tab = raised_phi_table(tmp_path, capsys, worked_file, gap)
-    lp = tmp_path / "model.lp"
-    code, stdout, stderr = run(capsys, "emit-lp", "--instance", worked_file, "--phi", tab,
-                               "--out", str(lp))
-    assert (code, stdout) == (2, "")
-    assert f"{tab}: phi at {gap}" in stderr and "does not match its instance" in stderr
-    assert not lp.exists()
-
-
-def test_phi_table_in_a_wider_type_than_it_needs_solves(tmp_path, capsys, worked_file):
-    # the worked table, which save_table writes as int8, rewritten as int16
-    # with int16's maximum for no switching: the same costs, so accepted
-    tab = tmp_path / "tab.npz"
-    run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))
-    with np.load(tab) as doc:
-        kept = {k: doc[k] for k in doc.files}
-    narrow = kept["phi"]
-    kept["phi"] = narrow.astype(np.int16)
-    kept["phi"][narrow == np.iinfo(narrow.dtype).max] = np.iinfo(np.int16).max
-    np.savez(tab, **kept)
-    code, stdout, _ = run(capsys, "solve", "--instance", worked_file, "--phi", str(tab))
-    assert (code, stdout) == (0, f"TEC {WORKED_TEC}\n")
-
-
 def test_preprocess_and_import_solution_never_widen_phi(tmp_path, capsys, worked_file,
                                                        monkeypatch):
     # preprocess counts the defined cells and dumps them, and
-    # import-solution --phi compares the loaded table with the recomputed
-    # one and prices its gaps, all in the stored type: neither builds the
-    # int64 matrix
+    # import-solution prices its gaps, all in the stored type: neither
+    # builds the int64 matrix
     lp = tmp_path / "model.lp"
     assert run(capsys, "emit-lp", "--instance", worked_file, "--out", str(lp))[0] == 0
     sol = tmp_path / "sol.txt"
@@ -549,7 +371,7 @@ def test_preprocess_and_import_solution_never_widen_phi(tmp_path, capsys, worked
     assert code == 0 and f"{defined} switching costs" in stdout
     code, stdout, _ = run(capsys, "import-solution", "--instance", worked_file,
                           "--model-map", str(tmp_path / "model.lp.varmap.json"),
-                          "--solution", str(sol), "--phi", str(tab))
+                          "--solution", str(sol))
     assert (code, stdout) == (0, f"TEC {WORKED_TEC}\n")
 
 
@@ -566,39 +388,6 @@ def test_out_of_memory_is_exit_2_naming_the_horizon(tmp_path, capsys, worked_fil
     code, stdout, stderr = run(capsys, command, "--instance", worked_file, *argv)
     assert (code, stdout) == (2, "")
     assert stderr == "error: out of memory at horizon 16\n"
-
-
-def test_phi_table_with_a_negative_cost_is_exit_2(tmp_path, capsys, worked_file):
-    tab = edited_phi_table(tmp_path, capsys, worked_file, (4, 6), -5)
-    code, _, stderr = run(capsys, "solve", "--instance", worked_file, "--phi", tab)
-    assert code == 2
-    assert tab in stderr and "negative" in stderr
-
-
-@pytest.mark.parametrize("dtype", [float, bool])
-def test_phi_table_that_holds_no_integers_is_exit_2(tmp_path, capsys, worked_file, dtype):
-    # the values are the right ones; only their type is wrong
-    tab = tmp_path / "tab.npz"
-    run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))
-    with np.load(tab) as doc:
-        kept = {k: doc[k] for k in doc.files}
-    kept["phi"] = kept["phi"].astype(dtype)
-    np.savez(tab, **kept)
-    code, stdout, stderr = run(capsys, "solve", "--instance", worked_file, "--phi", str(tab))
-    assert (code, stdout) == (2, "")
-    assert str(tab) in stderr and "integers" in stderr
-
-
-def test_phi_table_of_the_wrong_shape_is_exit_2(tmp_path, capsys, worked_file):
-    tab = tmp_path / "tab.npz"
-    run(capsys, "preprocess", "--instance", worked_file, "--out", str(tab))
-    with np.load(tab) as doc:
-        kept = {k: doc[k] for k in doc.files}
-    kept["phi"] = kept["phi"][:10, :10]
-    np.savez(tab, **kept)
-    code, _, stderr = run(capsys, "solve", "--instance", worked_file, "--phi", str(tab))
-    assert code == 2
-    assert str(tab) in stderr and "shape" in stderr
 
 
 def test_overflowing_costs_are_exit_2(tmp_path, capsys):
@@ -832,7 +621,6 @@ def set_field(key, value, index=None):
 BAD_INPUTS = {
     "instance_is_a_dir": (["solve", "--instance", "{bad}"], A_DIR),
     "schedule_is_a_dir": (["validate", "--instance", "{W}", "--schedule", "{bad}"], A_DIR),
-    "phi_is_a_dir": (["solve", "--instance", "{W}", "--phi", "{bad}"], A_DIR),
     "model_map_is_a_dir": (["import-solution", "--instance", "{W}", "--model-map", "{bad}",
                             "--solution", "{sol}"], A_DIR),
     "solution_is_a_dir": (["import-solution", "--instance", "{W}", "--model-map", "{map}",

@@ -11,7 +11,6 @@ from tousched import (
     InputError,
     MachineStateSet,
     TransitionSpec,
-    apsp_oracle,
     build_graph,
     proc_window,
     sssp,
@@ -24,6 +23,7 @@ from tousched.model import InfeasibleError, validate_instance
 
 from conftest import (WORKED_WINDOW, arbitrary_machine, nosby_instance, preset_nosby,
                       preset_twosby, random_instance, random_machine)
+from oracles import apsp_oracle
 
 
 def lex_dijkstra_oracle(edges, source):

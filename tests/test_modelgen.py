@@ -16,10 +16,12 @@ from tousched import (
     emit_ilp_spaces,
     generate_instance,
     import_solution,
+    load_table,
     load_varmap,
     parse_solution_text,
     preset_nosby,
     preset_twosby,
+    save_table,
     solve_exact,
     validate_schedule,
     write_artifact,
@@ -230,6 +232,26 @@ def test_emit_rejects_an_interval_nothing_covers(worked):
     inst = Instance(16, worked.costs, (6, 6), worked.state_set, worked.transitions)
     with pytest.raises(InfeasibleError, match="interval 2 can be neither processed nor bridged"):
         emit_ilp_spaces(inst, make_table(inst))
+
+
+def test_emit_from_a_table_file_ignores_its_old_pruned_key(tmp_path, worked):
+    # an older file whose pruned key flags (4, 10), a gap the optimum
+    # uses: the model of the loaded table keeps it and solves to the optimum
+    tab = make_table(worked)
+    out = save_table(tab, tmp_path / "tab.npz")
+    pruned = tab.pruned_mask.copy()
+    pruned[4, 10] = True
+    with np.load(out) as doc:
+        kept = {k: doc[k] for k in doc.files}
+    np.savez(out, **kept, pruned=pruned)
+    art = emit_ilp_spaces(worked, load_table(out, worked))
+    assert "y_4_10" in art.varmap
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    names, c, rows, rhs = lp_to_arrays(art.lp_text)
+    res = scipy_opt.milp(c=c, constraints=scipy_opt.LinearConstraint(rows, rhs, rhs),
+                         integrality=np.ones(len(names)), bounds=scipy_opt.Bounds(0, 1))
+    assert res.status == 0
+    assert round(res.fun) + art.constant_term == WORKED_TEC
 
 
 def test_import_worked_optimum(worked):

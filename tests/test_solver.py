@@ -19,8 +19,6 @@ from tousched import (
     SpacesTable,
     TransitionSpec,
     assemble_schedule,
-    brute_force_schedule,
-    brute_force_switching,
     build_graph,
     compute_spaces,
     compute_tec,
@@ -44,6 +42,7 @@ from conftest import (
     random_instance,
     random_machine,
 )
+from oracles import brute_force_schedule, brute_force_switching
 
 HERE = Path(__file__).resolve().parent
 
@@ -892,6 +891,41 @@ def test_a_relaxed_gap_that_phi_prices_off_its_machine_is_an_input_error(worked,
     monkeypatch.setattr(solver, "_DP_ALONE_CELLS", 0)
     with pytest.raises(InputError, match="after interval 4 costs 49 in phi.*does not match"):
         solve_exact(worked, tab)
+
+
+def int16_table_with(inst, gap, value):
+    """inst's table as an int16 array, whose own maximum still means no
+    switching, with phi at gap set to value."""
+    stored = make_table(inst).stored
+    phi = stored.astype(np.int16)
+    phi[stored == np.iinfo(stored.dtype).max] = np.iinfo(np.int16).max
+    phi[gap] = value
+    return SpacesTable(phi, build_graph(inst))
+
+
+@pytest.mark.parametrize("gap, value", [((4, 10), 1000), ((4, 10), 1), ((1, 4), 1)],
+                         ids=["interior-raised", "interior-lowered", "root-lowered"])
+def test_a_gap_of_the_optimum_edited_in_phi_is_an_input_error(worked, gap, value):
+    # The optimum's interior gap (4, 10), 48 by the machine, raised or
+    # lowered, is refused by the walk; its root gap (1, 4), 24, lowered is
+    # refused by the assembly.
+    with pytest.raises(InputError, match="does not match its instance"):
+        solve_exact(worked, int16_table_with(worked, gap, value))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: solve_exact prices the root and trailing gaps "
+                          "from phi without checking them against the machine")
+@pytest.mark.parametrize("gap", [(1, 4), (14, 16)], ids=["root", "trailing"])
+def test_a_raised_root_or_trailing_gap_in_phi_is_refused_or_priced_right(worked, gap):
+    # The optimum's root gap (1, 4) and trailing gap (14, 16), 24 and 1 by
+    # the machine, raised to 1000, steer the solve to 179 and 194, answered
+    # as optimal.
+    try:
+        res = solve_exact(worked, int16_table_with(worked, gap, 1000))
+    except InputError:
+        return
+    assert (res.status, res.tec) == ("optimal", WORKED_TEC)
 
 
 def test_flagged_root_gaps_still_solve(worked):

@@ -16,7 +16,6 @@ from tousched import (
     InputError,
     TransitionSpec,
     apply_pruning,
-    apsp_oracle,
     build_graph,
     compute_spaces,
     expand_space,
@@ -33,6 +32,7 @@ from tousched.isg import INF, tree_path
 from tousched.model import InfeasibleError, Instance, MachineStateSet, zero_time_closure
 
 from conftest import arbitrary_machine, nosby_instance, random_instance
+from oracles import apsp_oracle
 
 
 def make_table(inst):
@@ -720,6 +720,31 @@ def test_npy_file_is_not_a_table(tmp_path, worked):
         load_table(path, worked)
 
 
+def test_directory_is_not_a_table(tmp_path, worked):
+    path = tmp_path / "tab.npz"
+    path.mkdir()
+    with pytest.raises(InputError, match=re.escape(str(path))):
+        load_table(str(path), worked)
+
+
+def test_table_file_without_a_fingerprint_is_input_error(tmp_path, worked):
+    out = save_table(make_table(worked), tmp_path / "tab.npz")
+    with np.load(out) as doc:
+        kept = {k: doc[k] for k in doc.files if k != "fingerprint"}
+    np.savez(out, **kept)
+    with pytest.raises(InputError, match=re.escape(out) + ".*fingerprint"):
+        load_table(out, worked)
+
+
+def test_table_file_with_a_negative_cost_is_input_error(tmp_path, worked):
+    out = save_table(make_table(worked), tmp_path / "tab.npz")
+    phi = stored_phi(out)
+    phi[4, 6] = -5
+    rewrite_table_file(out, phi=phi)
+    with pytest.raises(InputError, match=re.escape(out) + ".*negative"):
+        load_table(out, worked)
+
+
 @pytest.mark.parametrize("member", ["phi", "fingerprint"])
 def test_table_header_of_a_huge_array_allocates_nothing(tmp_path, worked, member):
     # a member whose .npy header announces 10^10 int64 values (74.5 GiB)
@@ -758,6 +783,39 @@ def test_hand_set_type_maximum_reads_as_no_switching(tmp_path, worked, old_forma
     assert back.phi(4, 10) is None
     assert back.phi_matrix[4, 10] == spaces.INF
     assert back.phi(1, 4) == 24
+
+
+def test_table_file_in_a_wider_type_than_it_needs_loads_as_it_is(tmp_path, worked):
+    # the worked table, which save_table writes as int8, rewritten as int16
+    # with int16's maximum for no switching: the same costs, kept as read
+    tab = make_table(worked)
+    out = save_table(tab, tmp_path / "tab.npz")
+    narrow = stored_phi(out)
+    wide = narrow.astype(np.int16)
+    wide[narrow == np.iinfo(narrow.dtype).max] = np.iinfo(np.int16).max
+    rewrite_table_file(out, phi=wide)
+    back = load_table(out, worked)
+    assert back.stored.dtype == np.int16
+    assert np.array_equal(back.phi_matrix, tab.phi_matrix)
+    res = solve_exact(worked, back)
+    assert (res.status, res.tec) == ("optimal", 177)
+
+
+@pytest.mark.parametrize("gap", [(4, 6), (4, 10)], ids=["off-the-optimum", "on-the-optimum"])
+def test_table_file_whose_old_pruned_key_flags_a_gap_solves_to_the_optimum(tmp_path, worked,
+                                                                           gap):
+    # older versions stored a pruned mask; one that flags a gap on top of
+    # the derived flags, (4, 6), which the optimum does not use, or (4, 10),
+    # which it does, is not read
+    tab = make_table(worked)
+    out = save_table(tab, tmp_path / "tab.npz")
+    pruned = tab.pruned_mask.copy()
+    pruned[gap] = True
+    rewrite_table_file(out, pruned=pruned)
+    back = load_table(out, worked)
+    assert np.array_equal(back.pruned_mask, tab.pruned_mask)
+    res = solve_exact(worked, back)
+    assert (res.status, res.tec) == ("optimal", 177)
 
 
 def test_table_load_rejects_other_instance(tmp_path, worked):
