@@ -62,20 +62,23 @@ class ClassPlan(NamedTuple):
     # same time are merged at their cheapest power
     out: list[list[tuple[int, int, list[int]]]]
 
-    def ring(self, width: int) -> list[list[np.ndarray]]:
-        """Cost rows for a backward sweep, all INF: ring[k % len(ring)][c]
-        is class c's row at interval k, kept while a step can reach it."""
+    def ring(self, width: int, fill: int, dtype) -> list[list[np.ndarray]]:
+        """Cost rows for a backward sweep in dtype, all fill, the value
+        that stands for no path: ring[k % len(ring)][c] is class c's row
+        at interval k, kept while a step can reach it. dtype must hold
+        fill plus the weight of any path."""
         slots = max(t for steps in self.out for t, _cp, _w in steps) + 1
-        return [[np.full(width, INF, dtype=np.int64) for _ in self.out] for _ in range(slots)]
+        return [[np.full(width, fill, dtype=dtype) for _ in self.out] for _ in range(slots)]
 
     def pull(self, ring: list[list[np.ndarray]], k: int, cols: slice, last: int,
-             tmp: np.ndarray) -> list[np.ndarray]:
+             tmp: np.ndarray, fill: int) -> list[np.ndarray]:
         """Every class's row at interval k over cols, written in place in
         the ring: the cheapest of its steps that end by interval last,
-        each read from the row of the class it reaches where it ends, INF
+        each read from the row of the class it reaches where it ends, fill
         where none does. The first step writes the row and later ones are
         min-ed into it, and a step of weight 0 (power 0, or intervals that
-        cost nothing) adds nothing. tmp is scratch as long as the rows."""
+        cost nothing) adds nothing. tmp is scratch as long as the rows, in
+        the ring's type."""
         slots = len(ring)
         cur = [row[cols] for row in ring[k % slots]]
         for row, steps in zip(cur, self.out):
@@ -95,7 +98,7 @@ class ClassPlan(NamedTuple):
                 else:
                     np.minimum(row, nxt, out=row)
             if first:
-                row.fill(INF)
+                row.fill(fill)
         return cur
 
     def close(self, cur: list[np.ndarray]) -> None:

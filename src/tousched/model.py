@@ -112,7 +112,7 @@ class Instance:
     def n_jobs(self) -> int:
         return len(self.jobs)
 
-    @property
+    @cached_property
     def heaviest_path(self) -> int:
         """sum(costs) times the largest transition power: no path over the
         intervals weighs more."""

@@ -34,9 +34,14 @@ consecutive positions of the layers on its diagonal; F there is one
 gather of H, and the gaps come from the machine's zero-time classes, as
 phi's do (`spaces._sweep_blocks`). Only H is stored, capped at one more
 than the one-block incumbent, which no cell of an optimal schedule
-passes, in the narrowest integer type that holds the cap. The walk
-(_walk) re-derives F where it goes and reads the schedule with these tie
-rules: the shortest length first, a gap only where it is strictly
+passes, in the narrowest integer type that holds the cap. The cap also
+stands for "no path" in the sweep: costs are never negative and every H
+is min(its cost, cap), so a cost at the cap or above reads as no path
+however far above it lies. A class cost is then at most the cap plus one
+path's weight, so the sweep runs in the narrowest of 16, 32 and 64 bits
+that holds that and twice the cap. The walk (_walk) re-derives F where it
+goes, widens the rows of phi it reads, and reads the schedule with these
+tie rules: the shortest length first, a gap only where it is strictly
 cheaper than merging, and the nearest of its cheapest ends, priced by
 phi. So ties go to the lexicographically smallest sequence of (start,
 length) pieces, and a phi that disagrees with the sweep is refused.
@@ -67,7 +72,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .isg import ClassPlan
+from .isg import INF
 from .isg import build_graph  # noqa: F401  (perfbench wraps solver.build_graph)
 from .model import InfeasibleError, InputError, Instance, Schedule, StatePair, compute_tec
 from .model import validate_schedule  # noqa: F401  (perfbench wraps solver.validate_schedule)
@@ -176,15 +181,18 @@ def assemble_schedule(inst: Instance, placement: list[tuple[int, int]], table: S
 def _job_assignment(inst: Instance, block_jobs: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Turn (start, p) pieces into (job index, start) pairs, giving equal
     processing times ascending job indices by ascending start."""
-    by_p: dict[int, list[int]] = {}
+    by_p: dict[int, list[int]] = {}  # each length's job indices, ascending
     for j, p in enumerate(inst.jobs, start=1):
         by_p.setdefault(p, []).append(j)
-    for js in by_p.values():
-        js.sort()
-    placement = []
-    for start, p in sorted(block_jobs):
-        placement.append((by_p[p].pop(0), start))
-    return placement
+    return [(by_p[p].pop(0), start) for start, p in sorted(block_jobs)]
+
+
+def _phi(table: SpacesTable, i, cols) -> np.ndarray:
+    """phi[i, cols] in int64 with INF = 2^62 where the table marks no
+    switching, so that no such gap is priced at its stored mark. A run
+    inside the band is below COST_LIMIT = 2^61 and H at most cap <= 2^61,
+    so phi + F stays below 2^63."""
+    return np.where(table.stored[i, cols] == table.mark, INF, table.stored[i, cols])
 
 
 class _Band(NamedTuple):
@@ -192,12 +200,12 @@ class _Band(NamedTuple):
     starts at interval t_end - W + d, band offset d in 0..R-1, where
     t_end = t_on + sum(p)."""
 
-    # the table's, INF = 2^62 where no switching exists; F is a run plus at
-    # most cap, both below COST_LIMIT = 2^61, so phi + F stays below 2^63
-    phi: np.ndarray
+    # phi, of which the sweep widens the trailing gaps and the walk the
+    # rows it reads (_phi), and its graph: the zero-time classes the sweep
+    # runs over (`class_plan`) and the instance, whose heaviest path
+    # bounds the sweep's width
+    table: SpacesTable
     runs: np.ndarray  # runs[j, i]: processing cost of a job of length ps[j] from interval i
-    tail: np.ndarray  # tail[d]: the trailing gap after a block that ends at t_end - 1 + d
-    plan: ClassPlan  # the machine's zero-time classes, which the sweep runs over
     t_on: int
     t_end: int
     R: int
@@ -224,7 +232,7 @@ def _sweep(band: _Band, rows, cap: int, expired):
     interval. From the last interval a block may start at down to t_on,
     each step fills that diagonal below the top layer: F from H of the
     successors at k + p, a job of length p done, one gather over every
-    length, capped at cap; then each zero-time class of the band's plan
+    length, capped at cap; then each zero-time class of the graph's plan
     takes its cheapest cost from the start of k for every position, as in
     phi's sweep (`spaces._sweep_blocks`): its steps pull the costs of the
     classes they reach at k + t (`ClassPlan.pull`), proc's class takes F
@@ -235,11 +243,17 @@ def _sweep(band: _Band, rows, cap: int, expired):
     or the block start, whichever is cheaper. The clock is read once per
     interval.
 
-    Class costs are never clamped: they hold INF, or F plus the weight of
-    a path, and no path weighs as much as COST_LIMIT = 2^61, so each stays
-    below 2^63. The cap changes no value below it: every F and H is
-    min(its cost, cap)."""
-    plan, R, t_end = band.plan, band.R, band.t_end
+    The sweep runs in one integer type, wide, where cap stands for no
+    path. Weights are never negative and every F and H is min(its cost,
+    cap), so a class cost below cap is its exact cost and one at cap or
+    above still reads as no path: the cap changes no value below it. A
+    class cost is at most cap plus the weight of one time-forward path,
+    which `Instance.heaviest_path` bounds, and an F term, H plus a run
+    clipped at cap, at most 2 cap; wide is the narrowest of int16, int32
+    and int64 that holds both, so no sum is clamped. Every step weight
+    fits wide too, so numpy's casting rules, old and new, keep each sum
+    in wide."""
+    plan, R, t_end = band.table.graph.class_plan, band.R, band.t_end
     first, succ = rows
     top = t_end - band.t_on
     n = int(first[-1])  # positions
@@ -249,7 +263,7 @@ def _sweep(band: _Band, rows, cap: int, expired):
     # from k - t_on on, and their successors' cells at at[k][after[:, pos]]
     hp = np.full(top + (n + 1) * R, cap, dtype=dtype)
     H = hp[top:].reshape(n + 1, R)
-    H[0] = np.minimum(band.tail, cap)
+    H[0] = np.minimum(_phi(band.table, slice(t_end - 1, t_end - 1 + R), -1), cap)  # trailing gaps
     index = np.int32 if hp.size <= np.iinfo(np.int32).max else np.int64  # holds every index of hp
     W = np.repeat(np.arange(top + 1, dtype=index), np.diff(first))
     cell = np.arange(n, dtype=index) * index(R) + W
@@ -257,13 +271,16 @@ def _sweep(band: _Band, rows, cap: int, expired):
     after = np.where(succ < 0, index(n), succ.astype(index, copy=False))
     after *= index(R)
     after += W
-    runs = band.runs.T[:, :, None]  # runs[k, j]: a job of length ps[j] from interval k
+    wide = next(t for t in (np.int16, np.int32, np.int64)
+                if np.iinfo(t).max > max(2 * cap, cap + band.table.graph.inst.heaviest_path))
+    # runs[k, j]: a job of length ps[j] from interval k, clipped at cap
+    runs = np.minimum(band.runs.T, cap).astype(wide)[:, :, None]
     last = t_end + R - 2  # the last interval a block may start at
     # ring[k % slots][c][pos]: class c's cost at interval k at the cell of
     # pos on its diagonal. A diagonal's positions rise as k falls, so a
-    # position that interval k + t does not hold reads INF there
-    ring = plan.ring(n)
-    scratch = np.empty(n, dtype=np.int64)
+    # position that interval k + t does not hold reads cap there
+    ring = plan.ring(n, cap, wide)
+    scratch = np.empty(n, dtype=wide)
     first = first.tolist()
     states = 0
     for k in range(last, band.t_on - 1, -1):
@@ -275,12 +292,12 @@ def _sweep(band: _Band, rows, cap: int, expired):
         if b <= a:
             continue
         at = hp[k - band.t_on:]
-        F = (at.take(after[:, a:b]) + runs[k]).min(axis=0, initial=cap)
-        cur = plan.pull(ring, k, slice(a, b), last, scratch[:b - a])
+        F = np.minimum.reduce(at.take(after[:, a:b]) + runs[k], axis=0, initial=cap)
+        cur = plan.pull(ring, k, slice(a, b), last, scratch[:b - a], cap)
         proc = cur[plan.proc]
         np.minimum(proc, F, out=proc)  # at most cap: the closure only lowers it
         plan.close(cur)
-        at[cell[a:b]] = proc
+        at.put(cell[a:b], proc)
     return H, states
 
 
@@ -293,7 +310,7 @@ def _walk(band: _Band, rows, H: np.ndarray):
     the sweep's cost raises InputError: the table does not match its
     instance. pieces are the (start, length) of every job in start order;
     value is H's cap or more when no schedule exists."""
-    phi, runs, R, t_end = band.phi, band.runs, band.R, band.t_end
+    runs, R, t_end = band.runs, band.R, band.t_end
     first, succ = rows
     ps = band.ps.tolist()
     cap = H.item(-1, 0)
@@ -310,7 +327,7 @@ def _walk(band: _Band, rows, H: np.ndarray):
         length over the row's successors nxt."""
         return [r + H.item(s, d) for r, s in zip(runs_at[k].tolist(), nxt)]
 
-    root = phi[1, band.t_on:band.t_on + R] + f_row(0)
+    root = _phi(band.table, 1, slice(band.t_on, band.t_on + R)) + f_row(0)
     d = int(root.argmin())
     value = int(root[d])
     pieces: list[tuple[int, int]] = []
@@ -328,10 +345,11 @@ def _walk(band: _Band, rows, H: np.ndarray):
         cost = f_cell(k)
         if H.item(pos, d) < min(cost):  # a gap after interval k - 1 is cheaper than merging
             i = k - 1
-            ends = phi[i, k + 1:t_end - W + R] + f_row(d + 1)  # a gap ends two or more past i
+            gap = _phi(band.table, i, slice(k + 1, t_end - W + R))  # ends two or more past i
+            ends = gap + f_row(d + 1)
             e = int(ends.argmin())
             if ends[e] != H.item(pos, d):
-                raise InputError(f"the gap after interval {i} costs {int(phi[i, k + 1 + e])} in "
+                raise InputError(f"the gap after interval {i} costs {int(gap[e])} in "
                                  f"phi at ({i}, {k + 1 + e}), its cheapest end there: "
                                  f"{int(ends[e])} to the horizon, against {H.item(pos, d)} by "
                                  f"the machine's own switching; the table does not match its "
@@ -477,8 +495,9 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     t_on, t_off = table.window
     # The pruning flags are not read: every gap the band reaches has the
     # work already done on its left and the rest on its right, and
-    # pruned_mask flags no such gap.
-    phi = table.phi_matrix
+    # pruned_mask flags no such gap. Only the slices of phi read are
+    # widened (_phi): row 1, the tail of column h and the walk's gap rows.
+    root = _phi(table, 1, slice(None))
     proc = inst.state_set.proc_state
     p_proc = inst.transitions.power(proc, proc)
     C = np.asarray(inst.cost_prefix, dtype=np.int64)
@@ -493,7 +512,7 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     # plus all work at the cheapest later price.
     ends = np.arange(2, t_on + R)
     suf_min = np.minimum.accumulate(np.diff(C[:t_off + 1])[::-1])[::-1]  # cheapest price from i on
-    bound = int(np.min(phi[1, ends] + sum_p * p_proc * suf_min[ends - 1], initial=_HUGE))
+    bound = int(np.min(root[ends] + sum_p * p_proc * suf_min[ends - 1], initial=_HUGE))
     bound_counted = None  # the lengths counted by the step that gave bound
     states = 0
 
@@ -523,7 +542,8 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     for p in sorted(inst.jobs):
         pieces.append((at, p))
         at += p
-    found = (int(phi[1, t_on]) + int(phi[at - 1, h]) + int(C[at - 1] - C[t_on - 1]) * p_proc, pieces)
+    found = (int(root[t_on]) + int(_phi(table, at - 1, h)) + int(C[at - 1] - C[t_on - 1]) * p_proc,
+             pieces)
 
     def expired() -> bool:
         return deadline is not None and time.monotonic() >= deadline
@@ -531,8 +551,7 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     runs = np.full((len(ps), h + 1), _HUGE, dtype=np.int64)
     for j, p in enumerate(ps.tolist()):
         runs[j, 1:h + 2 - p] = (C[p:] - C[:h + 1 - p]) * p_proc
-    band = _Band(phi=phi, runs=runs, tail=phi[t_on + sum_p - 1:t_on + sum_p - 1 + R, h],
-                 plan=table.graph.class_plan, t_on=t_on, t_end=t_on + sum_p, R=R, ps=ps)
+    band = _Band(table, runs, t_on, t_on + sum_p, R, ps)
     # No cell of a schedule as cheap as found costs more than found.
     cap = min(found[0] + 1, _HUGE)
 

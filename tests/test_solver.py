@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import json
@@ -28,11 +29,12 @@ from tousched import (
     solve_exact,
     validate_schedule,
 )
-from tousched import solver
+from tousched import isg, solver
 from tousched.datagen import FAMILY_MULTIPLES
-from tousched.model import InfeasibleError
+from tousched.model import COST_LIMIT, InfeasibleError
 
 from conftest import (
+    WORKED_COSTS,
     WORKED_OMEGA,
     WORKED_SIGMA,
     WORKED_TEC,
@@ -41,6 +43,7 @@ from conftest import (
     preset_twosby,
     random_instance,
     random_machine,
+    worked_instance,
 )
 from oracles import brute_force_schedule, brute_force_switching
 
@@ -194,6 +197,67 @@ def test_solver_matches_brute_force():
             assert got.tec == want.tec
             assert validate_schedule(inst, got.schedule) == []
             assert compute_tec(inst, got.schedule) == got.tec
+
+
+@pytest.mark.parametrize("scale, spike, wide", [(1, None, np.int16), (2 ** 16, None, np.int32),
+                                                (2 ** 40, None, np.int64), (1, 5000, np.int32)])
+def test_the_sweep_in_each_width_matches_brute_force(scale, spike, wide, monkeypatch):
+    # Prices scaled so that max(2 cap, cap + heaviest_path) puts every
+    # sweep of the solve in int16, int32 or int64, with heaviest_path
+    # below COST_LIMIT; the DP alone and the relaxation first each give
+    # the brute force's status, TEC and bound, and a valid schedule. A
+    # spike of 5000 at interval 12 of the worked example leaves the cap at
+    # 279, twice which fits int16, but its steps weigh up to 40,024.
+    widths = set()
+    real = isg.ClassPlan.ring
+
+    def ring(plan, width, fill, dtype):
+        widths.add(np.dtype(dtype))
+        return real(plan, width, fill, dtype)
+
+    monkeypatch.setattr(isg.ClassPlan, "ring", ring)
+    rng = random.Random(47)
+    if spike:
+        instances = [dataclasses.replace(
+            worked_instance(), costs=WORKED_COSTS[:11] + (spike,) + WORKED_COSTS[12:])]
+    else:
+        instances = [random_instance(rng, n_max=4, h_max=16) for _ in range(6)]
+    for inst in instances:
+        inst = dataclasses.replace(inst, costs=tuple(scale * c for c in inst.costs))
+        assert inst.heaviest_path < COST_LIMIT
+        tab = make_table(inst)
+        want = brute_force_schedule(inst, tab)
+        for alone in (solver._DP_ALONE_CELLS, 0):
+            monkeypatch.setattr(solver, "_DP_ALONE_CELLS", alone)
+            got = solve_exact(inst, tab)
+            assert (got.status, got.tec, got.stats.lower_bound) == (
+                want.status, want.tec, want.stats.lower_bound)
+            if got.status == "optimal":
+                assert validate_schedule(inst, got.schedule) == []
+                assert compute_tec(inst, got.schedule) == got.tec
+    assert widths == {np.dtype(wide)}
+
+
+def test_solve_exact_widens_only_the_slices_of_phi_it_reads(worked, monkeypatch):
+    # Rows and column h of phi as solve_exact widens them, INF where the
+    # int8 table marks no switching, against the whole int64 matrix; a
+    # solve in either order, untimed or at once expired, never builds it.
+    full = make_table(worked).phi_matrix
+    tab = make_table(worked)
+    assert tab.stored.dtype == np.int8 and (tab.stored == tab.mark).any()
+    h = worked.horizon
+    for i in range(h + 1):
+        assert np.array_equal(solver._phi(tab, i, slice(None)), full[i])
+    assert np.array_equal(solver._phi(tab, slice(2, h + 1), h), full[2:, h])
+
+    def widen(table):
+        raise AssertionError("phi widened to int64")
+
+    monkeypatch.setattr(SpacesTable, "phi_matrix", property(widen))
+    for alone in (solver._DP_ALONE_CELLS, 0):
+        monkeypatch.setattr(solver, "_DP_ALONE_CELLS", alone)
+        assert solve_exact(worked, tab).tec == WORKED_TEC
+        assert solve_exact(worked, tab, time_limit=0.0).status == "timeout"
 
 
 def test_solution_schedules_are_feasible():
@@ -633,7 +697,7 @@ def relaxed_costs_to_the_horizon(band):
     every gap priced by phi: the cheapest relaxed cost from a block that
     ends just before offset d with W work left to the horizon (H[0] is the
     trailing gap), through F, that from a block that starts there."""
-    phi, runs, R, huge = band.phi.tolist(), band.runs.tolist(), band.R, solver._HUGE
+    phi, runs, R, huge = band.table.phi_matrix.tolist(), band.runs.tolist(), band.R, solver._HUGE
     top = band.t_end - band.t_on
     h = len(phi) - 1
     F = [[huge] * R for _ in range(top + 1)]
@@ -657,7 +721,7 @@ def band_dp_by_cells(band, rows):
     the nearest; H takes G only where it is strictly cheaper than F. The
     root is the first cheapest gap after interval 1, and the pieces are
     walked from it over the cells' choices."""
-    phi, runs, R, huge = band.phi.tolist(), band.runs.tolist(), band.R, solver._HUGE
+    phi, runs, R, huge = band.table.phi_matrix.tolist(), band.runs.tolist(), band.R, solver._HUGE
     ps = band.ps.tolist()
     first, succ = rows[0].tolist(), rows[1].T.tolist()
     top = band.t_end - band.t_on
