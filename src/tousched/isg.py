@@ -291,7 +291,7 @@ def shortest_path(g: IntervalStateGraph, source: Vertex,
     """Distance and transition steps from source to target, walked back
     along the predecessor indices of one `sweep_labels` run stopped at
     target's interval; None when target is not reached. The steps are
-    `tree_path`'s on the same `sssp`."""
+    the ones the predecessor map of the same `sssp` gives."""
     labels = sweep_labels(g, source, last=target[0])
     names, rank = g.sweep_plan[:2]
     n_s = len(names)
@@ -305,19 +305,6 @@ def shortest_path(g: IntervalStateGraph, source: Vertex,
         x = u
     steps.reverse()
     return dist, steps
-
-
-def tree_path(dm: DistanceMap, target: Vertex) -> list[StatePair] | None:
-    """Transition steps along the shortest path tree, source to target."""
-    if target not in dm.dist:
-        return None
-    steps: list[StatePair] = []
-    v = target
-    while v != dm.source:
-        v, step = dm.pred[v]
-        steps.append(step)
-    steps.reverse()
-    return steps
 
 
 def proc_window(g: IntervalStateGraph) -> tuple[int, int]:

@@ -42,7 +42,7 @@ import numpy as np
 from .model import (InfeasibleError, InputError, Instance, _integer, compute_tec, job_cost,
                     read_json, validate_schedule)
 from .solver import SolveResult, SolveStats, _boundary_constant, assemble_schedule
-from .spaces import SpacesTable, _UNREACHABLE
+from .spaces import SpacesTable
 
 _WRAP = 200  # keep LP lines comfortably under common reader limits
 _COLUMN = re.compile(r"([xy])_(0|-?[1-9]\d*)_(0|-?[1-9]\d*)", re.ASCII)  # as f"x_{j}_{i}" writes
@@ -98,7 +98,6 @@ def emit_ilp_spaces(inst: Instance, table: SpacesTable) -> IlpModelArtifact:
     """Build the LP text, the columns and the objective constant."""
     h = inst.horizon
     t_on, t_off = table.window
-    phi = table.phi_matrix
     pw = inst.transitions.power(inst.state_set.proc_state, inst.state_set.proc_state)
     C = np.asarray(inst.cost_prefix, dtype=np.int64)
     num = [str(k) for k in range(h + 1)]  # interval numbers as text, formatted once
@@ -119,9 +118,9 @@ def emit_ilp_spaces(inst: Instance, table: SpacesTable) -> IlpModelArtifact:
         xs.append([j, t_on, t_off - p + 1])
     assign = _text([f" assign_{j}: " for j, _lo, _hi in xs], [" = 1"] * len(xs), job_starts,
                    [" + "] * len(names), 3 + np.concatenate(sizes), names)
-    gi, gip = np.nonzero(np.triu(phi < _UNREACHABLE, 2) & ~table.pruned_mask)
+    gi, gip = np.nonzero(np.triu(table.stored != table.mark, 2) & ~table.pruned_mask)
     sizes.append(3 + digits[gi] + digits[gip])
-    costs.append(phi[gi, gip])
+    costs.append(table.stored[gi, gip])
     spans.append(np.stack((gi + 1, gip), axis=1))
     # the gaps as runs of consecutive ends: a run starts at the first gap
     # and wherever the start changes or the end jumps

@@ -46,21 +46,23 @@ cheaper than merging, and the nearest of its cheapest ends, priced by
 phi. So ties go to the lexicographically smallest sequence of (start,
 length) pieces, and a phi that disagrees with the sweep is refused.
 
-A band of at most _DP_ALONE_CELLS cells runs the exact DP alone. A larger
-one runs the relaxation first. TEC depends only on which intervals
-process, so if the jobs split exactly into the relaxed optimum's merged
-blocks (_fit), that schedule proves the bound optimal. The fit, an exact
-search under a node budget (_FIT_NODES), fills the blocks shortest first,
-each with the longest jobs that still leave a fill. Without a fit, the
-rows count one more length, the shortest not yet counted, and the fit is
-tried on that optimum's blocks: a decremental state-space relaxation
-(Righini and Salani, Networks 51, 2008; Boland, Dethridge and Dumitrescu,
-Oper. Res. Lett. 34, 2006), whose bound never falls as lengths are
-counted. The sets grow while the cells they fill stay within
-1/_SUBSET_SHARE of the exact DP's and each set's within _DP_CELL_LIMIT.
-Then, at most _DP_CELL_LIMIT cells, the exact DP follows. The steps
-update one search state and every answer leaves by one exit. A time limit
-picks none of this; it only stops the work.
+The search is one loop of steps, each the band DP over the rows of one
+counted set, the last the exact DP. A band of at most _DP_ALONE_CELLS
+cells starts there; a larger one starts at the relaxation. TEC depends
+only on which intervals process, so if the jobs split exactly into the
+relaxed optimum's merged blocks (_fit), that schedule proves the bound
+optimal. The fit, an exact search under a node budget (_FIT_NODES),
+fills the blocks shortest first, each with the longest jobs that still
+leave a fill. Without a fit, the rows count one more length, the
+shortest not yet counted, and the fit is tried on that optimum's blocks:
+a decremental state-space relaxation (Righini and Salani, Networks 51,
+2008; Boland, Dethridge and Dumitrescu, Oper. Res. Lett. 34, 2006), whose
+bound never falls as lengths are counted. The sets grow while the cells
+they fill stay within 1/_SUBSET_SHARE of the exact DP's and each set's
+within _DP_CELL_LIMIT; then every length is counted: the exact DP, at
+most _DP_CELL_LIMIT cells. The steps update one search state and every
+answer leaves by one exit. A time limit picks none of this; it only
+stops the work.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from .isg import INF
 from .isg import build_graph  # noqa: F401  (perfbench wraps solver.build_graph)
 from .model import InfeasibleError, InputError, Instance, Schedule, StatePair, compute_tec
 from .model import validate_schedule  # noqa: F401  (perfbench wraps solver.validate_schedule)
-from .spaces import SpacesTable, _UNREACHABLE, expand_space
+from .spaces import SpacesTable, _UNREACHABLE, _signed_type, expand_space
 from .spaces import compute_spaces  # noqa: F401  (perfbench wraps solver.compute_spaces)
 
 _HUGE = int(_UNREACHABLE)
@@ -257,7 +259,7 @@ def _sweep(band: _Band, rows, cap: int, expired):
     first, succ = rows
     top = t_end - band.t_on
     n = int(first[-1])  # positions
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= cap)
+    dtype = _signed_type(cap - 1)
     # H lies in hp after top leading cells, so that the cells of interval
     # k, (pos, d = k - t_end + W), are at[k][pos * R + W] for at[k] = hp
     # from k - t_on on, and their successors' cells at at[k][after[:, pos]]
@@ -271,8 +273,7 @@ def _sweep(band: _Band, rows, cap: int, expired):
     after = np.where(succ < 0, index(n), succ.astype(index, copy=False))
     after *= index(R)
     after += W
-    wide = next(t for t in (np.int16, np.int32, np.int64)
-                if np.iinfo(t).max > max(2 * cap, cap + band.table.graph.inst.heaviest_path))
+    wide = _signed_type(max(2 * cap, cap + band.table.graph.inst.heaviest_path), np.int16)
     # runs[k, j]: a job of length ps[j] from interval k, clipped at cap
     runs = np.minimum(band.runs.T, cap).astype(wide)[:, :, None]
     last = t_end + R - 2  # the last interval a block may start at
@@ -455,22 +456,23 @@ def _fit(ps: np.ndarray, counts: np.ndarray, lengths: list[int]) -> list[list[in
 def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = None) -> SolveResult:
     """Provably optimal schedule for the instance, or infeasible.
 
-    The band's cell count alone picks the order. At most _DP_ALONE_CELLS
-    cells: the exact band DP of the module docstring, swept and walked
-    from the root, the gap after interval 1. Among equal-cost schedules
-    the one whose (start, length) pieces, sorted by start, form the
-    lexicographically smallest sequence wins. More cells: the relaxation
-    first, the same sweep over rows that count no length, and the fit's
-    schedule when the jobs fit its blocks (_fit): the blocks shortest
-    first, each taking the longest jobs that still leave a fill, each
-    block's jobs ascending. Without a fit, the rows count the shortest
-    uncounted length too, and the fit is tried again, until the next
-    set's cells, (uncounted work + 1) * prod over the counted of (count +
-    1) * R, would pass _DP_CELL_LIMIT or take the cells filled by these
-    sets past 1/_SUBSET_SHARE of the exact DP's. A bound that meets the
-    one-block incumbent needs no stop of its own: the walk then merges
+    One loop of steps over counted sets, each a band DP swept and walked
+    from the root, the gap after interval 1; the band's cell count alone
+    picks the first. The last step counts every length: the exact band DP
+    of the module docstring, where a band of at most _DP_ALONE_CELLS cells
+    starts. Among equal-cost schedules the one whose (start, length)
+    pieces, sorted by start, form the lexicographically smallest sequence
+    wins. More cells: the relaxation first, the same sweep over rows that
+    count no length, and the fit's schedule when the jobs fit its blocks
+    (_fit): the blocks shortest first, each taking the longest jobs that
+    still leave a fill, each block's jobs ascending. Without a fit, the
+    rows count the shortest uncounted length too, and the fit is tried
+    again, until the next set's cells, (uncounted work + 1) * prod over
+    the counted of (count + 1) * R, would pass _DP_CELL_LIMIT or take the
+    cells filled by these sets past 1/_SUBSET_SHARE of the exact DP's;
+    then the exact DP, at most _DP_CELL_LIMIT cells. A bound that meets
+    the one-block incumbent needs no stop of its own: the walk then merges
     every piece into that block, which the fit splits at its first node.
-    Then, at most _DP_CELL_LIMIT cells, the exact DP.
     The steps share one search state and leave by one exit, stop, which
     assembles the answer and re-prices it (RuntimeError when the price is
     off). Over the cell limit, or once the time limit expires, the answer
@@ -572,44 +574,36 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
 
     every = np.ones(len(ps), dtype=bool)
     cells = size(every)
-    if cells > _DP_ALONE_CELLS:
-        # The relaxation, then ever more counted lengths, the shortest
-        # uncounted first, while the cells spent on these subsets stay
-        # within 1/_SUBSET_SHARE of the exact DP's and each one within
-        # the cell limit.
-        counted, spent = ~every, 0
-        while True:
-            relaxed = optimum(counted)
-            if relaxed is None:
-                return stop("time_limit")
-            if relaxed[0] >= cap:
-                return stop("infeasible")
-            bound, bound_counted = relaxed[0], ps[counted].tolist()
-            blocks: list[list[int]] = []  # [start, length] of the merged blocks
-            for a, p in relaxed[1]:
-                if blocks and sum(blocks[-1]) == a:
-                    blocks[-1][1] += p
-                else:
-                    blocks.append([a, p])
-            split = _fit(ps, counts, [L for _a, L in blocks])
-            if split is not None:
-                found = (bound, [(a + sum(held[:k]), p) for (a, _L), held in zip(blocks, split)
-                                 for k, p in enumerate(held)])
-                return stop("fit")
-            if expired():
-                return stop("time_limit")
-            spent += size(counted)
-            counted = counted.copy()
-            counted[counted.argmin()] = True
-            step = size(counted)
-            if step > _DP_CELL_LIMIT or (spent + step) * _SUBSET_SHARE > cells:
-                break
-        if cells > _DP_CELL_LIMIT:
+    counted, spent = every if cells <= _DP_ALONE_CELLS else ~every, 0
+    while True:
+        exact = counted.all()
+        if exact and cells > _DP_CELL_LIMIT:
             return stop("cell_limit")
-    best = optimum(every)
-    if best is None:
-        return stop("time_limit")
-    if best[0] >= cap:
-        return stop("infeasible")
-    found, bound_counted = best, ps.tolist()
-    return stop("dp")
+        best = optimum(counted)
+        if best is None:
+            return stop("time_limit")
+        if best[0] >= cap:
+            return stop("infeasible")
+        bound, bound_counted = best[0], ps[counted].tolist()
+        if exact:
+            found = best
+            return stop("dp")
+        blocks: list[list[int]] = []  # [start, length] of the merged blocks
+        for a, p in best[1]:
+            if blocks and sum(blocks[-1]) == a:
+                blocks[-1][1] += p
+            else:
+                blocks.append([a, p])
+        split = _fit(ps, counts, [L for _a, L in blocks])
+        if split is not None:
+            found = (bound, [(a + sum(held[:k]), p) for (a, _L), held in zip(blocks, split)
+                             for k, p in enumerate(held)])
+            return stop("fit")
+        if expired():
+            return stop("time_limit")
+        spent += size(counted)
+        counted = counted.copy()
+        counted[counted.argmin()] = True
+        step = size(counted)
+        if step > _DP_CELL_LIMIT or (spent + step) * _SUBSET_SHARE > cells:
+            counted = every

@@ -42,9 +42,13 @@ from .isg import sssp  # noqa: F401  (perfbench's tracer wraps spaces.sssp)
 from .model import InfeasibleError, InputError, Instance, StatePair, instance_to_dict
 
 _UNREACHABLE = np.int64(INF) // 2  # values at or above this mean "no path"
-# phi's stored types, narrowest first, each with its maximum: "no switching"
-_STORED_TYPES = [(np.dtype(t), int(np.iinfo(t).max)) for t in (np.int8, np.int16, np.int32,
-                                                               np.int64)]
+
+
+def _signed_type(bound: int, least=np.int8) -> np.dtype:
+    """The narrowest signed integer type, least or wider, whose maximum is
+    above bound."""
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if np.dtype(t).itemsize >= np.dtype(least).itemsize and np.iinfo(t).max > bound)
 
 
 @dataclass
@@ -154,17 +158,18 @@ def _blocks(plan: ClassPlan, h: int) -> tuple[int, dict[tuple[int, int], int]]:
 def _sweep_types(inst: Instance) -> tuple[np.dtype, np.dtype, int]:
     """The signed and unsigned integer types of phi's sweep and its
     no-path value INF_w = 2^(w-2), for the narrowest width w of 16, 32
-    and 64 bits whose 2^(w-3) is above `Instance.heaviest_path`
-    (`_sweep_blocks` argues the bounds)."""
-    heaviest = inst.heaviest_path
-    w = next((w for w in (16, 32) if heaviest < 2 ** (w - 3)), 64)
-    return np.dtype(f"int{w}"), np.dtype(f"uint{w}"), 2 ** (w - 2)
+    and 64 bits whose 2^(w-3) is above `Instance.heaviest_path`: whose
+    maximum 2^(w-1) - 1 is above 4 times it (`_sweep_blocks` argues the
+    bounds)."""
+    sdt = _signed_type(4 * inst.heaviest_path, np.int16)
+    return sdt, np.dtype(f"u{sdt.itemsize}"), 2 ** (8 * sdt.itemsize - 2)
 
 
 def _stored_type(top: int) -> tuple[np.dtype, int]:
     """The narrowest of int8, int16, int32 and int64 whose maximum is above
     top, phi's largest finite value, and that maximum: "no switching"."""
-    return next((dtype, mark) for dtype, mark in _STORED_TYPES if mark > top)
+    dtype = _signed_type(top)
+    return dtype, int(np.iinfo(dtype).max)
 
 
 def _narrowest(phi: np.ndarray) -> np.ndarray:
@@ -223,7 +228,7 @@ def _sweep_blocks(g: IntervalStateGraph) -> np.ndarray:
     at most M. At 64 bits W is below COST_LIMIT = 2^61, which
     `validate_instance` checks."""
     h = g.horizon
-    off, proc, zero, out = g.class_plan
+    off, proc, _zero, out = g.class_plan
     B, slot = _blocks(g.class_plan, h)
     sdt, udt, inf = _sweep_types(g.inst)
     J, nb, width = len(slot), -(-(h - 1) // B), B + len(slot)
@@ -258,8 +263,7 @@ def _sweep_blocks(g: IntervalStateGraph) -> np.ndarray:
             cur[off][-1, r] = 0
         else:
             cur[proc][:, r] = 0
-        for c, cp in zero:
-            np.minimum(cur[c], cur[cp], out=cur[c])
+        g.class_plan.close(cur)
         rows[:, r] = cur[proc]
         if r == 0:
             rows[0, 0] = cur[off][0]
@@ -384,21 +388,22 @@ def save_table(table: SpacesTable, path) -> str:
 def _read_npy(zf: zipfile.ZipFile, name: str, check) -> np.ndarray:
     """The array in member name.npy of zf. check(shape, dtype) runs on
     the member's header before its data is read, so a header that
-    announces a wrong or huge array is refused with nothing allocated."""
+    announces a wrong or huge array is refused with nothing allocated.
+    The data is then read in chunks into the array alone, so its bytes
+    are held once."""
     with zf.open(name + ".npy") as member:
         version = np.lib.format.read_magic(member)
         if version == (1, 0):
-            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(member)
+            shape, _fortran_order, dtype = np.lib.format.read_array_header_1_0(member)
         elif version == (2, 0):
-            shape, fortran_order, dtype = np.lib.format.read_array_header_2_0(member)
+            shape, _fortran_order, dtype = np.lib.format.read_array_header_2_0(member)
         else:
             raise ValueError(f"{name}.npy has .npy format version {version}")
         check(shape, dtype)
-        data = member.read()  # to the end, where zipfile checks the CRC
-    values = np.frombuffer(data, dtype)
-    if values.size != math.prod(shape):
-        raise ValueError(f"{name}.npy holds {values.size} values for shape {shape}")
-    return values.reshape(shape, order="F" if fortran_order else "C")
+        member.seek(0)
+        values = np.lib.format.read_array(member, allow_pickle=False)
+        member.read()  # to the end, where zipfile checks the CRC
+    return values
 
 
 def load_table(path, inst: Instance, graph: IntervalStateGraph | None = None) -> SpacesTable:

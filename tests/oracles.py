@@ -3,8 +3,9 @@
 None of these run in the pipeline; they re-derive its answers by
 independent, slow means on instances small enough to enumerate.
 `brute_force_switching` prices one gap by walking every transition
-sequence, `brute_force_schedule` tries every start assignment, and
-`apsp_oracle` relaxes all pairs of the interval-state graph's vertices.
+sequence, `brute_force_schedule` tries every start assignment,
+`apsp_oracle` relaxes all pairs of the interval-state graph's vertices,
+and `tree_path` walks an `isg.sssp` predecessor map back from a target.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import time
 
 import numpy as np
 
-from tousched.isg import IntervalStateGraph, Vertex, build_graph
-from tousched.model import InfeasibleError, InputError, Instance, compute_tec, validate_schedule
+from tousched.isg import DistanceMap, IntervalStateGraph, Vertex, build_graph
+from tousched.model import (InfeasibleError, InputError, Instance, StatePair, compute_tec,
+                            validate_schedule)
 from tousched.solver import (SolveResult, SolveStats, _boundary_constant, _job_assignment,
                              assemble_schedule)
 from tousched.spaces import SpacesTable, compute_spaces
@@ -202,3 +204,16 @@ def apsp_oracle(g: IntervalStateGraph, max_vertices: int = 2000) -> ApspResult:
     for k in range(n):
         np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :], out=dist)
     return ApspResult(index, dist)
+
+
+def tree_path(dm: DistanceMap, target: Vertex) -> list[StatePair] | None:
+    """Transition steps along the shortest path tree, source to target."""
+    if target not in dm.dist:
+        return None
+    steps: list[StatePair] = []
+    v = target
+    while v != dm.source:
+        v, step = dm.pred[v]
+        steps.append(step)
+    steps.reverse()
+    return steps

@@ -18,12 +18,11 @@ from tousched import (
 )
 from tousched import isg
 from tousched.datagen import MachinePreset, switch_durations
-from tousched.isg import tree_path
 from tousched.model import InfeasibleError, validate_instance
 
 from conftest import (WORKED_WINDOW, arbitrary_machine, nosby_instance, preset_nosby,
                       preset_twosby, random_instance, random_machine)
-from oracles import apsp_oracle
+from oracles import apsp_oracle, tree_path
 
 
 def lex_dijkstra_oracle(edges, source):

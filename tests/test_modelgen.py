@@ -54,6 +54,14 @@ def test_worked_artifact_shape(worked):
     assert all(len(line) <= 200 for line in text.splitlines())
 
 
+def test_export_reads_phi_in_its_stored_type(worked):
+    # the export selects and prices its gaps from the stored table and
+    # never builds the whole int64 matrix
+    table = make_table(worked)
+    emit_ilp_spaces(worked, table)
+    assert "phi_matrix" not in table.__dict__
+
+
 def test_export_is_pinned(worked):
     # sha256 of the LP text and of json.dumps(varmap): these pin the terms,
     # the row and column order and the varmap key order

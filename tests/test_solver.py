@@ -89,6 +89,45 @@ def test_the_benchmark_solver_families_solve_as_pinned():
     assert got == pins
 
 
+def recorded_rows(monkeypatch):
+    """The counted lengths of every _rows call, in order."""
+    seen = []
+    real = solver._rows
+
+    def rows(ps, counts, counted):
+        seen.append(ps[counted].tolist())
+        return real(ps, counts, counted)
+
+    monkeypatch.setattr(solver, "_rows", rows)
+    return seen
+
+
+def test_the_search_steps_through_counted_sets_to_the_exact_dp(worked, monkeypatch):
+    # One loop of steps, one band DP per counted set: the worked example's
+    # band is small enough to start at the exact DP; a fit member stops at
+    # the relaxation; nosby/30/3001/1.3 goes from the relaxation to the
+    # exact DP, through the sets that grow by the shortest uncounted length
+    # as far as the share of cells allows: none at the share of 1/32, {1}
+    # and {1, 2} at 1/2. The answer is the exact DP's either way.
+    seen = recorded_rows(monkeypatch)
+    res = solve_exact(worked, make_table(worked))
+    assert (seen, res.stats.certifier) == ([sorted(set(worked.jobs))], "dp")
+    members = generate_family(30, preset_nosby(), 3001)
+    fit, dp = members[2], members[0]
+    seen.clear()
+    assert solve_exact(fit, make_table(fit)).stats.certifier == "fit"
+    assert seen == [[]]
+    answers = []
+    for share, grown in ((solver._SUBSET_SHARE, []), (2, [[1], [1, 2]])):
+        monkeypatch.setattr(solver, "_SUBSET_SHARE", share)
+        seen.clear()
+        res = solve_exact(dp, make_table(dp))
+        assert seen == [[], *grown, [1, 2, 3, 4, 5]]
+        assert (res.stats.certifier, res.stats.counted) == ("dp", [1, 2, 3, 4, 5])
+        answers.append((res.tec, res.stats.lower_bound, res.schedule.sigma))
+    assert answers[0] == answers[1] and answers[0][0] == 3026
+
+
 def test_worked_cost_decomposition(worked):
     # lead bridge + three blocks + two interior bridges + trailing bridge
     tab = make_table(worked)

@@ -28,11 +28,11 @@ from tousched import (
     write_phi_csv,
 )
 from tousched import datagen, spaces
-from tousched.isg import INF, tree_path
+from tousched.isg import INF
 from tousched.model import InfeasibleError, Instance, MachineStateSet, zero_time_closure
 
 from conftest import arbitrary_machine, nosby_instance, random_instance
-from oracles import apsp_oracle
+from oracles import apsp_oracle, tree_path
 
 
 def make_table(inst):
@@ -470,6 +470,25 @@ def test_table_round_trip_allocates_no_int64_matrix(tmp_path):
         tracemalloc.stop()
     assert back.stored.dtype == np.int16
     assert peak < size <= widened, (peak, size, widened)
+
+
+def test_table_load_holds_phi_once(tmp_path):
+    # load_table reads the phi member in chunks into the array it returns,
+    # so its traced peak stays under 1.5 times the member's bytes; reading
+    # the whole member and then decoding it holds them twice
+    inst = paper_member()
+    g = build_graph(inst)
+    path = save_table(compute_spaces(inst, g), tmp_path / "tab.npz")
+    with zipfile.ZipFile(path) as zf:
+        member = zf.getinfo("phi.npy").file_size
+    tracemalloc.start()
+    try:
+        back = load_table(path, inst, graph=g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.stored.dtype == np.int16
+    assert peak < 1.5 * member, (peak, member)
 
 
 def test_worked_pruning(worked):
