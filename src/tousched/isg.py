@@ -62,11 +62,12 @@ class ClassPlan(NamedTuple):
     # same time are merged at their cheapest power
     out: list[list[tuple[int, int, list[int]]]]
 
-    def ring(self, width: int, fill: int, dtype) -> list[list[np.ndarray]]:
+    def ring(self, width: int | tuple[int, ...], fill: int, dtype) -> list[list[np.ndarray]]:
         """Cost rows for a backward sweep in dtype, all fill, the value
         that stands for no path: ring[k % len(ring)][c] is class c's row
-        at interval k, kept while a step can reach it. dtype must hold
-        fill plus the weight of any path."""
+        at interval k, kept while a step can reach it, of width entries or,
+        for a tuple, of that shape. dtype must hold fill plus the weight
+        of any path."""
         slots = max(t for steps in self.out for t, _cp, _w in steps) + 1
         return [[np.full(width, fill, dtype=dtype) for _ in self.out] for _ in range(slots)]
 

@@ -42,7 +42,7 @@ import numpy as np
 from .model import (InfeasibleError, InputError, Instance, _integer, compute_tec, job_cost,
                     read_json, validate_schedule)
 from .solver import SolveResult, SolveStats, _boundary_constant, assemble_schedule
-from .spaces import SpacesTable
+from .spaces import SpacesTable, check_instance
 
 _WRAP = 200  # keep LP lines comfortably under common reader limits
 _COLUMN = re.compile(r"([xy])_(0|-?[1-9]\d*)_(0|-?[1-9]\d*)", re.ASCII)  # as f"x_{j}_{i}" writes
@@ -95,7 +95,9 @@ def _text(heads: list[str], tails: list[str], starts: list[int], sign: list[str]
 
 
 def emit_ilp_spaces(inst: Instance, table: SpacesTable) -> IlpModelArtifact:
-    """Build the LP text, the columns and the objective constant."""
+    """Build the LP text, the columns and the objective constant; a table
+    built for another instance raises InputError."""
+    check_instance(inst, table.graph)
     h = inst.horizon
     t_on, t_off = table.window
     pw = inst.transitions.power(inst.state_set.proc_state, inst.state_set.proc_state)
@@ -235,8 +237,10 @@ def import_solution(inst: Instance, table: SpacesTable, artifact: IlpModelArtifa
 
     Values must sit within 1e-6 of 0 or 1; variables missing from the
     assignment count as 0. The rebuilt schedule is re-priced from scratch
-    and must match the assignment's objective plus the constant term.
+    and must match the assignment's objective plus the constant term. A
+    table built for another instance raises InputError.
     """
+    check_instance(inst, table.graph)
     t0 = time.monotonic()
     tol = 1e-6
 

@@ -78,7 +78,7 @@ from .isg import INF
 from .isg import build_graph  # noqa: F401  (perfbench wraps solver.build_graph)
 from .model import InfeasibleError, InputError, Instance, Schedule, StatePair, compute_tec
 from .model import validate_schedule  # noqa: F401  (perfbench wraps solver.validate_schedule)
-from .spaces import SpacesTable, _UNREACHABLE, _signed_type, expand_space
+from .spaces import SpacesTable, _UNREACHABLE, _signed_type, check_instance, expand_space
 from .spaces import compute_spaces  # noqa: F401  (perfbench wraps solver.compute_spaces)
 
 _HUGE = int(_UNREACHABLE)
@@ -121,8 +121,10 @@ def assemble_schedule(inst: Instance, placement: list[tuple[int, int]], table: S
     boundary gaps; an explicit list lets callers keep gap splits that pass
     through proc instantaneously. When the pieces do not tile the horizon
     exactly, raises one InfeasibleError naming every interval labeled
-    twice, out of range or left uncovered.
+    twice, out of range or left uncovered; a table built for another
+    instance raises InputError.
     """
+    check_instance(inst, table.graph)
     h = inst.horizon
     off = inst.state_set.off_state
     proc = inst.state_set.proc_state
@@ -486,11 +488,13 @@ def solve_exact(inst: Instance, table: SpacesTable, time_limit: float | None = N
     every length for the exact DP, None before a step completes), and
     stats.states the cells filled, the relaxations' included: an F and,
     below the top layer, a G per cell. A time limit must be >= 0; inf,
-    like None, sets no limit.
+    like None, sets no limit, and a table built for another instance
+    raises InputError.
     The sweep reads the clock once per interval; the fit reads none.
     """
     if time_limit is not None and not time_limit >= 0:  # NaN fails this test too
         raise InputError(f"time limit must be >= 0, got {time_limit}")
+    check_instance(inst, table.graph)
     t0 = time.monotonic()
     deadline = None if time_limit is None or time_limit == float("inf") else t0 + time_limit
     h = inst.horizon

@@ -19,7 +19,7 @@ block across them (`_sweep_blocks`), in the narrowest of 16, 32 and 64
 bits that holds every sum (`_sweep_types`). The sweep writes phi, the
 file holds it and a load keeps it in one form: the narrowest signed type
 whose maximum, the mark of "no switching", is above every finite value
-(`_stored_type`). Only the readers of the whole matrix widen it, once, to
+(`_signed_type`). Only the readers of the whole matrix widen it, once, to
 int64 with INF = 2^62 (`SpacesTable.phi_matrix`). A switching path is
 read off `isg`'s single-source sweep (`isg.shortest_path`), stopped at
 the gap's end.
@@ -32,7 +32,7 @@ import json
 import math
 import zipfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -55,8 +55,9 @@ def _signed_type(bound: int, least=np.int8) -> np.dtype:
 class SpacesTable:
     """phi values over the graph they were computed on.
 
-    stored[i, ip] holds phi(i, ip) for 1 <= i < ip <= h in its stored type
-    (`_stored_type`), read-only; row 0 and column 0 are padding so indices
+    stored[i, ip] holds phi(i, ip) for 1 <= i < ip <= h in its stored type,
+    the narrowest signed type whose maximum is above every finite value
+    (`_signed_type`), read-only; row 0 and column 0 are padding so indices
     match the 1-based interval convention. A signed array of 8, 16 or 32
     bits is kept as given, any other converted, a cell at or above min(its
     type's maximum, 2^61) meaning no switching: an int64 table with INF
@@ -165,25 +166,18 @@ def _sweep_types(inst: Instance) -> tuple[np.dtype, np.dtype, int]:
     return sdt, np.dtype(f"u{sdt.itemsize}"), 2 ** (8 * sdt.itemsize - 2)
 
 
-def _stored_type(top: int) -> tuple[np.dtype, int]:
-    """The narrowest of int8, int16, int32 and int64 whose maximum is above
-    top, phi's largest finite value, and that maximum: "no switching"."""
-    dtype = _signed_type(top)
-    return dtype, int(np.iinfo(dtype).max)
-
-
 def _narrowest(phi: np.ndarray) -> np.ndarray:
-    """An integer phi in its stored type (`_stored_type`), where a cell at
-    or above min(phi's type maximum, 2^61) means no switching."""
+    """An integer phi in its stored type, the narrowest signed type whose
+    maximum, "no switching", is above its largest finite value, where a
+    cell at or above min(phi's type maximum, 2^61) means no switching."""
     finite = phi < min(np.iinfo(phi.dtype).max, int(_UNREACHABLE))
-    dtype, mark = _stored_type(int(phi.max(where=finite, initial=0)))
-    stored = phi.astype(dtype)  # wraps only the cells without switching, set next
-    stored[~finite] = mark
+    stored = phi.astype(_signed_type(int(phi.max(where=finite, initial=0))))
+    stored[~finite] = np.iinfo(stored.dtype).max  # the cast wrapped only these cells
     return stored
 
 
 def _sweep_blocks(g: IntervalStateGraph) -> np.ndarray:
-    """phi in its stored type (`_stored_type`), by a backward sweep over
+    """phi in its stored type (`_narrowest`), by a backward sweep over
     blocks of B consecutive intervals (`_blocks`), block b from interval
     2 + bB, the top block cut at h. At interval k each zero-time class
     holds a cost-to-go row: the cheapest cost from that class at the
@@ -242,9 +236,8 @@ def _sweep_blocks(g: IntervalStateGraph) -> np.ndarray:
         return padded[1:].reshape(nb, B).T.copy()[:, :, None]
 
     plan = [[(t, cp, by_offset(weights)) for t, cp, weights in steps] for steps in out]
-    # ring[r % slots][c][b]: class c's row at offset r of block b
-    slots = max(u for u, _c in slot) + 1
-    ring = [[np.empty((nb, width), dtype=sdt) for _ in out] for _ in range(slots)]
+    ring = g.class_plan.ring((nb, width), inf, sdt)  # [r % slots][c][b]: offset r of block b
+    slots = len(ring)
     tmp = np.empty((nb, width), dtype=sdt)
     rows = np.empty((nb, B, width), dtype=sdt)  # the row of phi at each offset
     bounds = np.empty((nb, J, width), dtype=sdt)  # each boundary state's row
@@ -297,7 +290,8 @@ def _sweep_blocks(g: IntervalStateGraph) -> np.ndarray:
         if b < nb - 1:
             past(bounds[b, :, B:], ahead[b + 1, :, hi:], ahead[b, :, hi:])
             np.minimum(ahead[b, :, hi:], M, out=ahead[b, :, hi:])
-    dtype, mark = _stored_type(top(rows) + top(ahead))
+    dtype = _signed_type(top(rows) + top(ahead))
+    mark = np.iinfo(dtype).max
     phi = np.full((h + 1, h + 1), mark, dtype=dtype)
     for b, (lo, hi) in enumerate(spans):
         np.minimum(rows[b, :hi - lo, :hi - lo], mark, out=phi[lo - 1:hi - 1, lo:hi],
@@ -308,11 +302,26 @@ def _sweep_blocks(g: IntervalStateGraph) -> np.ndarray:
             np.minimum(acc, mark, out=phi[lo - 1:hi - 1, hi:], casting="unsafe")
     # the first row of every block above the lowest is a boundary row: proc's
     least = top(ahead[1:, slot[1, proc]])
-    return phi if _stored_type(least)[0] == dtype else _narrowest(phi)
+    return phi if _signed_type(least) == dtype else _narrowest(phi)
+
+
+def check_instance(inst: Instance, g: IntervalStateGraph) -> None:
+    """Raise InputError unless g, or the table over it, was built for inst:
+    the same object or an equal one, the instance a saved table's
+    fingerprint pins."""
+    if g.inst is inst or g.inst == inst:
+        return
+    differ = [f.name for f in fields(Instance) if getattr(g.inst, f.name) != getattr(inst, f.name)]
+    if differ[:1] == ["horizon"]:
+        differ[0] = f"horizon ({g.inst.horizon}, not {inst.horizon})"
+    raise InputError(f"the table or graph was built for another instance, which differs in "
+                     f"{', '.join(differ)}")
 
 
 def compute_spaces(inst: Instance, g: IntervalStateGraph) -> SpacesTable:
-    """The full phi table; raises InfeasibleError without a processing window."""
+    """The full phi table; raises InfeasibleError without a processing
+    window, InputError when g was built for another instance."""
+    check_instance(inst, g)
     return SpacesTable(_sweep_blocks(g), g)
 
 
@@ -354,7 +363,9 @@ def expand_space(table: SpacesTable, i: int, ip: int) -> list[StatePair]:
 
 def apply_pruning(table: SpacesTable, inst: Instance) -> SpacesTable:
     """The table itself: its pruning flags (`SpacesTable.pruned_mask`) are
-    derived from its instance, so there is nothing to apply."""
+    derived from its instance, so there is nothing to apply. Raises
+    InputError when the table was built for another instance."""
+    check_instance(inst, table.graph)
     return table
 
 
@@ -414,7 +425,10 @@ def load_table(path, inst: Instance, graph: IntervalStateGraph | None = None) ->
     load. phi is kept as read unless its type is other than signed 8, 16
     or 32 bits, such as the int64 of older versions with INF = 2^62, which
     `SpacesTable` converts; a hand-edited cell equal to its type's maximum
-    reads as unreachable."""
+    reads as unreachable. A graph built for another instance raises
+    InputError."""
+    if graph is not None:
+        check_instance(inst, graph)
     h = inst.horizon
     other = f"{path}: phi table was computed for a different instance"
 

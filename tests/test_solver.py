@@ -1017,7 +1017,7 @@ def test_a_gap_of_the_optimum_edited_in_phi_is_an_input_error(worked, gap, value
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 2: solve_exact prices the root and trailing gaps "
+                   reason="ROADMAP item 3: solve_exact prices the root and trailing gaps "
                           "from phi without checking them against the machine")
 @pytest.mark.parametrize("gap", [(1, 4), (14, 16)], ids=["root", "trailing"])
 def test_a_raised_root_or_trailing_gap_in_phi_is_refused_or_priced_right(worked, gap):

@@ -16,9 +16,12 @@ from tousched import (
     InputError,
     TransitionSpec,
     apply_pruning,
+    assemble_schedule,
     build_graph,
     compute_spaces,
+    emit_ilp_spaces,
     expand_space,
+    import_solution,
     load_table,
     proc_window,
     save_table,
@@ -31,7 +34,7 @@ from tousched import datagen, spaces
 from tousched.isg import INF
 from tousched.model import InfeasibleError, Instance, MachineStateSet, zero_time_closure
 
-from conftest import arbitrary_machine, nosby_instance, random_instance
+from conftest import arbitrary_machine, nosby_instance, random_instance, worked_instance
 from oracles import apsp_oracle, tree_path
 
 
@@ -846,6 +849,41 @@ def test_table_load_rejects_other_instance(tmp_path, worked):
                      worked.transitions)
     with pytest.raises(InputError):
         load_table(out, other)
+
+
+# The worked optimum as job placements and as the LP's 0/1 assignment
+WORKED_PLACEMENT = [(1, 10), (2, 4), (3, 13)]
+WORKED_ASSIGNMENT = {"x_1_10": 1, "x_2_4": 1, "x_3_13": 1,
+                     "y_1_4": 1, "y_4_10": 1, "y_11_13": 1, "y_14_16": 1}
+ENTRY_POINTS = {
+    # the file matches inst, so only the graph can be refused
+    "load_table": lambda inst, tab, tmp_path: load_table(
+        save_table(make_table(inst), tmp_path / "tab.npz"), inst, graph=tab.graph),
+    "compute_spaces": lambda inst, tab, _tmp: compute_spaces(inst, tab.graph),
+    "apply_pruning": lambda inst, tab, _tmp: apply_pruning(tab, inst),
+    "solve_exact": lambda inst, tab, _tmp: solve_exact(inst, tab),
+    "assemble_schedule": lambda inst, tab, _tmp: assemble_schedule(inst, WORKED_PLACEMENT, tab),
+    "emit_ilp_spaces": lambda inst, tab, _tmp: emit_ilp_spaces(inst, tab),
+    "import_solution": lambda inst, tab, _tmp: import_solution(
+        inst, tab, emit_ilp_spaces(tab.graph.inst, tab), WORKED_ASSIGNMENT),
+}
+
+
+@pytest.mark.parametrize("other", ["horizon", "costs"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_a_table_or_graph_of_another_instance_is_refused(tmp_path, worked, entry, other):
+    # a longer horizon once read past the table's end (IndexError), and
+    # other costs at the same horizon made the solve's re-pricing fail
+    # (RuntimeError) and the LP export price the gaps by the wrong
+    # instance; an equal instance built apart is the same instance
+    if other == "horizon":
+        inst = dataclasses.replace(worked, horizon=17, costs=worked.costs + (1,))
+    else:
+        inst = dataclasses.replace(worked, costs=(3,) + worked.costs[1:])
+    tab = make_table(worked)
+    with pytest.raises(InputError, match=f"another instance, which differs in {other}"):
+        ENTRY_POINTS[entry](inst, tab, tmp_path)
+    ENTRY_POINTS[entry](worked_instance(), tab, tmp_path)
 
 
 def rewrite_table_file(path, **fields):
